@@ -27,6 +27,13 @@ def rng_stream(seed: int, *key: int) -> np.random.Generator:
     return np.random.Generator(bitgen)
 
 
+def frozen(arr: np.ndarray) -> np.ndarray:
+    """Read-only complex copy, for the immutable value types."""
+    out = np.array(arr, dtype=complex, copy=True)
+    out.setflags(write=False)
+    return out
+
+
 def hermitize(mat: np.ndarray) -> np.ndarray:
     return 0.5 * (mat + mat.conj().T)
 

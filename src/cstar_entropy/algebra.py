@@ -19,18 +19,13 @@ from ._linalg import (
     complex_gaussian,
     eigh_clusters,
     frob,
+    frozen,
     hermitize,
     null_space_rows,
     orthonormal_extend,
     rng_stream,
 )
 from .errors import DecompositionError, InternalError, ValidationError
-
-
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    out = np.array(arr, dtype=complex, copy=True)
-    out.setflags(write=False)
-    return out
 
 
 @dataclass(frozen=True)
@@ -97,7 +92,7 @@ class AlgebraElement:
             arr = np.asarray(part, dtype=complex)
             if arr.shape != (n, n):
                 raise ValidationError(f"part of shape {arr.shape} does not match block size {n}")
-            parts.append(_frozen(arr))
+            parts.append(frozen(arr))
         object.__setattr__(self, "parts", tuple(parts))
 
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
@@ -181,6 +176,16 @@ def embedded_standard_basis(structure: BlockStructure) -> np.ndarray:
     return out
 
 
+def partial_traces(mat: np.ndarray, structure: BlockStructure) -> list[np.ndarray]:
+    """Trace over the multiplicity factor of each diagonal block.
+
+    Block i of the ambient matrix, read as an operator on C^{n_i} (x) C^{m_i},
+    gives the n_i x n_i matrix ``sum_j M[(a, j), (b, j)]``.
+    """
+    return [np.einsum("ajbj->ab", mat[sl, sl].reshape(n, m, n, m))
+            for sl, (n, m) in zip(structure.ambient_slices(), structure.blocks)]
+
+
 def structure_projection(mat: np.ndarray, structure: BlockStructure) -> tuple[np.ndarray, float]:
     """Orthogonal projection of a matrix onto the embedded algebra.
 
@@ -192,21 +197,10 @@ def structure_projection(mat: np.ndarray, structure: BlockStructure) -> tuple[np
     if mat.shape != (d, d):
         raise ValidationError(f"matrix shape {mat.shape} does not match ambient dimension {d}")
     proj = np.zeros_like(mat)
-    for sl, (n, m) in zip(structure.ambient_slices(), structure.blocks):
-        block = mat[sl, sl].reshape(n, m, n, m)
-        x = np.einsum("ajbj->ab", block) / m
-        proj[sl, sl] = np.kron(x, np.eye(m))
+    for sl, (_, m), x in zip(structure.ambient_slices(), structure.blocks,
+                             partial_traces(mat, structure)):
+        proj[sl, sl] = np.kron(x / m, np.eye(m))
     return proj, frob(mat - proj)
-
-
-def block_restrictions(mat: np.ndarray, structure: BlockStructure) -> list[np.ndarray]:
-    """The n_i x n_i compressions X_i of a matrix in the embedded algebra."""
-    mat = np.asarray(mat, dtype=complex)
-    out = []
-    for sl, (n, m) in zip(structure.ambient_slices(), structure.blocks):
-        block = mat[sl, sl].reshape(n, m, n, m)
-        out.append(np.einsum("ajbj->ab", block) / m)
-    return out
 
 
 @dataclass(frozen=True)
@@ -228,7 +222,7 @@ class SubalgebraBasis:
             arr = np.asarray(b, dtype=complex)
             if arr.shape != (d, d):
                 raise ValidationError("basis matrices must be square of the ambient dimension")
-            mats.append(_frozen(arr))
+            mats.append(frozen(arr))
         if not mats:
             raise ValidationError("a subalgebra basis cannot be empty")
         rows = np.stack([m.reshape(-1) for m in mats])

@@ -30,28 +30,21 @@ class _ParseError(Exception):
     pass
 
 
-def _matrix_from_json(obj, what: str = "matrix") -> np.ndarray:
+def _complex_from_json(obj, what: str, ndim: int) -> np.ndarray:
+    """Complex array of ndim dimensions from nested [re, im] pairs, all finite."""
     try:
         arr = np.asarray(obj, dtype=float)
     except (TypeError, ValueError) as exc:
         raise _ParseError(f"{what}: not a numeric nested array: {exc}") from None
-    if arr.ndim != 3 or arr.shape[-1] != 2:
-        raise _ParseError(f"{what}: expected rows of [re, im] pairs, got shape {arr.shape}")
+    if arr.ndim != ndim + 1 or arr.shape[-1] != 2:
+        raise _ParseError(f"{what}: expected [re, im] pairs, got shape {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise _ParseError(f"{what}: entries must be finite numbers")
     return arr[..., 0] + 1j * arr[..., 1]
 
 
 def _matrix_to_json(mat: np.ndarray) -> list:
     return [[[float(x.real), float(x.imag)] for x in row] for row in np.asarray(mat, complex)]
-
-
-def _vector_from_json(obj, what: str) -> np.ndarray:
-    try:
-        arr = np.asarray(obj, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise _ParseError(f"{what}: not numeric: {exc}") from None
-    if arr.ndim != 2 or arr.shape[-1] != 2:
-        raise _ParseError(f"{what}: expected a list of [re, im] pairs")
-    return arr[:, 0] + 1j * arr[:, 1]
 
 
 @dataclass
@@ -83,11 +76,16 @@ def _resolve_options(doc: dict, args) -> tuple[float, int, int]:
     options = doc.get("options", {})
     if not isinstance(options, dict):
         raise _ParseError("options must be an object")
-    tol = args.tol if args.tol is not None else float(options.get("tol", 1e-9))
-    seed = args.seed if args.seed is not None else int(options.get("seed", 0))
-    samples = getattr(args, "samples", None)
-    if samples is None:
-        samples = int(options.get("samples", 1000))
+    try:
+        tol = args.tol if args.tol is not None else float(options.get("tol", 1e-9))
+        seed = args.seed if args.seed is not None else int(options.get("seed", 0))
+        samples = getattr(args, "samples", None)
+        if samples is None:
+            samples = int(options.get("samples", 1000))
+    except (TypeError, ValueError) as exc:
+        raise _ParseError(f"options: tol, seed and samples must be numbers: {exc}") from None
+    if not np.isfinite(tol) or tol <= 0:
+        raise _ParseError(f"tol must be a positive finite number, got {tol!r}")
     return tol, seed, samples
 
 
@@ -105,10 +103,10 @@ def _parse_problem(args, need_state: bool = True, need_generators: bool = False)
             raise _ParseError("this command requires the algebra as generators")
         try:
             structure = alg.make_algebra([tuple(b) for b in algebra_form["blocks"]])
-        except (TypeError, ValidationError) as exc:
+        except (TypeError, ValueError) as exc:
             raise _ParseError(f"algebra blocks: {exc}") from None
     else:
-        gens = [_matrix_from_json(g, f"generator {k}") for k, g in enumerate(algebra_form["generators"])]
+        gens = [_complex_from_json(g, f"generator {k}", 2) for k, g in enumerate(algebra_form["generators"])]
         sub = alg.generate_subalgebra(gens, tol=tol)
         structure, transform = alg.block_decompose(sub, tol=tol, seed=seed)
         residual = max(
@@ -123,7 +121,7 @@ def _parse_problem(args, need_state: bool = True, need_generators: bool = False)
             raise _ParseError(
                 "state must contain exactly one of 'density', 'canonical' or 'values'")
         if "density" in state_form:
-            rho = _matrix_from_json(state_form["density"], "state density")
+            rho = _complex_from_json(state_form["density"], "state density", 2)
             if transform is not None:
                 rho = transform.conj().T @ rho @ transform
             state = states.state_from_density(rho, structure, tol)
@@ -131,12 +129,12 @@ def _parse_problem(args, need_state: bool = True, need_generators: bool = False)
             canon = state_form["canonical"]
             if not isinstance(canon, dict) or "p" not in canon or "rhos" not in canon:
                 raise _ParseError("canonical state needs 'p' and 'rhos'")
-            rhos = [None if r is None else _matrix_from_json(r, "block state")
+            rhos = [None if r is None else _complex_from_json(r, "block state", 2)
                     for r in canon["rhos"]]
             state = states.StateFunctional.from_canonical(structure, canon["p"], rhos)
         else:
-            vals = _vector_from_json(state_form["values"], "state values")
-            basis = [_matrix_from_json(b, f"basis element {k}")
+            vals = _complex_from_json(state_form["values"], "state values", 1)
+            basis = [_complex_from_json(b, f"basis element {k}", 2)
                      for k, b in enumerate(state_form.get("basis", []))]
             if not basis:
                 raise _ParseError("state values need a declared 'basis'")
@@ -146,7 +144,7 @@ def _parse_problem(args, need_state: bool = True, need_generators: bool = False)
 
     unitary = None
     if "unitary" in doc:
-        unitary = _matrix_from_json(doc["unitary"], "unitary")
+        unitary = _complex_from_json(doc["unitary"], "unitary", 2)
     return _Problem(structure=structure, state=state, transform=transform,
                     discovery_residual=residual, unitary=unitary,
                     tol=tol, seed=seed, samples=samples)
@@ -250,7 +248,7 @@ def _cmd_schrodinger(args) -> None:
     dec = decomp.schrodinger_decomposition(rho, problem.unitary)
     weights = dec.weights()
     mixed = decomp.decomposition_entropy(dec)
-    vn = entropy.von_neumann(rho, problem.tol)
+    vn = entropy.von_neumann(rho)
     scale, unit = _unit(args)
     payload = {
         "weights": [float(w) for w in weights],

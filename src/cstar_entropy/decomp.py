@@ -15,9 +15,9 @@ import numpy as np
 
 from ._linalg import complex_gaussian, default_tol, rng_stream
 from .algebra import BlockStructure, make_algebra
-from .entropy import minimal_decomposition, shannon
+from .entropy import _entropy_of, minimal_decomposition, shannon
 from .errors import ValidationError
-from .states import Decomposition, DensityMatrix, StateFunctional, canonical_form, representative_density
+from .states import Decomposition, DensityMatrix, StateFunctional, active_sectors, block_spectra
 
 __all__ = [
     "Decomposition",
@@ -140,23 +140,8 @@ def decomposition_entropy_split(dec: Decomposition) -> tuple[float, float]:
     for w, i, _ in dec.components:
         by_block.setdefault(i, []).append(w)
     p = np.array([sum(ws) for ws in by_block.values()])
-    sector = float(-(p * np.log(p)).sum())
-    within = 0.0
-    for ws in by_block.values():
-        v = np.array(ws) / sum(ws)
-        within += sum(ws) * float(-(v * np.log(v)).sum())
-    return sector, within
-
-
-def _active_blocks(p: np.ndarray, rhos, structure: BlockStructure, tol: float):
-    """Spectral data of the blocks that carry weight."""
-    active = []
-    for i, (w, rho) in enumerate(zip(p, rhos)):
-        if w <= tol or rho is None:
-            continue
-        lam, psi = _spectral(rho)
-        active.append((i, structure.blocks[i][0], float(w), lam, psi))
-    return active
+    within = sum(sum(ws) * _entropy_of(np.array(ws)) for ws in by_block.values())
+    return _entropy_of(p), within
 
 
 def _sample_draws(rng: np.random.Generator, active):
@@ -166,8 +151,8 @@ def _sample_draws(rng: np.random.Generator, active):
     the per-sample stream identically.
     """
     draws = []
-    for i, n, *_ in active:
-        r = int(rng.integers(n, 2 * n + 1))
+    for i, _, lam, _ in active:
+        r = int(rng.integers(lam.size, 2 * lam.size + 1))
         draws.append((i, r, complex_gaussian((r, r), rng)))
     return draws
 
@@ -176,12 +161,6 @@ def _phase_fixed_qr(stack: np.ndarray) -> np.ndarray:
     q, r = np.linalg.qr(stack)
     d = np.einsum("...ii->...i", r)
     return q * (d / np.abs(d))[..., None, :]
-
-
-def _entropy_of_weights(weights: np.ndarray) -> float:
-    w = weights[weights > _WEIGHT_FLOOR]
-    w = w / w.sum()
-    return float(-(w * np.log(w)).sum())
 
 
 def infimum_oracle(omega: StateFunctional, structure: BlockStructure, samples: int = 1000,
@@ -199,12 +178,9 @@ def infimum_oracle(omega: StateFunctional, structure: BlockStructure, samples: i
         raise ValidationError("samples must be at least 1")
     tol = default_tol(structure.ambient_dim) if tol is None else tol
     base = minimal_decomposition(omega, structure, tol)
-    best_entropy = _entropy_of_weights(base.weights())
+    best_entropy = _entropy_of(base.weights(), _WEIGHT_FLOOR)
     best_index = 0
-
-    rho = representative_density(omega, structure, tol)
-    p, rhos = canonical_form(rho, structure, tol)
-    active = _active_blocks(p, rhos, structure, tol)
+    active = active_sectors(block_spectra(omega, structure, tol), tol)
 
     chunk_size = 1024
     for chunk_start in range(1, samples + 1, chunk_size):
@@ -218,14 +194,14 @@ def infimum_oracle(omega: StateFunctional, structure: BlockStructure, samples: i
                 owners.append(s)
                 mats.append(g)
         for (pos, r), (owners, mats) in buckets.items():
-            _, _, w_block, lam, _ = active[pos]
+            _, w_block, lam, _ = active[pos]
             rank = int(np.sum(lam > _WEIGHT_FLOOR))
             u = _phase_fixed_qr(np.stack(mats))
             probs = np.einsum("sij,j->si", np.abs(u[:, :, :rank]) ** 2, lam[:rank])
             for s, row in zip(owners, probs):
                 per_sample_weights[s].append(w_block * row)
         for s in indices:
-            h = _entropy_of_weights(np.concatenate(per_sample_weights[s]))
+            h = _entropy_of(np.concatenate(per_sample_weights[s]), _WEIGHT_FLOOR)
             # strict comparison in ascending order keeps the lowest index on ties
             if h < best_entropy:
                 best_entropy, best_index = h, s
@@ -240,7 +216,7 @@ def _rebuild_sample(seed: int, index: int, active, structure: BlockStructure) ->
     rng = rng_stream(seed, 1, index)
     comps = []
     for pos, (i, r, g) in enumerate(_sample_draws(rng, active)):
-        _, _, w_block, lam, psi = active[pos]
+        _, w_block, lam, psi = active[pos]
         u = _phase_fixed_qr(g)
         weights, vectors = _mixed_vectors(lam, psi, u)
         for k, w in enumerate(weights):

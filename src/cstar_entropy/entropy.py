@@ -20,15 +20,17 @@ from .states import (
     Decomposition,
     DensityMatrix,
     StateFunctional,
-    canonical_form,
-    representative_density,
+    active_sectors,
+    block_spectra,
+    density_from_spectra,
 )
 
 
-def _entropy_of(p: np.ndarray) -> float:
-    """-sum p log p over the positive entries (0 log 0 = 0)."""
-    pos = p[p > 0.0]
-    return float(-(pos * np.log(pos)).sum())
+def _entropy_of(weights: np.ndarray, floor: float = 0.0) -> float:
+    """-sum w log w over the weights above floor, renormalized to sum 1 (0 log 0 = 0)."""
+    w = weights[weights > floor]
+    w = w / w.sum()
+    return float(-(w * np.log(w)).sum())
 
 
 def shannon(p, tol: float = 1e-9) -> float:
@@ -44,17 +46,13 @@ def shannon(p, tol: float = 1e-9) -> float:
         raise ValidationError(f"negative probability {arr.min()!r}")
     if abs(arr.sum() - 1.0) > max(tol, 1e-12) * arr.size:
         raise ValidationError(f"probabilities sum to {arr.sum()!r}, expected 1")
-    arr = np.clip(arr, 0.0, None)
-    return _entropy_of(arr / arr.sum())
+    return _entropy_of(arr)
 
 
-def von_neumann(rho, tol: float | None = None) -> float:
+def von_neumann(rho) -> float:
     """Von Neumann entropy: the Shannon entropy of the spectrum, in nats."""
     rho = rho if isinstance(rho, DensityMatrix) else DensityMatrix(rho)
-    tol = default_tol(rho.dim) if tol is None else tol
-    eigs = np.linalg.eigvalsh(rho.matrix)
-    eigs = np.clip(eigs, 0.0, None)
-    return _entropy_of(eigs / eigs.sum())
+    return _entropy_of(np.linalg.eigvalsh(rho.matrix))
 
 
 @dataclass(frozen=True)
@@ -74,23 +72,24 @@ class EntropyReport:
 
 def state_entropy(omega: StateFunctional, structure: BlockStructure,
                   tol: float | None = None) -> EntropyReport:
-    """Entropy of a state from the canonical form of its representative."""
+    """Entropy of a state from the canonical form of its representative.
+
+    Sector weights and block spectra come from one eigendecomposition per
+    block.  The von Neumann entropy of the representative is taken from its
+    own spectrum, not summed from those terms, so the multiplicity relation
+    ``S_VN(rho_omega) = S(omega) + sum_i p_i log m_i`` remains a check.
+    """
     tol = default_tol(structure.ambient_dim) if tol is None else tol
-    rho = representative_density(omega, structure, tol)
-    p, rhos = canonical_form(rho, structure, tol)
-    sector = _entropy_of(p)
-    mean = 0.0
-    mult = 0.0
-    for w, block_rho, (_, m) in zip(p, rhos, structure.blocks):
-        if w <= tol or block_rho is None:
-            continue
-        mean += w * von_neumann(DensityMatrix(block_rho), tol)
-        mult += w * np.log(m)
+    spectra = block_spectra(omega, structure, tol)
+    sectors = active_sectors(spectra, tol)
+    sector = _entropy_of(np.array([w for _, w, _, _ in sectors]))
+    mean = sum(w * _entropy_of(lam) for _, w, lam, _ in sectors)
+    mult = sum(w * np.log(structure.blocks[i][1]) for i, w, _, _ in sectors)
     return EntropyReport(
         state_entropy=sector + mean,
         sector_entropy=sector,
         mean_block_entropy=mean,
-        vn_of_representative=von_neumann(rho, tol),
+        vn_of_representative=von_neumann(density_from_spectra(structure, spectra)),
         multiplicity_term=mult,
     )
 
@@ -104,14 +103,9 @@ def minimal_decomposition(omega: StateFunctional, structure: BlockStructure,
     a time.
     """
     tol = default_tol(structure.ambient_dim) if tol is None else tol
-    rho = representative_density(omega, structure, tol)
-    p, rhos = canonical_form(rho, structure, tol)
     comps = []
-    for i, (w, block_rho) in enumerate(zip(p, rhos)):
-        if w <= tol or block_rho is None:
-            continue
-        eigs, vecs = np.linalg.eigh(block_rho)
-        for lam, vec in zip(eigs[::-1], vecs[:, ::-1].T):
+    for i, w, lams, vecs in active_sectors(block_spectra(omega, structure, tol), tol):
+        for lam, vec in zip(lams, vecs.T):
             weight = w * float(lam)
             if weight < 1e-12:
                 continue

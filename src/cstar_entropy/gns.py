@@ -17,6 +17,7 @@ import numpy as np
 from ._linalg import (
     default_tol,
     frob,
+    frozen,
     hermitize,
     orthonormal_extend,
     random_isometry,
@@ -41,12 +42,6 @@ __all__ = [
 ]
 
 
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    out = np.array(arr, dtype=complex, copy=True)
-    out.setflags(write=False)
-    return out
-
-
 @dataclass(frozen=True)
 class GnsData:
     """The GNS representation of a state.
@@ -65,10 +60,10 @@ class GnsData:
     embedding: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "rep_ops", tuple(_frozen(t) for t in self.rep_ops))
-        object.__setattr__(self, "cyclic", _frozen(self.cyclic))
-        object.__setattr__(self, "gram", _frozen(self.gram))
-        object.__setattr__(self, "embedding", _frozen(self.embedding))
+        object.__setattr__(self, "rep_ops", tuple(frozen(t) for t in self.rep_ops))
+        object.__setattr__(self, "cyclic", frozen(self.cyclic))
+        object.__setattr__(self, "gram", frozen(self.gram))
+        object.__setattr__(self, "embedding", frozen(self.embedding))
 
     def represent(self, coeffs: np.ndarray) -> np.ndarray:
         """Represented operator for an abstract element given by basis coefficients."""
@@ -230,7 +225,7 @@ class IdentityDecomposition:
             if abs(np.linalg.norm(vec) - 1.0) > 1e-8:
                 raise ValidationError("vectors must be unit norm")
             by_block.setdefault(i, []).append((t, vec))
-            items.append((t, i, _frozen(vec)))
+            items.append((t, i, frozen(vec)))
         for i, terms in by_block.items():
             m = len(terms[0][1])
             acc = np.zeros((m, m), dtype=complex)
@@ -299,10 +294,8 @@ def gns_state_entropy(omega: StateFunctional, structure: BlockStructure,
     mult = 0.0
     for w, sigma, block_rho, (_, m) in zip(p, sectors.multiplicity_states,
                                            sectors.block_states, sectors.structure.blocks):
-        spec_m = np.clip(np.linalg.eigvalsh(sigma), 0.0, None)
-        spec_b = np.clip(np.linalg.eigvalsh(block_rho), 0.0, None)
-        mean += w * _entropy_of(spec_m / spec_m.sum())
-        vn += w * (_entropy_of(spec_b / spec_b.sum()) + np.log(m))
+        mean += w * _entropy_of(np.linalg.eigvalsh(sigma))
+        vn += w * (_entropy_of(np.linalg.eigvalsh(block_rho)) + np.log(m))
         mult += w * np.log(m)
     return EntropyReport(
         state_entropy=sector_entropy + mean,

@@ -14,20 +14,9 @@ from typing import Sequence
 
 import numpy as np
 
-from ._linalg import default_tol, frob, hermitize
-from .algebra import (
-    AlgebraElement,
-    BlockStructure,
-    embedded_standard_basis,
-    structure_projection,
-)
+from ._linalg import default_tol, frob, frozen, hermitize
+from .algebra import AlgebraElement, BlockStructure, partial_traces, structure_projection
 from .errors import InternalError, NotAStateError, ValidationError
-
-
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    out = np.array(arr, dtype=complex, copy=True)
-    out.setflags(write=False)
-    return out
 
 
 @dataclass(frozen=True)
@@ -40,6 +29,8 @@ class DensityMatrix:
         mat = np.asarray(self.matrix, dtype=complex)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValidationError("density matrix must be square")
+        if not np.all(np.isfinite(mat)):
+            raise ValidationError("density matrix has non-finite entries")
         tol = default_tol(mat.shape[0])
         if frob(mat - mat.conj().T) > tol * max(1.0, frob(mat)) * 10:
             raise ValidationError("density matrix is not Hermitian")
@@ -49,7 +40,7 @@ class DensityMatrix:
         tr = float(np.trace(mat).real)
         if abs(tr - 1.0) > tol * 10:
             raise ValidationError(f"density matrix has trace {tr!r}, expected 1")
-        object.__setattr__(self, "matrix", _frozen(mat))
+        object.__setattr__(self, "matrix", frozen(mat))
 
     @property
     def dim(self) -> int:
@@ -65,8 +56,9 @@ class StateFunctional:
     """A state given by its values on the matrix-unit basis of the algebra.
 
     ``block_values[i][a, b]`` is the value on the (a, b) matrix unit of block
-    i.  Normalization (value 1 on the identity) is enforced on construction;
-    positivity is checked through the representative density matrix.
+    i.  Self-adjointness (the value matrices are Hermitian) and normalization
+    (value 1 on the identity) are enforced on construction; positivity is
+    checked on the spectra of the representative's blocks.
     """
 
     structure: BlockStructure
@@ -75,15 +67,21 @@ class StateFunctional:
     def __post_init__(self):
         if len(self.block_values) != self.structure.num_blocks:
             raise ValidationError("one value matrix per block required")
+        tol = default_tol(self.structure.ambient_dim)
         values = []
         unit = 0.0
         for (n, _), v in zip(self.structure.blocks, self.block_values):
             arr = np.asarray(v, dtype=complex)
             if arr.shape != (n, n):
                 raise ValidationError("value matrix shape does not match block size")
+            if not np.all(np.isfinite(arr)):
+                raise ValidationError("value matrix has non-finite entries")
+            asym = frob(arr - arr.conj().T)
+            if asym > tol * 100 * max(1.0, frob(arr)):
+                raise NotAStateError(
+                    f"functional is not self-adjoint: omega(A*) != conj omega(A) (defect {asym:.3e})")
             unit += np.trace(arr)
-            values.append(_frozen(arr))
-        tol = default_tol(self.structure.ambient_dim)
+            values.append(frozen(arr))
         if abs(unit - 1.0) > tol * 100:
             raise NotAStateError(f"functional is not normalized: value {unit!r} on the identity")
         object.__setattr__(self, "block_values", tuple(values))
@@ -108,6 +106,8 @@ class StateFunctional:
         p = np.asarray(p, dtype=float)
         if p.shape != (structure.num_blocks,) or len(rhos) != structure.num_blocks:
             raise ValidationError("weights and block states must match the block count")
+        if not np.all(np.isfinite(p)):
+            raise ValidationError("sector weights must be finite")
         if np.any(p < -1e-12) or abs(p.sum() - 1.0) > 1e-9:
             raise NotAStateError("sector weights must form a probability vector")
         values = []
@@ -124,13 +124,8 @@ class StateFunctional:
 
 
 def _values_from_ambient(rho_mat: np.ndarray, structure: BlockStructure) -> tuple[np.ndarray, ...]:
-    values = []
-    for sl, (n, m) in zip(structure.ambient_slices(), structure.blocks):
-        block = rho_mat[sl, sl].reshape(n, m, n, m)
-        traced = np.einsum("ajbj->ab", block)
-        # value on unit E_ab is Tr(rho (E_ab (x) I_m)) = traced[b, a]
-        values.append(traced.T)
-    return tuple(values)
+    # value on unit E_ab is Tr(rho (E_ab (x) I_m)) = traced[b, a]
+    return tuple(x.T for x in partial_traces(rho_mat, structure))
 
 
 def state_from_density(rho, structure: BlockStructure, tol: float | None = None) -> StateFunctional:
@@ -151,7 +146,8 @@ def riesz_representative(basis_mats: Sequence[np.ndarray], values: Sequence[comp
 
     Given matrices B_k spanning a subspace and target values f(B_k), returns
     the unique X in the span with Tr(X' B_k) = f(B_k) for all k (X' the
-    adjoint), Hermitized.  Raises if the basis is numerically dependent.
+    adjoint).  On a *-closed span, X is Hermitian exactly when f is
+    self-adjoint.  Raises if the basis is numerically dependent.
     """
     mats = np.stack([np.asarray(b, dtype=complex) for b in basis_mats])
     vals = np.asarray(values, dtype=complex)
@@ -162,40 +158,81 @@ def riesz_representative(basis_mats: Sequence[np.ndarray], values: Sequence[comp
     if not np.isfinite(cond) or cond > 1e12:
         raise InternalError("Gram system is numerically singular; basis not independent")
     coeffs = np.linalg.solve(gram, vals.conj())
-    return hermitize(np.tensordot(coeffs, mats, axes=1))
+    return np.tensordot(coeffs, mats, axes=1)
+
+
+def block_spectra(omega: StateFunctional, structure: BlockStructure,
+                  tol: float | None = None) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Eigen-decomposition of each block of the in-algebra representative.
+
+    On the matrix-unit basis the Hilbert-Schmidt Gram matrix of the embedded
+    algebra is block-diagonal ``m_i I``, so the representative is
+    ``(+)_i (X_i / m_i) (x) I_{m_i}`` with ``X_i = values_i^T``, and its
+    spectrum is the union of the spectra of ``X_i / m_i``, each repeated m_i
+    times.  Positivity and normalization are checked on those spectra; then
+    eigenvalue noise is clipped at zero and the total renormalized to one.
+    Returns ``(eigenvalues, eigenvectors)`` of each X_i, eigenvalues in
+    descending order.
+    """
+    if structure.blocks != omega.structure.blocks:
+        raise ValidationError("state and structure do not match")
+    tol = default_tol(structure.ambient_dim) if tol is None else tol
+    spectra = [np.linalg.eigh(hermitize(v.T)) for v in omega.block_values]
+    lowest = min(w[0] / m for (w, _), (_, m) in zip(spectra, structure.blocks))
+    if lowest < -tol * 10:
+        raise NotAStateError(
+            f"functional is not positive: representative has eigenvalue {lowest:.3e}")
+    tr = float(sum(w.sum() for w, _ in spectra))
+    if abs(tr - 1.0) > tol * 100:
+        raise NotAStateError(f"functional is not normalized: representative trace {tr!r}")
+    clipped = [np.clip(w[::-1], 0.0, None) for w, _ in spectra]
+    total = sum(w.sum() for w in clipped)
+    return [(w / total, v[:, ::-1]) for w, (_, v) in zip(clipped, spectra)]
+
+
+def density_from_spectra(structure: BlockStructure,
+                         spectra: Sequence[tuple[np.ndarray, np.ndarray]]) -> DensityMatrix:
+    """The embedded density matrix ``(+)_i (X_i / m_i) (x) I_{m_i}`` from block spectra."""
+    d = structure.ambient_dim
+    rho = np.zeros((d, d), dtype=complex)
+    for sl, (_, m), (w, v) in zip(structure.ambient_slices(), structure.blocks, spectra):
+        rho[sl, sl] = np.kron((v * (w / m)) @ v.conj().T, np.eye(m))
+    return DensityMatrix(rho)
 
 
 def representative_density(omega: StateFunctional, structure: BlockStructure,
                            tol: float | None = None) -> DensityMatrix:
     """The unique density matrix inside the algebra reproducing the functional."""
-    if structure.blocks != omega.structure.blocks:
-        raise ValidationError("state and structure do not match")
-    tol = default_tol(structure.ambient_dim) if tol is None else tol
-    basis = embedded_standard_basis(structure)
-    rho = riesz_representative(basis, omega.values())
-    eigs = np.linalg.eigvalsh(rho)
-    if eigs[0] < -tol * 10:
-        raise NotAStateError(
-            f"functional is not positive: representative has eigenvalue {eigs[0]:.3e}")
-    tr = float(np.trace(rho).real)
-    if abs(tr - 1.0) > tol * 100:
-        raise NotAStateError(f"functional is not normalized: representative trace {tr!r}")
-    # clip eigensolver noise so downstream validation sees an exact state
-    w, v = np.linalg.eigh(rho)
-    w = np.clip(w, 0.0, None)
-    rho = (v * (w / w.sum())) @ v.conj().T
-    return DensityMatrix(rho)
+    return density_from_spectra(structure, block_spectra(omega, structure, tol))
+
+
+def active_sectors(spectra: Sequence[tuple[np.ndarray, np.ndarray]],
+                   tol: float) -> list[tuple[int, float, np.ndarray, np.ndarray]]:
+    """The canonical form ``(+)_i p_i (rho_i (x) I_{m_i} / m_i)`` in spectral terms.
+
+    From the output of :func:`block_spectra`, returns ``(i, p_i, spectrum of
+    rho_i, eigenvectors of rho_i)`` for each block whose weight ``tr X_i``
+    exceeds tol, with the weights renormalized over those blocks.
+    """
+    kept = [(i, float(w.sum()), w, v) for i, (w, v) in enumerate(spectra) if w.sum() > tol]
+    total = sum(weight for _, weight, _, _ in kept)
+    return [(i, weight / total, w / weight, v) for i, weight, w, v in kept]
 
 
 def state_from_values(structure: BlockStructure, basis_mats: Sequence[np.ndarray],
                       values: Sequence[complex], tol: float | None = None) -> StateFunctional:
     """Build a state from its values on a declared basis of the embedded algebra."""
-    rho = riesz_representative(basis_mats, values)
-    _, res = structure_projection(rho, structure)
+    x = riesz_representative(basis_mats, values)
     tol = default_tol(structure.ambient_dim) if tol is None else tol
-    if res > max(tol * 100, 1e-7):
+    cutoff = max(tol * 100, 1e-7)
+    _, res = structure_projection(x, structure)
+    if res > cutoff:
         raise ValidationError(
             f"declared basis does not lie in the embedded algebra (residual {res:.3e})")
+    asym = frob(x - x.conj().T)
+    if asym > cutoff * max(1.0, frob(x)):
+        raise NotAStateError(f"functional is not self-adjoint (anti-Hermitian part {asym:.3e})")
+    rho = hermitize(x)
     eigs = np.linalg.eigvalsh(rho)
     if eigs[0] < -tol * 10:
         raise NotAStateError(
@@ -220,30 +257,24 @@ def canonical_form(rho_omega, structure: BlockStructure,
         raise ValidationError(f"matrix is outside the algebra span (projection residual {res:.3e})")
     p = np.zeros(structure.num_blocks)
     rhos: list[np.ndarray | None] = []
-    for i, (sl, (n, m)) in enumerate(zip(structure.ambient_slices(), structure.blocks)):
-        block = proj[sl, sl].reshape(n, m, n, m)
-        x = np.einsum("ajbj->ab", block)
+    for i, x in enumerate(partial_traces(proj, structure)):
         weight = float(np.trace(x).real)
         if weight <= tol:
-            p[i] = 0.0
             rhos.append(None)
             continue
         p[i] = weight
         rhos.append(hermitize(x / weight))
-    p = p / p.sum()
-    return p, rhos
+    return p / p.sum(), rhos
 
 
 def is_pure(omega: StateFunctional, structure: BlockStructure, tol: float | None = None) -> bool:
     """True iff exactly one sector carries weight and its block state has rank one."""
     tol = default_tol(structure.ambient_dim) if tol is None else tol
-    rho = representative_density(omega, structure, tol)
-    p, rhos = canonical_form(rho, structure, tol)
-    active = [i for i, w in enumerate(p) if w > tol]
-    if len(active) != 1:
+    sectors = active_sectors(block_spectra(omega, structure, tol), tol)
+    if len(sectors) != 1:
         return False
-    eigs = np.linalg.eigvalsh(rhos[active[0]])
-    return bool(eigs[-2] < tol * 100) if eigs.size > 1 else True
+    lam = sectors[0][2]
+    return bool(lam.size == 1 or lam[1] < tol * 100)
 
 
 def convex_combine(states: Sequence[StateFunctional], weights: Sequence[float]) -> StateFunctional:
@@ -296,7 +327,7 @@ class Decomposition:
             if abs(nrm - 1.0) > 1e-8:
                 raise ValidationError(f"component vector norm {nrm!r} is not 1")
             total += w
-            comps.append((w, i, _frozen(vec)))
+            comps.append((w, i, frozen(vec)))
         if not comps:
             raise ValidationError("a decomposition needs at least one component")
         if abs(total - 1.0) > 1e-8:

@@ -126,7 +126,7 @@ def gas_entropy(omega: StateFunctional, structure: BlockStructure, acct: GasAcco
     tol = default_tol(structure.ambient_dim) if tol is None else tol
     rho = representative_density(omega, structure, tol)
     p, _ = canonical_form(rho, structure, tol)
-    return von_neumann(rho, tol) + float(np.dot(p, acct.sector_entropies))
+    return von_neumann(rho) + float(np.dot(p, acct.sector_entropies))
 
 
 def sectors_connectable(omega_a: StateFunctional, omega_b: StateFunctional,

@@ -223,6 +223,55 @@ class TestExitCodes:
         assert main(["entropy", "/nonexistent/problem.json"]) == 2
 
 
+def _m2_density_doc(**extra):
+    doc = {"algebra": {"blocks": [[2, 1]]}, "state": {"density": _mat(np.eye(2) / 2)}}
+    doc.update(extra)
+    return doc
+
+
+class TestRejectedInputs:
+    """Inputs that used to be accepted, or to escape as tracebacks."""
+
+    def test_non_self_adjoint_canonical_state_exits_4(self, tmp_path, capsys):
+        rho = np.array([[0.5, 0.5], [0.0, 0.5]])
+        doc = {
+            "algebra": {"blocks": [[2, 1]]},
+            "state": {"canonical": {"p": [1.0], "rhos": [_mat(rho)]}},
+        }
+        assert main(["entropy", _write(tmp_path, doc), "--json"]) == 4
+        assert "self-adjoint" in capsys.readouterr().err
+
+    def test_non_self_adjoint_values_exit_4(self, tmp_path, capsys):
+        st = ce.make_algebra([(2, 1)])
+        basis = [_mat(b) for b in ce.embedded_standard_basis(st)]
+        # omega(E_11), omega(E_12), omega(E_21), omega(E_22): omega(E_21) != conj omega(E_12)
+        values = [[0.5, 0.0], [0.5, 0.0], [0.0, 0.0], [0.5, 0.0]]
+        doc = {"algebra": {"blocks": [[2, 1]]}, "state": {"values": values, "basis": basis}}
+        assert main(["entropy", _write(tmp_path, doc), "--json"]) == 4
+        assert "self-adjoint" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_density_exits_2(self, tmp_path, capsys, bad):
+        doc = _m2_density_doc()
+        doc["state"]["density"][0][0] = [bad, 0.0]
+        assert main(["entropy", _write(tmp_path, doc), "--json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "finite" in captured.err
+
+    @pytest.mark.parametrize("doc", [
+        {"algebra": {"blocks": [[2]]}, "state": {"density": _mat(np.eye(2) / 2)}},
+        _m2_density_doc(options={"seed": "x"}),
+        _m2_density_doc(options={"tol": "abc"}),
+        _m2_density_doc(options={"tol": float("nan")}),
+        _m2_density_doc(options={"samples": "x"}),
+    ], ids=["short_block", "seed", "tol", "nan_tol", "samples"])
+    def test_malformed_field_is_one_error_line(self, tmp_path, capsys, doc):
+        assert main(["oracle", _write(tmp_path, doc)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+
+
 class TestDeterminism:
     def test_byte_identical_json_output(self, tmp_path, capsys):
         rng = rng_stream(113)

@@ -240,14 +240,14 @@ class TestInfimumOracle:
     def test_every_sample_reconstructs_the_state(self):
         # white-box: rebuild each sampled decomposition and check it prepares
         # the representative density matrix
-        from cstar_entropy.decomp import _active_blocks, _rebuild_sample
+        from cstar_entropy.decomp import _rebuild_sample
+        from cstar_entropy.states import active_sectors, block_spectra
 
         rng = rng_stream(64)
         st = ce.make_algebra([(2, 1), (2, 2)])
         om = random_state(rng, st)
         rho = ce.representative_density(om, st)
-        p, rhos = ce.canonical_form(rho, st)
-        active = _active_blocks(p, rhos, st, 1e-9)
+        active = active_sectors(block_spectra(om, st, 1e-9), 1e-9)
         for index in range(1, 21):
             dec = _rebuild_sample(seed=11, index=index, active=active, structure=st)
             assert np.linalg.norm(dec.density() - rho.matrix) < 1e-9

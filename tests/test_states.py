@@ -101,6 +101,28 @@ class TestRepresentativeDensity:
         with pytest.raises(NotAStateError):
             ce.StateFunctional(st, (np.eye(2, dtype=complex),))
 
+    def test_non_self_adjoint_functional_rejected(self):
+        st = ce.make_algebra([(2, 1)])
+        with pytest.raises(NotAStateError):
+            ce.StateFunctional.from_canonical(st, [1.0], [np.array([[0.5, 0.5], [0.0, 0.5]])])
+
+    def test_non_self_adjoint_values_rejected(self):
+        st = ce.make_algebra([(2, 1)])
+        basis = list(ce.embedded_standard_basis(st))
+        with pytest.raises(NotAStateError):
+            ce.state_from_values(st, basis, [0.5, 0.5, 0.0, 0.5])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_entries_rejected(self, bad):
+        st = ce.make_algebra([(2, 1)])
+        mat = np.array([[bad, 0.0], [0.0, 0.5]], dtype=complex)
+        with pytest.raises(ValidationError):
+            ce.DensityMatrix(mat)
+        with pytest.raises(ValidationError):
+            ce.StateFunctional(st, (mat,))
+        with pytest.raises(ValidationError):
+            ce.StateFunctional.from_canonical(st, [bad], [None])
+
 
 class TestCanonicalForm:
     def test_single_block_identity(self):
