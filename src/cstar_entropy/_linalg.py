@@ -83,41 +83,24 @@ def null_space_rows(mat: np.ndarray, tol: float) -> np.ndarray:
 
 
 def orthonormal_extend(basis: np.ndarray, candidates: np.ndarray, cutoff: float) -> np.ndarray:
-    """Extend orthonormal rows by modified Gram-Schmidt with column pivoting.
+    """Extend orthonormal rows by an orthonormal basis of the candidates' new directions.
 
-    Candidates whose residual against the current span falls below the
-    absolute cutoff are discarded.  Returns the enlarged row basis; the input
-    rows come first and are unchanged.
+    The candidates are projected off the basis twice (the second pass removes
+    what rounding left of the first), residuals of norm at most the absolute
+    cutoff are dropped, and one thin SVD of the rest gives the new rows: the
+    right singular vectors whose singular value exceeds the cutoff.  Each new
+    row's phase makes its largest-modulus entry real and positive.  Returns
+    the enlarged row basis; the input rows come first and are unchanged.
     """
     basis = np.asarray(basis, dtype=complex)
-    work = np.asarray(candidates, dtype=complex).copy()
-    if basis.size:
-        work -= (work @ basis.conj().T) @ basis
-    rows = [basis] if basis.size else []
-    current = basis
-    while work.shape[0]:
-        norms = np.linalg.norm(work, axis=1)
-        keep = norms > cutoff
-        work, norms = work[keep], norms[keep]
-        if not work.shape[0]:
-            break
-        j = int(np.argmax(norms))
-        v = work[j]
-        # one re-orthogonalization pass against the full basis curbs drift
-        if current is not None and current.size:
-            v = v - (v @ current.conj().T) @ current
-        nv = np.linalg.norm(v)
-        if nv <= cutoff:
-            work = np.delete(work, j, axis=0)
-            continue
-        v = v / nv
-        rows.append(v[None, :])
-        current = np.concatenate(rows, axis=0) if len(rows) > 1 else rows[0]
-        work = np.delete(work, j, axis=0)
-        work -= np.outer(work @ v.conj(), v)
-    if not rows:
-        return np.zeros((0, candidates.shape[1]), dtype=complex)
-    return np.concatenate(rows, axis=0) if len(rows) > 1 else rows[0]
+    work = np.asarray(candidates, dtype=complex)
+    for _ in range(2):
+        work = work - (work @ basis.conj().T) @ basis
+    work = work[np.linalg.norm(work, axis=1) > cutoff]
+    _, s, vh = np.linalg.svd(work, full_matrices=False)
+    new = vh[s > cutoff]
+    lead = new[np.arange(new.shape[0]), np.argmax(np.abs(new), axis=1)]
+    return np.concatenate([basis, new * (lead.conj() / np.abs(lead))[:, None]])
 
 
 def eigh_clusters(mat: np.ndarray, rel_tol: float):

@@ -256,9 +256,14 @@ class SubalgebraBasis:
 def generate_subalgebra(generators: Sequence[np.ndarray], tol: float = 1e-9) -> SubalgebraBasis:
     """Orthonormal basis of the smallest unital *-algebra containing the generators.
 
-    Alternates two steps until the span stabilizes: adjoin adjoints and all
-    pairwise products, then re-orthonormalize with a rank cutoff of
-    ``tol * (largest generator norm)``.
+    The algebra is the span of the words over the letters ``S u S*``.  The
+    basis starts as the identity and the letters; each round multiplies the
+    rows added by the previous round on the left by every letter and keeps
+    the new directions, with a rank cutoff of ``tol * (largest generator
+    norm)``.  Every basis row is multiplied by every letter once, so when a
+    round adds nothing the span is closed under left multiplication by the
+    letters: it then contains every word, and it is *-closed because the
+    letter set is.
     """
     if not len(generators):
         raise ValidationError("generator set must be nonempty")
@@ -269,21 +274,17 @@ def generate_subalgebra(generators: Sequence[np.ndarray], tol: float = 1e-9) -> 
             raise ValidationError("generators must be square matrices of equal size")
     cutoff = tol * max(1.0, max(frob(g) for g in mats))
 
-    seed = [np.eye(d, dtype=complex)] + mats + [g.conj().T for g in mats]
-    basis = orthonormal_extend(np.zeros((0, d * d), dtype=complex),
-                               np.stack([s.reshape(-1) for s in seed]), cutoff)
+    letters = np.stack(mats + [g.conj().T for g in mats])
+    seed = np.concatenate([np.eye(d, dtype=complex)[None], letters]).reshape(-1, d * d)
+    basis = orthonormal_extend(np.zeros((0, d * d), dtype=complex), seed, cutoff)
     fresh = basis
     rounds = 0
     while fresh.shape[0]:
         rounds += 1
         if rounds > d * d:
             raise InternalError("subalgebra closure failed to stabilize; check tol")
-        all_mats = basis.reshape(-1, d, d)
-        new_mats = fresh.reshape(-1, d, d)
-        prods_a = np.einsum("aij,bjk->abik", new_mats, all_mats).reshape(-1, d * d)
-        prods_b = np.einsum("aij,bjk->abik", all_mats, new_mats).reshape(-1, d * d)
-        adjs = np.conj(np.swapaxes(new_mats, 1, 2)).reshape(-1, d * d)
-        extended = orthonormal_extend(basis, np.concatenate([prods_a, prods_b, adjs]), cutoff)
+        words = letters[:, None] @ fresh.reshape(1, -1, d, d)
+        extended = orthonormal_extend(basis, words.reshape(-1, d * d), cutoff)
         fresh = extended[basis.shape[0]:]
         basis = extended
     return SubalgebraBasis(d, tuple(basis.reshape(-1, d, d)))
@@ -352,7 +353,7 @@ def _split_attempt(bmats: np.ndarray, d: int, tol: float,
     sectors = []
     for z_value, q in clusters:
         ds = q.shape[1]
-        comp = np.einsum("pi,kpq,qj->kij", q.conj(), bmats, q)
+        comp = q.conj().T @ bmats @ q
         for _ in range(4):
             # A generic self-adjoint element of the restricted algebra looks
             # like X (x) I_m, so each of its n eigenvalues repeats m times.

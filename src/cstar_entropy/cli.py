@@ -43,6 +43,12 @@ def _complex_from_json(obj, what: str, ndim: int) -> np.ndarray:
     return arr[..., 0] + 1j * arr[..., 1]
 
 
+def _json_list(obj, what: str) -> list:
+    if not isinstance(obj, list):
+        raise _ParseError(f"{what} must be a list, got {type(obj).__name__}")
+    return obj
+
+
 def _matrix_to_json(mat: np.ndarray) -> list:
     return [[[float(x.real), float(x.imag)] for x in row] for row in np.asarray(mat, complex)]
 
@@ -106,7 +112,8 @@ def _parse_problem(args, need_state: bool = True, need_generators: bool = False)
         except (TypeError, ValueError) as exc:
             raise _ParseError(f"algebra blocks: {exc}") from None
     else:
-        gens = [_complex_from_json(g, f"generator {k}", 2) for k, g in enumerate(algebra_form["generators"])]
+        gens = [_complex_from_json(g, f"generator {k}", 2)
+                for k, g in enumerate(_json_list(algebra_form["generators"], "algebra generators"))]
         sub = alg.generate_subalgebra(gens, tol=tol)
         structure, transform = alg.block_decompose(sub, tol=tol, seed=seed)
         residual = max(
@@ -129,13 +136,17 @@ def _parse_problem(args, need_state: bool = True, need_generators: bool = False)
             canon = state_form["canonical"]
             if not isinstance(canon, dict) or "p" not in canon or "rhos" not in canon:
                 raise _ParseError("canonical state needs 'p' and 'rhos'")
+            try:
+                p = np.asarray(canon["p"], dtype=float)
+            except (TypeError, ValueError) as exc:
+                raise _ParseError(f"canonical p: not a numeric array: {exc}") from None
             rhos = [None if r is None else _complex_from_json(r, "block state", 2)
-                    for r in canon["rhos"]]
-            state = states.StateFunctional.from_canonical(structure, canon["p"], rhos)
+                    for r in _json_list(canon["rhos"], "canonical rhos")]
+            state = states.StateFunctional.from_canonical(structure, p, rhos)
         else:
             vals = _complex_from_json(state_form["values"], "state values", 1)
             basis = [_complex_from_json(b, f"basis element {k}", 2)
-                     for k, b in enumerate(state_form.get("basis", []))]
+                     for k, b in enumerate(_json_list(state_form.get("basis", []), "state basis"))]
             if not basis:
                 raise _ParseError("state values need a declared 'basis'")
             if transform is not None:

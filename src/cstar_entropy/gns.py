@@ -82,25 +82,6 @@ def _gram_matrix(omega: StateFunctional, structure: BlockStructure) -> np.ndarra
     return gram
 
 
-def _left_mult_apply(structure: BlockStructure, mat: np.ndarray) -> list[np.ndarray]:
-    """For every matrix unit b, the coefficient-space action of left multiplication.
-
-    Returns ``L_b @ mat`` for all units b in basis order; each action just
-    relocates coefficient rows inside its own block.
-    """
-    out = []
-    off = 0
-    for n, _ in structure.blocks:
-        block_rows = mat[off:off + n * n]
-        for a in range(n):
-            for b in range(n):
-                moved = np.zeros_like(mat)
-                moved[off + a * n: off + (a + 1) * n] = block_rows[b * n:(b + 1) * n]
-                out.append(moved)
-        off += n * n
-    return out
-
-
 def gns_construct(omega: StateFunctional, structure: BlockStructure,
                   tol: float | None = None) -> GnsData:
     """Build the GNS Hilbert space, represented operators and cyclic vector."""
@@ -120,7 +101,15 @@ def gns_construct(omega: StateFunctional, structure: BlockStructure,
         raise NotAStateError("state inner product vanishes identically")
     quotient = (v * np.sqrt(lam)).conj().T      # coefficient space -> GNS coordinates
     embedding = v / np.sqrt(lam)                # GNS coordinates -> representatives
-    rep_ops = [quotient @ moved for moved in _left_mult_apply(structure, embedding)]
+    # E_ab E_ce = delta_bc E_ae: left multiplication by the unit E_ab moves the
+    # coefficient rows of E_b* onto those of E_a*, so pi(E_ab) only reads the
+    # matching row ranges of the quotient and embedding maps.
+    rep_ops = []
+    off = 0
+    for n, _ in structure.blocks:
+        rows = [slice(off + a * n, off + (a + 1) * n) for a in range(n)]
+        rep_ops += [quotient[:, rows_a] @ embedding[rows_b] for rows_a in rows for rows_b in rows]
+        off += n * n
 
     identity_coeffs = np.zeros(structure.algebra_dim, dtype=complex)
     off = 0

@@ -17,7 +17,7 @@ from ._linalg import default_tol
 from .algebra import AlgebraElement, BlockStructure, identity
 from .entropy import von_neumann
 from .errors import DisconnectedSectorsError, ValidationError
-from .states import StateFunctional, canonical_form, is_pure, representative_density
+from .states import StateFunctional, active_sectors, block_spectra, density_from_spectra, is_pure
 
 
 @dataclass(frozen=True)
@@ -113,6 +113,14 @@ def compression_heat(weight: float, acct: GasAccount) -> float:
     return acct.boltzmann * weight * acct.copies * acct.temperature * float(np.log(weight))
 
 
+def _sector_weights(spectra, structure: BlockStructure, tol: float) -> np.ndarray:
+    """Canonical sector weights p_i from block spectra; zero on blocks without weight."""
+    p = np.zeros(structure.num_blocks)
+    for i, weight, _, _ in active_sectors(spectra, tol):
+        p[i] = weight
+    return p
+
+
 def gas_entropy(omega: StateFunctional, structure: BlockStructure, acct: GasAccount,
                 tol: float | None = None) -> float:
     """Per-copy thermodynamic entropy of the boxed ensemble, in nats.
@@ -124,8 +132,9 @@ def gas_entropy(omega: StateFunctional, structure: BlockStructure, acct: GasAcco
     if len(acct.sector_entropies) != structure.num_blocks:
         raise ValidationError("one sector entropy per block required")
     tol = default_tol(structure.ambient_dim) if tol is None else tol
-    rho = representative_density(omega, structure, tol)
-    p, _ = canonical_form(rho, structure, tol)
+    spectra = block_spectra(omega, structure, tol)
+    rho = density_from_spectra(structure, spectra)
+    p = _sector_weights(spectra, structure, tol)
     return von_neumann(rho) + float(np.dot(p, acct.sector_entropies))
 
 
@@ -141,6 +150,6 @@ def sectors_connectable(omega_a: StateFunctional, omega_b: StateFunctional,
     for name, omega in (("first", omega_a), ("second", omega_b)):
         if not is_pure(omega, structure, tol):
             raise ValidationError(f"{name} state is not pure")
-        p, _ = canonical_form(representative_density(omega, structure, tol), structure, tol)
+        p = _sector_weights(block_spectra(omega, structure, tol), structure, tol)
         supports.append(int(np.argmax(p)))
     return supports[0] == supports[1]

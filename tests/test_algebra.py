@@ -101,6 +101,13 @@ class TestGenerateSubalgebra:
         sub = ce.generate_subalgebra(conjugated_algebra_generators(rng, st))
         assert sub.closure_defect() < 1e-8
 
+    def test_shift_needs_long_words(self):
+        # words of length at most four in J and J* span only 21 of the 25 dimensions
+        shift = np.diag(np.ones(4), k=1)
+        sub = ce.generate_subalgebra([shift])
+        assert sub.dim == 25
+        assert sub.closure_defect() < 1e-8
+
     def test_rejects_bad_input(self):
         with pytest.raises(ValidationError):
             ce.generate_subalgebra([])

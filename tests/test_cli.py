@@ -265,7 +265,13 @@ class TestRejectedInputs:
         _m2_density_doc(options={"tol": "abc"}),
         _m2_density_doc(options={"tol": float("nan")}),
         _m2_density_doc(options={"samples": "x"}),
-    ], ids=["short_block", "seed", "tol", "nan_tol", "samples"])
+        {"algebra": {"generators": 5}, "state": {"density": _mat(np.eye(2) / 2)}},
+        {"algebra": {"blocks": [[1, 1]]},
+         "state": {"canonical": {"p": ["x"], "rhos": [_mat(np.eye(1))]}}},
+        {"algebra": {"blocks": [[1, 1]]}, "state": {"canonical": {"p": [1.0], "rhos": 3}}},
+        {"algebra": {"blocks": [[1, 1]]}, "state": {"values": [[1.0, 0.0]], "basis": 7}},
+    ], ids=["short_block", "seed", "tol", "nan_tol", "samples",
+            "generators_not_list", "canonical_p_not_numeric", "rhos_not_list", "basis_not_list"])
     def test_malformed_field_is_one_error_line(self, tmp_path, capsys, doc):
         assert main(["oracle", _write(tmp_path, doc)]) == 2
         err = capsys.readouterr().err.strip().splitlines()
