@@ -48,6 +48,7 @@ from .gns import (
     identity_decomposition_weights,
     is_irreducible,
     resolve_sectors,
+    sectors_entropy,
 )
 from .states import (
     Decomposition,

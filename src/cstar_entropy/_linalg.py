@@ -46,24 +46,28 @@ def complex_gaussian(shape, rng: np.random.Generator) -> np.ndarray:
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
-def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed unitary via QR of a complex Gaussian matrix.
+def phase_fixed_qr(mats: np.ndarray) -> np.ndarray:
+    """Q factor of each matrix in a stack (..., r, c), with diag(R) made positive.
 
-    The R-diagonal phase fix makes the distribution exactly Haar and the draw
-    a deterministic function of the stream state.
+    Rescaling column j of Q by the phase of R[j, j] makes the factor a
+    deterministic function of the input; on a complex Gaussian input it is
+    exactly Haar distributed.
     """
-    q, r = np.linalg.qr(complex_gaussian((dim, dim), rng))
-    d = np.diag(r)
-    return q * (d / np.abs(d))
+    q, r = np.linalg.qr(mats)
+    d = np.einsum("...ii->...i", r)
+    return q * (d / np.abs(d))[..., None, :]
+
+
+def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """Haar-distributed unitary: the phase-fixed QR of a complex Gaussian matrix."""
+    return phase_fixed_qr(complex_gaussian((dim, dim), rng))
 
 
 def random_isometry(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
     """rows x cols matrix with orthonormal columns (rows >= cols)."""
     if rows < cols:
         raise ValueError("isometry needs rows >= cols")
-    q, r = np.linalg.qr(complex_gaussian((rows, cols), rng))
-    d = np.diag(r)
-    return q * (d / np.abs(d))
+    return phase_fixed_qr(complex_gaussian((rows, cols), rng))
 
 
 def null_space_rows(mat: np.ndarray, tol: float) -> np.ndarray:

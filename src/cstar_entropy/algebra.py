@@ -137,14 +137,22 @@ def random_element(structure: BlockStructure, rng: np.random.Generator,
     return AlgebraElement(structure, tuple(parts))
 
 
+def _assemble(parts: Sequence[np.ndarray], structure: BlockStructure) -> np.ndarray:
+    """The block matrix ``(+)_i X_i (x) I_{m_i}`` from parts of shape (..., n_i, n_i).
+
+    Leading axes are stacked: parts of shape (k, n_i, n_i) give (k, d, d).
+    The inverse, up to the factors m_i, is :func:`partial_traces`.
+    """
+    d = structure.ambient_dim
+    out = np.zeros(parts[0].shape[:-2] + (d, d), dtype=complex)
+    for sl, (_, m), x in zip(structure.ambient_slices(), structure.blocks, parts):
+        out[..., sl, sl] = np.kron(x, np.eye(m))
+    return out
+
+
 def embed(a: AlgebraElement) -> np.ndarray:
     """Embed an element as the block matrix ``(+)_i X_i (x) I_{m_i}``."""
-    d = a.structure.ambient_dim
-    out = np.zeros((d, d), dtype=complex)
-    for sl, (part, (n, m)) in zip(a.structure.ambient_slices(),
-                                  zip(a.parts, a.structure.blocks)):
-        out[sl, sl] = np.kron(part, np.eye(m))
-    return out
+    return _assemble(a.parts, a.structure)
 
 
 def standard_basis(structure: BlockStructure) -> list[AlgebraElement]:
@@ -161,59 +169,53 @@ def standard_basis(structure: BlockStructure) -> list[AlgebraElement]:
 
 
 def embedded_standard_basis(structure: BlockStructure) -> np.ndarray:
-    """Embedded matrix units, shape (algebra_dim, d, d)."""
-    d = structure.ambient_dim
-    out = np.zeros((structure.algebra_dim, d, d), dtype=complex)
-    k = 0
-    for sl, (n, m) in zip(structure.ambient_slices(), structure.blocks):
-        eye_m = np.eye(m)
-        for a in range(n):
-            for b in range(n):
-                unit = np.zeros((n, n))
-                unit[a, b] = 1.0
-                out[k, sl, sl] = np.kron(unit, eye_m)
-                k += 1
-    return out
+    """Embedded matrix units, shape (algebra_dim, d, d), in :func:`standard_basis` order."""
+    return _assemble(split_blocks(np.eye(structure.algebra_dim), structure), structure)
+
+
+def split_blocks(flat: np.ndarray, structure: BlockStructure) -> list[np.ndarray]:
+    """Per-block parts (..., n_i, n_i) of standard-basis coefficients (..., algebra_dim)."""
+    ends = np.cumsum([n * n for n, _ in structure.blocks])[:-1]
+    return [x.reshape(x.shape[:-1] + (n, n))
+            for x, (n, _) in zip(np.split(flat, ends, axis=-1), structure.blocks)]
 
 
 def partial_traces(mat: np.ndarray, structure: BlockStructure) -> list[np.ndarray]:
     """Trace over the multiplicity factor of each diagonal block.
 
     Block i of the ambient matrix, read as an operator on C^{n_i} (x) C^{m_i},
-    gives the n_i x n_i matrix ``sum_j M[(a, j), (b, j)]``.
+    gives the n_i x n_i matrix ``sum_j M[(a, j), (b, j)]``.  Leading axes of
+    a stack (..., d, d) are kept.
     """
-    return [np.einsum("ajbj->ab", mat[sl, sl].reshape(n, m, n, m))
+    lead = mat.shape[:-2]
+    return [np.einsum("...ajbj->...ab", mat[..., sl, sl].reshape(lead + (n, m, n, m)))
             for sl, (n, m) in zip(structure.ambient_slices(), structure.blocks)]
 
 
-def structure_projection(mat: np.ndarray, structure: BlockStructure) -> tuple[np.ndarray, float]:
-    """Orthogonal projection of a matrix onto the embedded algebra.
+def structure_projection(mat: np.ndarray,
+                         structure: BlockStructure) -> tuple[np.ndarray, float | np.ndarray]:
+    """Orthogonal projection of a matrix, or a stack (..., d, d), onto the embedded algebra.
 
     Returns the nearest matrix of the form ``(+)_i X_i (x) I_{m_i}`` in the
-    Hilbert-Schmidt sense, together with the Frobenius residual.
+    Hilbert-Schmidt sense, together with the Frobenius residual: a float for
+    a single matrix, an array of shape (...) for a stack.
     """
     mat = np.asarray(mat, dtype=complex)
     d = structure.ambient_dim
-    if mat.shape != (d, d):
+    if mat.ndim < 2 or mat.shape[-2:] != (d, d):
         raise ValidationError(f"matrix shape {mat.shape} does not match ambient dimension {d}")
-    proj = np.zeros_like(mat)
-    for sl, (_, m), x in zip(structure.ambient_slices(), structure.blocks,
-                             partial_traces(mat, structure)):
-        proj[sl, sl] = np.kron(x / m, np.eye(m))
-    return proj, frob(mat - proj)
+    proj = _assemble([x / m for x, (_, m) in zip(partial_traces(mat, structure), structure.blocks)],
+                     structure)
+    res = np.linalg.norm(mat - proj, axis=(-2, -1))
+    return proj, float(res) if mat.ndim == 2 else res
 
 
 @dataclass(frozen=True)
 class SubalgebraBasis:
-    """Hilbert-Schmidt-orthonormal basis of a matrix *-algebra on C^d.
-
-    ``discovered`` optionally carries the block structure and change-of-basis
-    unitary found by :func:`block_decompose`.
-    """
+    """Hilbert-Schmidt-orthonormal basis of a matrix *-algebra on C^d."""
 
     ambient_dim: int
     basis: tuple[np.ndarray, ...]
-    discovered: tuple[BlockStructure, np.ndarray] | None = None
 
     def __post_init__(self):
         d = int(self.ambient_dim)
@@ -397,10 +399,7 @@ def _split_attempt(bmats: np.ndarray, d: int, tol: float,
         raise _Retry()
 
     structure = BlockStructure(blocks)
-    residual = 0.0
-    for bk in bmats:
-        _, res = structure_projection(w.conj().T @ bk @ w, structure)
-        residual = max(residual, res)
+    residual = float(np.max(structure_projection(w.conj().T @ bmats @ w, structure)[1]))
     if residual > max(1e-6, 100.0 * tol):
         raise _Retry(residual)
     return structure, w

@@ -58,7 +58,7 @@ class _Problem:
     structure: alg.BlockStructure
     state: states.StateFunctional | None
     transform: np.ndarray | None       # ambient change of basis from generator coordinates
-    discovery_residual: float | None
+    subalgebra: alg.SubalgebraBasis | None
     unitary: np.ndarray | None
     tol: float
     seed: int
@@ -103,7 +103,7 @@ def _parse_problem(args, need_state: bool = True, need_generators: bool = False)
     if not isinstance(algebra_form, dict) or len(algebra_form.keys() & {"blocks", "generators"}) != 1:
         raise _ParseError("algebra must contain exactly one of 'blocks' or 'generators'")
     transform = None
-    residual = None
+    sub = None
     if "blocks" in algebra_form:
         if need_generators:
             raise _ParseError("this command requires the algebra as generators")
@@ -116,9 +116,13 @@ def _parse_problem(args, need_state: bool = True, need_generators: bool = False)
                 for k, g in enumerate(_json_list(algebra_form["generators"], "algebra generators"))]
         sub = alg.generate_subalgebra(gens, tol=tol)
         structure, transform = alg.block_decompose(sub, tol=tol, seed=seed)
-        residual = max(
-            alg.structure_projection(transform.conj().T @ b @ transform, structure)[1]
-            for b in sub.basis)
+
+    def to_blocks(mat: np.ndarray, what: str) -> np.ndarray:
+        if transform is None:
+            return mat
+        if mat.shape != transform.shape:
+            raise _ParseError(f"{what}: shape {mat.shape} does not match the generators")
+        return transform.conj().T @ mat @ transform
 
     state = None
     state_form = doc.get("state")
@@ -129,9 +133,7 @@ def _parse_problem(args, need_state: bool = True, need_generators: bool = False)
                 "state must contain exactly one of 'density', 'canonical' or 'values'")
         if "density" in state_form:
             rho = _complex_from_json(state_form["density"], "state density", 2)
-            if transform is not None:
-                rho = transform.conj().T @ rho @ transform
-            state = states.state_from_density(rho, structure, tol)
+            state = states.state_from_density(to_blocks(rho, "state density"), structure)
         elif "canonical" in state_form:
             canon = state_form["canonical"]
             if not isinstance(canon, dict) or "p" not in canon or "rhos" not in canon:
@@ -145,19 +147,17 @@ def _parse_problem(args, need_state: bool = True, need_generators: bool = False)
             state = states.StateFunctional.from_canonical(structure, p, rhos)
         else:
             vals = _complex_from_json(state_form["values"], "state values", 1)
-            basis = [_complex_from_json(b, f"basis element {k}", 2)
+            basis = [to_blocks(_complex_from_json(b, f"basis element {k}", 2), f"basis element {k}")
                      for k, b in enumerate(_json_list(state_form.get("basis", []), "state basis"))]
             if not basis:
                 raise _ParseError("state values need a declared 'basis'")
-            if transform is not None:
-                basis = [transform.conj().T @ b @ transform for b in basis]
             state = states.state_from_values(structure, basis, vals, tol)
 
     unitary = None
     if "unitary" in doc:
         unitary = _complex_from_json(doc["unitary"], "unitary", 2)
     return _Problem(structure=structure, state=state, transform=transform,
-                    discovery_residual=residual, unitary=unitary,
+                    subalgebra=sub, unitary=unitary,
                     tol=tol, seed=seed, samples=samples)
 
 
@@ -189,17 +189,20 @@ def _emit(args, payload: dict, lines: list[str]) -> None:
 
 def _cmd_structure(args) -> None:
     problem = _parse_problem(args, need_state=False, need_generators=True)
+    w = problem.transform
+    residual = float(np.max(alg.structure_projection(
+        w.conj().T @ np.stack(problem.subalgebra.basis) @ w, problem.structure)[1]))
     payload = {
         "blocks": [list(b) for b in problem.structure.blocks],
         "ambient_dim": problem.structure.ambient_dim,
         "algebra_dim": problem.structure.algebra_dim,
-        "residual": problem.discovery_residual,
+        "residual": residual,
     }
     lines = [
         f"blocks: {_format_blocks(problem.structure)}",
         f"ambient dimension: {problem.structure.ambient_dim}",
         f"algebra dimension: {problem.structure.algebra_dim}",
-        f"residual: {problem.discovery_residual:.3e}",
+        f"residual: {residual:.3e}",
     ]
     if args.show_unitary:
         payload["unitary"] = _matrix_to_json(problem.transform)
@@ -281,8 +284,8 @@ def _cmd_gns(args) -> None:
     problem = _parse_problem(args)
     g = gns.gns_construct(problem.state, problem.structure, problem.tol)
     irreducible = gns.is_irreducible(g, problem.tol)
-    via_gns = gns.gns_state_entropy(problem.state, problem.structure,
-                                    problem.tol, seed=problem.seed).state_entropy
+    sectors = gns.resolve_sectors(g, tol=problem.tol, seed=problem.seed)
+    via_gns = gns.sectors_entropy(sectors).state_entropy
     closed = entropy.state_entropy(problem.state, problem.structure, problem.tol).state_entropy
     scale, unit = _unit(args)
     payload = {

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import complex_gaussian, default_tol, rng_stream
+from ._linalg import complex_gaussian, default_tol, phase_fixed_qr, rng_stream
 from .algebra import BlockStructure, make_algebra
 from .entropy import _entropy_of, minimal_decomposition, shannon
 from .errors import ValidationError
@@ -157,12 +157,6 @@ def _sample_draws(rng: np.random.Generator, active):
     return draws
 
 
-def _phase_fixed_qr(stack: np.ndarray) -> np.ndarray:
-    q, r = np.linalg.qr(stack)
-    d = np.einsum("...ii->...i", r)
-    return q * (d / np.abs(d))[..., None, :]
-
-
 def infimum_oracle(omega: StateFunctional, structure: BlockStructure, samples: int = 1000,
                    seed: int = 0, tol: float | None = None) -> tuple[float, Decomposition]:
     """Randomized search for the lowest-entropy decomposition of a state.
@@ -196,7 +190,7 @@ def infimum_oracle(omega: StateFunctional, structure: BlockStructure, samples: i
         for (pos, r), (owners, mats) in buckets.items():
             _, w_block, lam, _ = active[pos]
             rank = int(np.sum(lam > _WEIGHT_FLOOR))
-            u = _phase_fixed_qr(np.stack(mats))
+            u = phase_fixed_qr(np.stack(mats))
             probs = np.einsum("sij,j->si", np.abs(u[:, :, :rank]) ** 2, lam[:rank])
             for s, row in zip(owners, probs):
                 per_sample_weights[s].append(w_block * row)
@@ -217,7 +211,7 @@ def _rebuild_sample(seed: int, index: int, active, structure: BlockStructure) ->
     comps = []
     for pos, (i, r, g) in enumerate(_sample_draws(rng, active)):
         _, w_block, lam, psi = active[pos]
-        u = _phase_fixed_qr(g)
+        u = phase_fixed_qr(g)
         weights, vectors = _mixed_vectors(lam, psi, u)
         for k, w in enumerate(weights):
             weight = w_block * float(w)

@@ -23,7 +23,7 @@ from ._linalg import (
     random_isometry,
     rng_stream,
 )
-from .algebra import BlockStructure, SubalgebraBasis, block_decompose
+from .algebra import BlockStructure, SubalgebraBasis, block_decompose, split_blocks
 from .entropy import EntropyReport, _entropy_of
 from .errors import NotAStateError, ValidationError
 from .states import StateFunctional
@@ -37,6 +37,7 @@ __all__ = [
     "gns_commutant_functional",
     "identity_decomposition_random",
     "identity_decomposition_weights",
+    "sectors_entropy",
     "gns_state_entropy",
     "is_irreducible",
 ]
@@ -111,12 +112,8 @@ def gns_construct(omega: StateFunctional, structure: BlockStructure,
         rep_ops += [quotient[:, rows_a] @ embedding[rows_b] for rows_a in rows for rows_b in rows]
         off += n * n
 
-    identity_coeffs = np.zeros(structure.algebra_dim, dtype=complex)
-    off = 0
-    for n, _ in structure.blocks:
-        identity_coeffs[off:off + n * n][:: n + 1] = 1.0
-        off += n * n
-    cyclic = quotient @ identity_coeffs
+    cyclic = quotient @ np.concatenate([np.eye(n, dtype=complex).reshape(-1)
+                                        for n, _ in structure.blocks])
     return GnsData(structure=structure, dim=dim, rep_ops=tuple(rep_ops),
                    cyclic=cyclic, gram=gram, embedding=embedding)
 
@@ -184,12 +181,7 @@ def gns_commutant_functional(g: GnsData, t: np.ndarray,
     if weight <= tol:
         raise ValidationError("operator annihilates the cyclic vector; no sub-state")
     raw = np.array([g.cyclic.conj() @ (t @ (op @ g.cyclic)) for op in g.rep_ops])
-    values = raw / weight
-    block_values, off = [], 0
-    for n, _ in g.structure.blocks:
-        block_values.append(values[off:off + n * n].reshape(n, n))
-        off += n * n
-    return weight, StateFunctional(g.structure, tuple(block_values))
+    return weight, StateFunctional(g.structure, tuple(split_blocks(raw / weight, g.structure)))
 
 
 @dataclass(frozen=True)
@@ -265,17 +257,13 @@ def identity_decomposition_weights(g: GnsData, idec: IdentityDecomposition,
     return np.array(out)
 
 
-def gns_state_entropy(omega: StateFunctional, structure: BlockStructure,
-                      tol: float | None = None, seed: int = 0) -> EntropyReport:
-    """State entropy recomputed through the GNS representation.
+def sectors_entropy(sectors: GnsSectors) -> EntropyReport:
+    """Entropy report read off the resolved sectors of a GNS representation.
 
-    The sector weights come from the cyclic vector's projections and the
-    block entropies from its reduced states on the multiplicity factors; the
-    result must agree with the closed-form entropy.
+    The sector weights are the squared norms of the cyclic vector's
+    projections and the block entropies those of its reduced states on the
+    multiplicity factors.
     """
-    tol = default_tol(structure.ambient_dim) if tol is None else tol
-    g = gns_construct(omega, structure, tol)
-    sectors = resolve_sectors(g, tol=tol, seed=seed)
     p = sectors.weights
     sector_entropy = _entropy_of(p)
     mean = 0.0
@@ -293,6 +281,19 @@ def gns_state_entropy(omega: StateFunctional, structure: BlockStructure,
         vn_of_representative=sector_entropy + vn,
         multiplicity_term=mult,
     )
+
+
+def gns_state_entropy(omega: StateFunctional, structure: BlockStructure,
+                      tol: float | None = None, seed: int = 0) -> EntropyReport:
+    """State entropy recomputed through the GNS representation.
+
+    Builds the representation, resolves its sectors and reads the report off
+    them with :func:`sectors_entropy`; the result must agree with the
+    closed-form entropy.
+    """
+    tol = default_tol(structure.ambient_dim) if tol is None else tol
+    g = gns_construct(omega, structure, tol)
+    return sectors_entropy(resolve_sectors(g, tol=tol, seed=seed))
 
 
 def is_irreducible(g: GnsData, tol: float | None = None) -> bool:

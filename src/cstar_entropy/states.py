@@ -15,8 +15,9 @@ from typing import Sequence
 import numpy as np
 
 from ._linalg import default_tol, frob, frozen, hermitize
-from .algebra import AlgebraElement, BlockStructure, partial_traces, structure_projection
-from .errors import InternalError, NotAStateError, ValidationError
+from .algebra import (AlgebraElement, BlockStructure, _assemble, partial_traces, split_blocks,
+                      structure_projection)
+from .errors import NotAStateError, ValidationError
 
 
 @dataclass(frozen=True)
@@ -128,7 +129,7 @@ def _values_from_ambient(rho_mat: np.ndarray, structure: BlockStructure) -> tupl
     return tuple(x.T for x in partial_traces(rho_mat, structure))
 
 
-def state_from_density(rho, structure: BlockStructure, tol: float | None = None) -> StateFunctional:
+def state_from_density(rho, structure: BlockStructure) -> StateFunctional:
     """The functional A -> Tr(rho embed(A)) induced by an ambient density matrix.
 
     Density matrices that agree on the embedded algebra give the same
@@ -139,26 +140,6 @@ def state_from_density(rho, structure: BlockStructure, tol: float | None = None)
         raise ValidationError(
             f"density matrix dimension {rho.dim} does not match ambient {structure.ambient_dim}")
     return StateFunctional(structure, _values_from_ambient(rho.matrix, structure))
-
-
-def riesz_representative(basis_mats: Sequence[np.ndarray], values: Sequence[complex]) -> np.ndarray:
-    """Solve the Gram system for the element representing a functional.
-
-    Given matrices B_k spanning a subspace and target values f(B_k), returns
-    the unique X in the span with Tr(X' B_k) = f(B_k) for all k (X' the
-    adjoint).  On a *-closed span, X is Hermitian exactly when f is
-    self-adjoint.  Raises if the basis is numerically dependent.
-    """
-    mats = np.stack([np.asarray(b, dtype=complex) for b in basis_mats])
-    vals = np.asarray(values, dtype=complex)
-    if vals.shape != (len(mats),):
-        raise ValidationError("one value per basis element required")
-    gram = np.einsum("kab,lab->kl", mats.conj(), mats)
-    cond = np.linalg.cond(gram)
-    if not np.isfinite(cond) or cond > 1e12:
-        raise InternalError("Gram system is numerically singular; basis not independent")
-    coeffs = np.linalg.solve(gram, vals.conj())
-    return np.tensordot(coeffs, mats, axes=1)
 
 
 def block_spectra(omega: StateFunctional, structure: BlockStructure,
@@ -193,11 +174,9 @@ def block_spectra(omega: StateFunctional, structure: BlockStructure,
 def density_from_spectra(structure: BlockStructure,
                          spectra: Sequence[tuple[np.ndarray, np.ndarray]]) -> DensityMatrix:
     """The embedded density matrix ``(+)_i (X_i / m_i) (x) I_{m_i}`` from block spectra."""
-    d = structure.ambient_dim
-    rho = np.zeros((d, d), dtype=complex)
-    for sl, (_, m), (w, v) in zip(structure.ambient_slices(), structure.blocks, spectra):
-        rho[sl, sl] = np.kron((v * (w / m)) @ v.conj().T, np.eye(m))
-    return DensityMatrix(rho)
+    return DensityMatrix(_assemble(
+        [(v * (w / m)) @ v.conj().T for (_, m), (w, v) in zip(structure.blocks, spectra)],
+        structure))
 
 
 def representative_density(omega: StateFunctional, structure: BlockStructure,
@@ -221,23 +200,37 @@ def active_sectors(spectra: Sequence[tuple[np.ndarray, np.ndarray]],
 
 def state_from_values(structure: BlockStructure, basis_mats: Sequence[np.ndarray],
                       values: Sequence[complex], tol: float | None = None) -> StateFunctional:
-    """Build a state from its values on a declared basis of the embedded algebra."""
-    x = riesz_representative(basis_mats, values)
+    """Build a state from its values on a declared basis of the embedded algebra.
+
+    The basis must be exactly ``algebra_dim`` linearly independent elements
+    of the embedded algebra.  The state with block values V_i takes the value
+    ``sum_i sum_ab X_i[a, b] V_i[a, b]`` on ``(+)_i X_i (x) I_{m_i}``, where X_i
+    is the element's i-th partial trace over m_i, so the V_i solve one square
+    system in block coordinates.  Self-adjointness is checked by
+    :class:`StateFunctional` and positivity on the block spectra.
+    """
     tol = default_tol(structure.ambient_dim) if tol is None else tol
-    cutoff = max(tol * 100, 1e-7)
-    _, res = structure_projection(x, structure)
-    if res > cutoff:
+    dim, d = structure.algebra_dim, structure.ambient_dim
+    mats = [np.asarray(b, dtype=complex) for b in basis_mats]
+    vals = np.asarray(values, dtype=complex)
+    if len(mats) != dim or vals.shape != (dim,) or any(b.shape != (d, d) for b in mats):
+        raise ValidationError(
+            f"a basis of the algebra is exactly {dim} matrices of size {d} x {d} with one value "
+            f"each; got {len(mats)} matrices and {vals.size} values")
+    stack = np.stack(mats)
+    res = float(np.max(structure_projection(stack, structure)[1]))
+    if res > max(tol * 100, 1e-7):
         raise ValidationError(
             f"declared basis does not lie in the embedded algebra (residual {res:.3e})")
-    asym = frob(x - x.conj().T)
-    if asym > cutoff * max(1.0, frob(x)):
-        raise NotAStateError(f"functional is not self-adjoint (anti-Hermitian part {asym:.3e})")
-    rho = hermitize(x)
-    eigs = np.linalg.eigvalsh(rho)
-    if eigs[0] < -tol * 10:
-        raise NotAStateError(
-            f"functional is not positive: representative has eigenvalue {eigs[0]:.3e}")
-    return StateFunctional(structure, _values_from_ambient(rho, structure))
+    coeffs = np.concatenate([(x / m).reshape(dim, -1) for x, (_, m) in
+                             zip(partial_traces(stack, structure), structure.blocks)], axis=1)
+    cond = np.linalg.cond(coeffs)
+    if not cond <= 1e6:
+        raise ValidationError(f"declared basis is not linearly independent (condition {cond:.3e})")
+    flat = np.linalg.solve(coeffs, vals)
+    omega = StateFunctional(structure, tuple(split_blocks(flat, structure)))
+    block_spectra(omega, structure, tol)  # raises NotAStateError unless positive
+    return omega
 
 
 def canonical_form(rho_omega, structure: BlockStructure,
@@ -339,14 +332,10 @@ class Decomposition:
 
     def density(self) -> np.ndarray:
         """Ambient density matrix reconstructed from the components."""
-        d = self.structure.ambient_dim
-        out = np.zeros((d, d), dtype=complex)
-        slices = self.structure.ambient_slices()
+        parts = [np.zeros((n, n), dtype=complex) for n, _ in self.structure.blocks]
         for w, i, phi in self.components:
-            _, m = self.structure.blocks[i]
-            pure = np.outer(phi, phi.conj())
-            out[slices[i], slices[i]] += w * np.kron(pure, np.eye(m)) / m
-        return out
+            parts[i] += w * np.outer(phi, phi.conj()) / self.structure.blocks[i][1]
+        return _assemble(parts, self.structure)
 
     def state(self) -> StateFunctional:
         """The mixed state this decomposition prepares."""

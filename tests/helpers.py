@@ -57,6 +57,19 @@ def random_ambient_density(rng, d):
     return rho / np.trace(rho)
 
 
+def riesz_representative(basis_mats, values):
+    """Element of the span of basis_mats representing a functional (generic Gram solve).
+
+    Returns the unique X in the span with Tr(X' B_k) = values[k] for every k,
+    X' the adjoint.  The library reads the representative off the block
+    values in closed form; this ambient solve is the independent reference.
+    """
+    mats = np.stack([np.asarray(b, dtype=complex) for b in basis_mats])
+    gram = np.einsum("kab,lab->kl", mats.conj(), mats)
+    coeffs = np.linalg.solve(gram, np.asarray(values, dtype=complex).conj())
+    return np.tensordot(coeffs, mats, axes=1)
+
+
 def conjugated_algebra_generators(rng, structure, count=2):
     """Generators of a unitarily rotated copy of the embedded algebra."""
     v = haar_unitary(structure.ambient_dim, rng)
@@ -72,5 +85,6 @@ __all__ = [
     "random_state",
     "random_pure_state",
     "random_ambient_density",
+    "riesz_representative",
     "conjugated_algebra_generators",
 ]

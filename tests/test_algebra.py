@@ -74,6 +74,37 @@ class TestEmbed:
         assert np.linalg.norm(ce.embed(a)) > 0
 
 
+class TestStructureProjection:
+    def test_stack_matches_single_matrices(self):
+        rng = rng_stream(28)
+        st = ce.make_algebra([(2, 2), (1, 3), (2, 1)])
+        d = st.ambient_dim
+        mats = rng.standard_normal((2, 3, d, d)) + 1j * rng.standard_normal((2, 3, d, d))
+        mats[0, 1] = ce.embed(ce.random_element(st, rng))
+        proj, res = ce.structure_projection(mats, st)
+        assert proj.shape == mats.shape and res.shape == (2, 3)
+        for idx in np.ndindex(2, 3):
+            single_proj, single_res = ce.structure_projection(mats[idx], st)
+            assert isinstance(single_res, float)
+            assert np.allclose(proj[idx], single_proj, rtol=0, atol=1e-14)
+            assert res[idx] == pytest.approx(single_res, rel=1e-12, abs=1e-14)
+        assert res[0, 1] < 1e-12
+
+    def test_projection_is_idempotent_and_in_the_algebra(self):
+        rng = rng_stream(29)
+        st = ce.make_algebra([(2, 2), (1, 1)])
+        mats = rng.standard_normal((4, 5, 5)) + 1j * rng.standard_normal((4, 5, 5))
+        proj, _ = ce.structure_projection(mats, st)
+        again, res = ce.structure_projection(proj, st)
+        assert np.allclose(again, proj, atol=1e-14)
+        assert np.all(res < 1e-12)
+
+    def test_stack_shape_mismatch_rejected(self):
+        st = ce.make_algebra([(2, 1)])
+        with pytest.raises(ValidationError):
+            ce.structure_projection(np.zeros((3, 3, 3)), st)
+
+
 class TestGenerateSubalgebra:
     def test_identity_generator(self):
         sub = ce.generate_subalgebra([np.eye(3)])

@@ -270,12 +270,38 @@ class TestRejectedInputs:
          "state": {"canonical": {"p": ["x"], "rhos": [_mat(np.eye(1))]}}},
         {"algebra": {"blocks": [[1, 1]]}, "state": {"canonical": {"p": [1.0], "rhos": 3}}},
         {"algebra": {"blocks": [[1, 1]]}, "state": {"values": [[1.0, 0.0]], "basis": 7}},
+        {"algebra": {"generators": [_mat(np.diag([1.0, 2.0]))]},
+         "state": {"density": _mat(np.eye(3) / 3)}},
+        {"algebra": {"generators": [_mat(np.diag([1.0, 2.0]))]},
+         "state": {"values": [[1.0, 0.0], [0.0, 0.0]], "basis": [_mat(np.eye(3))] * 2}},
     ], ids=["short_block", "seed", "tol", "nan_tol", "samples",
-            "generators_not_list", "canonical_p_not_numeric", "rhos_not_list", "basis_not_list"])
+            "generators_not_list", "canonical_p_not_numeric", "rhos_not_list", "basis_not_list",
+            "density_shape_vs_generators", "basis_shape_vs_generators"])
     def test_malformed_field_is_one_error_line(self, tmp_path, capsys, doc):
         assert main(["oracle", _write(tmp_path, doc)]) == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error:")
+
+
+_UNITS = ce.embedded_standard_basis(ce.make_algebra([(2, 1), (1, 1)]))
+_OUTSIDE = _UNITS[4] + np.eye(3)[:, [0]] @ np.eye(3)[[2]]   # E_33 + E_13
+
+
+class TestDeclaredBasis:
+    """A values-form basis must be exactly algebra_dim independent elements of the algebra."""
+
+    @pytest.mark.parametrize("basis,values,message", [
+        ([_UNITS[0] + _UNITS[3], _UNITS[1], _UNITS[2], _UNITS[4]], [0.6, 0, 0, 0.4], "exactly 5"),
+        ([_UNITS[0], _UNITS[1], _UNITS[2], _UNITS[4], _UNITS[0] + _UNITS[4]], [0.3, 0, 0, 0.4, 0.7],
+         "linearly independent"),
+        ([*_UNITS[:4], _OUTSIDE], [0.5, 0, 0, 0.5, 0], "does not lie in the embedded algebra"),
+    ], ids=["missing", "dependent", "outside"])
+    def test_bad_basis_is_one_error_line_exit_2(self, tmp_path, capsys, basis, values, message):
+        doc = {"algebra": {"blocks": [[2, 1], [1, 1]]},
+               "state": {"values": [[v, 0.0] for v in values], "basis": [_mat(b) for b in basis]}}
+        assert main(["entropy", _write(tmp_path, doc), "--json"]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("invalid input:") and message in err[0]
 
 
 class TestDeterminism:

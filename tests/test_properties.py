@@ -3,17 +3,24 @@
 Block structures have at most 4 blocks with n <= 5 and m <= 3 (3 blocks with
 n <= 3 and m <= 2 where the algebra is rediscovered from generators or
 through GNS).  States mix random block densities of every rank, and sectors
-may carry zero weight.
+may carry zero weight.  The CLI fuzz test feeds generated problem files,
+well-formed or not, through every problem command.
 """
+
+import contextlib
+import io
+import json
+import os
+import tempfile
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cstar_entropy as ce
-from cstar_entropy.states import riesz_representative
+from cstar_entropy.cli import main
 
-from helpers import haar_unitary, rng_stream
+from helpers import haar_unitary, riesz_representative, rng_stream
 
 PROPERTY_SETTINGS = settings(max_examples=100, deadline=None, derandomize=True)
 DISCOVERY_SETTINGS = settings(max_examples=30, deadline=None, derandomize=True)
@@ -99,3 +106,139 @@ def test_gns_route_matches_closed_form(case):
     structure, om, _ = case
     s = ce.state_entropy(om, structure).state_entropy
     assert abs(ce.gns_state_entropy(om, structure).state_entropy - s) <= 1e-10
+
+
+@DISCOVERY_SETTINGS
+@given(structures_and_states(), st.integers(0, 2**32 - 1))
+def test_oracle_never_goes_below_closed_form(case, seed):
+    structure, om, _ = case
+    s = ce.state_entropy(om, structure).state_entropy
+    found, dec = ce.infimum_oracle(om, structure, samples=200, seed=seed)
+    # sample 0 is the minimal decomposition, so the minimum also never exceeds S
+    assert s - 1e-10 <= found <= s + 1e-10
+    assert np.allclose(dec.state().values(), om.values(), atol=1e-9)
+
+
+# ---- CLI fuzz -------------------------------------------------------------
+
+_JUNK = st.one_of(st.none(), st.booleans(), st.integers(-3, 5), st.text(max_size=2),
+                  st.lists(st.integers(0, 2), max_size=2),
+                  st.dictionaries(st.text(max_size=1), st.integers(), max_size=1))
+_BAD_ENTRY = st.sampled_from([float("nan"), float("inf"), -1.0, 2.0])
+_COMMANDS = ["entropy", "oracle", "gns", "structure", "schrodinger"]
+_MUTATIONS = [
+    "state_shape", "other_shape", "matrix_entry", "algebra_junk", "blocks_junk", "generator_junk",
+    "state_junk", "p_junk", "drop_basis", "dependent_basis", "outside_basis", "unitary_junk",
+    "option_junk"] + ["none"] * 4
+
+
+def _pairs(mat):
+    return [[[float(x.real), float(x.imag)] for x in row] for row in np.asarray(mat, complex)]
+
+
+def _density(rng, n, rank=None):
+    a = rng.standard_normal((n, rank or n)) + 1j * rng.standard_normal((n, rank or n))
+    rho = a @ a.conj().T
+    return rho / np.trace(rho).real
+
+
+@st.composite
+def problem_files(draw):
+    """A well-formed problem document over a small block structure, then one mutation.
+
+    The document is valid before the mutation, so unmutated files reach every
+    command's numerics; a mutation breaks exactly one field (junk in place of
+    a value, a non-finite or out-of-range entry, a mis-shaped matrix, a
+    declared basis with an element missing, dependent or outside the algebra).
+    """
+    blocks = draw(st.lists(st.tuples(st.integers(1, 3), st.integers(1, 2)), min_size=1,
+                           max_size=3))
+    structure = ce.make_algebra(blocks)
+    d = structure.ambient_dim
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        algebra = {"blocks": [list(b) for b in blocks]}
+    else:
+        algebra = {"generators": [_pairs(ce.embed(ce.random_element(structure, rng)))
+                                  for _ in range(draw(st.integers(1, 2)))]}
+    rho = _density(rng, d, draw(st.integers(1, d)))
+    form = draw(st.sampled_from(["density", "canonical", "values"]))
+    units = ce.embedded_standard_basis(structure)
+    if form == "density":
+        state = {"density": _pairs(rho)}
+    elif form == "canonical":
+        active = draw(st.lists(st.booleans(), min_size=len(blocks), max_size=len(blocks)))
+        p = rng.dirichlet(np.ones(len(blocks))) * np.array(active)
+        p = p / p.sum() if p.sum() > 0 else np.eye(len(blocks))[0]
+        state = {"canonical": {"p": [float(w) for w in p],
+                               "rhos": [_pairs(_density(rng, n)) if w > 0 else None
+                                        for w, (n, _) in zip(p, blocks)]}}
+    else:
+        mix = rng.standard_normal((len(units), len(units)))
+        basis = np.tensordot(mix, units, axes=1)
+        state = {"values": [[float(np.trace(rho @ b).real), float(np.trace(rho @ b).imag)]
+                            for b in basis], "basis": [_pairs(b) for b in basis]}
+    doc = {"algebra": algebra, "state": state,
+           "unitary": _pairs(np.linalg.qr(rng.standard_normal((d, d)))[0]),
+           "options": {"seed": draw(st.integers(0, 9)), "samples": draw(st.integers(1, 40))}}
+
+    mutation = draw(st.sampled_from(_MUTATIONS))
+    state_matrices = ([state["density"]] if "density" in state else []) + state.get("basis", []) \
+        + [r for r in state.get("canonical", {}).get("rhos", []) if r is not None]
+    matrices = state_matrices + algebra.get("generators", []) + [doc["unitary"]]
+    if mutation == "algebra_junk":
+        doc["algebra"] = draw(st.one_of(_JUNK, st.just({"blocks": [[1, 1]], "generators": []})))
+    elif mutation == "blocks_junk":
+        doc["algebra"] = {"blocks": draw(st.lists(
+            st.lists(st.one_of(st.integers(-1, 3), _JUNK), max_size=3), max_size=3))}
+    elif mutation == "generator_junk":
+        doc["algebra"] = {"generators": draw(st.one_of(_JUNK, st.lists(_JUNK, max_size=2)))}
+    elif mutation == "state_junk":
+        doc["state"] = draw(st.one_of(_JUNK, st.just({"values": [[1.0, 0.0]]})))
+    elif mutation == "matrix_entry":
+        mat = matrices[draw(st.integers(0, len(matrices) - 1))]
+        row = mat[draw(st.integers(0, len(mat) - 1))]
+        row[draw(st.integers(0, len(row) - 1))] = [draw(_BAD_ENTRY), draw(_BAD_ENTRY)]
+    elif mutation in ("state_shape", "other_shape"):
+        pool = state_matrices if mutation == "state_shape" and state_matrices else matrices
+        size = draw(st.integers(0, 4))
+        pool[draw(st.integers(0, len(pool) - 1))][:] = _pairs(
+            np.ones((size, draw(st.sampled_from([size, size + 1])))))
+    elif mutation == "p_junk" and "canonical" in state:
+        state["canonical"]["p"] = draw(st.one_of(_JUNK, st.lists(st.floats(-1.0, 2.0),
+                                                                 max_size=4)))
+    elif mutation in ("drop_basis", "dependent_basis", "outside_basis") and "basis" in state:
+        k = draw(st.integers(0, len(state["basis"]) - 1))
+        if mutation == "drop_basis":
+            del state["basis"][k], state["values"][k]
+        elif mutation == "dependent_basis":
+            state["basis"][k] = state["basis"][-1 - k]
+        else:
+            state["basis"][k] = _pairs(rng.standard_normal((d, d)))
+    elif mutation == "unitary_junk":
+        doc["unitary"] = draw(st.one_of(_JUNK, st.just(_pairs(np.ones((d, d))))))
+    elif mutation == "option_junk":
+        key = draw(st.sampled_from(["tol", "seed", "samples"]))
+        doc["options"][key] = draw(st.one_of(
+            _JUNK, st.sampled_from([0.0, -1.0, 1e-300, 1e-3, 0.5, 100.0, float("nan")])))
+    return doc
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(problem_files(), st.sampled_from(_COMMANDS))
+def test_cli_fuzz_exit_codes(doc, command):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "problem.json")
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command, path, "--json"])
+    assert code in (0, 2, 3, 4)
+    if code == 0:
+        json.loads(out.getvalue())
+    else:
+        lines = err.getvalue().strip().splitlines()
+        assert len(lines) == 1, lines
+        assert lines[0].startswith(("error:", "invalid input:", "numerical failure:",
+                                    "not a state:"))

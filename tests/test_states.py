@@ -259,6 +259,35 @@ class TestStateFromValues:
         om2 = ce.state_from_values(st, basis, values)
         assert np.allclose(om.values(), om2.values(), atol=1e-9)
 
+    def test_missing_basis_element_rejected(self):
+        # four of the five elements of C^{2x2} (+) C: omega(E11 - E22) is never given
+        st = ce.make_algebra([(2, 1), (1, 1)])
+        units = ce.embedded_standard_basis(st)
+        basis = [units[0] + units[3], units[1], units[2], units[4]]
+        with pytest.raises(ValidationError, match="exactly 5"):
+            ce.state_from_values(st, basis, [0.6, 0.0, 0.0, 0.4])
+
+    def test_dependent_basis_element_rejected(self):
+        st = ce.make_algebra([(2, 1), (1, 1)])
+        units = ce.embedded_standard_basis(st)
+        basis = [units[0], units[1], units[2], units[4], units[0] + units[4]]
+        with pytest.raises(ValidationError, match="linearly independent"):
+            ce.state_from_values(st, basis, [0.3, 0.0, 0.0, 0.4, 0.7])
+
+    def test_basis_element_outside_algebra_rejected(self):
+        # the functional would vanish on the outside element's coefficient, so
+        # a solve in the span of the declared matrices would accept it
+        st = ce.make_algebra([(1, 1), (1, 1)])
+        outside = np.array([[0.0, 1.0], [0.0, 1.0]], dtype=complex)
+        basis = [np.diag([1.0, 0.0]).astype(complex), outside]
+        with pytest.raises(ValidationError, match="does not lie in the embedded algebra"):
+            ce.state_from_values(st, basis, [1.0, 0.0])
+
+    def test_basis_element_of_wrong_size_rejected(self):
+        st = ce.make_algebra([(1, 1), (1, 1)])
+        with pytest.raises(ValidationError):
+            ce.state_from_values(st, [np.eye(2), np.eye(3)], [1.0, 1.0])
+
     def test_non_positive_values_rejected(self):
         st = ce.make_algebra([(2, 1)])
         basis = list(ce.embedded_standard_basis(st))
