@@ -212,27 +212,24 @@ def structure_projection(mat: np.ndarray,
 
 @dataclass(frozen=True)
 class SubalgebraBasis:
-    """Hilbert-Schmidt-orthonormal basis of a matrix *-algebra on C^d."""
+    """Hilbert-Schmidt-orthonormal basis of a matrix *-algebra on C^d, as one (k, d, d) stack."""
 
     ambient_dim: int
-    basis: tuple[np.ndarray, ...]
+    basis: np.ndarray
 
     def __post_init__(self):
         d = int(self.ambient_dim)
-        mats = []
-        for b in self.basis:
-            arr = np.asarray(b, dtype=complex)
-            if arr.shape != (d, d):
-                raise ValidationError("basis matrices must be square of the ambient dimension")
-            mats.append(frozen(arr))
-        if not mats:
+        if not len(self.basis):
             raise ValidationError("a subalgebra basis cannot be empty")
-        rows = np.stack([m.reshape(-1) for m in mats])
+        if any(np.shape(b) != (d, d) for b in self.basis):
+            raise ValidationError("basis matrices must be square of the ambient dimension")
+        mats = frozen(self.basis)
+        rows = mats.reshape(len(mats), -1)
         gram = rows @ rows.conj().T
         if frob(gram - np.eye(len(mats))) > 1e-7 * len(mats):
             raise ValidationError("basis is not orthonormal under the Hilbert-Schmidt inner product")
         object.__setattr__(self, "ambient_dim", d)
-        object.__setattr__(self, "basis", tuple(mats))
+        object.__setattr__(self, "basis", mats)
 
     @property
     def dim(self) -> int:
@@ -240,16 +237,15 @@ class SubalgebraBasis:
 
     def span_projector(self) -> np.ndarray:
         """Projector onto the span, as a d^2 x d^2 matrix on vectorized space."""
-        rows = np.stack([m.reshape(-1) for m in self.basis])
+        rows = self.basis.reshape(self.dim, -1)
         return rows.conj().T @ rows
 
     def closure_defect(self) -> float:
         """Largest residual of products and adjoints of basis elements against the span."""
-        rows = np.stack([m.reshape(-1) for m in self.basis])
+        rows = self.basis.reshape(self.dim, -1)
         worst = 0.0
         for a in self.basis:
-            cand = [a.conj().T] + [a @ b for b in self.basis]
-            cmat = np.stack([c.reshape(-1) for c in cand])
+            cmat = np.concatenate([a.conj().T[None], a @ self.basis]).reshape(-1, rows.shape[1])
             res = cmat - (cmat @ rows.conj().T) @ rows
             worst = max(worst, float(np.max(np.linalg.norm(res, axis=1))))
         return worst
@@ -289,7 +285,7 @@ def generate_subalgebra(generators: Sequence[np.ndarray], tol: float = 1e-9) -> 
         extended = orthonormal_extend(basis, words.reshape(-1, d * d), cutoff)
         fresh = extended[basis.shape[0]:]
         basis = extended
-    return SubalgebraBasis(d, tuple(basis.reshape(-1, d, d)))
+    return SubalgebraBasis(d, basis.reshape(-1, d, d))
 
 
 def commutant(sub: SubalgebraBasis, tol: float = 1e-9) -> SubalgebraBasis:
@@ -305,7 +301,7 @@ def commutant(sub: SubalgebraBasis, tol: float = 1e-9) -> SubalgebraBasis:
     rows = null_space_rows(stacked, max(tol, 1e-12))
     if rows.shape[0] == 0:
         raise InternalError("commutant is empty; the identity should always commute")
-    return SubalgebraBasis(d, tuple(rows.reshape(-1, d, d)))
+    return SubalgebraBasis(d, rows.reshape(-1, d, d))
 
 
 class _Retry(Exception):
@@ -418,14 +414,13 @@ def block_decompose(sub: SubalgebraBasis, tol: float = 1e-9,
     and the projection residual before being returned.
     """
     d = sub.ambient_dim
-    bmats = np.stack(sub.basis)
-    if not _identity_in_span(bmats, d, tol):
+    if not _identity_in_span(sub.basis, d, tol):
         raise ValidationError("subalgebra must contain the identity (unital closure)")
     last_residual = None
     for attempt in range(8):
         rng = rng_stream(seed, 2, attempt)
         try:
-            return _split_attempt(bmats, d, tol, rng)
+            return _split_attempt(sub.basis, d, tol, rng)
         except _Retry as sig:
             if sig.residual is not None:
                 last_residual = sig.residual

@@ -191,7 +191,7 @@ def _cmd_structure(args) -> None:
     problem = _parse_problem(args, need_state=False, need_generators=True)
     w = problem.transform
     residual = float(np.max(alg.structure_projection(
-        w.conj().T @ np.stack(problem.subalgebra.basis) @ w, problem.structure)[1]))
+        w.conj().T @ problem.subalgebra.basis @ w, problem.structure)[1]))
     payload = {
         "blocks": [list(b) for b in problem.structure.blocks],
         "ambient_dim": problem.structure.ambient_dim,

@@ -52,7 +52,7 @@ def shannon(p, tol: float = 1e-9) -> float:
 def von_neumann(rho) -> float:
     """Von Neumann entropy: the Shannon entropy of the spectrum, in nats."""
     rho = rho if isinstance(rho, DensityMatrix) else DensityMatrix(rho)
-    return _entropy_of(np.linalg.eigvalsh(rho.matrix))
+    return _entropy_of(rho.spectrum)
 
 
 @dataclass(frozen=True)

@@ -14,15 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import (
-    default_tol,
-    frob,
-    frozen,
-    hermitize,
-    orthonormal_extend,
-    random_isometry,
-    rng_stream,
-)
+from ._linalg import default_tol, frob, frozen, hermitize, random_isometry, rng_stream
 from .algebra import BlockStructure, SubalgebraBasis, block_decompose, split_blocks
 from .entropy import EntropyReport, _entropy_of
 from .errors import NotAStateError, ValidationError
@@ -47,28 +39,27 @@ __all__ = [
 class GnsData:
     """The GNS representation of a state.
 
-    ``rep_ops[k]`` is the represented k-th matrix unit, ``cyclic`` the class
-    of the identity, ``gram`` the matrix of the state inner product on the
+    ``rep_ops`` is the read-only stack (algebra_dim, dim, dim) whose k-th
+    entry is the represented k-th matrix unit, ``cyclic`` the class of the
+    identity, ``gram`` the matrix of the state inner product on the
     matrix units, and ``embedding`` the (state-inner-product) isometry taking
     GNS coordinates back to coefficient-space representatives.
     """
 
     structure: BlockStructure
     dim: int
-    rep_ops: tuple[np.ndarray, ...]
+    rep_ops: np.ndarray
     cyclic: np.ndarray
     gram: np.ndarray
     embedding: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "rep_ops", tuple(frozen(t) for t in self.rep_ops))
-        object.__setattr__(self, "cyclic", frozen(self.cyclic))
-        object.__setattr__(self, "gram", frozen(self.gram))
-        object.__setattr__(self, "embedding", frozen(self.embedding))
+        for name in ("rep_ops", "cyclic", "gram", "embedding"):
+            object.__setattr__(self, name, frozen(getattr(self, name)))
 
     def represent(self, coeffs: np.ndarray) -> np.ndarray:
         """Represented operator for an abstract element given by basis coefficients."""
-        return np.tensordot(np.asarray(coeffs, dtype=complex), np.stack(self.rep_ops), axes=1)
+        return np.tensordot(np.asarray(coeffs, dtype=complex), self.rep_ops, axes=1)
 
 
 def _gram_matrix(omega: StateFunctional, structure: BlockStructure) -> np.ndarray:
@@ -114,15 +105,18 @@ def gns_construct(omega: StateFunctional, structure: BlockStructure,
 
     cyclic = quotient @ np.concatenate([np.eye(n, dtype=complex).reshape(-1)
                                         for n, _ in structure.blocks])
-    return GnsData(structure=structure, dim=dim, rep_ops=tuple(rep_ops),
+    return GnsData(structure=structure, dim=dim, rep_ops=rep_ops,
                    cyclic=cyclic, gram=gram, embedding=embedding)
 
 
 def _rep_span_basis(g: GnsData, tol: float) -> SubalgebraBasis:
-    rows = np.stack([t.reshape(-1) for t in g.rep_ops])
-    cutoff = tol * max(1.0, float(np.max(np.linalg.norm(rows, axis=1))))
-    basis = orthonormal_extend(np.zeros((0, rows.shape[1]), dtype=complex), rows, cutoff)
-    return SubalgebraBasis(g.dim, tuple(basis.reshape(-1, g.dim, g.dim)))
+    # Left multiplication on the quotient makes the represented units orthogonal:
+    # Tr pi(E_ab)* pi(E_cd) = delta_ac Tr pi(E_bd), and Tr o pi is a trace on each
+    # block.  Normalising the nonzero ones gives an orthonormal basis of the span
+    # (SubalgebraBasis re-checks its Gram matrix).
+    norms = np.linalg.norm(g.rep_ops, axis=(1, 2))
+    keep = norms > tol * max(1.0, float(np.max(norms)))
+    return SubalgebraBasis(g.dim, g.rep_ops[keep] / norms[keep, None, None])
 
 
 @dataclass(frozen=True)
@@ -174,13 +168,13 @@ def gns_commutant_functional(g: GnsData, t: np.ndarray,
     eigs = np.linalg.eigvalsh(hermitize(t))
     if eigs[0] < -tol * 10 or eigs[-1] > 1.0 + tol * 10:
         raise ValidationError(f"operator spectrum [{eigs[0]:.3e}, {eigs[-1]:.3e}] not within [0, 1]")
-    for op in g.rep_ops:
-        if frob(t @ op - op @ t) > max(tol * 100, 1e-7):
-            raise ValidationError("operator does not commute with the represented algebra")
+    comm = np.linalg.norm(t @ g.rep_ops - g.rep_ops @ t, axis=(1, 2))
+    if np.max(comm) > max(tol * 100, 1e-7):
+        raise ValidationError("operator does not commute with the represented algebra")
     weight = float((g.cyclic.conj() @ (t @ g.cyclic)).real)
     if weight <= tol:
         raise ValidationError("operator annihilates the cyclic vector; no sub-state")
-    raw = np.array([g.cyclic.conj() @ (t @ (op @ g.cyclic)) for op in g.rep_ops])
+    raw = (g.rep_ops @ g.cyclic) @ (t.T @ g.cyclic.conj())
     return weight, StateFunctional(g.structure, tuple(split_blocks(raw / weight, g.structure)))
 
 
@@ -300,10 +294,7 @@ def is_irreducible(g: GnsData, tol: float | None = None) -> bool:
     """True iff the represented algebra has a trivial commutant.
 
     Equivalent test: an irreducibly acting *-algebra is the full matrix
-    algebra, so the represented operators must span all of dim^2 dimensions.
+    algebra, so the span basis of the represented units must have dim^2 elements.
     """
     tol = default_tol(g.dim) if tol is None else tol
-    rows = np.stack([t.reshape(-1) for t in g.rep_ops])
-    svals = np.linalg.svd(rows, compute_uv=False)
-    rank = int(np.sum(svals > max(tol, 1e-12) * max(float(svals[0]), 1.0)))
-    return rank == g.dim * g.dim
+    return _rep_span_basis(g, tol).dim == g.dim * g.dim

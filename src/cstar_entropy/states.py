@@ -9,7 +9,7 @@ entropy and decompositions are read off.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -22,9 +22,10 @@ from .errors import NotAStateError, ValidationError
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """A Hermitian, positive semidefinite, trace-one matrix."""
+    """A Hermitian, positive semidefinite, trace-one matrix and its ascending ``spectrum``."""
 
     matrix: np.ndarray
+    spectrum: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         mat = np.asarray(self.matrix, dtype=complex)
@@ -41,7 +42,9 @@ class DensityMatrix:
         tr = float(np.trace(mat).real)
         if abs(tr - 1.0) > tol * 10:
             raise ValidationError(f"density matrix has trace {tr!r}, expected 1")
+        eigs.setflags(write=False)
         object.__setattr__(self, "matrix", frozen(mat))
+        object.__setattr__(self, "spectrum", eigs)
 
     @property
     def dim(self) -> int:

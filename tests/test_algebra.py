@@ -105,6 +105,19 @@ class TestStructureProjection:
             ce.structure_projection(np.zeros((3, 3, 3)), st)
 
 
+class TestSubalgebraBasis:
+    @pytest.mark.parametrize("basis", [
+        (),
+        (np.eye(2) / np.sqrt(2), np.eye(3)),
+        (np.eye(3) / np.sqrt(3),),
+        np.eye(2)[None, None],
+        (np.eye(2), np.diag([1.0, 0.0])),
+    ], ids=["empty", "ragged", "wrong_size", "wrong_rank", "not_orthonormal"])
+    def test_malformed_basis_rejected(self, basis):
+        with pytest.raises(ValidationError):
+            ce.SubalgebraBasis(2, basis)
+
+
 class TestGenerateSubalgebra:
     def test_identity_generator(self):
         sub = ce.generate_subalgebra([np.eye(3)])

@@ -5,6 +5,7 @@ import pytest
 
 import cstar_entropy as ce
 from cstar_entropy.errors import NotAStateError, ValidationError
+from cstar_entropy.gns import _rep_span_basis
 
 from helpers import (
     random_ambient_density,
@@ -85,6 +86,51 @@ class TestGnsConstruct:
         om = ce.StateFunctional(st, (np.array([[1.5, 0.0], [0.0, -0.5]], dtype=complex),))
         with pytest.raises(NotAStateError):
             ce.gns_construct(om, st)
+
+
+class TestStackedArrays:
+    """Every matrix family is one read-only (k, d, d) ndarray."""
+
+    @staticmethod
+    def _assert_read_only_stack(arr, k, d):
+        assert isinstance(arr, np.ndarray)
+        assert arr.shape == (k, d, d)
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0, 0, 0] = 1.0
+
+    def test_rep_ops_is_one_read_only_stack(self):
+        rng = rng_stream(89)
+        st = ce.make_algebra([(2, 2), (1, 1)])
+        om = random_state(rng, st)
+        g = ce.gns_construct(om, st)
+        self._assert_read_only_stack(g.rep_ops, st.algebra_dim, g.dim)
+
+    def test_subalgebra_bases_are_read_only_stacks(self):
+        rng = rng_stream(90)
+        st = ce.make_algebra([(2, 1), (1, 2)])
+        om = random_state(rng, st)
+        g = ce.gns_construct(om, st)
+        span = _rep_span_basis(g, 1e-9)
+        self._assert_read_only_stack(span.basis, span.dim, g.dim)
+        sub = ce.generate_subalgebra([ce.embed(ce.random_element(st, rng)) for _ in range(2)])
+        self._assert_read_only_stack(sub.basis, st.algebra_dim, st.ambient_dim)
+        com = ce.commutant(sub)
+        self._assert_read_only_stack(com.basis, com.dim, st.ambient_dim)
+
+    def test_rep_span_basis_normalises_the_nonzero_units(self):
+        # a zero-weight block represents as zero; a rank-r block state gives
+        # units of Hilbert-Schmidt norm sqrt(r) before normalisation
+        st = ce.make_algebra([(2, 1), (2, 2), (1, 1)])
+        psi = np.array([1.0, 1j]) / np.sqrt(2)
+        om = ce.StateFunctional.from_canonical(
+            st, [0.4, 0.0, 0.6], [np.outer(psi, psi.conj()), None, np.eye(1)])
+        g = ce.gns_construct(om, st)
+        norms = np.linalg.norm(g.rep_ops, axis=(1, 2))
+        assert np.allclose(norms, [1.0] * 4 + [0.0] * 4 + [1.0], atol=1e-12)
+        span = _rep_span_basis(g, 1e-9)
+        assert span.dim == 5
+        assert np.allclose(span.basis, g.rep_ops[norms > 0.5], atol=1e-12)
 
 
 class TestIrreducibility:

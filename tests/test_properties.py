@@ -109,6 +109,21 @@ def test_gns_route_matches_closed_form(case):
 
 
 @DISCOVERY_SETTINGS
+@given(structures_and_states(max_n=3, max_m=2, max_blocks=3), st.integers(0, 9))
+def test_gns_structure_is_weighted_blocks_with_rank_multiplicities(case, seed):
+    # block i acts on C^{n_i} (x) C^{rank rho_i} in the GNS space, and not at all if p_i = 0
+    structure, om, p = case
+    g = ce.gns_construct(om, structure)
+    sectors = ce.resolve_sectors(g, seed=seed)
+    expected = sorted((n, np.linalg.matrix_rank(v)) for (n, _), v, w in
+                      zip(structure.blocks, om.block_values, p) if w > 0)
+    assert sorted(sectors.structure.blocks) == expected
+    assert ce.is_irreducible(g) == ce.is_pure(om, structure)
+    s = ce.state_entropy(om, structure).state_entropy
+    assert abs(ce.sectors_entropy(sectors).state_entropy - s) <= 1e-10
+
+
+@DISCOVERY_SETTINGS
 @given(structures_and_states(), st.integers(0, 2**32 - 1))
 def test_oracle_never_goes_below_closed_form(case, seed):
     structure, om, _ = case

@@ -124,6 +124,21 @@ class TestRepresentativeDensity:
             ce.StateFunctional.from_canonical(st, [bad], [None])
 
 
+class TestDensityMatrix:
+    def test_keeps_the_ascending_spectrum_of_its_validation(self):
+        rng = rng_stream(36)
+        rho = ce.DensityMatrix(random_ambient_density(rng, 5))
+        assert np.allclose(rho.spectrum, np.linalg.eigvalsh(rho.matrix), atol=1e-14)
+        assert np.all(np.diff(rho.spectrum) >= 0)
+        assert not rho.spectrum.flags.writeable
+        assert ce.von_neumann(rho) == pytest.approx(
+            -sum(x * np.log(x) for x in rho.spectrum if x > 0), abs=1e-14)
+
+    def test_spectrum_is_not_a_constructor_argument(self):
+        with pytest.raises(TypeError):
+            ce.DensityMatrix(np.eye(2) / 2, spectrum=np.array([0.5, 0.5]))
+
+
 class TestCanonicalForm:
     def test_single_block_identity(self):
         st = ce.make_algebra([(2, 1)])

@@ -1,18 +1,22 @@
-"""The benchmark tracer's function list still names real package functions.
+"""Repository tooling guards, checked by reading syntax trees only.
 
 ``perfbench/spans.py`` wraps each ``module.function`` in ``TRACED`` for a
 traced run; a rename in the package would otherwise only show up as a
 ``--trace 1`` failure.  The two constants are read from the file's syntax
-tree; the file is neither executed nor modified.
+tree; the file is neither executed nor modified.  The package's runtime
+depends on numpy and the standard library alone.
 """
 
 import ast
 import importlib
 import pathlib
+import sys
 
 import pytest
 
-SPANS = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SPANS = ROOT / "perfbench" / "spans.py"
+SOURCES = sorted((ROOT / "src" / "cstar_entropy").glob("*.py"))
 
 
 def _traced():
@@ -32,3 +36,18 @@ PACKAGE, TRACED = _traced()
 def test_traced_name_is_a_package_function(mod, fn):
     module = importlib.import_module(f"{PACKAGE}.{mod}")
     assert callable(getattr(module, fn, None)), f"{PACKAGE}.{mod}.{fn} is not a callable"
+
+
+def _import_roots(path):
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            yield from (alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module.split(".")[0]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_runtime_imports_only_numpy_and_the_standard_library(path):
+    allowed = {"numpy", "__future__"} | set(sys.stdlib_module_names)
+    foreign = sorted(set(_import_roots(path)) - allowed)
+    assert not foreign, f"{path.name} imports {foreign}"
