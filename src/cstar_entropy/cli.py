@@ -78,20 +78,31 @@ def _load_json(path: str) -> dict:
     return doc
 
 
+def _integer_option(options: dict, name: str, default: int) -> int:
+    """An integer option; integral floats such as 1000.0 pass, booleans and 2.7 or inf do not."""
+    value = options.get(name, default)
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise _ParseError(f"options: {name} must be an integer, got {value!r}")
+    try:
+        return int(value)
+    except (TypeError, ValueError) as exc:
+        raise _ParseError(f"options: {name} must be an integer: {exc}") from None
+
+
 def _resolve_options(doc: dict, args) -> tuple[float, int, int]:
     options = doc.get("options", {})
     if not isinstance(options, dict):
         raise _ParseError("options must be an object")
     try:
         tol = args.tol if args.tol is not None else float(options.get("tol", 1e-9))
-        seed = args.seed if args.seed is not None else int(options.get("seed", 0))
-        samples = getattr(args, "samples", None)
-        if samples is None:
-            samples = int(options.get("samples", 1000))
-    except (TypeError, ValueError) as exc:
-        raise _ParseError(f"options: tol, seed and samples must be numbers: {exc}") from None
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise _ParseError(f"options: tol must be a number: {exc}") from None
     if not np.isfinite(tol) or tol <= 0:
         raise _ParseError(f"tol must be a positive finite number, got {tol!r}")
+    seed = args.seed if args.seed is not None else _integer_option(options, "seed", 0)
+    samples = getattr(args, "samples", None)
+    if samples is None:
+        samples = _integer_option(options, "samples", 1000)
     return tol, seed, samples
 
 

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import complex_gaussian, default_tol, phase_fixed_qr, rng_stream
+from ._linalg import default_tol, phase_fixed_qr, rng_stream, rng_streams
 from .algebra import BlockStructure, make_algebra
-from .entropy import _entropy_of, minimal_decomposition, shannon
+from .entropy import _entropy_of, _entropy_rows, minimal_decomposition, shannon
 from .errors import ValidationError
 from .states import Decomposition, DensityMatrix, StateFunctional, active_sectors, block_spectra
 
@@ -144,17 +144,61 @@ def decomposition_entropy_split(dec: Decomposition) -> tuple[float, float]:
     return _entropy_of(p), within
 
 
-def _sample_draws(rng: np.random.Generator, active):
-    """Sizes and Gaussian matrices for one sample, in fixed block order.
+def _sample_draws(rng: np.random.Generator, active) -> list[tuple[int, np.ndarray]]:
+    """Size r and real Gaussian draw x of shape (2, r, r) per active block, for one sample.
 
-    Kept separate so the batched scan and the single-sample rebuild consume
-    the per-sample stream identically.
+    Per block, in block order: one ``integers`` draw for r in [n_i, 2 n_i],
+    then one normal draw; :func:`_complex_gaussians` turns x into the block's
+    complex Gaussian matrix.  This is the only reader of a sample's stream,
+    so the batched scan and the single-sample rebuild consume it identically.
     """
     draws = []
-    for i, _, lam, _ in active:
+    for _, _, lam, _ in active:
         r = int(rng.integers(lam.size, 2 * lam.size + 1))
-        draws.append((i, r, complex_gaussian((r, r), rng)))
+        draws.append((r, rng.standard_normal((2, r, r))))
     return draws
+
+
+def _complex_gaussians(x: np.ndarray) -> np.ndarray:
+    """``x[0] + 1j x[1]`` for a draw (2, r, r) or a stack of them (S, 2, r, r)."""
+    return x[..., 0, :, :] + 1j * x[..., 1, :, :]
+
+
+def _chunk_entropies(stream, indices: np.ndarray, active) -> np.ndarray:
+    """Decomposition entropy of each sample in indices; ``stream(s)`` is its generator.
+
+    The draws of one block with one size r share one phase-fixed QR and one
+    ``einsum``, and their weight rows land zero-padded in an (S, 2 n_i) array
+    per block.  The entropies are taken in one pass per distinct size tuple,
+    with the block rows concatenated in block order, so each one is a
+    function of (seed, s) alone.
+    """
+    sizes = np.empty((indices.size, len(active)), dtype=np.int64)
+    mats: list[list[np.ndarray]] = [[] for _ in active]
+    for row, s in enumerate(indices):
+        for pos, (r, x) in enumerate(_sample_draws(stream(s), active)):
+            sizes[row, pos] = r
+            mats[pos].append(x)
+    rows = []
+    for pos, (_, w_block, lam, _) in enumerate(active):
+        rank = int(np.sum(lam > _WEIGHT_FLOOR))
+        block = np.zeros((indices.size, 2 * lam.size))
+        for r in range(lam.size, 2 * lam.size + 1):
+            owners = np.flatnonzero(sizes[:, pos] == r)
+            if not owners.size:
+                continue
+            u = phase_fixed_qr(_complex_gaussians(np.array([mats[pos][j] for j in owners])))
+            probs = np.einsum("sij,j->si", np.abs(u[:, :, :rank]) ** 2, lam[:rank])
+            block[owners, :r] = w_block * probs
+        rows.append(block)
+    out = np.empty(indices.size)
+    combos, which = np.unique(sizes, axis=0, return_inverse=True)
+    which = which.reshape(-1)
+    for t, combo in enumerate(combos):
+        owners = np.flatnonzero(which == t)
+        weights = np.concatenate([block[owners, :r] for block, r in zip(rows, combo)], axis=1)
+        out[owners] = _entropy_rows(weights, _WEIGHT_FLOOR)
+    return out
 
 
 def infimum_oracle(omega: StateFunctional, structure: BlockStructure, samples: int = 1000,
@@ -164,9 +208,9 @@ def infimum_oracle(omega: StateFunctional, structure: BlockStructure, samples: i
     Sample 0 is always the minimal decomposition, so the reported minimum
     never exceeds the closed-form entropy; samples 1..samples draw per-block
     decomposition sizes in [n_i, 2 n_i] and Haar unitaries, and mix each
-    block state accordingly.  Per-sample randomness is derived from
-    (seed, sample index), so the result does not depend on evaluation order;
-    ties resolve to the lowest sample index.
+    block state accordingly.  Sample s draws from ``rng_stream(seed, 1, s)``,
+    so each sample's entropy depends on (seed, s) alone; ties resolve to the
+    lowest sample index.
     """
     if samples < 1:
         raise ValidationError("samples must be at least 1")
@@ -176,29 +220,15 @@ def infimum_oracle(omega: StateFunctional, structure: BlockStructure, samples: i
     best_index = 0
     active = active_sectors(block_spectra(omega, structure, tol), tol)
 
-    chunk_size = 1024
+    stream = rng_streams(seed, 1)
+    chunk_size = 1024   # bounds the memory of the batched draws
     for chunk_start in range(1, samples + 1, chunk_size):
-        indices = range(chunk_start, min(chunk_start + chunk_size, samples + 1))
-        per_sample_weights: dict[int, list[np.ndarray]] = {s: [] for s in indices}
-        buckets: dict[tuple[int, int], tuple[list[int], list[np.ndarray]]] = {}
-        for s in indices:
-            rng = rng_stream(seed, 1, s)
-            for pos, (i, r, g) in enumerate(_sample_draws(rng, active)):
-                owners, mats = buckets.setdefault((pos, r), ([], []))
-                owners.append(s)
-                mats.append(g)
-        for (pos, r), (owners, mats) in buckets.items():
-            _, w_block, lam, _ = active[pos]
-            rank = int(np.sum(lam > _WEIGHT_FLOOR))
-            u = phase_fixed_qr(np.stack(mats))
-            probs = np.einsum("sij,j->si", np.abs(u[:, :, :rank]) ** 2, lam[:rank])
-            for s, row in zip(owners, probs):
-                per_sample_weights[s].append(w_block * row)
-        for s in indices:
-            h = _entropy_of(np.concatenate(per_sample_weights[s]), _WEIGHT_FLOOR)
-            # strict comparison in ascending order keeps the lowest index on ties
-            if h < best_entropy:
-                best_entropy, best_index = h, s
+        indices = np.arange(chunk_start, min(chunk_start + chunk_size, samples + 1))
+        h = _chunk_entropies(stream, indices, active)
+        j = int(np.argmin(h))
+        # argmin is the first minimum and the comparison strict, so ties keep the lowest index
+        if h[j] < best_entropy:
+            best_entropy, best_index = float(h[j]), int(indices[j])
 
     if best_index == 0:
         return best_entropy, base
@@ -207,12 +237,10 @@ def infimum_oracle(omega: StateFunctional, structure: BlockStructure, samples: i
 
 def _rebuild_sample(seed: int, index: int, active, structure: BlockStructure) -> Decomposition:
     """Recompute one sample fully (with vectors) from its stream."""
-    rng = rng_stream(seed, 1, index)
     comps = []
-    for pos, (i, r, g) in enumerate(_sample_draws(rng, active)):
-        _, w_block, lam, psi = active[pos]
-        u = phase_fixed_qr(g)
-        weights, vectors = _mixed_vectors(lam, psi, u)
+    draws = _sample_draws(rng_stream(seed, 1, index), active)
+    for (i, w_block, lam, psi), (_, x) in zip(active, draws):
+        weights, vectors = _mixed_vectors(lam, psi, phase_fixed_qr(_complex_gaussians(x)))
         for k, w in enumerate(weights):
             weight = w_block * float(w)
             if weight > _WEIGHT_FLOOR:

@@ -33,6 +33,22 @@ def _entropy_of(weights: np.ndarray, floor: float = 0.0) -> float:
     return float(-(w * np.log(w)).sum())
 
 
+def _entropy_rows(weights: np.ndarray, floor: float = 0.0) -> np.ndarray:
+    """:func:`_entropy_of` of each row of a 2-D weight array, bit for bit.
+
+    Rows with every entry above floor go through one vectorised pass, with
+    the same operations in the same order; the others go one by one.
+    """
+    out = np.empty(len(weights))
+    clean = np.all(weights > floor, axis=1)
+    w = weights[clean]
+    w = w / w.sum(axis=1, keepdims=True)
+    out[clean] = -(w * np.log(w)).sum(axis=1)
+    for j in np.flatnonzero(~clean):
+        out[j] = _entropy_of(weights[j], floor)
+    return out
+
+
 def shannon(p, tol: float = 1e-9) -> float:
     """Shannon entropy of a probability vector, in nats.
 

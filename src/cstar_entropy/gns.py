@@ -109,13 +109,21 @@ def gns_construct(omega: StateFunctional, structure: BlockStructure,
                    cyclic=cyclic, gram=gram, embedding=embedding)
 
 
-def _rep_span_basis(g: GnsData, tol: float) -> SubalgebraBasis:
-    # Left multiplication on the quotient makes the represented units orthogonal:
-    # Tr pi(E_ab)* pi(E_cd) = delta_ac Tr pi(E_bd), and Tr o pi is a trace on each
-    # block.  Normalising the nonzero ones gives an orthonormal basis of the span
-    # (SubalgebraBasis re-checks its Gram matrix).
+def _unit_norms(g: GnsData, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Norms of the represented units, and which of them count as nonzero.
+
+    Left multiplication on the quotient makes the represented units orthogonal:
+    Tr pi(E_ab)* pi(E_cd) = delta_ac Tr pi(E_bd), and Tr o pi is a trace on each
+    block.  So the nonzero ones are a basis of the represented algebra.
+    """
     norms = np.linalg.norm(g.rep_ops, axis=(1, 2))
-    keep = norms > tol * max(1.0, float(np.max(norms)))
+    return norms, norms > tol * max(1.0, float(np.max(norms)))
+
+
+def _rep_span_basis(g: GnsData, tol: float) -> SubalgebraBasis:
+    # normalising the nonzero units gives an orthonormal basis of the span;
+    # SubalgebraBasis re-checks its Gram matrix, so a broken identity fails loudly
+    norms, keep = _unit_norms(g, tol)
     return SubalgebraBasis(g.dim, g.rep_ops[keep] / norms[keep, None, None])
 
 
@@ -294,7 +302,7 @@ def is_irreducible(g: GnsData, tol: float | None = None) -> bool:
     """True iff the represented algebra has a trivial commutant.
 
     Equivalent test: an irreducibly acting *-algebra is the full matrix
-    algebra, so the span basis of the represented units must have dim^2 elements.
+    algebra, so dim^2 of the represented units must be nonzero.
     """
     tol = default_tol(g.dim) if tol is None else tol
-    return _rep_span_basis(g, tol).dim == g.dim * g.dim
+    return int(np.count_nonzero(_unit_norms(g, tol)[1])) == g.dim * g.dim

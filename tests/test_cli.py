@@ -282,6 +282,30 @@ class TestRejectedInputs:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error:")
 
+    @pytest.mark.parametrize("field", ["samples", "seed"])
+    def test_infinite_integer_option_is_one_error_line(self, tmp_path, capsys, field):
+        # a JSON 1e400 (or Infinity) parses as inf, which int() cannot convert
+        doc = _m2_density_doc(options={field: 1e400})
+        assert main(["oracle", _write(tmp_path, doc), "--json"]) == 2
+        captured = capsys.readouterr()
+        err = captured.err.strip().splitlines()
+        assert captured.out == "" and len(err) == 1 and err[0].startswith("error:")
+        assert field in err[0]
+
+    @pytest.mark.parametrize("options", [
+        {"samples": 2.7}, {"samples": True}, {"seed": 1.5}, {"seed": True},
+    ], ids=["fractional_samples", "boolean_samples", "fractional_seed", "boolean_seed"])
+    def test_non_integer_option_is_rejected_not_truncated(self, tmp_path, capsys, options):
+        assert main(["oracle", _write(tmp_path, _m2_density_doc(options=options)), "--json"]) == 2
+        captured = capsys.readouterr()
+        err = captured.err.strip().splitlines()
+        assert captured.out == "" and len(err) == 1 and err[0].startswith("error:")
+
+    def test_integral_float_options_still_run(self, tmp_path, capsys):
+        doc = _m2_density_doc(options={"samples": 40.0, "seed": 3.0})
+        assert main(["oracle", _write(tmp_path, doc), "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["samples"] == 40
+
 
 _UNITS = ce.embedded_standard_basis(ce.make_algebra([(2, 1), (1, 1)]))
 _OUTSIDE = _UNITS[4] + np.eye(3)[:, [0]] @ np.eye(3)[[2]]   # E_33 + E_13

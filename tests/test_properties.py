@@ -235,7 +235,8 @@ def problem_files(draw):
     elif mutation == "option_junk":
         key = draw(st.sampled_from(["tol", "seed", "samples"]))
         doc["options"][key] = draw(st.one_of(
-            _JUNK, st.sampled_from([0.0, -1.0, 1e-300, 1e-3, 0.5, 100.0, float("nan")])))
+            _JUNK, st.sampled_from([0.0, -1.0, 1e-300, 1e-3, 0.5, 100.0, float("nan"),
+                                    float("inf")])))
     return doc
 
 
