@@ -5,7 +5,9 @@ basis, a direct sum of full matrix blocks M_n repeated with multiplicities:
 ``(+)_i M_{n_i} (x) I_{m_i}``.  This module constructs such algebras
 abstractly, embeds them as concrete matrices, closes generated *-algebras
 numerically, computes commutants, and recovers the block structure (and the
-change-of-basis unitary) of a numerically given matrix *-algebra.
+change-of-basis unitary) of a numerically given matrix *-algebra from the
+eigenspaces of one generic element, grouped by how a second one couples them
+(Murota, Kanno, Kojima & Kojima, 2010), without computing the center.
 """
 
 from __future__ import annotations
@@ -326,66 +328,49 @@ def _split_attempt(bmats: np.ndarray, d: int, tol: float,
                    rng: np.random.Generator) -> tuple[BlockStructure, np.ndarray]:
     num = len(bmats)
 
-    # Center of the algebra: elements of the span commuting with two generic
-    # self-adjoint elements.  Generically that intersection is exactly the
-    # center; any unlucky draw is caught by the verification below.
-    g1 = _combo(bmats, rng, hermitian=True)
-    g2 = _combo(bmats, rng, hermitian=True)
-    constraint_cols = []
-    for g in (g1, g2):
-        comm = bmats @ g - g @ bmats
-        constraint_cols.append(comm.reshape(num, d * d).T)
-    center_coeffs = null_space_rows(np.concatenate(constraint_cols, axis=0), max(tol, 1e-12))
-    n_center = center_coeffs.shape[0]
-    if n_center == 0:
-        raise _Retry()
-    center_mats = np.tensordot(center_coeffs, bmats, axes=1)
+    # A generic self-adjoint element is (+)_i X_i (x) I_{m_i} with simple,
+    # mutually distinct spectra, so its eigenvalue clusters are the spaces
+    # e (x) C^{m_i}, one per eigenvalue of each X_i.
+    clusters = eigh_clusters(_combo(bmats, rng, hermitian=True), tol)
+    v = np.concatenate([q for _, q in clusters], axis=1)
+    dims = np.array([q.shape[1] for _, q in clusters])
+    starts = np.cumsum(dims) - dims
 
-    # A random self-adjoint center element is a distinct scalar on each
-    # central sector; its eigenvalue clusters are the sectors.
-    z = _combo(center_mats, rng, hermitian=True)
-    clusters = eigh_clusters(z, tol)
-    if len(clusters) != n_center:
-        raise _Retry()
+    # A generic element B compresses to zero between clusters of different
+    # blocks and to a nonzero multiple of a unitary between clusters of one
+    # block, so the blocks are the connected components of the coupling graph.
+    b = _combo(bmats, rng, hermitian=False)
+    comp = v.conj().T @ b @ v
+    sq = np.add.reduceat(np.add.reduceat(np.abs(comp) ** 2, starts, axis=0), starts, axis=1)
+    coupled = np.sqrt(sq + sq.T) > max(1e-8, tol) * frob(b)
 
     sectors = []
-    for z_value, q in clusters:
-        ds = q.shape[1]
-        comp = q.conj().T @ bmats @ q
-        for _ in range(4):
-            # A generic self-adjoint element of the restricted algebra looks
-            # like X (x) I_m, so each of its n eigenvalues repeats m times.
-            g = _combo(comp, rng, hermitian=True)
-            eig_groups = eigh_clusters(g, tol)
-            dims = [u.shape[1] for _, u in eig_groups]
-            n_s, m_s = len(eig_groups), dims[0]
-            if any(dd != m_s for dd in dims) or n_s * m_s != ds:
-                continue
-            # Align the multiplicity spaces: compressions of a generic algebra
-            # element between eigenspaces are proportional to unitaries.
-            b = _combo(comp, rng, hermitian=False)
-            u_first = eig_groups[0][1]
-            cols, ok = [], True
-            for _, u_a in eig_groups:
-                r_a = u_a.conj().T @ b @ u_first
-                scale = np.sqrt(max(float(np.trace(r_a.conj().T @ r_a).real), 0.0) / m_s)
-                if scale < 1e-8:
-                    ok = False
-                    break
-                t_a = r_a / scale
-                if frob(t_a.conj().T @ t_a - np.eye(m_s)) > 1e-6:
-                    ok = False
-                    break
-                cols.append(u_a @ t_a)
-            if not ok:
-                continue
-            sectors.append((n_s, m_s, z_value, q @ np.concatenate(cols, axis=1)))
-            break
-        else:
+    free = np.ones(len(clusters), dtype=bool)
+    for first in range(len(clusters)):
+        if not free[first]:
+            continue
+        members = np.arange(len(clusters)) == first
+        while not np.array_equal(grown := members | coupled[members].any(axis=0), members):
+            members = grown
+        free &= ~members
+        m = int(dims[first])
+        if np.any(dims[members] != m):
             raise _Retry()
+        # Align the multiplicity spaces by the compressions R_a = Q_a* B Q_first,
+        # which must be multiples of unitaries: with R_a = U diag(s) V*, the
+        # defect of R_a / scale_a from a unitary has eigenvalues s^2/scale^2 - 1.
+        # The polar factor U V* is unitary to rounding, so W stays unitary.
+        rows = (starts[members][:, None] + np.arange(m)).reshape(-1)
+        u, s, vh = np.linalg.svd(comp[rows, starts[first]:starts[first] + m].reshape(-1, m, m))
+        scale = np.sqrt(np.mean(s ** 2, axis=1))
+        if np.min(scale) < 1e-8 or \
+                np.max(np.linalg.norm((s / scale[:, None]) ** 2 - 1, axis=1)) > 1e-6:
+            raise _Retry()
+        cols = np.einsum("xam,amk->xak", v[:, rows].reshape(d, -1, m), u @ vh).reshape(d, -1)
+        sectors.append((len(s), m, clusters[first][0], cols))
 
-    # Deterministic output order: big blocks first, eigenvalue fingerprint as
-    # the tiebreak (fixed for a fixed seed).
+    # Deterministic output order: big blocks first, then A's lowest eigenvalue
+    # in the block (fixed for a fixed seed).
     sectors.sort(key=lambda s: (-s[0], -s[1], s[2]))
     blocks = tuple((n, m) for n, m, _, _ in sectors)
     if sum(n * n for n, m in blocks) != num or sum(n * m for n, m in blocks) != d:
@@ -406,12 +391,19 @@ def block_decompose(sub: SubalgebraBasis, tol: float = 1e-9,
     """Recover the block structure of a matrix *-algebra.
 
     Returns ``(structure, W)`` with W unitary such that conjugating the span
-    by W gives ``(+)_i M_{n_i} (x) I_{m_i}``.  The algorithm splits central
-    sectors by eigenvalue clustering of a random center element and resolves
-    multiplicities inside each sector from the eigenspaces of a random
-    restricted algebra element; degenerate random draws are retried a bounded
-    number of times, and the result is verified against the dimension laws
-    and the projection residual before being returned.
+    by W gives ``(+)_i M_{n_i} (x) I_{m_i}``.  The eigenvalue clusters (at
+    relative gap ``tol``) of a random self-adjoint element A of the span are
+    the spaces e (x) C^{m_i}, one per eigenvalue of each block of A.  A
+    random element B couples two clusters iff they lie in one block: the
+    Frobenius norm of its two compressions between them, taken together,
+    exceeds ``max(1e-8, tol) * ||B||_F``.  The connected components of that
+    graph are the blocks (n_i clusters of a common dimension m_i), and the
+    compressions of B onto each block's first cluster align its
+    multiplicity spaces.  Blocks are ordered by decreasing n, then m, then
+    A's lowest eigenvalue in the block.  Degenerate random draws are retried
+    a bounded number of times, and the result is verified against the
+    dimension laws, the unitarity of W and the projection residual before
+    being returned.
     """
     d = sub.ambient_dim
     if not _identity_in_span(sub.basis, d, tol):

@@ -13,6 +13,7 @@ Exit codes: 0 ok, 2 parse or input validation error, 3 numerical failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -78,24 +79,29 @@ def _load_json(path: str) -> dict:
     return doc
 
 
+def _is_number(value) -> bool:
+    """A JSON number: an int or a float, but not a bool or a numeric string."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _integer_option(options: dict, name: str, default: int) -> int:
-    """An integer option; integral floats such as 1000.0 pass, booleans and 2.7 or inf do not."""
+    """An int or an integral float such as 1000.0; not a string, a bool, 2.7 or inf."""
     value = options.get(name, default)
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+    if not _is_number(value) or (isinstance(value, float) and not value.is_integer()):
         raise _ParseError(f"options: {name} must be an integer, got {value!r}")
-    try:
-        return int(value)
-    except (TypeError, ValueError) as exc:
-        raise _ParseError(f"options: {name} must be an integer: {exc}") from None
+    return int(value)
 
 
 def _resolve_options(doc: dict, args) -> tuple[float, int, int]:
     options = doc.get("options", {})
     if not isinstance(options, dict):
         raise _ParseError("options must be an object")
+    tol = options.get("tol", 1e-9) if args.tol is None else args.tol
+    if not _is_number(tol):
+        raise _ParseError(f"options: tol must be a number, got {tol!r}")
     try:
-        tol = args.tol if args.tol is not None else float(options.get("tol", 1e-9))
-    except (TypeError, ValueError, OverflowError) as exc:
+        tol = float(tol)
+    except OverflowError as exc:
         raise _ParseError(f"options: tol must be a number: {exc}") from None
     if not np.isfinite(tol) or tol <= 0:
         raise _ParseError(f"tol must be a positive finite number, got {tol!r}")
@@ -323,7 +329,9 @@ def _cmd_zeno(args) -> None:
     _emit(args, payload, [f"success probability after {args.k} steps: {prob:.9g}"])
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parse_args keeps no state between calls."""
     parser = argparse.ArgumentParser(
         prog="cstar-entropy",
         description="entropy of states over finite-dimensional operator algebras")

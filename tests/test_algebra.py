@@ -233,6 +233,20 @@ class TestBlockDecompose:
             assert blocks.algebra_dim == sub.dim
             assert blocks.ambient_dim == sub.ambient_dim
 
+    @pytest.mark.parametrize("blocks", [((2, 1), (2, 1)), ((1, 1), (1, 1), (1, 1)),
+                                        ((1, 2), (1, 2)), ((2, 2), (2, 2), (1, 1))])
+    def test_equal_blocks_are_separated(self, blocks):
+        # equal blocks share every invariant but their coupling: only the
+        # graph of a generic element's compressions tells them apart
+        rng = rng_stream(28)
+        st = ce.make_algebra(blocks)
+        sub = ce.generate_subalgebra(conjugated_algebra_generators(rng, st))
+        for seed in range(4):
+            found, w = ce.block_decompose(sub, seed=seed)
+            assert found.blocks == blocks
+            residual = ce.structure_projection(w.conj().T @ sub.basis @ w, found)[1]
+            assert np.max(residual) < 1e-8
+
     def test_scalars_are_one_block_with_multiplicity(self):
         sub = ce.generate_subalgebra([np.eye(4)])
         blocks, _ = ce.block_decompose(sub, seed=0)
@@ -247,8 +261,8 @@ class TestBlockDecompose:
             ce.block_decompose(sub)
 
     def test_absurd_tolerance_fails(self):
-        # a huge tolerance merges every eigenvalue cluster, so no attempt
-        # can match the center dimension and discovery must give up
+        # a huge tolerance merges every eigenvalue cluster into one, so no
+        # attempt meets the dimension laws and discovery must give up
         rng = rng_stream(26)
         st = ce.make_algebra([(2, 1), (1, 1)])
         sub = ce.generate_subalgebra(conjugated_algebra_generators(rng, st))

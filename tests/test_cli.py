@@ -134,6 +134,16 @@ class TestOracleCommand:
         assert payload["samples"] == 25
         assert payload["min_entropy_found"] == pytest.approx(0.5623351446188083, abs=1e-9)
 
+    def test_flags_do_not_carry_over_to_the_next_command(self, tmp_path, capsys):
+        # the parser is built once per process, so each call must parse afresh
+        path = _write(tmp_path, _m2_density_doc(options={"samples": 12}))
+        assert main(["oracle", path, "--samples", "5", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["samples"] == 5
+        assert main(["oracle", path, "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["samples"] == 12
+        assert main(["oracle", path]) == 0
+        assert "(12 samples)" in capsys.readouterr().out
+
 
 class TestSchrodingerCommand:
     def test_hadamard_mixing(self, tmp_path, capsys):
@@ -265,6 +275,10 @@ class TestRejectedInputs:
         _m2_density_doc(options={"tol": "abc"}),
         _m2_density_doc(options={"tol": float("nan")}),
         _m2_density_doc(options={"samples": "x"}),
+        # int() and float() would parse these; the file format documents numbers
+        _m2_density_doc(options={"samples": "12"}),
+        _m2_density_doc(options={"seed": " 7 "}),
+        _m2_density_doc(options={"tol": "1e-9"}),
         {"algebra": {"generators": 5}, "state": {"density": _mat(np.eye(2) / 2)}},
         {"algebra": {"blocks": [[1, 1]]},
          "state": {"canonical": {"p": ["x"], "rhos": [_mat(np.eye(1))]}}},
@@ -275,6 +289,7 @@ class TestRejectedInputs:
         {"algebra": {"generators": [_mat(np.diag([1.0, 2.0]))]},
          "state": {"values": [[1.0, 0.0], [0.0, 0.0]], "basis": [_mat(np.eye(3))] * 2}},
     ], ids=["short_block", "seed", "tol", "nan_tol", "samples",
+            "numeric_string_samples", "numeric_string_seed", "numeric_string_tol",
             "generators_not_list", "canonical_p_not_numeric", "rhos_not_list", "basis_not_list",
             "density_shape_vs_generators", "basis_shape_vs_generators"])
     def test_malformed_field_is_one_error_line(self, tmp_path, capsys, doc):

@@ -101,6 +101,18 @@ def test_entropy_invariant_under_conjugated_generators(case, seed):
 
 
 @DISCOVERY_SETTINGS
+@given(structures_and_states(max_n=3, max_m=2, max_blocks=3), st.integers(0, 2**32 - 1),
+       st.integers(0, 2**32 - 1))
+def test_discovered_blocks_do_not_depend_on_the_seed(case, rotation_seed, seed):
+    structure, _, _ = case
+    rng = rng_stream(rotation_seed)
+    v = haar_unitary(structure.ambient_dim, rng)
+    gens = [v @ ce.embed(ce.random_element(structure, rng)) @ v.conj().T for _ in range(2)]
+    found, _ = ce.block_decompose(ce.generate_subalgebra(gens), seed=seed)
+    assert found.blocks == tuple(sorted(structure.blocks, key=lambda b: (-b[0], -b[1])))
+
+
+@DISCOVERY_SETTINGS
 @given(structures_and_states(max_n=3, max_m=2, max_blocks=3))
 def test_gns_route_matches_closed_form(case):
     structure, om, _ = case
@@ -235,8 +247,8 @@ def problem_files(draw):
     elif mutation == "option_junk":
         key = draw(st.sampled_from(["tol", "seed", "samples"]))
         doc["options"][key] = draw(st.one_of(
-            _JUNK, st.sampled_from([0.0, -1.0, 1e-300, 1e-3, 0.5, 100.0, float("nan"),
-                                    float("inf")])))
+            st.sampled_from(["12", " 7 ", "1e-9"]), _JUNK,
+            st.sampled_from([0.0, -1.0, 1e-300, 1e-3, 0.5, 100.0, float("nan"), float("inf")])))
     return doc
 
 
@@ -251,6 +263,8 @@ def test_cli_fuzz_exit_codes(doc, command):
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main([command, path, "--json"])
     assert code in (0, 2, 3, 4)
+    if any(isinstance(v, str) for v in doc["options"].values()):
+        assert code == 2
     if code == 0:
         json.loads(out.getvalue())
     else:
