@@ -13,7 +13,7 @@ eigenspaces of one generic element, grouped by how a second one couples them
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -311,12 +311,6 @@ class _Retry(Exception):
         self.residual = residual
 
 
-def _combo(mats: np.ndarray, rng: np.random.Generator, hermitian: bool) -> np.ndarray:
-    coeffs = complex_gaussian(len(mats), rng)
-    x = np.tensordot(coeffs, mats, axes=1)
-    return hermitize(x) if hermitian else x
-
-
 def _identity_in_span(bmats: np.ndarray, d: int, tol: float) -> bool:
     rows = bmats.reshape(len(bmats), -1)
     vec_id = np.eye(d, dtype=complex).reshape(-1)
@@ -324,14 +318,12 @@ def _identity_in_span(bmats: np.ndarray, d: int, tol: float) -> bool:
     return float(np.linalg.norm(res)) <= max(tol, 1e-9) * 10 * np.sqrt(d)
 
 
-def _split_attempt(bmats: np.ndarray, d: int, tol: float,
+def _split_attempt(element: Callable[[np.ndarray], np.ndarray], dim: int, d: int, tol: float,
                    rng: np.random.Generator) -> tuple[BlockStructure, np.ndarray]:
-    num = len(bmats)
-
     # A generic self-adjoint element is (+)_i X_i (x) I_{m_i} with simple,
     # mutually distinct spectra, so its eigenvalue clusters are the spaces
     # e (x) C^{m_i}, one per eigenvalue of each X_i.
-    clusters = eigh_clusters(_combo(bmats, rng, hermitian=True), tol)
+    clusters = eigh_clusters(hermitize(element(complex_gaussian(dim, rng))), tol)
     v = np.concatenate([q for _, q in clusters], axis=1)
     dims = np.array([q.shape[1] for _, q in clusters])
     starts = np.cumsum(dims) - dims
@@ -339,7 +331,7 @@ def _split_attempt(bmats: np.ndarray, d: int, tol: float,
     # A generic element B compresses to zero between clusters of different
     # blocks and to a nonzero multiple of a unitary between clusters of one
     # block, so the blocks are the connected components of the coupling graph.
-    b = _combo(bmats, rng, hermitian=False)
+    b = element(complex_gaussian(dim, rng))
     comp = v.conj().T @ b @ v
     sq = np.add.reduceat(np.add.reduceat(np.abs(comp) ** 2, starts, axis=0), starts, axis=1)
     coupled = np.sqrt(sq + sq.T) > max(1e-8, tol) * frob(b)
@@ -373,17 +365,35 @@ def _split_attempt(bmats: np.ndarray, d: int, tol: float,
     # in the block (fixed for a fixed seed).
     sectors.sort(key=lambda s: (-s[0], -s[1], s[2]))
     blocks = tuple((n, m) for n, m, _, _ in sectors)
-    if sum(n * n for n, m in blocks) != num or sum(n * m for n, m in blocks) != d:
+    if sum(n * n for n, m in blocks) != dim or sum(n * m for n, m in blocks) != d:
         raise _Retry()
     w = np.concatenate([cols for *_, cols in sectors], axis=1)
     if frob(w.conj().T @ w - np.eye(d)) > 1e-8 * d:
         raise _Retry()
 
+    # With unit-variance coefficients the expected squared residual of a fresh
+    # element is the sum of the basis elements' squared residuals.
     structure = BlockStructure(blocks)
-    residual = float(np.max(structure_projection(w.conj().T @ bmats @ w, structure)[1]))
+    fresh = element(complex_gaussian((2, dim), rng) / np.sqrt(2))
+    residual = float(np.max(structure_projection(w.conj().T @ fresh @ w, structure)[1]))
     if residual > max(1e-6, 100.0 * tol):
         raise _Retry(residual)
     return structure, w
+
+
+def _discover(element: Callable[[np.ndarray], np.ndarray], dim: int, d: int, tol: float,
+              seed: int) -> tuple[BlockStructure, np.ndarray]:
+    """:func:`block_decompose` of the span of an orthonormal basis B_1..B_dim of d x d
+    matrices, read only through ``element(c) = sum_k c_k B_k`` (leading axes of c stacked)."""
+    last_residual = None
+    for attempt in range(8):
+        try:
+            return _split_attempt(element, dim, d, tol, rng_stream(seed, 2, attempt))
+        except _Retry as sig:
+            if sig.residual is not None:
+                last_residual = sig.residual
+    raise DecompositionError(
+        "block decomposition failed verification after retries", residual=last_residual)
 
 
 def block_decompose(sub: SubalgebraBasis, tol: float = 1e-9,
@@ -400,21 +410,12 @@ def block_decompose(sub: SubalgebraBasis, tol: float = 1e-9,
     graph are the blocks (n_i clusters of a common dimension m_i), and the
     compressions of B onto each block's first cluster align its
     multiplicity spaces.  Blocks are ordered by decreasing n, then m, then
-    A's lowest eigenvalue in the block.  Degenerate random draws are retried
-    a bounded number of times, and the result is verified against the
-    dimension laws, the unitarity of W and the projection residual before
-    being returned.
+    A's lowest eigenvalue in the block.  The span is read only through
+    random elements.  Degenerate draws are retried a bounded number of
+    times, and the result is verified against the dimension laws, the
+    unitarity of W and the projection residuals of two fresh random elements.
     """
     d = sub.ambient_dim
     if not _identity_in_span(sub.basis, d, tol):
         raise ValidationError("subalgebra must contain the identity (unital closure)")
-    last_residual = None
-    for attempt in range(8):
-        rng = rng_stream(seed, 2, attempt)
-        try:
-            return _split_attempt(sub.basis, d, tol, rng)
-        except _Retry as sig:
-            if sig.residual is not None:
-                last_residual = sig.residual
-    raise DecompositionError(
-        "block decomposition failed verification after retries", residual=last_residual)
+    return _discover(lambda c: np.tensordot(c, sub.basis, axes=1), sub.dim, d, tol, seed)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import sys
 from dataclasses import dataclass
@@ -179,17 +180,9 @@ def _parse_problem(args, need_state: bool = True, need_generators: bool = False)
 
 
 def _format_blocks(structure: alg.BlockStructure) -> str:
-    parts = []
-    run = None
-    count = 0
-    for block in structure.blocks + ((None, None),):
-        if block == run:
-            count += 1
-            continue
-        if run is not None and run[0] is not None:
-            parts.append(f"({run[0]},{run[1]})" + (f"x{count}" if count > 1 else ""))
-        run, count = block, 1
-    return "[" + ", ".join(parts) + "]"
+    """Blocks as ``[(n,m)xk, ...]``, runs of equal adjacent blocks counted."""
+    runs = [(block, len(list(group))) for block, group in itertools.groupby(structure.blocks)]
+    return "[" + ", ".join(f"({n},{m})" + (f"x{k}" if k > 1 else "") for (n, m), k in runs) + "]"
 
 
 def _unit(args) -> tuple[float, str]:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._linalg import default_tol, frob, frozen, hermitize, random_isometry, rng_stream
-from .algebra import BlockStructure, SubalgebraBasis, block_decompose, split_blocks
+from .algebra import BlockStructure, _discover, split_blocks
 from .entropy import EntropyReport, _entropy_of
 from .errors import NotAStateError, ValidationError
 from .states import StateFunctional
@@ -39,27 +39,43 @@ __all__ = [
 class GnsData:
     """The GNS representation of a state.
 
-    ``rep_ops`` is the read-only stack (algebra_dim, dim, dim) whose k-th
-    entry is the represented k-th matrix unit, ``cyclic`` the class of the
-    identity, ``gram`` the matrix of the state inner product on the
-    matrix units, and ``embedding`` the (state-inner-product) isometry taking
-    GNS coordinates back to coefficient-space representatives.
+    ``quotient`` maps coefficient space onto GNS coordinates, ``embedding``
+    is the (state-inner-product) isometry taking them back to representatives,
+    ``cyclic`` is the class of the identity and ``gram`` the matrix of the
+    state inner product on the matrix units.  No represented operator is
+    stored: :meth:`represent` computes them from the two maps.
     """
 
     structure: BlockStructure
     dim: int
-    rep_ops: np.ndarray
+    quotient: np.ndarray
     cyclic: np.ndarray
     gram: np.ndarray
     embedding: np.ndarray
 
     def __post_init__(self):
-        for name in ("rep_ops", "cyclic", "gram", "embedding"):
+        for name in ("quotient", "cyclic", "gram", "embedding"):
             object.__setattr__(self, name, frozen(getattr(self, name)))
 
     def represent(self, coeffs: np.ndarray) -> np.ndarray:
-        """Represented operator for an abstract element given by basis coefficients."""
-        return np.tensordot(np.asarray(coeffs, dtype=complex), self.rep_ops, axes=1)
+        """Represented operators pi(C), (..., dim, dim), of basis coefficients (..., algebra_dim).
+
+        Left multiplication by C acts on block i's coefficient rows as
+        C_i (x) I, so pi(C) is ``quotient`` times C_i (x) I applied to each
+        block's rows of ``embedding``.
+        """
+        out, off = 0, 0
+        for x in split_blocks(np.asarray(coeffs, dtype=complex), self.structure):
+            n = x.shape[-1]
+            moved = x @ self.embedding[off:off + n * n].reshape(n, -1)
+            out = out + self.quotient[:, off:off + n * n] @ moved.reshape(x.shape[:-2] + (n * n, -1))
+            off += n * n
+        return out
+
+    @property
+    def rep_ops(self) -> np.ndarray:
+        """Represented matrix units, a read-only (algebra_dim, dim, dim) stack built on demand."""
+        return frozen(self.represent(np.eye(self.structure.algebra_dim)))
 
 
 def _gram_matrix(omega: StateFunctional, structure: BlockStructure) -> np.ndarray:
@@ -93,38 +109,25 @@ def gns_construct(omega: StateFunctional, structure: BlockStructure,
         raise NotAStateError("state inner product vanishes identically")
     quotient = (v * np.sqrt(lam)).conj().T      # coefficient space -> GNS coordinates
     embedding = v / np.sqrt(lam)                # GNS coordinates -> representatives
-    # E_ab E_ce = delta_bc E_ae: left multiplication by the unit E_ab moves the
-    # coefficient rows of E_b* onto those of E_a*, so pi(E_ab) only reads the
-    # matching row ranges of the quotient and embedding maps.
-    rep_ops = []
-    off = 0
-    for n, _ in structure.blocks:
-        rows = [slice(off + a * n, off + (a + 1) * n) for a in range(n)]
-        rep_ops += [quotient[:, rows_a] @ embedding[rows_b] for rows_a in rows for rows_b in rows]
-        off += n * n
-
     cyclic = quotient @ np.concatenate([np.eye(n, dtype=complex).reshape(-1)
                                         for n, _ in structure.blocks])
-    return GnsData(structure=structure, dim=dim, rep_ops=rep_ops,
+    return GnsData(structure=structure, dim=dim, quotient=quotient,
                    cyclic=cyclic, gram=gram, embedding=embedding)
 
 
 def _unit_norms(g: GnsData, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Norms of the represented units, and which of them count as nonzero.
+    """Hilbert-Schmidt norms of the represented units, and which of them count as nonzero.
 
     Left multiplication on the quotient makes the represented units orthogonal:
     Tr pi(E_ab)* pi(E_cd) = delta_ac Tr pi(E_bd), and Tr o pi is a trace on each
-    block.  So the nonzero ones are a basis of the represented algebra.
+    block.  So the nonzero ones are a basis of the represented algebra, and
+    ||pi(E_ab)||^2 = Tr pi(E_bb) is the sum over c of the E_bc diagonal entries
+    of ``embedding @ quotient``.
     """
-    norms = np.linalg.norm(g.rep_ops, axis=(1, 2))
+    diag = np.einsum("ij,ji->j", g.quotient, g.embedding).real
+    norms = np.sqrt(np.concatenate([np.tile(np.sum(x, axis=1), len(x))
+                                    for x in split_blocks(diag, g.structure)]))
     return norms, norms > tol * max(1.0, float(np.max(norms)))
-
-
-def _rep_span_basis(g: GnsData, tol: float) -> SubalgebraBasis:
-    # normalising the nonzero units gives an orthonormal basis of the span;
-    # SubalgebraBasis re-checks its Gram matrix, so a broken identity fails loudly
-    norms, keep = _unit_norms(g, tol)
-    return SubalgebraBasis(g.dim, g.rep_ops[keep] / norms[keep, None, None])
 
 
 @dataclass(frozen=True)
@@ -146,7 +149,9 @@ class GnsSectors:
 def resolve_sectors(g: GnsData, tol: float | None = None, seed: int = 0) -> GnsSectors:
     """Block-decompose the represented algebra and reduce the cyclic vector."""
     tol = default_tol(g.dim) if tol is None else tol
-    structure, w = block_decompose(_rep_span_basis(g, tol), tol=tol, seed=seed)
+    norms, keep = _unit_norms(g, tol)
+    units = np.eye(len(norms))[keep] / norms[keep, None]    # an orthonormal basis of the span
+    structure, w = _discover(lambda c: g.represent(c @ units), len(units), g.dim, tol, seed)
     rotated = w.conj().T @ g.cyclic
     weights, blocks, mults = [], [], []
     for sl, (n, m) in zip(structure.ambient_slices(), structure.blocks):
@@ -176,13 +181,14 @@ def gns_commutant_functional(g: GnsData, t: np.ndarray,
     eigs = np.linalg.eigvalsh(hermitize(t))
     if eigs[0] < -tol * 10 or eigs[-1] > 1.0 + tol * 10:
         raise ValidationError(f"operator spectrum [{eigs[0]:.3e}, {eigs[-1]:.3e}] not within [0, 1]")
-    comm = np.linalg.norm(t @ g.rep_ops - g.rep_ops @ t, axis=(1, 2))
+    ops = g.rep_ops
+    comm = np.linalg.norm(t @ ops - ops @ t, axis=(1, 2))
     if np.max(comm) > max(tol * 100, 1e-7):
         raise ValidationError("operator does not commute with the represented algebra")
     weight = float((g.cyclic.conj() @ (t @ g.cyclic)).real)
     if weight <= tol:
         raise ValidationError("operator annihilates the cyclic vector; no sub-state")
-    raw = (g.rep_ops @ g.cyclic) @ (t.T @ g.cyclic.conj())
+    raw = (ops @ g.cyclic) @ (t.T @ g.cyclic.conj())
     return weight, StateFunctional(g.structure, tuple(split_blocks(raw / weight, g.structure)))
 
 

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 import cstar_entropy as ce
+from cstar_entropy._linalg import complex_gaussian, hermitize
+from cstar_entropy.algebra import _discover
 from cstar_entropy.errors import DecompositionError, ValidationError
 
 from helpers import conjugated_algebra_generators, haar_unitary, random_structure, rng_stream
@@ -268,6 +270,44 @@ class TestBlockDecompose:
         sub = ce.generate_subalgebra(conjugated_algebra_generators(rng, st))
         with pytest.raises(DecompositionError):
             ce.block_decompose(sub, tol=100.0, seed=0)
+
+    def test_random_element_verification_rejects_a_spoiled_unitary(self):
+        # Rotating the discovered W by a small unitary R leaves a whole-stack
+        # residual max_k ||W* R* B_k R W - proj|| of twice the bound.  Handing
+        # the verification R* X R in place of each fresh X checks R W in place
+        # of W, and every seed must reject it, while R = I passes.
+        rng = rng_stream(29)
+        st = ce.make_algebra([(2, 2), (1, 1)])
+        sub = ce.generate_subalgebra(conjugated_algebra_generators(rng, st))
+        found, w = ce.block_decompose(sub, seed=0)
+        herm = hermitize(complex_gaussian((st.ambient_dim,) * 2, rng))
+
+        def stack_residual(rot):
+            spoiled = rot @ w
+            return np.max(ce.structure_projection(spoiled.conj().T @ sub.basis @ spoiled,
+                                                  found)[1])
+
+        def rotation(eps):
+            vals, vecs = np.linalg.eigh(herm)
+            return (vecs * np.exp(1j * eps * vals)) @ vecs.conj().T
+
+        bound = 1e-6
+        eps = 1e-4 * 2 * bound / stack_residual(rotation(1e-4))
+        rot = rotation(eps)
+        assert stack_residual(rot) == pytest.approx(2 * bound, rel=1e-3)
+
+        def seen_through(rot):
+            def element(coeffs):
+                x = np.tensordot(coeffs, sub.basis, axes=1)
+                return x if coeffs.ndim == 1 else rot.conj().T @ x @ rot
+            return element
+
+        assert _discover(seen_through(np.eye(st.ambient_dim)), sub.dim, st.ambient_dim,
+                         1e-9, 0)[0].blocks == found.blocks
+        for seed in range(100):
+            with pytest.raises(DecompositionError) as err:
+                _discover(seen_through(rot), sub.dim, st.ambient_dim, 1e-9, seed)
+            assert err.value.residual > bound
 
     def test_deterministic_given_seed(self):
         rng = rng_stream(27)

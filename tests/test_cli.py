@@ -111,6 +111,21 @@ class TestStructureCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["blocks"] == [[2, 2]]
 
+    @pytest.mark.parametrize("blocks, text", [
+        (((3, 1),), "[(3,1)]"),
+        (((1, 1), (1, 1), (1, 1)), "[(1,1)x3]"),
+        (((2, 2), (2, 2), (1, 1)), "[(2,2)x2, (1,1)]"),
+        (((1, 1), (2, 1), (1, 2), (1, 1)), "[(2,1), (1,2), (1,1)x2]"),
+    ])
+    def test_text_report_counts_runs_of_equal_blocks(self, tmp_path, capsys, blocks, text):
+        rng = rng_stream(112)
+        st = ce.make_algebra(blocks)
+        v = haar_unitary(st.ambient_dim, rng)
+        gens = [v @ ce.embed(ce.random_element(st, rng)) @ v.conj().T for _ in range(2)]
+        doc = {"algebra": {"generators": [_mat(g) for g in gens]}}
+        assert main(["structure", _write(tmp_path, doc)]) == 0
+        assert f"blocks: {text}\n" in capsys.readouterr().out
+
     def test_blocks_algebra_rejected(self, tmp_path, capsys):
         doc = {"algebra": {"blocks": [[2, 1]]}}
         assert main(["structure", _write(tmp_path, doc)]) == 2

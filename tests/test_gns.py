@@ -5,7 +5,7 @@ import pytest
 
 import cstar_entropy as ce
 from cstar_entropy.errors import NotAStateError, ValidationError
-from cstar_entropy.gns import _rep_span_basis
+from cstar_entropy.gns import _unit_norms
 
 from helpers import (
     random_ambient_density,
@@ -111,26 +111,27 @@ class TestStackedArrays:
         st = ce.make_algebra([(2, 1), (1, 2)])
         om = random_state(rng, st)
         g = ce.gns_construct(om, st)
-        span = _rep_span_basis(g, 1e-9)
-        self._assert_read_only_stack(span.basis, span.dim, g.dim)
+        # the represented units are built on demand from read-only maps
+        self._assert_read_only_stack(g.rep_ops, st.algebra_dim, g.dim)
+        assert not (g.quotient.flags.writeable or g.embedding.flags.writeable)
         sub = ce.generate_subalgebra([ce.embed(ce.random_element(st, rng)) for _ in range(2)])
         self._assert_read_only_stack(sub.basis, st.algebra_dim, st.ambient_dim)
         com = ce.commutant(sub)
         self._assert_read_only_stack(com.basis, com.dim, st.ambient_dim)
 
-    def test_rep_span_basis_normalises_the_nonzero_units(self):
+    @pytest.mark.parametrize("rank", [1, 2])
+    def test_unit_norms_read_off_the_maps(self, rank):
         # a zero-weight block represents as zero; a rank-r block state gives
-        # units of Hilbert-Schmidt norm sqrt(r) before normalisation
+        # units of Hilbert-Schmidt norm sqrt(r)
         st = ce.make_algebra([(2, 1), (2, 2), (1, 1)])
         psi = np.array([1.0, 1j]) / np.sqrt(2)
-        om = ce.StateFunctional.from_canonical(
-            st, [0.4, 0.0, 0.6], [np.outer(psi, psi.conj()), None, np.eye(1)])
+        rho = np.outer(psi, psi.conj()) if rank == 1 else np.diag([0.3, 0.7])
+        om = ce.StateFunctional.from_canonical(st, [0.4, 0.0, 0.6], [rho, None, np.eye(1)])
         g = ce.gns_construct(om, st)
-        norms = np.linalg.norm(g.rep_ops, axis=(1, 2))
-        assert np.allclose(norms, [1.0] * 4 + [0.0] * 4 + [1.0], atol=1e-12)
-        span = _rep_span_basis(g, 1e-9)
-        assert span.dim == 5
-        assert np.allclose(span.basis, g.rep_ops[norms > 0.5], atol=1e-12)
+        norms, keep = _unit_norms(g, 1e-9)
+        assert np.allclose(norms, [np.sqrt(rank)] * 4 + [0.0] * 4 + [1.0], atol=1e-12)
+        assert np.allclose(norms, np.linalg.norm(g.rep_ops, axis=(1, 2)), atol=1e-12)
+        assert np.count_nonzero(keep) == 5
 
 
 class TestIrreducibility:
@@ -300,6 +301,16 @@ class TestGnsStateEntropy:
             via_gns = ce.gns_state_entropy(om, st, seed=trial).state_entropy
             closed = ce.state_entropy(om, st).state_entropy
             assert via_gns == pytest.approx(closed, abs=1e-9)
+
+    def test_matches_closed_form_at_gns_dimension_320(self):
+        # a faithful state on (16,2),(8,1): dim A = g = 320, reached only because
+        # no stack of represented units is built
+        rng = rng_stream(91)
+        st = ce.make_algebra([(16, 2), (8, 1)])
+        om = random_state(rng, st)
+        assert ce.gns_construct(om, st).dim == 320
+        via_gns = ce.gns_state_entropy(om, st).state_entropy
+        assert via_gns == pytest.approx(ce.state_entropy(om, st).state_entropy, abs=1e-12)
 
     def test_report_invariants(self):
         rng = rng_stream(88)

@@ -14,6 +14,7 @@ import os
 import tempfile
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -156,7 +157,9 @@ _COMMANDS = ["entropy", "oracle", "gns", "structure", "schrodinger"]
 _MUTATIONS = [
     "state_shape", "other_shape", "matrix_entry", "algebra_junk", "blocks_junk", "generator_junk",
     "state_junk", "p_junk", "drop_basis", "dependent_basis", "outside_basis", "unitary_junk",
-    "option_junk"] + ["none"] * 4
+    "option_junk", "none"]
+_FORM_OF = {"p_junk": "canonical", "drop_basis": "values", "dependent_basis": "values",
+            "outside_basis": "values"}
 
 
 def _pairs(mat):
@@ -170,8 +173,8 @@ def _density(rng, n, rank=None):
 
 
 @st.composite
-def problem_files(draw):
-    """A well-formed problem document over a small block structure, then one mutation.
+def problem_files(draw, mutation):
+    """A well-formed problem document over a small block structure, then the given mutation.
 
     The document is valid before the mutation, so unmutated files reach every
     command's numerics; a mutation breaks exactly one field (junk in place of
@@ -189,7 +192,8 @@ def problem_files(draw):
         algebra = {"generators": [_pairs(ce.embed(ce.random_element(structure, rng)))
                                   for _ in range(draw(st.integers(1, 2)))]}
     rho = _density(rng, d, draw(st.integers(1, d)))
-    form = draw(st.sampled_from(["density", "canonical", "values"]))
+    # a mutation of the weights or of the declared basis needs the state form that has them
+    form = _FORM_OF.get(mutation) or draw(st.sampled_from(["density", "canonical", "values"]))
     units = ce.embedded_standard_basis(structure)
     if form == "density":
         state = {"density": _pairs(rho)}
@@ -209,7 +213,6 @@ def problem_files(draw):
            "unitary": _pairs(np.linalg.qr(rng.standard_normal((d, d)))[0]),
            "options": {"seed": draw(st.integers(0, 9)), "samples": draw(st.integers(1, 40))}}
 
-    mutation = draw(st.sampled_from(_MUTATIONS))
     state_matrices = ([state["density"]] if "density" in state else []) + state.get("basis", []) \
         + [r for r in state.get("canonical", {}).get("rhos", []) if r is not None]
     matrices = state_matrices + algebra.get("generators", []) + [doc["unitary"]]
@@ -231,10 +234,10 @@ def problem_files(draw):
         size = draw(st.integers(0, 4))
         pool[draw(st.integers(0, len(pool) - 1))][:] = _pairs(
             np.ones((size, draw(st.sampled_from([size, size + 1])))))
-    elif mutation == "p_junk" and "canonical" in state:
+    elif mutation == "p_junk":
         state["canonical"]["p"] = draw(st.one_of(_JUNK, st.lists(st.floats(-1.0, 2.0),
                                                                  max_size=4)))
-    elif mutation in ("drop_basis", "dependent_basis", "outside_basis") and "basis" in state:
+    elif mutation in ("drop_basis", "dependent_basis", "outside_basis"):
         k = draw(st.integers(0, len(state["basis"]) - 1))
         if mutation == "drop_basis":
             del state["basis"][k], state["values"][k]
@@ -252,9 +255,13 @@ def problem_files(draw):
     return doc
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(problem_files(), st.sampled_from(_COMMANDS))
-def test_cli_fuzz_exit_codes(doc, command):
+# One run per mutation, so every mutation is reached: 14 x 15 = 210 examples.
+@pytest.mark.parametrize("mutation", _MUTATIONS)
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_cli_fuzz_exit_codes(mutation, data):
+    doc = data.draw(problem_files(mutation))
+    command = data.draw(st.sampled_from(_COMMANDS))
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "problem.json")
         with open(path, "w") as fh:
