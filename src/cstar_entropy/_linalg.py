@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from collections.abc import Callable
-
 import numpy as np
 
 
@@ -27,29 +25,6 @@ def rng_stream(seed: int, *key: int) -> np.random.Generator:
         counter[3 - i] = np.uint64(int(k) & 0xFFFF_FFFF_FFFF_FFFF)
     bitgen = np.random.Philox(key=int(seed) & ((1 << 128) - 1), counter=counter)
     return np.random.Generator(bitgen)
-
-
-def rng_streams(seed: int, *prefix: int) -> Callable[[int], np.random.Generator]:
-    """The streams ``rng_stream(seed, *prefix, s)`` for many s, on one generator.
-
-    Returns ``at``: ``at(s)`` re-points one shared generator and returns it,
-    and it then draws exactly what a fresh ``rng_stream(seed, *prefix, s)``
-    would.  Re-pointing assigns the whole bit-generator state, not only the
-    counter: a partly read output block and the buffered 32-bit half that
-    ``integers`` leaves behind must not carry over to the next stream.  The
-    generator handed out by one call is re-pointed by the next.
-    """
-    gen = rng_stream(seed, *prefix, 0)
-    bitgen = gen.bit_generator
-    fresh = bitgen.state
-    counter = fresh["state"]["counter"]
-
-    def at(s: int) -> np.random.Generator:
-        counter[-1] = np.uint64(int(s) & 0xFFFF_FFFF_FFFF_FFFF)
-        bitgen.state = fresh
-        return gen
-
-    return at
 
 
 def frozen(arr: np.ndarray) -> np.ndarray:

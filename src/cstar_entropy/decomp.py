@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import default_tol, phase_fixed_qr, rng_stream, rng_streams
+from ._linalg import default_tol, phase_fixed_qr, rng_stream
 from .algebra import BlockStructure, make_algebra
 from .entropy import _entropy_of, _entropy_rows, minimal_decomposition, shannon
 from .errors import ValidationError
@@ -31,6 +31,7 @@ __all__ = [
 ]
 
 _WEIGHT_FLOOR = 1e-12  # components below this are dropped and the rest renormalized
+_CHUNK = 1024  # oracle samples per stream; part of the sampling contract
 
 
 def _check_unitary(u: np.ndarray, tol: float) -> np.ndarray:
@@ -50,7 +51,7 @@ def _spectral(rho_mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _mixed_vectors(lam: np.ndarray, psi: np.ndarray, u: np.ndarray):
-    """Weights and vectors of the decomposition induced by a unitary.
+    """Weights and vectors of the decomposition induced by a unitary or an isometry.
 
     ``p_i = sum_j |u_ij|^2 lam_j`` over the retained spectrum, with vectors
     proportional to ``sum_j u_ij sqrt(lam_j) psi_j``.
@@ -144,61 +145,52 @@ def decomposition_entropy_split(dec: Decomposition) -> tuple[float, float]:
     return _entropy_of(p), within
 
 
-def _sample_draws(rng: np.random.Generator, active) -> list[tuple[int, np.ndarray]]:
-    """Size r and real Gaussian draw x of shape (2, r, r) per active block, for one sample.
+def _chunk_draws(seed: int, chunk: int, active) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Sizes and complex Gaussian draws of the oracle samples in one chunk.
 
-    Per block, in block order: one ``integers`` draw for r in [n_i, 2 n_i],
-    then one normal draw; :func:`_complex_gaussians` turns x into the block's
-    complex Gaussian matrix.  This is the only reader of a sample's stream,
-    so the batched scan and the single-sample rebuild consume it identically.
+    Chunk c holds samples ``c * _CHUNK + 1 ..`` in its rows and is read from
+    ``rng_stream(seed, 1, c)``: first one ``integers`` draw of the (rows, k)
+    sizes, r in [n_i, 2 n_i] for block i, then one (rows, 2, 2 n_i, n_i)
+    normal draw per active block, in block order.  A sample's draw for a block
+    of size r is the first r rows of its (2 n_i, n_i) complex Gaussian.  The
+    whole chunk is always drawn, so every sample reads the same numbers
+    whichever samples are evaluated.
     """
-    draws = []
-    for _, _, lam, _ in active:
-        r = int(rng.integers(lam.size, 2 * lam.size + 1))
-        draws.append((r, rng.standard_normal((2, r, r))))
-    return draws
+    rng = rng_stream(seed, 1, chunk)
+    ns = np.array([lam.size for _, _, lam, _ in active])
+    sizes = rng.integers(ns, 2 * ns + 1, size=(_CHUNK, ns.size))
+    gauss = []
+    for n in ns:
+        x = rng.standard_normal((_CHUNK, 2, 2 * n, n))
+        z = np.empty((_CHUNK, 2 * n, n), dtype=complex)
+        z.real, z.imag = x[:, 0], x[:, 1]
+        gauss.append(z)
+    return sizes, gauss
 
 
-def _complex_gaussians(x: np.ndarray) -> np.ndarray:
-    """``x[0] + 1j x[1]`` for a draw (2, r, r) or a stack of them (S, 2, r, r)."""
-    return x[..., 0, :, :] + 1j * x[..., 1, :, :]
+def _chunk_entropies(seed: int, chunk: int, active, count: int = _CHUNK) -> np.ndarray:
+    """Decomposition entropies of the first count samples of a chunk.
 
-
-def _chunk_entropies(stream, indices: np.ndarray, active) -> np.ndarray:
-    """Decomposition entropy of each sample in indices; ``stream(s)`` is its generator.
-
-    The draws of one block with one size r share one phase-fixed QR and one
-    ``einsum``, and their weight rows land zero-padded in an (S, 2 n_i) array
-    per block.  The entropies are taken in one pass per distinct size tuple,
-    with the block rows concatenated in block order, so each one is a
-    function of (seed, s) alone.
+    The draws of one block with one size r share one phase-fixed QR, of their
+    first rank columns only: those are all the weights read, and they depend
+    on no later column.  Every sample's weights land zero-padded in one
+    (count, sum 2 n_i) array, block by block, and :func:`_entropy_rows`
+    drops the padding, so each entropy is a function of (seed, sample index)
+    alone.
     """
-    sizes = np.empty((indices.size, len(active)), dtype=np.int64)
-    mats: list[list[np.ndarray]] = [[] for _ in active]
-    for row, s in enumerate(indices):
-        for pos, (r, x) in enumerate(_sample_draws(stream(s), active)):
-            sizes[row, pos] = r
-            mats[pos].append(x)
-    rows = []
-    for pos, (_, w_block, lam, _) in enumerate(active):
+    sizes, gauss = _chunk_draws(seed, chunk, active)
+    sizes = sizes[:count]
+    weights = np.zeros((count, 2 * sum(lam.size for _, _, lam, _ in active)))
+    off = 0
+    for (_, w_block, lam, _), z, block_sizes in zip(active, gauss, sizes.T):
         rank = int(np.sum(lam > _WEIGHT_FLOOR))
-        block = np.zeros((indices.size, 2 * lam.size))
         for r in range(lam.size, 2 * lam.size + 1):
-            owners = np.flatnonzero(sizes[:, pos] == r)
-            if not owners.size:
-                continue
-            u = phase_fixed_qr(_complex_gaussians(np.array([mats[pos][j] for j in owners])))
-            probs = np.einsum("sij,j->si", np.abs(u[:, :, :rank]) ** 2, lam[:rank])
-            block[owners, :r] = w_block * probs
-        rows.append(block)
-    out = np.empty(indices.size)
-    combos, which = np.unique(sizes, axis=0, return_inverse=True)
-    which = which.reshape(-1)
-    for t, combo in enumerate(combos):
-        owners = np.flatnonzero(which == t)
-        weights = np.concatenate([block[owners, :r] for block, r in zip(rows, combo)], axis=1)
-        out[owners] = _entropy_rows(weights, _WEIGHT_FLOOR)
-    return out
+            owners = np.flatnonzero(block_sizes == r)
+            u = phase_fixed_qr(z[owners, :r, :rank])
+            probs = np.einsum("sij,j->si", np.abs(u) ** 2, lam[:rank])
+            weights[owners, off:off + r] = w_block * probs
+        off += 2 * lam.size
+    return _entropy_rows(weights, _WEIGHT_FLOOR)
 
 
 def infimum_oracle(omega: StateFunctional, structure: BlockStructure, samples: int = 1000,
@@ -206,11 +198,14 @@ def infimum_oracle(omega: StateFunctional, structure: BlockStructure, samples: i
     """Randomized search for the lowest-entropy decomposition of a state.
 
     Sample 0 is always the minimal decomposition, so the reported minimum
-    never exceeds the closed-form entropy; samples 1..samples draw per-block
-    decomposition sizes in [n_i, 2 n_i] and Haar unitaries, and mix each
-    block state accordingly.  Sample s draws from ``rng_stream(seed, 1, s)``,
-    so each sample's entropy depends on (seed, s) alone; ties resolve to the
-    lowest sample index.
+    never exceeds the closed-form entropy.  Samples 1..samples each draw, per
+    active block, a decomposition size r in [n_i, 2 n_i] and an r x n_i
+    isometry (the first n_i columns of a Haar unitary of size r: the phase-fixed
+    QR of a complex Gaussian), and mix the block state accordingly.  Sample s
+    is row (s - 1) mod 1024 of chunk (s - 1) // 1024, which draws from
+    ``rng_stream(seed, 1, chunk)`` (see :func:`_chunk_draws`), so each
+    sample's entropy depends on (seed, s) alone; ties resolve to the lowest
+    sample index.
     """
     if samples < 1:
         raise ValidationError("samples must be at least 1")
@@ -220,27 +215,30 @@ def infimum_oracle(omega: StateFunctional, structure: BlockStructure, samples: i
     best_index = 0
     active = active_sectors(block_spectra(omega, structure, tol), tol)
 
-    stream = rng_streams(seed, 1)
-    chunk_size = 1024   # bounds the memory of the batched draws
-    for chunk_start in range(1, samples + 1, chunk_size):
-        indices = np.arange(chunk_start, min(chunk_start + chunk_size, samples + 1))
-        h = _chunk_entropies(stream, indices, active)
+    for chunk in range((samples + _CHUNK - 1) // _CHUNK):
+        h = _chunk_entropies(seed, chunk, active, min(_CHUNK, samples - chunk * _CHUNK))
         j = int(np.argmin(h))
         # argmin is the first minimum and the comparison strict, so ties keep the lowest index
         if h[j] < best_entropy:
-            best_entropy, best_index = float(h[j]), int(indices[j])
+            best_entropy, best_index = float(h[j]), chunk * _CHUNK + j + 1
 
     if best_index == 0:
         return best_entropy, base
     return best_entropy, _rebuild_sample(seed, best_index, active, structure)
 
 
+def _sample_isometries(seed: int, index: int, active) -> list[np.ndarray]:
+    """The r x n_i isometry of each active block for sample index >= 1."""
+    chunk, row = divmod(index - 1, _CHUNK)
+    sizes, gauss = _chunk_draws(seed, chunk, active)
+    return [phase_fixed_qr(z[row, :r]) for z, r in zip(gauss, sizes[row])]
+
+
 def _rebuild_sample(seed: int, index: int, active, structure: BlockStructure) -> Decomposition:
-    """Recompute one sample fully (with vectors) from its stream."""
+    """Recompute one sample fully (with vectors) from its chunk's stream."""
     comps = []
-    draws = _sample_draws(rng_stream(seed, 1, index), active)
-    for (i, w_block, lam, psi), (_, x) in zip(active, draws):
-        weights, vectors = _mixed_vectors(lam, psi, phase_fixed_qr(_complex_gaussians(x)))
+    for (i, w_block, lam, psi), u in zip(active, _sample_isometries(seed, index, active)):
+        weights, vectors = _mixed_vectors(lam, psi, u)
         for k, w in enumerate(weights):
             weight = w_block * float(w)
             if weight > _WEIGHT_FLOOR:

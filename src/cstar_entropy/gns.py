@@ -78,16 +78,27 @@ class GnsData:
         return frozen(self.represent(np.eye(self.structure.algebra_dim)))
 
 
-def _gram_matrix(omega: StateFunctional, structure: BlockStructure) -> np.ndarray:
-    """omega(B_k* B_l) over the matrix units; block-diagonal by construction."""
+def _gram_eigh(omega: StateFunctional,
+               structure: BlockStructure) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """omega(B_k* B_l) over the matrix units, with its eigenvalues and eigenvectors.
+
+    Unit products give <E_ab, E_cd> = delta_ac omega(E_bd), so block i of the
+    matrix is kron(I_n, omega_i): n copies of omega_i on the diagonal, whose
+    eigenvectors are n copies of those of omega_i.
+    """
     dim = structure.algebra_dim
     gram = np.zeros((dim, dim), dtype=complex)
+    vecs = np.zeros((dim, dim), dtype=complex)
+    eigs = np.empty(dim)
     off = 0
     for (n, _), values in zip(structure.blocks, omega.block_values):
-        # unit products give <E_ab, E_cd> = delta_ac omega(E_bd)
-        gram[off:off + n * n, off:off + n * n] = np.kron(np.eye(n), values)
+        mu, w = np.linalg.eigh(hermitize(values))
+        for a in range(off, off + n * n, n):
+            gram[a:a + n, a:a + n] = values
+            vecs[a:a + n, a:a + n] = w
+            eigs[a:a + n] = mu
         off += n * n
-    return gram
+    return gram, eigs, vecs
 
 
 def gns_construct(omega: StateFunctional, structure: BlockStructure,
@@ -96,11 +107,10 @@ def gns_construct(omega: StateFunctional, structure: BlockStructure,
     if omega.structure.blocks != structure.blocks:
         raise ValidationError("state and structure do not match")
     tol = default_tol(structure.ambient_dim) if tol is None else tol
-    gram = _gram_matrix(omega, structure)
-    eigs, vecs = np.linalg.eigh(hermitize(gram))
-    scale = max(float(eigs[-1]), 0.0)
-    if eigs[0] < -tol * max(1.0, scale) * 10:
-        raise NotAStateError(f"state inner product is not positive (eigenvalue {eigs[0]:.3e})")
+    gram, eigs, vecs = _gram_eigh(omega, structure)
+    scale = max(float(eigs.max()), 0.0)
+    if eigs.min() < -tol * max(1.0, scale) * 10:
+        raise NotAStateError(f"state inner product is not positive (eigenvalue {eigs.min():.3e})")
     keep = eigs > tol * max(scale, 1e-300)
     lam = eigs[keep]
     v = vecs[:, keep]

@@ -239,8 +239,9 @@ class TestInfimumOracle:
 
     def test_every_sample_reconstructs_the_state(self):
         # white-box: rebuild each sampled decomposition and check it prepares
-        # the representative density matrix
-        from cstar_entropy.decomp import _rebuild_sample
+        # the representative density matrix; 1024 and 1025 sit on either side
+        # of the first chunk boundary
+        from cstar_entropy.decomp import _rebuild_sample, _sample_isometries
         from cstar_entropy.states import active_sectors, block_spectra
 
         rng = rng_stream(64)
@@ -248,47 +249,87 @@ class TestInfimumOracle:
         om = random_state(rng, st)
         rho = ce.representative_density(om, st)
         active = active_sectors(block_spectra(om, st, 1e-9), 1e-9)
-        for index in range(1, 21):
+        for index in [*range(1, 21), 1024, 1025]:
             dec = _rebuild_sample(seed=11, index=index, active=active, structure=st)
             assert np.linalg.norm(dec.density() - rho.matrix) < 1e-9
             assert ce.decomposition_entropy(dec) >= ce.state_entropy(om, st).state_entropy - 1e-9
+            for (_, _, lam, _), u in zip(active, _sample_isometries(11, index, active)):
+                n = lam.size
+                assert u.shape[1] == n and n <= u.shape[0] <= 2 * n
+                assert np.linalg.norm(u.conj().T @ u - np.eye(n)) < 1e-12
 
     def test_scan_and_rebuild_use_the_same_matrices(self):
         # the batched scan's per-sample entropies against the fully rebuilt
-        # decompositions read from fresh rng_stream(seed, 1, s) generators
-        from cstar_entropy._linalg import rng_streams
-        from cstar_entropy.decomp import _chunk_entropies, _rebuild_sample
+        # decompositions, on indices that cross two chunk boundaries
+        from cstar_entropy.decomp import _CHUNK, _chunk_entropies, _rebuild_sample
         from cstar_entropy.states import active_sectors, block_spectra
 
         rng = rng_stream(65)
         st = ce.make_algebra([(3, 1), (2, 2), (1, 1)])
         om = random_state(rng, st)
         active = active_sectors(block_spectra(om, st, 1e-9), 1e-9)
-        indices = np.arange(1, 41)
-        scanned = _chunk_entropies(rng_streams(12, 1), indices, active)
-        rebuilt = [ce.decomposition_entropy(_rebuild_sample(12, int(s), active, st))
-                   for s in indices]
+        chunks = {c: _chunk_entropies(12, c, active) for c in range(3)}
+        indices = [*range(1020, 1031), 2048, 2049]
+        scanned = [chunks[(s - 1) // _CHUNK][(s - 1) % _CHUNK] for s in indices]
+        rebuilt = [ce.decomposition_entropy(_rebuild_sample(12, s, active, st)) for s in indices]
         assert np.allclose(scanned, rebuilt, rtol=0.0, atol=1e-12)
 
     def test_sample_entropy_depends_on_seed_and_index_alone(self):
-        from cstar_entropy._linalg import rng_streams
-        from cstar_entropy.decomp import _chunk_entropies
+        # neither the number of samples nor which chunks are scanned moves a
+        # sample's entropy; the seed does
+        from cstar_entropy.decomp import _CHUNK, _chunk_entropies
         from cstar_entropy.states import active_sectors, block_spectra
 
         rng = rng_stream(66)
         st = ce.make_algebra([(2, 1), (2, 1), (1, 2)])
         om = random_state(rng, st)
         active = active_sectors(block_spectra(om, st, 1e-9), 1e-9)
-        whole = _chunk_entropies(rng_streams(13, 1), np.arange(1, 201), active)
-        tail = _chunk_entropies(rng_streams(13, 1), np.arange(150, 201), active)
-        assert np.array_equal(whole[149:], tail)
+        whole = np.concatenate([_chunk_entropies(13, c, active) for c in range(3)])
+        for samples in (1020, 1030, 2048, 2049):
+            last = (samples - 1) // _CHUNK
+            part = _chunk_entropies(13, last, active, samples - last * _CHUNK)
+            assert np.array_equal(whole[last * _CHUNK:samples], part)
+        assert np.array_equal(_chunk_entropies(13, 2, active), whole[2 * _CHUNK:])
+        assert not np.any(_chunk_entropies(14, 1, active) == whole[_CHUNK:2 * _CHUNK])
+
+    def test_ties_resolve_to_the_lowest_index_across_chunks(self, monkeypatch):
+        # white-box: scan entropies that tie at chosen indices, and the index
+        # handed to the rebuild
+        from cstar_entropy import decomp
+
+        def scan_tied_at(tied, value):
+            def scan(seed, chunk, active, count=decomp._CHUNK):
+                h = np.full(count, np.inf)
+                for s in tied:
+                    c, row = divmod(s - 1, decomp._CHUNK)
+                    if c == chunk and row < count:
+                        h[row] = value
+                return h
+            return scan
+
+        st = ce.make_algebra([(2, 1)])
+        psi = np.array([0.8, 0.6j], dtype=complex)
+        om = ce.StateFunctional.from_canonical(st, [1.0], [np.outer(psi, psi.conj())])
+        monkeypatch.setattr(decomp, "_rebuild_sample", lambda seed, index, active, structure: index)
+        for tied, lowest in (((2049, 1025, 1024), 1024), ((2049, 1025), 1025), ((2980, 2049), 2049)):
+            monkeypatch.setattr(decomp, "_chunk_entropies", scan_tied_at(tied, -1.0))
+            assert decomp.infimum_oracle(om, st, samples=3000, seed=0) == (-1.0, lowest)
+        # a pure state's sample 0 has entropy 0, so a sample that only ties it loses
+        monkeypatch.setattr(decomp, "_chunk_entropies", scan_tied_at((5, 1025), 0.0))
+        found, dec = decomp.infimum_oracle(om, st, samples=3000, seed=0)
+        assert found == 0.0 and len(dec.components) == 1
 
 
 def test_acceptance_states_oracle_digest():
     # Pins the oracle's (found, argmin weights) over the acceptance-1 states and
-    # seeds, so any change to what the batched scan returns shows here; 3000
+    # seeds, and the scanned entropy of every sample, so any change to what the
+    # batched scan returns shows here; sample 0 wins on every one of these
+    # states, so (found, weights) alone would not see the samples.  3000
     # samples cover three 1024-sample chunks.
     import hashlib
+
+    from cstar_entropy.decomp import _CHUNK, _chunk_entropies
+    from cstar_entropy.states import active_sectors, block_spectra
 
     h = hashlib.sha256()
     rng = rng_stream(1001)
@@ -296,7 +337,11 @@ def test_acceptance_states_oracle_digest():
         st = random_structure(rng, max_ambient=8)
         for k in range(5):
             om = random_state(rng, st)
-            found, dec = ce.infimum_oracle(om, st, samples=3000, seed=100 * trial + k)
+            seed = 100 * trial + k
+            found, dec = ce.infimum_oracle(om, st, samples=3000, seed=seed)
             h.update(found.hex().encode())
             h.update(dec.weights().tobytes())
-    assert h.hexdigest() == "72efc446b401650285011d64983e6c583d8a60b0b4c6fd540b469d80209c8e79"
+            active = active_sectors(block_spectra(om, st, 1e-9), 1e-9)
+            for c in range(3):
+                h.update(_chunk_entropies(seed, c, active, min(_CHUNK, 3000 - c * _CHUNK)).tobytes())
+    assert h.hexdigest() == "5d6ccb658b3d78359d66514bf4366cb18cee9fffd826299f1748db0b5938154c"

@@ -50,8 +50,10 @@ class TestShannon:
 
         rng = rng_stream(32)
         weights = rng.dirichlet(np.ones(width), size=30) * rng.uniform(0.2, 1.0, size=(30, 1))
-        weights[3, 0] = 0.0        # rows with entries at or below the floor go one by one
+        weights[3, 0] = 0.0        # rows with entries at or below the floor are packed
         weights[5, -1] = 1e-13
+        weights[7, 1::2] = 0.0     # zero-padded rows, as the oracle scan makes them
+        weights[9, width // 2 + 1:] = 0.0
         expected = [_entropy_of(row, 1e-12) for row in weights]
         assert np.array_equal(_entropy_rows(weights, 1e-12), expected)
 

@@ -8,7 +8,6 @@ from cstar_entropy._linalg import (
     null_space_rows,
     orthonormal_extend,
     rng_stream,
-    rng_streams,
 )
 
 
@@ -105,27 +104,3 @@ class TestNullSpaceRows:
         rng = np.random.default_rng(7)
         mat = _with_singular_values(rng, 6, 3, [1e-3, 1e-7])
         assert null_space_rows(mat, 1e-5).shape == (2, 3)
-
-
-def _stream_draws(gen, r):
-    # integers, then a (2, r, r) normal draw, then integers again: the last one
-    # reads the 32-bit half that the first left buffered
-    return [gen.integers(r, 2 * r + 1), gen.standard_normal((2, r, r)), gen.integers(0, 1000)]
-
-
-class TestRngStreams:
-    @pytest.mark.parametrize("seed,s", [(0, 1), (7, 2), (7, 1023), (123456789, 1025), (2**70, 3)])
-    def test_repointed_generator_matches_a_fresh_stream(self, seed, s):
-        at = rng_streams(seed, 1)
-        # leave the shared generator mid-block, with a buffered half, before re-pointing
-        at(s + 1).integers(0, 5)
-        got = _stream_draws(at(s), 3)
-        want = _stream_draws(rng_stream(seed, 1, s), 3)
-        assert all(np.array_equal(a, b) for a, b in zip(got, want))
-
-    def test_any_order_of_indices(self):
-        at = rng_streams(5, 2)
-        for s in (9, 4, 9, 1):
-            got = _stream_draws(at(s), 2)
-            want = _stream_draws(rng_stream(5, 2, s), 2)
-            assert all(np.array_equal(a, b) for a, b in zip(got, want))
