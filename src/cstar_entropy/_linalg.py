@@ -70,24 +70,6 @@ def random_isometry(rows: int, cols: int, rng: np.random.Generator) -> np.ndarra
     return phase_fixed_qr(complex_gaussian((rows, cols), rng))
 
 
-def null_space_rows(mat: np.ndarray, tol: float) -> np.ndarray:
-    """Orthonormal rows spanning {x : mat @ x = 0}.
-
-    The rank cutoff is tol relative to the largest singular value (or to 1
-    if that is smaller).  The SVD
-    is taken of the R factor, so the tall left factor is never formed.
-    """
-    mat = np.asarray(mat, dtype=complex)
-    if mat.shape[0] < mat.shape[1]:
-        # pad so the SVD exposes the full right null space
-        pad = np.zeros((mat.shape[1] - mat.shape[0], mat.shape[1]), dtype=complex)
-        mat = np.concatenate([mat, pad], axis=0)
-    _, s, vh = np.linalg.svd(np.linalg.qr(mat, mode="r"), full_matrices=False)
-    cutoff = tol * max(float(s[0]) if s.size else 0.0, 1.0)
-    rank = int(np.sum(s > cutoff))
-    return vh[rank:].conj()
-
-
 def orthonormal_extend(basis: np.ndarray, candidates: np.ndarray, cutoff: float) -> np.ndarray:
     """Extend orthonormal rows by an orthonormal basis of the candidates' new directions.
 

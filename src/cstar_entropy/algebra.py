@@ -4,10 +4,11 @@ A finite-dimensional *-algebra of matrices is, up to a unitary change of
 basis, a direct sum of full matrix blocks M_n repeated with multiplicities:
 ``(+)_i M_{n_i} (x) I_{m_i}``.  This module constructs such algebras
 abstractly, embeds them as concrete matrices, closes generated *-algebras
-numerically, computes commutants, and recovers the block structure (and the
-change-of-basis unitary) of a numerically given matrix *-algebra from the
-eigenspaces of one generic element, grouped by how a second one couples them
-(Murota, Kanno, Kojima & Kojima, 2010), without computing the center.
+numerically, and recovers the block structure (and the change-of-basis
+unitary) of a numerically given matrix *-algebra from the eigenspaces of one
+generic element, grouped by how a second one couples them (Murota, Kanno,
+Kojima & Kojima, 2010), without computing the center.  Commutants are read
+off the recovered structure.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from ._linalg import (
     frob,
     frozen,
     hermitize,
-    null_space_rows,
     orthonormal_extend,
     rng_stream,
 )
@@ -293,17 +293,21 @@ def generate_subalgebra(generators: Sequence[np.ndarray], tol: float = 1e-9) -> 
 def commutant(sub: SubalgebraBasis, tol: float = 1e-9) -> SubalgebraBasis:
     """Orthonormal basis of {X : X B = B X for every basis element B}.
 
-    Solves the stacked commutator map by SVD; the result is itself a
-    *-algebra (the input span need not even be one).
+    The span must be a unital *-algebra, ``W ((+)_i M_{n_i} (x) I_{m_i}) W*``
+    with W from :func:`block_decompose` (seed 0); its commutant is
+    ``W ((+)_i I_{n_i} (x) M_{m_i}) W*``, with orthonormal basis
+    ``W (I_{n_i} (x) E_pq) W* / sqrt(n_i)``.  A span without the identity
+    raises :class:`ValidationError`, one that is not closed
+    :class:`DecompositionError`.
     """
+    structure, w = block_decompose(sub, tol)
     d = sub.ambient_dim
-    eye = np.eye(d)
-    stacked = np.concatenate(
-        [np.kron(b, eye) - np.kron(eye, b.T) for b in sub.basis], axis=0)
-    rows = null_space_rows(stacked, max(tol, 1e-12))
-    if rows.shape[0] == 0:
-        raise InternalError("commutant is empty; the identity should always commute")
-    return SubalgebraBasis(d, rows.reshape(-1, d, d))
+    parts = []
+    for sl, (n, m) in zip(structure.ambient_slices(), structure.blocks):
+        cols = w[:, sl].reshape(d, n, m)
+        units = np.einsum("xap,yaq->pqxy", cols, cols.conj()) / np.sqrt(n)
+        parts.append(units.reshape(m * m, d, d))
+    return SubalgebraBasis(d, np.concatenate(parts))
 
 
 class _Retry(Exception):

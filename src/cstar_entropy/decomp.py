@@ -39,7 +39,7 @@ def _check_unitary(u: np.ndarray, tol: float) -> np.ndarray:
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise ValidationError("unitary must be a square matrix")
     defect = float(np.linalg.norm(u.conj().T @ u - np.eye(u.shape[0])))
-    if defect > tol * max(1.0, np.sqrt(u.shape[0])):
+    if not defect <= tol * max(1.0, np.sqrt(u.shape[0])):
         raise ValidationError(f"matrix is not unitary (defect {defect:.3e})")
     return u
 
@@ -109,7 +109,7 @@ def majorizes(p, q, tol: float = 1e-9) -> MajorizationVerdict:
         arr = np.asarray(v, dtype=float)
         if arr.ndim != 1 or arr.size == 0:
             raise ValidationError(f"{name} must be a nonempty vector")
-        if np.any(arr < -tol) or abs(arr.sum() - 1.0) > max(tol, 1e-12) * arr.size:
+        if np.any(arr < -tol) or not abs(arr.sum() - 1.0) <= max(tol, 1e-12) * arr.size:
             raise ValidationError(f"{name} is not a probability vector")
         vecs.append(np.clip(arr, 0.0, None))
     size = max(len(vecs[0]), len(vecs[1]))

@@ -64,7 +64,7 @@ def shannon(p, tol: float = 1e-9) -> float:
         raise ValidationError("probability vector must be one-dimensional and nonempty")
     if np.any(arr < -tol):
         raise ValidationError(f"negative probability {arr.min()!r}")
-    if abs(arr.sum() - 1.0) > max(tol, 1e-12) * arr.size:
+    if not abs(arr.sum() - 1.0) <= max(tol, 1e-12) * arr.size:
         raise ValidationError(f"probabilities sum to {arr.sum()!r}, expected 1")
     return _entropy_of(arr)
 

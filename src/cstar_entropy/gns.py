@@ -41,8 +41,7 @@ class GnsData:
 
     ``quotient`` maps coefficient space onto GNS coordinates, ``embedding``
     is the (state-inner-product) isometry taking them back to representatives,
-    ``cyclic`` is the class of the identity and ``gram`` the matrix of the
-    state inner product on the matrix units.  No represented operator is
+    and ``cyclic`` is the class of the identity.  No represented operator is
     stored: :meth:`represent` computes them from the two maps.
     """
 
@@ -50,11 +49,10 @@ class GnsData:
     dim: int
     quotient: np.ndarray
     cyclic: np.ndarray
-    gram: np.ndarray
     embedding: np.ndarray
 
     def __post_init__(self):
-        for name in ("quotient", "cyclic", "gram", "embedding"):
+        for name in ("quotient", "cyclic", "embedding"):
             object.__setattr__(self, name, frozen(getattr(self, name)))
 
     def represent(self, coeffs: np.ndarray) -> np.ndarray:
@@ -79,26 +77,24 @@ class GnsData:
 
 
 def _gram_eigh(omega: StateFunctional,
-               structure: BlockStructure) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """omega(B_k* B_l) over the matrix units, with its eigenvalues and eigenvectors.
+               structure: BlockStructure) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and eigenvectors of the Gram matrix omega(B_k* B_l) over the matrix units.
 
     Unit products give <E_ab, E_cd> = delta_ac omega(E_bd), so block i of the
     matrix is kron(I_n, omega_i): n copies of omega_i on the diagonal, whose
     eigenvectors are n copies of those of omega_i.
     """
     dim = structure.algebra_dim
-    gram = np.zeros((dim, dim), dtype=complex)
     vecs = np.zeros((dim, dim), dtype=complex)
     eigs = np.empty(dim)
     off = 0
     for (n, _), values in zip(structure.blocks, omega.block_values):
         mu, w = np.linalg.eigh(hermitize(values))
         for a in range(off, off + n * n, n):
-            gram[a:a + n, a:a + n] = values
             vecs[a:a + n, a:a + n] = w
             eigs[a:a + n] = mu
         off += n * n
-    return gram, eigs, vecs
+    return eigs, vecs
 
 
 def gns_construct(omega: StateFunctional, structure: BlockStructure,
@@ -107,7 +103,7 @@ def gns_construct(omega: StateFunctional, structure: BlockStructure,
     if omega.structure.blocks != structure.blocks:
         raise ValidationError("state and structure do not match")
     tol = default_tol(structure.ambient_dim) if tol is None else tol
-    gram, eigs, vecs = _gram_eigh(omega, structure)
+    eigs, vecs = _gram_eigh(omega, structure)
     scale = max(float(eigs.max()), 0.0)
     if eigs.min() < -tol * max(1.0, scale) * 10:
         raise NotAStateError(f"state inner product is not positive (eigenvalue {eigs.min():.3e})")
@@ -122,7 +118,7 @@ def gns_construct(omega: StateFunctional, structure: BlockStructure,
     cyclic = quotient @ np.concatenate([np.eye(n, dtype=complex).reshape(-1)
                                         for n, _ in structure.blocks])
     return GnsData(structure=structure, dim=dim, quotient=quotient,
-                   cyclic=cyclic, gram=gram, embedding=embedding)
+                   cyclic=cyclic, embedding=embedding)
 
 
 def _unit_norms(g: GnsData, tol: float) -> tuple[np.ndarray, np.ndarray]:
@@ -221,7 +217,7 @@ class IdentityDecomposition:
             vec = np.asarray(v, dtype=complex)
             if not 0.0 < t <= 1.0 + 1e-9:
                 raise ValidationError(f"weight {t!r} outside (0, 1]")
-            if abs(np.linalg.norm(vec) - 1.0) > 1e-8:
+            if not abs(np.linalg.norm(vec) - 1.0) <= 1e-8:
                 raise ValidationError("vectors must be unit norm")
             by_block.setdefault(i, []).append((t, vec))
             items.append((t, i, frozen(vec)))
@@ -230,7 +226,7 @@ class IdentityDecomposition:
             acc = np.zeros((m, m), dtype=complex)
             for t, vec in terms:
                 acc += t * np.outer(vec, vec.conj())
-            if frob(acc - np.eye(m)) > 1e-8 * m:
+            if not frob(acc - np.eye(m)) <= 1e-8 * m:
                 raise ValidationError(f"block {i} terms do not resolve the identity")
         object.__setattr__(self, "items", tuple(items))
 
@@ -270,6 +266,9 @@ def identity_decomposition_weights(g: GnsData, idec: IdentityDecomposition,
     sectors = resolve_sectors(g, seed=seed) if sectors is None else sectors
     out = []
     for t, i, v in idec.items:
+        if not 0 <= i < sectors.structure.num_blocks or len(v) != sectors.structure.blocks[i][1]:
+            raise ValidationError(f"item of block {i} with a vector of length {len(v)} "
+                                  f"does not fit the sectors {sectors.structure.blocks}")
         sigma = sectors.multiplicity_states[i]
         out.append(t * sectors.weights[i] * float((v.conj() @ (sigma @ v)).real))
     return np.array(out)

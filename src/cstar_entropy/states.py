@@ -311,7 +311,7 @@ class Decomposition:
         for w, i, phi in self.components:
             w = float(w)
             i = int(i)
-            if w <= 0:
+            if not w > 0:
                 raise ValidationError("component weights must be positive")
             if not 0 <= i < self.structure.num_blocks:
                 raise ValidationError(f"block index {i} out of range")
@@ -320,13 +320,13 @@ class Decomposition:
             if vec.shape != (n,):
                 raise ValidationError("component vector does not match its block dimension")
             nrm = float(np.linalg.norm(vec))
-            if abs(nrm - 1.0) > 1e-8:
+            if not abs(nrm - 1.0) <= 1e-8:
                 raise ValidationError(f"component vector norm {nrm!r} is not 1")
             total += w
             comps.append((w, i, frozen(vec)))
         if not comps:
             raise ValidationError("a decomposition needs at least one component")
-        if abs(total - 1.0) > 1e-8:
+        if not abs(total - 1.0) <= 1e-8:
             raise ValidationError(f"weights sum to {total!r}, expected 1")
         object.__setattr__(self, "components", tuple(comps))
 

@@ -42,8 +42,8 @@ class GasAccount:
         if not self.boltzmann > 0:
             raise ValidationError("boltzmann constant must be positive")
         s = np.array(self.sector_entropies, dtype=float)
-        if s.ndim != 1:
-            raise ValidationError("sector entropies must be a vector")
+        if s.ndim != 1 or not np.all(np.isfinite(s)):
+            raise ValidationError("sector entropies must be a vector of finite numbers")
         s.setflags(write=False)
         object.__setattr__(self, "copies", int(self.copies))
         object.__setattr__(self, "sector_entropies", s)
@@ -83,10 +83,10 @@ def zeno_sequence(phi: np.ndarray, psi: np.ndarray, k: int, tol: float = 1e-9,
     if phi.shape != psi.shape or phi.ndim != 1:
         raise ValidationError("vectors must be one-dimensional and of equal length")
     for name, v in (("phi", phi), ("psi", psi)):
-        if abs(np.linalg.norm(v) - 1.0) > tol * 100:
+        if not abs(np.linalg.norm(v) - 1.0) <= tol * 100:
             raise ValidationError(f"{name} is not a unit vector")
     overlap = abs(np.vdot(phi, psi))
-    if overlap > tol * 100:
+    if not overlap <= tol * 100:
         raise ValidationError(f"vectors are not orthogonal (overlap {overlap:.3e})")
     angles = np.pi * np.arange(k + 1) / (2 * k)
     vectors = [np.cos(t) * phi + np.sin(t) * psi for t in angles]

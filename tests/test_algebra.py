@@ -192,6 +192,32 @@ class TestCommutant:
             dist = np.linalg.norm(double.span_projector() - sub.span_projector())
             assert dist < 1e-8
 
+    def test_read_off_the_blocks_at_ambient_dimension_23(self):
+        # dim A = 61 on C^23; the commutant (+) I_n (x) M_m has dimension 2^2 + 2^2 + 1^2
+        st = ce.make_algebra([(6, 2), (4, 2), (3, 1)])
+        sub = ce.generate_subalgebra(conjugated_algebra_generators(rng_stream(14), st))
+        com = ce.commutant(sub)
+        assert com.dim == 4 + 4 + 1
+        comm = com.basis[:, None] @ sub.basis[None] - sub.basis[None] @ com.basis[:, None]
+        assert np.max(np.linalg.norm(comm, axis=(-2, -1))) <= 1e-10
+        dist = np.linalg.norm(ce.commutant(com).span_projector() - sub.span_projector())
+        assert dist <= 1e-8
+
+    def test_span_without_identity_is_rejected(self):
+        unit = np.zeros((1, 2, 2), dtype=complex)
+        unit[0, 0, 0] = 1.0
+        with pytest.raises(ValidationError):
+            ce.commutant(ce.SubalgebraBasis(2, unit))
+
+    def test_unital_span_that_is_not_closed_is_rejected(self):
+        # span{I, E_12} is not *-closed: the blocks discovery finds, (2, 1) and (1, 1),
+        # span 5 dimensions, not 2
+        basis = np.zeros((2, 3, 3), dtype=complex)
+        basis[0] = np.eye(3) / np.sqrt(3)
+        basis[1, 0, 1] = 1.0
+        with pytest.raises(DecompositionError):
+            ce.commutant(ce.SubalgebraBasis(3, basis))
+
 
 class TestBlockDecompose:
     def test_full_m3(self):

@@ -1,4 +1,4 @@
-"""Tests for Schrödinger decompositions, majorization and the infimum oracle."""
+"""Tests for Schrödinger decompositions, majorization, the infimum oracle and NaN rejection."""
 
 import numpy as np
 import pytest
@@ -345,3 +345,28 @@ def test_acceptance_states_oracle_digest():
             for c in range(3):
                 h.update(_chunk_entropies(seed, c, active, min(_CHUNK, 3000 - c * _CHUNK)).tobytes())
     assert h.hexdigest() == "5d6ccb658b3d78359d66514bf4366cb18cee9fffd826299f1748db0b5938154c"
+
+
+_NAN = float("nan")
+_M2 = ce.make_algebra([(2, 1)])
+_NAN_UNITARY = np.array([[1.0, 0.0], [0.0, _NAN]])
+
+
+@pytest.mark.parametrize("call", [
+    lambda: ce.shannon([0.5, 0.5, _NAN]),
+    lambda: ce.majorizes([0.5, 0.5, _NAN], [1.0]),
+    lambda: ce.majorizes([1.0], [_NAN, 1.0]),
+    lambda: ce.Decomposition(_M2, ((_NAN, 0, [1.0, 0.0]),)),
+    lambda: ce.Decomposition(_M2, ((1.0, 0, [1.0, _NAN]),)),
+    lambda: ce.IdentityDecomposition(((1.0, 0, np.array([_NAN])),)),
+    lambda: ce.zeno_sequence(np.array([1.0, 0.0]), np.array([_NAN, 1.0]), 3),
+    lambda: ce.doubly_stochastic_from_unitary(_NAN_UNITARY),
+    lambda: ce.schrodinger_decomposition(np.eye(2) / 2, _NAN_UNITARY),
+    lambda: ce.GasAccount(copies=1, temperature=1.0, sector_entropies=[0.0, _NAN]),
+], ids=["shannon", "majorizes_p", "majorizes_q", "decomposition_weight", "decomposition_vector",
+        "identity_decomposition_vector", "zeno_sequence", "doubly_stochastic",
+        "schrodinger_decomposition", "gas_account"])
+def test_public_validators_reject_nan(call):
+    # every check of the form `defect > bound` is false on NaN, so each must be written to fail it
+    with pytest.raises(ValidationError):
+        call()

@@ -79,7 +79,13 @@ class TestGnsConstruct:
         st = random_structure(rng, max_ambient=8)
         om = random_state(rng, st)
         g = ce.gns_construct(om, st)
-        assert g.dim == np.linalg.matrix_rank(g.gram, tol=1e-10)
+        # <E_ab, E_cd> = delta_ac omega(E_bd): block i of the Gram matrix is kron(I_n, omega_i)
+        gram = np.zeros((st.algebra_dim, st.algebra_dim), dtype=complex)
+        off = 0
+        for (n, _), values in zip(st.blocks, om.block_values):
+            gram[off:off + n * n, off:off + n * n] = np.kron(np.eye(n), values)
+            off += n * n
+        assert g.dim == np.linalg.matrix_rank(gram, tol=1e-10)
 
     def test_non_positive_gram_rejected(self):
         st = ce.make_algebra([(2, 1)])
@@ -278,6 +284,18 @@ class TestIdentityDecomposition:
             lam = ce.identity_decomposition_weights(g, idec, sectors=sectors)
             assert lam.sum() == pytest.approx(1.0, abs=1e-9)
             assert ce.shannon(lam) >= s - 1e-9
+
+    @pytest.mark.parametrize("block,length", [(2, 1), (-3, 1), (1, 2)],
+                             ids=["block_past_the_end", "negative_block", "wrong_length"])
+    def test_weights_reject_items_that_do_not_fit_the_sectors(self, block, length):
+        st = ce.make_algebra([(2, 2), (1, 1)])
+        g = ce.gns_construct(random_state(rng_stream(92), st), st)
+        sectors = ce.resolve_sectors(g)
+        assert sectors.structure.blocks == ((2, 2), (1, 1))
+        # an orthonormal basis of C^length resolves the identity, so the item set is valid
+        idec = ce.IdentityDecomposition(tuple((1.0, block, e) for e in np.eye(length)))
+        with pytest.raises(ValidationError):
+            ce.identity_decomposition_weights(g, idec, sectors=sectors)
 
 
 class TestGnsStateEntropy:

@@ -1,14 +1,8 @@
-"""Tests for the contracts of the orthonormal extension and the null-space rows."""
+"""Tests for the contract of the orthonormal extension."""
 
 import numpy as np
-import pytest
 
-from cstar_entropy._linalg import (
-    complex_gaussian,
-    null_space_rows,
-    orthonormal_extend,
-    rng_stream,
-)
+from cstar_entropy._linalg import complex_gaussian, orthonormal_extend, rng_stream
 
 
 def _orthonormal_rows(rng, k, n):
@@ -66,41 +60,3 @@ class TestOrthonormalExtend:
         assert np.array_equal(orthonormal_extend(basis, np.zeros((0, 3)), 1e-9), basis)
         empty = orthonormal_extend(np.zeros((0, 3), dtype=complex), np.zeros((0, 3)), 1e-9)
         assert empty.shape == (0, 3)
-
-
-def _with_singular_values(rng, rows, cols, svals):
-    """A rows x cols matrix with the given nonzero singular values and random singular vectors."""
-    u = np.linalg.qr(complex_gaussian((rows, len(svals)), rng))[0]
-    v = np.linalg.qr(complex_gaussian((cols, len(svals)), rng))[0]
-    return (u * np.asarray(svals)) @ v.conj().T
-
-
-class TestNullSpaceRows:
-    @pytest.mark.parametrize("rows,cols,rank", [(40, 6, 4), (7, 7, 5), (3, 8, 3), (2, 9, 1)],
-                             ids=["tall", "square", "wide", "wide-deficient"])
-    def test_rows_are_an_orthonormal_null_basis(self, rows, cols, rank):
-        rng = np.random.default_rng(rows * 100 + cols)
-        mat = _with_singular_values(rng, rows, cols, rng.uniform(0.5, 3.0, rank))
-        out = null_space_rows(mat, 1e-9)
-        assert out.shape == (cols - rank, cols)
-        assert np.allclose(out @ out.conj().T, np.eye(cols - rank), atol=1e-12)
-        assert np.allclose(mat @ out.T, 0.0, atol=1e-12)
-
-    def test_full_rank_has_no_null_rows(self):
-        rng = np.random.default_rng(5)
-        assert null_space_rows(complex_gaussian((12, 5), rng), 1e-9).shape == (0, 5)
-
-    def test_cutoff_is_relative_to_the_largest_singular_value(self):
-        rng = np.random.default_rng(6)
-        mat = _with_singular_values(rng, 10, 4, [1e4, 1e-2])
-        # 1e-2 is below 1e-5 * 1e4 but far above an absolute 1e-5
-        assert null_space_rows(mat, 1e-5).shape == (3, 4)
-        assert null_space_rows(mat, 1e-7).shape == (2, 4)
-        # rescaling the matrix does not move the rank
-        assert null_space_rows(1e6 * mat, 1e-5).shape == (3, 4)
-
-    def test_cutoff_is_never_below_tol(self):
-        # the reference scale is at least 1, so a tiny matrix is not all signal
-        rng = np.random.default_rng(7)
-        mat = _with_singular_values(rng, 6, 3, [1e-3, 1e-7])
-        assert null_space_rows(mat, 1e-5).shape == (2, 3)
