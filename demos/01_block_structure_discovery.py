@@ -2,8 +2,9 @@
 
 A finite-dimensional *-algebra of matrices always looks, in the right basis,
 like a direct sum of full matrix blocks repeated with multiplicities.  This
-script hides such an algebra behind a random change of basis, rebuilds it
-from two generators, and recovers the hidden structure.
+script hides such an algebra behind a random change of basis, recovers the
+hidden structure straight from two generators, and reads a basis of the
+generated algebra off the recovered change of basis.
 """
 
 import numpy as np
@@ -30,21 +31,27 @@ print("\na generator, rounded (no visible structure):")
 print(np.round(generators[0], 2))
 
 # ----------------------------------------------------------------------
-# Close the generators into a *-algebra and discover its structure.
+# Discover the structure from the generators alone.  Products of random
+# combinations of I, S and S* are random elements of the generated algebra,
+# so no basis is built and nothing is closed under words.
 # ----------------------------------------------------------------------
+blocks, w = ce.decompose_generated(generators, tol=1e-9, seed=0)
+print("\nrecovered structure:", blocks.blocks)
+
+# The change-of-basis unitary makes every generator block diagonal again.
+print("largest relative off-structure residual of the generators: %.2e"
+      % ce.generator_residual(generators, blocks, w))
+
+# A basis of the generated algebra, read off W: W (E_ab (x) I_m) W* / sqrt(m).
 sub = ce.generate_subalgebra(generators, tol=1e-9)
-print("\nclosed *-algebra dimension:", sub.dim)
-
-blocks, w = ce.block_decompose(sub, tol=1e-9, seed=0)
-print("recovered structure:", blocks.blocks)
-
-# The change-of-basis unitary makes every element block diagonal again.
-worst = max(ce.structure_projection(w.conj().T @ b @ w, blocks)[1] for b in sub.basis)
-print("largest off-structure residual after the change of basis: %.2e" % worst)
+print("generated *-algebra dimension:", sub.dim)
 
 # Dimension laws: sum n^2 = algebra dimension, sum n*m = ambient dimension.
 print("sum n_i^2 =", sum(n * n for n, _ in blocks.blocks), "== span dim", sub.dim)
 print("sum n_i m_i =", sum(n * m for n, m in blocks.blocks), "== ambient", sub.ambient_dim)
+
+# Discovery from that basis finds the same blocks.
+print("from the basis:", ce.block_decompose(sub, tol=1e-9, seed=0)[0].blocks)
 
 # ----------------------------------------------------------------------
 # The commutant sees the multiplicities mirrored: sum m_i^2 dimensions.

@@ -11,9 +11,11 @@ from .algebra import (
     SubalgebraBasis,
     block_decompose,
     commutant,
+    decompose_generated,
     embed,
     embedded_standard_basis,
     generate_subalgebra,
+    generator_residual,
     identity,
     make_algebra,
     random_element,

@@ -3,12 +3,15 @@
 A finite-dimensional *-algebra of matrices is, up to a unitary change of
 basis, a direct sum of full matrix blocks M_n repeated with multiplicities:
 ``(+)_i M_{n_i} (x) I_{m_i}``.  This module constructs such algebras
-abstractly, embeds them as concrete matrices, closes generated *-algebras
-numerically, and recovers the block structure (and the change-of-basis
-unitary) of a numerically given matrix *-algebra from the eigenspaces of one
-generic element, grouped by how a second one couples them (Murota, Kanno,
-Kojima & Kojima, 2010), without computing the center.  Commutants are read
-off the recovered structure.
+abstractly, embeds them as concrete matrices, and recovers the block
+structure (and the change-of-basis unitary W) of a numerically given matrix
+*-algebra from the eigenspaces of one generic element, grouped by how a
+second one couples them (Murota, Kanno, Kojima & Kojima, 2010), without
+computing the center.  The algebra is read only through random elements: an
+algebra given by an orthonormal basis draws them as random combinations of
+the basis, one given by generators S as products of two random elements of
+span{I, S, S*}, with no basis and no closure under words.  Bases of a
+generated algebra and of commutants are read off the recovered W.
 """
 
 from __future__ import annotations
@@ -24,10 +27,9 @@ from ._linalg import (
     frob,
     frozen,
     hermitize,
-    orthonormal_extend,
     rng_stream,
 )
-from .errors import DecompositionError, InternalError, ValidationError
+from .errors import DecompositionError, ValidationError
 
 
 @dataclass(frozen=True)
@@ -253,41 +255,97 @@ class SubalgebraBasis:
         return worst
 
 
-def generate_subalgebra(generators: Sequence[np.ndarray], tol: float = 1e-9) -> SubalgebraBasis:
-    """Orthonormal basis of the smallest unital *-algebra containing the generators.
-
-    The algebra is the span of the words over the letters ``S u S*``.  The
-    basis starts as the identity and the letters; each round multiplies the
-    rows added by the previous round on the left by every letter and keeps
-    the new directions, with a rank cutoff of ``tol * (largest generator
-    norm)``.  Every basis row is multiplied by every letter once, so when a
-    round adds nothing the span is closed under left multiplication by the
-    letters: it then contains every word, and it is *-closed because the
-    letter set is.
-    """
+def _letters(generators: Sequence[np.ndarray]) -> np.ndarray:
+    """The letters S/||S||_F and S*/||S||_F of the nonzero generators S, one (k, d, d) stack."""
     if not len(generators):
         raise ValidationError("generator set must be nonempty")
     mats = [np.asarray(g, dtype=complex) for g in generators]
-    d = mats[0].shape[0]
-    for g in mats:
-        if g.ndim != 2 or g.shape != (d, d):
-            raise ValidationError("generators must be square matrices of equal size")
-    cutoff = tol * max(1.0, max(frob(g) for g in mats))
+    shape = mats[0].shape
+    if len(shape) != 2 or shape[0] != shape[1] or shape[0] < 1 \
+            or any(g.shape != shape for g in mats):
+        raise ValidationError("generators must be square matrices of equal size")
+    letters = np.stack(mats)
+    if not np.all(np.isfinite(letters)):
+        raise ValidationError("generators must have finite entries")
+    norms = np.linalg.norm(letters, axis=(1, 2))
+    letters = letters[norms > 0] / norms[norms > 0, None, None]
+    return np.concatenate([letters, letters.conj().transpose(0, 2, 1)])
 
-    letters = np.stack(mats + [g.conj().T for g in mats])
-    seed = np.concatenate([np.eye(d, dtype=complex)[None], letters]).reshape(-1, d * d)
-    basis = orthonormal_extend(np.zeros((0, d * d), dtype=complex), seed, cutoff)
-    fresh = basis
-    rounds = 0
-    while fresh.shape[0]:
-        rounds += 1
-        if rounds > d * d:
-            raise InternalError("subalgebra closure failed to stabilize; check tol")
-        words = letters[:, None] @ fresh.reshape(1, -1, d, d)
-        extended = orthonormal_extend(basis, words.reshape(-1, d * d), cutoff)
-        fresh = extended[basis.shape[0]:]
-        basis = extended
-    return SubalgebraBasis(d, basis.reshape(-1, d, d))
+
+def _residual(mats: np.ndarray, structure: BlockStructure, w: np.ndarray) -> float:
+    """Largest Frobenius residual of W* X W against the structure, over a stack of X."""
+    return float(np.max(structure_projection(w.conj().T @ mats @ w, structure)[1], initial=0.0))
+
+
+def generator_residual(generators: Sequence[np.ndarray], structure: BlockStructure,
+                       w: np.ndarray) -> float:
+    """Largest relative residual ``||W* S W - P(W* S W)||_F / ||S||_F`` over the generators S
+    and their adjoints, P the projection onto the structure (:func:`structure_projection`)."""
+    return _residual(_letters(generators), structure, w)
+
+
+def decompose_generated(generators: Sequence[np.ndarray], tol: float = 1e-9,
+                        seed: int = 0) -> tuple[BlockStructure, np.ndarray]:
+    """Block structure of the smallest unital *-algebra A containing the generators.
+
+    Returns ``(structure, W)`` like :func:`block_decompose`, without a basis
+    of A.  A product of two random elements of span{I, S, S*} lies in A
+    (MeatAxe-style sampling: Holt & Rees, 1994), and the split draws its two
+    generic elements H (hermitized) and B that way.  The split
+    ``D = W ((+)_i M_{n_i} (x) I_{m_i}) W*`` is certified equal to A by:
+    (i) every generator and its adjoint projects into D within
+    ``max(1e-6, 100 * tol)`` relative to its Frobenius norm, so A is in D;
+    (ii) in each block, H has n_i eigenvalue clusters that B's coupling
+    graph connects, so A acts irreducibly on it, and (iii) distinct blocks
+    carry disjoint H spectra, so no two are equivalent; by the density
+    theorem D is then in A.  Checks (ii) and (iii) hold by construction.
+    ``tol`` is the relative eigenvalue-cluster gap.  The law
+    ``sum n_i m_i = d``, the unitarity of W and the alignment checks are
+    those of :func:`block_decompose`, with the same 8 seeded retries.
+    """
+    letters = _letters(generators)
+    return _discover(_word_sampler(letters),
+                     lambda structure, w, rng: _residual(letters, structure, w),
+                     letters.shape[-1], tol, seed)
+
+
+def _word_sampler(letters: np.ndarray) -> Callable[[np.random.Generator], np.ndarray]:
+    """Random elements of the algebra the letters generate: products of two
+    random complex combinations of I / sqrt(d) and the letters."""
+    d = letters.shape[-1]
+    span = np.concatenate([np.eye(d, dtype=complex)[None] / np.sqrt(d), letters])
+
+    def sample(rng: np.random.Generator) -> np.ndarray:
+        x, y = np.tensordot(complex_gaussian((2, len(span)), rng), span, axes=1)
+        return x @ y
+
+    return sample
+
+
+def _unit_basis(structure: BlockStructure, w: np.ndarray, factor: int) -> SubalgebraBasis:
+    """Orthonormal basis read off W, block by block: factor 0 gives the algebra,
+    ``W (E_ab (x) I_m) W* / sqrt(m)``; factor 1 its commutant, ``W (I_n (x) E_pq) W* / sqrt(n)``."""
+    d = len(w)
+    parts = []
+    for sl, (n, m) in zip(structure.ambient_slices(), structure.blocks):
+        cols = np.moveaxis(w[:, sl].reshape(d, n, m), 1 + factor, 1)
+        k, other = cols.shape[1:]
+        units = np.einsum("xap,ybp->abxy", cols, cols.conj()) / np.sqrt(other)
+        parts.append(units.reshape(k * k, d, d))
+    return SubalgebraBasis(d, np.concatenate(parts))
+
+
+def generate_subalgebra(generators: Sequence[np.ndarray], tol: float = 1e-9) -> SubalgebraBasis:
+    """Orthonormal basis of the smallest unital *-algebra containing the generators.
+
+    Runs :func:`decompose_generated` (seed 0) and reads the basis
+    ``W (E_ab (x) I_{m_i}) W* / sqrt(m_i)`` off the discovered W, block by
+    block, row-major, of dimension ``sum n_i^2``.  Nothing is closed under
+    words: ``tol`` is discovery's relative eigenvalue-cluster gap, not a
+    rank cutoff.  Raises :class:`DecompositionError` when no attempt passes
+    the certificate.
+    """
+    return _unit_basis(*decompose_generated(generators, tol), 0)
 
 
 def commutant(sub: SubalgebraBasis, tol: float = 1e-9) -> SubalgebraBasis:
@@ -300,19 +358,11 @@ def commutant(sub: SubalgebraBasis, tol: float = 1e-9) -> SubalgebraBasis:
     raises :class:`ValidationError`, one that is not closed
     :class:`DecompositionError`.
     """
-    structure, w = block_decompose(sub, tol)
-    d = sub.ambient_dim
-    parts = []
-    for sl, (n, m) in zip(structure.ambient_slices(), structure.blocks):
-        cols = w[:, sl].reshape(d, n, m)
-        units = np.einsum("xap,yaq->pqxy", cols, cols.conj()) / np.sqrt(n)
-        parts.append(units.reshape(m * m, d, d))
-    return SubalgebraBasis(d, np.concatenate(parts))
+    return _unit_basis(*block_decompose(sub, tol), 1)
 
 
 class _Retry(Exception):
-    def __init__(self, residual=None):
-        self.residual = residual
+    """A degenerate draw: the attempt is repeated with fresh randomness."""
 
 
 def _identity_in_span(bmats: np.ndarray, d: int, tol: float) -> bool:
@@ -322,12 +372,12 @@ def _identity_in_span(bmats: np.ndarray, d: int, tol: float) -> bool:
     return float(np.linalg.norm(res)) <= max(tol, 1e-9) * 10 * np.sqrt(d)
 
 
-def _split_attempt(element: Callable[[np.ndarray], np.ndarray], dim: int, d: int, tol: float,
+def _split_attempt(sample: Callable[[np.random.Generator], np.ndarray], d: int, tol: float,
                    rng: np.random.Generator) -> tuple[BlockStructure, np.ndarray]:
     # A generic self-adjoint element is (+)_i X_i (x) I_{m_i} with simple,
     # mutually distinct spectra, so its eigenvalue clusters are the spaces
     # e (x) C^{m_i}, one per eigenvalue of each X_i.
-    clusters = eigh_clusters(hermitize(element(complex_gaussian(dim, rng))), tol)
+    clusters = eigh_clusters(hermitize(sample(rng)), tol)
     v = np.concatenate([q for _, q in clusters], axis=1)
     dims = np.array([q.shape[1] for _, q in clusters])
     starts = np.cumsum(dims) - dims
@@ -335,7 +385,7 @@ def _split_attempt(element: Callable[[np.ndarray], np.ndarray], dim: int, d: int
     # A generic element B compresses to zero between clusters of different
     # blocks and to a nonzero multiple of a unitary between clusters of one
     # block, so the blocks are the connected components of the coupling graph.
-    b = element(complex_gaussian(dim, rng))
+    b = sample(rng)
     comp = v.conj().T @ b @ v
     sq = np.add.reduceat(np.add.reduceat(np.abs(comp) ** 2, starts, axis=0), starts, axis=1)
     coupled = np.sqrt(sq + sq.T) > max(1e-8, tol) * frob(b)
@@ -369,35 +419,50 @@ def _split_attempt(element: Callable[[np.ndarray], np.ndarray], dim: int, d: int
     # in the block (fixed for a fixed seed).
     sectors.sort(key=lambda s: (-s[0], -s[1], s[2]))
     blocks = tuple((n, m) for n, m, _, _ in sectors)
-    if sum(n * n for n, m in blocks) != dim or sum(n * m for n, m in blocks) != d:
+    if sum(n * m for n, m in blocks) != d:
         raise _Retry()
     w = np.concatenate([cols for *_, cols in sectors], axis=1)
     if frob(w.conj().T @ w - np.eye(d)) > 1e-8 * d:
         raise _Retry()
-
-    # With unit-variance coefficients the expected squared residual of a fresh
-    # element is the sum of the basis elements' squared residuals.
-    structure = BlockStructure(blocks)
-    fresh = element(complex_gaussian((2, dim), rng) / np.sqrt(2))
-    residual = float(np.max(structure_projection(w.conj().T @ fresh @ w, structure)[1]))
-    if residual > max(1e-6, 100.0 * tol):
-        raise _Retry(residual)
-    return structure, w
+    return BlockStructure(blocks), w
 
 
-def _discover(element: Callable[[np.ndarray], np.ndarray], dim: int, d: int, tol: float,
-              seed: int) -> tuple[BlockStructure, np.ndarray]:
-    """:func:`block_decompose` of the span of an orthonormal basis B_1..B_dim of d x d
-    matrices, read only through ``element(c) = sum_k c_k B_k`` (leading axes of c stacked)."""
+def _discover(sample: Callable[[np.random.Generator], np.ndarray],
+              check: Callable[[BlockStructure, np.ndarray, np.random.Generator], float],
+              d: int, tol: float, seed: int) -> tuple[BlockStructure, np.ndarray]:
+    """Split an algebra on C^d by the random elements ``sample(rng)`` draws from it.
+
+    ``check(structure, W, rng)`` returns the residual the split must keep
+    within ``max(1e-6, 100 * tol)``, or raises :class:`_Retry`.  Up to 8
+    attempts run, attempt k on ``rng_stream(seed, 2, k)``.
+    """
     last_residual = None
     for attempt in range(8):
+        rng = rng_stream(seed, 2, attempt)
         try:
-            return _split_attempt(element, dim, d, tol, rng_stream(seed, 2, attempt))
-        except _Retry as sig:
-            if sig.residual is not None:
-                last_residual = sig.residual
+            structure, w = _split_attempt(sample, d, tol, rng)
+            residual = check(structure, w, rng)
+        except _Retry:
+            continue
+        if residual <= max(1e-6, 100.0 * tol):
+            return structure, w
+        last_residual = residual
     raise DecompositionError(
         "block decomposition failed verification after retries", residual=last_residual)
+
+
+def _discover_span(element: Callable[[np.ndarray], np.ndarray], dim: int, d: int, tol: float,
+                   seed: int) -> tuple[BlockStructure, np.ndarray]:
+    """:func:`block_decompose` of the span of an orthonormal basis B_1..B_dim of d x d
+    matrices, read only through ``element(c) = sum_k c_k B_k`` (leading axes of c stacked)."""
+    def check(structure: BlockStructure, w: np.ndarray, rng: np.random.Generator) -> float:
+        if structure.algebra_dim != dim:
+            raise _Retry()
+        # With unit-variance coefficients the expected squared residual of a fresh
+        # element is the sum of the basis elements' squared residuals.
+        return _residual(element(complex_gaussian((2, dim), rng) / np.sqrt(2)), structure, w)
+
+    return _discover(lambda rng: element(complex_gaussian(dim, rng)), check, d, tol, seed)
 
 
 def block_decompose(sub: SubalgebraBasis, tol: float = 1e-9,
@@ -422,4 +487,4 @@ def block_decompose(sub: SubalgebraBasis, tol: float = 1e-9,
     d = sub.ambient_dim
     if not _identity_in_span(sub.basis, d, tol):
         raise ValidationError("subalgebra must contain the identity (unital closure)")
-    return _discover(lambda c: np.tensordot(c, sub.basis, axes=1), sub.dim, d, tol, seed)
+    return _discover_span(lambda c: np.tensordot(c, sub.basis, axes=1), sub.dim, d, tol, seed)

@@ -60,7 +60,7 @@ class _Problem:
     structure: alg.BlockStructure
     state: states.StateFunctional | None
     transform: np.ndarray | None       # ambient change of basis from generator coordinates
-    subalgebra: alg.SubalgebraBasis | None
+    generators: list[np.ndarray] | None
     unitary: np.ndarray | None
     tol: float
     seed: int
@@ -120,8 +120,7 @@ def _parse_problem(args, need_state: bool = True, need_generators: bool = False)
     algebra_form = doc.get("algebra")
     if not isinstance(algebra_form, dict) or len(algebra_form.keys() & {"blocks", "generators"}) != 1:
         raise _ParseError("algebra must contain exactly one of 'blocks' or 'generators'")
-    transform = None
-    sub = None
+    transform = gens = None
     if "blocks" in algebra_form:
         if need_generators:
             raise _ParseError("this command requires the algebra as generators")
@@ -132,8 +131,7 @@ def _parse_problem(args, need_state: bool = True, need_generators: bool = False)
     else:
         gens = [_complex_from_json(g, f"generator {k}", 2)
                 for k, g in enumerate(_json_list(algebra_form["generators"], "algebra generators"))]
-        sub = alg.generate_subalgebra(gens, tol=tol)
-        structure, transform = alg.block_decompose(sub, tol=tol, seed=seed)
+        structure, transform = alg.decompose_generated(gens, tol=tol, seed=seed)
 
     def to_blocks(mat: np.ndarray, what: str) -> np.ndarray:
         if transform is None:
@@ -175,7 +173,7 @@ def _parse_problem(args, need_state: bool = True, need_generators: bool = False)
     if "unitary" in doc:
         unitary = _complex_from_json(doc["unitary"], "unitary", 2)
     return _Problem(structure=structure, state=state, transform=transform,
-                    subalgebra=sub, unitary=unitary,
+                    generators=gens, unitary=unitary,
                     tol=tol, seed=seed, samples=samples)
 
 
@@ -198,10 +196,10 @@ def _emit(args, payload: dict, lines: list[str]) -> None:
 
 
 def _cmd_structure(args) -> None:
+    """Blocks, dimensions and the residual: the largest relative projection residual
+    ``||W* S W - P(W* S W)|| / ||S||`` of the generators S and their adjoints."""
     problem = _parse_problem(args, need_state=False, need_generators=True)
-    w = problem.transform
-    residual = float(np.max(alg.structure_projection(
-        w.conj().T @ problem.subalgebra.basis @ w, problem.structure)[1]))
+    residual = alg.generator_residual(problem.generators, problem.structure, problem.transform)
     payload = {
         "blocks": [list(b) for b in problem.structure.blocks],
         "ambient_dim": problem.structure.ambient_dim,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._linalg import default_tol, frob, frozen, hermitize, random_isometry, rng_stream
-from .algebra import BlockStructure, _discover, split_blocks
+from .algebra import BlockStructure, _discover_span, split_blocks
 from .entropy import EntropyReport, _entropy_of
 from .errors import NotAStateError, ValidationError
 from .states import StateFunctional
@@ -157,7 +157,7 @@ def resolve_sectors(g: GnsData, tol: float | None = None, seed: int = 0) -> GnsS
     tol = default_tol(g.dim) if tol is None else tol
     norms, keep = _unit_norms(g, tol)
     units = np.eye(len(norms))[keep] / norms[keep, None]    # an orthonormal basis of the span
-    structure, w = _discover(lambda c: g.represent(c @ units), len(units), g.dim, tol, seed)
+    structure, w = _discover_span(lambda c: g.represent(c @ units), len(units), g.dim, tol, seed)
     rotated = w.conj().T @ g.cyclic
     weights, blocks, mults = [], [], []
     for sl, (n, m) in zip(structure.ambient_slices(), structure.blocks):
@@ -182,14 +182,15 @@ def gns_commutant_functional(g: GnsData, t: np.ndarray,
     t = np.asarray(t, dtype=complex)
     if t.shape != (g.dim, g.dim):
         raise ValidationError("operator shape does not match the GNS dimension")
-    if frob(t - t.conj().T) > tol * max(1.0, frob(t)) * 10:
+    # each check reads `not defect <= bound`, which a NaN defect fails
+    if not frob(t - t.conj().T) <= tol * max(1.0, frob(t)) * 10:
         raise ValidationError("operator is not self-adjoint")
     eigs = np.linalg.eigvalsh(hermitize(t))
-    if eigs[0] < -tol * 10 or eigs[-1] > 1.0 + tol * 10:
+    if not (-eigs[0] <= tol * 10 and eigs[-1] - 1.0 <= tol * 10):
         raise ValidationError(f"operator spectrum [{eigs[0]:.3e}, {eigs[-1]:.3e}] not within [0, 1]")
     ops = g.rep_ops
     comm = np.linalg.norm(t @ ops - ops @ t, axis=(1, 2))
-    if np.max(comm) > max(tol * 100, 1e-7):
+    if not np.max(comm) <= max(tol * 100, 1e-7):
         raise ValidationError("operator does not commute with the represented algebra")
     weight = float((g.cyclic.conj() @ (t @ g.cyclic)).real)
     if weight <= tol:

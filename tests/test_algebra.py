@@ -5,7 +5,7 @@ import pytest
 
 import cstar_entropy as ce
 from cstar_entropy._linalg import complex_gaussian, hermitize
-from cstar_entropy.algebra import _discover
+from cstar_entropy.algebra import _discover, _discover_span, _letters, _word_sampler
 from cstar_entropy.errors import DecompositionError, ValidationError
 
 from helpers import conjugated_algebra_generators, haar_unitary, random_structure, rng_stream
@@ -161,6 +161,58 @@ class TestGenerateSubalgebra:
             ce.generate_subalgebra([np.ones((2, 3))])
         with pytest.raises(ValidationError):
             ce.generate_subalgebra([np.eye(2), np.eye(3)])
+        with pytest.raises(ValidationError):
+            ce.generate_subalgebra([np.diag([1.0, np.nan])])
+
+
+class TestDecomposeGenerated:
+    def test_zero_generator_gives_the_scalars(self):
+        found, w = ce.decompose_generated([np.zeros((3, 3))])
+        assert found.blocks == ((1, 3),)
+        assert np.allclose(w.conj().T @ w, np.eye(3))
+
+    def test_residual_is_relative_to_each_generator(self):
+        rng = rng_stream(31)
+        st = ce.make_algebra([(2, 2), (1, 1)])
+        gens = conjugated_algebra_generators(rng, st)
+        found, w = ce.decompose_generated(gens)
+        assert ce.generator_residual(gens, found, w) <= 1e-12
+        scaled = [1e6 * gens[0], 1e-6 * gens[1]]
+        assert ce.decompose_generated(scaled)[0].blocks == found.blocks
+        assert ce.generator_residual(scaled, found, w) <= 1e-12
+
+    def test_letters_check_rejects_a_spoiled_unitary(self):
+        # Rotating the discovered W by a small unitary R leaves a letters'
+        # residual max_S ||W* R* S R W - proj|| / ||S|| of twice the bound.
+        # Handing the check R* S R in place of each generator S checks R W in
+        # place of W, and every seed must reject it, while R = I passes.
+        rng = rng_stream(30)
+        st = ce.make_algebra([(2, 2), (1, 1)])
+        d = st.ambient_dim
+        gens = conjugated_algebra_generators(rng, st)
+        found, w = ce.decompose_generated(gens)
+        herm = hermitize(complex_gaussian((d, d), rng))
+
+        def rotation(eps):
+            vals, vecs = np.linalg.eigh(herm)
+            return (vecs * np.exp(1j * eps * vals)) @ vecs.conj().T
+
+        bound = 1e-6
+        eps = 1e-4 * 2 * bound / ce.generator_residual(gens, found, rotation(1e-4) @ w)
+        rot = rotation(eps)
+        assert ce.generator_residual(gens, found, rot @ w) == pytest.approx(2 * bound, rel=1e-3)
+
+        def discover(rot, seed):
+            spoiled = [rot.conj().T @ g @ rot for g in gens]
+            return _discover(_word_sampler(_letters(gens)),
+                             lambda structure, v, rng: ce.generator_residual(spoiled, structure, v),
+                             d, 1e-9, seed)
+
+        assert discover(np.eye(d), 0)[0].blocks == found.blocks
+        for seed in range(100):
+            with pytest.raises(DecompositionError) as err:
+                discover(rot, seed)
+            assert err.value.residual > bound
 
 
 class TestCommutant:
@@ -328,11 +380,11 @@ class TestBlockDecompose:
                 return x if coeffs.ndim == 1 else rot.conj().T @ x @ rot
             return element
 
-        assert _discover(seen_through(np.eye(st.ambient_dim)), sub.dim, st.ambient_dim,
-                         1e-9, 0)[0].blocks == found.blocks
+        assert _discover_span(seen_through(np.eye(st.ambient_dim)), sub.dim, st.ambient_dim,
+                              1e-9, 0)[0].blocks == found.blocks
         for seed in range(100):
             with pytest.raises(DecompositionError) as err:
-                _discover(seen_through(rot), sub.dim, st.ambient_dim, 1e-9, seed)
+                _discover_span(seen_through(rot), sub.dim, st.ambient_dim, 1e-9, seed)
             assert err.value.residual > bound
 
     def test_deterministic_given_seed(self):

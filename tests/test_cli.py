@@ -1,14 +1,17 @@
 """Tests for the command-line front end: parsing, reports, exit codes."""
 
 import json
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import cstar_entropy as ce
+from cstar_entropy._linalg import complex_gaussian
 from cstar_entropy.cli import main
 
-from helpers import haar_unitary, rng_stream
+from helpers import conjugated_algebra_generators, haar_unitary, rng_stream
 
 
 def _mat(m):
@@ -129,6 +132,69 @@ class TestStructureCommand:
     def test_blocks_algebra_rejected(self, tmp_path, capsys):
         doc = {"algebra": {"blocks": [[2, 1]]}}
         assert main(["structure", _write(tmp_path, doc)]) == 2
+
+    def test_residual_of_a_clean_rotated_file(self, tmp_path, capsys):
+        # the residual is the generators' largest relative projection residual
+        st = ce.make_algebra([(6, 2), (4, 2), (3, 1)])
+        gens = conjugated_algebra_generators(rng_stream(113), st)
+        doc = {"algebra": {"generators": [_mat(g) for g in gens]}}
+        assert main(["structure", _write(tmp_path, doc), "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["blocks"] == [[6, 2], [4, 2], [3, 1]]
+        assert payload["ambient_dim"] == 23 and payload["algebra_dim"] == 61
+        assert payload["residual"] <= 1e-10
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_shift_family(self, tmp_path, capsys, n):
+        # span{I, J, J*} and its products reach only words of length two
+        doc = {"algebra": {"generators": [_mat(np.diag(np.ones(n - 1), k=1))]}}
+        for seed in range(10):
+            assert main(["structure", _write(tmp_path, doc), "--json", "--seed", str(seed)]) == 0
+            assert json.loads(capsys.readouterr().out)["blocks"] == [[n, 1]]
+
+
+def _noisy_generators_file(tmp_path, seed, noise, tol):
+    rng = rng_stream(120 + seed)
+    gens = conjugated_algebra_generators(rng, ce.make_algebra([(3, 2), (2, 1)]))
+    doc = {"algebra": {"generators": [_mat(g + noise * complex_gaussian(g.shape, rng))
+                                      for g in gens]},
+           "options": {"tol": tol, "seed": seed}}
+    return _write(tmp_path, doc, f"noisy-{seed}.json")
+
+
+class TestNoisyGenerators:
+    @pytest.mark.parametrize("noise", [1e-8, 1e-7])
+    def test_tol_above_the_noise_recovers_the_blocks(self, tmp_path, capsys, noise):
+        for seed in range(20):
+            assert main(["structure", _noisy_generators_file(tmp_path, seed, noise, 1e-6),
+                         "--json"]) == 0
+            assert json.loads(capsys.readouterr().out)["blocks"] == [[3, 2], [2, 1]]
+
+    @pytest.mark.parametrize("noise", [1e-10, 1e-9, 1e-8, 1e-6])
+    def test_noise_is_never_an_input_error(self, tmp_path, capsys, noise):
+        # noise near tol may give the blocks, a coarser split or a numerical failure
+        for seed in range(10):
+            path = _noisy_generators_file(tmp_path, seed, noise, 1e-9)
+            assert main(["structure", path]) in (0, 3)
+
+
+def test_structure_at_ambient_dimension_80(tmp_path, capsys):
+    # the large rung: dim A = 832, read without a basis; loose bounds for a shared host
+    st = ce.make_algebra([(24, 2), (16, 2)])
+    gens = conjugated_algebra_generators(rng_stream(114), st)
+    path = _write(tmp_path, {"algebra": {"generators": [_mat(g) for g in gens]}})
+    tracemalloc.start()
+    try:
+        t0 = time.perf_counter()
+        code = main(["structure", path, "--json"])
+        wall = time.perf_counter() - t0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["blocks"] == [[24, 2], [16, 2]]
+    assert peak < 50 * 2**20
+    assert wall < 2.0
 
 
 class TestOracleCommand:

@@ -350,6 +350,7 @@ def test_acceptance_states_oracle_digest():
 _NAN = float("nan")
 _M2 = ce.make_algebra([(2, 1)])
 _NAN_UNITARY = np.array([[1.0, 0.0], [0.0, _NAN]])
+_M2_GNS = ce.gns_construct(ce.StateFunctional.from_canonical(_M2, [1.0], [np.eye(2) / 2]), _M2)
 
 
 @pytest.mark.parametrize("call", [
@@ -363,9 +364,10 @@ _NAN_UNITARY = np.array([[1.0, 0.0], [0.0, _NAN]])
     lambda: ce.doubly_stochastic_from_unitary(_NAN_UNITARY),
     lambda: ce.schrodinger_decomposition(np.eye(2) / 2, _NAN_UNITARY),
     lambda: ce.GasAccount(copies=1, temperature=1.0, sector_entropies=[0.0, _NAN]),
+    lambda: ce.gns_commutant_functional(_M2_GNS, np.diag([_NAN, 1.0, 1.0, 1.0])),
 ], ids=["shannon", "majorizes_p", "majorizes_q", "decomposition_weight", "decomposition_vector",
         "identity_decomposition_vector", "zeno_sequence", "doubly_stochastic",
-        "schrodinger_decomposition", "gas_account"])
+        "schrodinger_decomposition", "gas_account", "gns_commutant_functional"])
 def test_public_validators_reject_nan(call):
     # every check of the form `defect > bound` is false on NaN, so each must be written to fail it
     with pytest.raises(ValidationError):

@@ -233,6 +233,15 @@ class TestCommutantFunctional:
         with pytest.raises(ValidationError):
             ce.gns_commutant_functional(g, 2.0 * np.eye(g.dim))
 
+    def test_nan_operator_fails_its_own_check(self):
+        # not later, inside StateFunctional, after a RuntimeWarning
+        st = ce.make_algebra([(2, 1)])
+        g = ce.gns_construct(random_state(rng_stream(82), st), st)
+        t = np.eye(g.dim)
+        t[0, 0] = np.nan
+        with pytest.raises(ValidationError, match="not self-adjoint"):
+            ce.gns_commutant_functional(g, t)
+
 
 class TestIdentityDecomposition:
     def test_multiplicity_one_gives_single_unit_term(self):
