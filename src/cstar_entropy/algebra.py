@@ -230,7 +230,7 @@ class SubalgebraBasis:
         mats = frozen(self.basis)
         rows = mats.reshape(len(mats), -1)
         gram = rows @ rows.conj().T
-        if frob(gram - np.eye(len(mats))) > 1e-7 * len(mats):
+        if not frob(gram - np.eye(len(mats))) <= 1e-7 * len(mats):
             raise ValidationError("basis is not orthonormal under the Hilbert-Schmidt inner product")
         object.__setattr__(self, "ambient_dim", d)
         object.__setattr__(self, "basis", mats)

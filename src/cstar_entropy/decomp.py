@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import default_tol, phase_fixed_qr, rng_stream
+from ._linalg import default_tol, rng_stream
 from .algebra import BlockStructure, make_algebra
-from .entropy import _entropy_of, _entropy_rows, minimal_decomposition, shannon
+from .entropy import _entropy_of, minimal_decomposition, shannon
 from .errors import ValidationError
 from .states import Decomposition, DensityMatrix, StateFunctional, active_sectors, block_spectra
 
@@ -168,29 +168,45 @@ def _chunk_draws(seed: int, chunk: int, active) -> tuple[np.ndarray, list[np.nda
     return sizes, gauss
 
 
+def _isometries(z: np.ndarray, sizes: np.ndarray, cols: int) -> np.ndarray:
+    """Phase-fixed Q of each draw's first r rows and first cols columns, zero-padded.
+
+    z is one block's (count, 2 n_i, n_i) draws and sizes their sizes r.  Rows
+    at and beyond r are zeroed, which changes no inner product, so one
+    Gram-Schmidt sweep with every projection made twice (Giraud, Langou &
+    Rozloznik, 2005) serves every r.  R's diagonal comes out positive, so each
+    Q is :func:`phase_fixed_qr` of ``z[s, :r, :cols]`` to rounding.
+    """
+    # samples along the innermost axis: every step adds or scales whole rows of samples
+    q = np.ascontiguousarray(z[:, :, :cols].T) * (np.arange(z.shape[1])[:, None] < sizes)
+    for j in range(cols):
+        v = q[j]
+        for _ in range(2):
+            for u in q[:j]:
+                v = v - (u.conj() * v).sum(axis=0) * u
+        q[j] = v / np.sqrt((v.real ** 2 + v.imag ** 2).sum(axis=0))
+    return q.T
+
+
 def _chunk_entropies(seed: int, chunk: int, active, count: int = _CHUNK) -> np.ndarray:
     """Decomposition entropies of the first count samples of a chunk.
 
-    The draws of one block with one size r share one phase-fixed QR, of their
-    first rank columns only: those are all the weights read, and they depend
-    on no later column.  Every sample's weights land zero-padded in one
-    (count, sum 2 n_i) array, block by block, and :func:`_entropy_rows`
-    drops the padding, so each entropy is a function of (seed, sample index)
-    alone.
+    Each block's draws go through one :func:`_isometries` call over their
+    first rank columns (all the weights read), every sample's weights
+    ``|Q|^2 lambda`` land zero-padded in one row, and each row's entropy drops
+    the entries at or below ``_WEIGHT_FLOOR``.  The whole chunk is always
+    computed alike, so each entropy is a function of (seed, sample index) alone.
     """
     sizes, gauss = _chunk_draws(seed, chunk, active)
-    sizes = sizes[:count]
-    weights = np.zeros((count, 2 * sum(lam.size for _, _, lam, _ in active)))
-    off = 0
+    parts = []
     for (_, w_block, lam, _), z, block_sizes in zip(active, gauss, sizes.T):
         rank = int(np.sum(lam > _WEIGHT_FLOOR))
-        for r in range(lam.size, 2 * lam.size + 1):
-            owners = np.flatnonzero(block_sizes == r)
-            u = phase_fixed_qr(z[owners, :r, :rank])
-            probs = np.einsum("sij,j->si", np.abs(u) ** 2, lam[:rank])
-            weights[owners, off:off + r] = w_block * probs
-        off += 2 * lam.size
-    return _entropy_rows(weights, _WEIGHT_FLOOR)
+        u = _isometries(z, block_sizes, rank)
+        parts.append(w_block * ((u.real ** 2 + u.imag ** 2) * lam[:rank]).sum(axis=2))
+    weights = np.concatenate(parts, axis=1)
+    w = np.where(weights > _WEIGHT_FLOOR, weights, 0.0)
+    w = w / w.sum(axis=1, keepdims=True)
+    return -(w * np.log(np.where(w > 0.0, w, 1.0))).sum(axis=1)[:count]
 
 
 def infimum_oracle(omega: StateFunctional, structure: BlockStructure, samples: int = 1000,
@@ -201,12 +217,16 @@ def infimum_oracle(omega: StateFunctional, structure: BlockStructure, samples: i
     never exceeds the closed-form entropy.  Samples 1..samples each draw, per
     active block, a decomposition size r in [n_i, 2 n_i] and an r x n_i
     isometry (the first n_i columns of a Haar unitary of size r: the phase-fixed
-    QR of a complex Gaussian), and mix the block state accordingly.  Sample s
-    is row (s - 1) mod 1024 of chunk (s - 1) // 1024, which draws from
-    ``rng_stream(seed, 1, chunk)`` (see :func:`_chunk_draws`), so each
+    Q of the first r rows of a complex Gaussian, computed by Gram-Schmidt run
+    twice, see :func:`_isometries`), and mix the block state accordingly.
+    Sample s is row (s - 1) mod 1024 of chunk (s - 1) // 1024, which draws
+    from ``rng_stream(seed, 1, chunk)`` (see :func:`_chunk_draws`), so each
     sample's entropy depends on (seed, s) alone; ties resolve to the lowest
-    sample index.
+    sample index.  samples and seed must be integers, not booleans.
     """
+    for name, value in (("samples", samples), ("seed", seed)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValidationError(f"{name} must be an integer, got {value!r}")
     if samples < 1:
         raise ValidationError("samples must be at least 1")
     tol = default_tol(structure.ambient_dim) if tol is None else tol
@@ -228,10 +248,10 @@ def infimum_oracle(omega: StateFunctional, structure: BlockStructure, samples: i
 
 
 def _sample_isometries(seed: int, index: int, active) -> list[np.ndarray]:
-    """The r x n_i isometry of each active block for sample index >= 1."""
+    """The r x n_i isometry of each active block for sample index >= 1, as the scan computes it."""
     chunk, row = divmod(index - 1, _CHUNK)
     sizes, gauss = _chunk_draws(seed, chunk, active)
-    return [phase_fixed_qr(z[row, :r]) for z, r in zip(gauss, sizes[row])]
+    return [_isometries(z, rs, z.shape[2])[row, :r] for z, rs, r in zip(gauss, sizes.T, sizes[row])]
 
 
 def _rebuild_sample(seed: int, index: int, active, structure: BlockStructure) -> Decomposition:

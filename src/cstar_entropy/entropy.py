@@ -33,26 +33,6 @@ def _entropy_of(weights: np.ndarray, floor: float = 0.0) -> float:
     return float(-(w * np.log(w)).sum())
 
 
-def _entropy_rows(weights: np.ndarray, floor: float = 0.0) -> np.ndarray:
-    """:func:`_entropy_of` of each row of a 2-D weight array, bit for bit.
-
-    Each row's entries above floor are moved to its front in their order, and
-    the rows with the same number m of them go through one vectorised pass
-    over their first m entries, with the same operations in the same order.
-    """
-    keep = weights > floor
-    order = np.argsort(~keep, axis=1, kind="stable")
-    packed = np.take_along_axis(weights, order, axis=1)
-    counts = keep.sum(axis=1)
-    out = np.empty(len(weights))
-    for m in np.unique(counts):
-        rows = counts == m
-        w = packed[rows, :m]
-        w = w / w.sum(axis=1, keepdims=True)
-        out[rows] = -(w * np.log(w)).sum(axis=1)
-    return out
-
-
 def shannon(p, tol: float = 1e-9) -> float:
     """Shannon entropy of a probability vector, in nats.
 

@@ -44,19 +44,6 @@ class TestShannon:
             q = (np.abs(u) ** 2) @ lam  # a randomization of lam
             assert ce.shannon(lam) <= ce.shannon(q) + 1e-12
 
-    @pytest.mark.parametrize("width", [1, 3, 7, 8, 9, 17, 40])
-    def test_row_entropies_equal_the_one_vector_form_bit_for_bit(self, width):
-        from cstar_entropy.entropy import _entropy_of, _entropy_rows
-
-        rng = rng_stream(32)
-        weights = rng.dirichlet(np.ones(width), size=30) * rng.uniform(0.2, 1.0, size=(30, 1))
-        weights[3, 0] = 0.0        # rows with entries at or below the floor are packed
-        weights[5, -1] = 1e-13
-        weights[7, 1::2] = 0.0     # zero-padded rows, as the oracle scan makes them
-        weights[9, width // 2 + 1:] = 0.0
-        expected = [_entropy_of(row, 1e-12) for row in weights]
-        assert np.array_equal(_entropy_rows(weights, 1e-12), expected)
-
 
 class TestVonNeumann:
     def test_rank_one_projector(self):
