@@ -26,9 +26,9 @@ om_pure = ce.state_from_density(rho_pure, diagonal)
 print("same functional on the algebra:", np.allclose(om_mixed.values(), om_pure.values()))
 
 # The unique in-algebra representative resolves the ambiguity.
-rep = ce.representative_density(om_pure, diagonal)
+rep = ce.representative_density(om_pure)
 print("representative:\n", rep.matrix.real)
-print("state entropy:", ce.state_entropy(om_pure, diagonal).state_entropy, "(= log 2)")
+print("state entropy:", ce.state_entropy(om_pure).state_entropy, "(= log 2)")
 
 # ----------------------------------------------------------------------
 # Canonical form: sector weights and normalized block states.
@@ -40,9 +40,9 @@ block = block @ block.conj().T
 block /= np.trace(block)
 om = ce.StateFunctional.from_canonical(st, [0.3, 0.7], [np.eye(2) / 2, block])
 
-p, rhos = ce.canonical_form(ce.representative_density(om, st), st)
+p, rhos = ce.canonical_form(ce.representative_density(om), st)
 print("\nsector weights:", np.round(p, 6))
-report = ce.state_entropy(om, st)
+report = ce.state_entropy(om)
 print("S(omega)            =", report.state_entropy)
 print("  sector mixing     =", report.sector_entropy)
 print("  mean block part   =", report.mean_block_entropy)
@@ -53,9 +53,9 @@ print("  mean block part   =", report.mean_block_entropy)
 fat = ce.make_algebra([(2, 3)])     # one qubit block repeated three times
 psi = np.array([1.0, 1.0j]) / np.sqrt(2)
 pure = ce.StateFunctional.from_canonical(fat, [1.0], [np.outer(psi, psi.conj())])
-rep = ce.state_entropy(pure, fat)
+rep = ce.state_entropy(pure)
 print("\npure state on a multiplicity-3 block:")
-print("is_pure:", ce.is_pure(pure, fat))
+print("is_pure:", ce.is_pure(pure))
 print("state entropy        =", rep.state_entropy)            # 0
 print("S_VN(representative) =", rep.vn_of_representative)     # log 3
 print("multiplicity term    =", rep.multiplicity_term)        # log 3

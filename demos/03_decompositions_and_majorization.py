@@ -46,17 +46,17 @@ om = ce.StateFunctional.from_canonical(
     st, [0.4, 0.6],
     [np.diag([0.9, 0.1]).astype(complex), np.eye(2, dtype=complex) / 2])
 
-closed = ce.state_entropy(om, st).state_entropy
+closed = ce.state_entropy(om).state_entropy
 print("\nclosed-form state entropy:", closed)
 
-found, best = ce.infimum_oracle(om, st, samples=20_000, seed=0)
+found, best = ce.infimum_oracle(om, samples=20_000, seed=0)
 print("minimum over 20000 sampled decompositions:", found)
 print("gap:", found - closed)
 print("argmin has", len(best.components), "components and reconstructs the state:",
-      np.allclose(best.density(), ce.representative_density(om, st).matrix))
+      np.allclose(best.density(), ce.representative_density(om).matrix))
 
 # A deliberately wasteful preparation of the same state is strictly worse.
-dec = ce.minimal_decomposition(om, st)
+dec = ce.minimal_decomposition(om)
 waste = ce.Decomposition(st, tuple(
     (w / 2, i, v) for w, i, v in dec.components for _ in range(2)))
 print("duplicating every component costs exactly log 2 extra:",

@@ -21,7 +21,7 @@ st = ce.make_algebra([(2, 1), (2, 1)])
 # ----------------------------------------------------------------------
 psi = np.array([0.6, 0.8j], dtype=complex)
 pure = ce.StateFunctional.from_canonical(st, [1.0, 0.0], [np.outer(psi, psi.conj()), None])
-g_pure = ce.gns_construct(pure, st)
+g_pure = ce.gns_construct(pure)
 print("pure state: GNS dimension", g_pure.dim, "- irreducible:", ce.is_irreducible(g_pure))
 
 # ----------------------------------------------------------------------
@@ -30,7 +30,7 @@ print("pure state: GNS dimension", g_pure.dim, "- irreducible:", ce.is_irreducib
 mixed = ce.StateFunctional.from_canonical(
     st, [0.3, 0.7],
     [np.diag([0.25, 0.75]).astype(complex), np.eye(2, dtype=complex) / 2])
-g = ce.gns_construct(mixed, st)
+g = ce.gns_construct(mixed)
 print("mixed state: GNS dimension", g.dim, "- irreducible:", ce.is_irreducible(g))
 
 a = ce.random_element(st, rng)
@@ -42,8 +42,8 @@ print("cyclic vector reproduces the state: |<Omega|pi(A)Omega> - omega(A)| = %.2
 # ----------------------------------------------------------------------
 # Entropy through the GNS representation equals the closed form.
 # ----------------------------------------------------------------------
-report = ce.gns_state_entropy(mixed, st, seed=1)
-closed = ce.state_entropy(mixed, st).state_entropy
+report = ce.gns_state_entropy(mixed, seed=1)
+closed = ce.state_entropy(mixed).state_entropy
 print("\nGNS-route entropy:   ", report.state_entropy)
 print("closed-form entropy: ", closed)
 print("difference:           %.2e" % abs(report.state_entropy - closed))
@@ -61,7 +61,7 @@ print("GNS block structure:", sectors.structure.blocks)
 print("sector weights of Omega:", np.round(sectors.weights, 6))
 
 for trial in range(3):
-    idec = ce.identity_decomposition_random(g, seed=trial, sectors=sectors)
-    weights = ce.identity_decomposition_weights(g, idec, sectors=sectors)
+    idec = ce.identity_decomposition_random(sectors, seed=trial)
+    weights = ce.identity_decomposition_weights(sectors, idec)
     print("random identity decomposition: %2d terms, mixing entropy %.6f (>= %.6f)"
           % (len(weights), ce.shannon(weights), closed))

@@ -51,7 +51,7 @@ omega = ce.StateFunctional.from_canonical(
 acct = ce.GasAccount(copies=1000, temperature=300.0,
                      sector_entropies=np.zeros(st.num_blocks), boltzmann=1.0)
 
-dec = ce.minimal_decomposition(omega, st)
+dec = ce.minimal_decomposition(omega)
 print("\npure components and their compression heats:")
 ledger = 0.0
 for w, i, _ in dec.components:
@@ -61,5 +61,5 @@ for w, i, _ in dec.components:
 
 per_copy = ledger / (acct.boltzmann * acct.copies * acct.temperature)
 print("ledger total / (k_B M T) =", per_copy)
-print("state entropy            =", ce.state_entropy(omega, st).state_entropy)
-print("gas entropy per copy     =", ce.gas_entropy(omega, st, acct))
+print("state entropy            =", ce.state_entropy(omega).state_entropy)
+print("gas entropy per copy     =", ce.gas_entropy(omega, acct))

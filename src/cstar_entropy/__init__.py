@@ -35,7 +35,6 @@ from .entropy import EntropyReport, minimal_decomposition, shannon, state_entrop
 from .errors import (
     DecompositionError,
     DisconnectedSectorsError,
-    InternalError,
     NotAStateError,
     ValidationError,
 )

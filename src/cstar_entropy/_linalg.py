@@ -4,10 +4,22 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import ValidationError
+
 
 def default_tol(dim: int) -> float:
     """Absolute tolerance for trace/positivity checks; scaled above dimension 64."""
     return 1e-9 if dim <= 64 else 1e-9 * dim / 64.0
+
+
+def resolve_tol(tol, dim: int) -> float:
+    """``default_tol(dim)`` for None, else tol, which must be a positive finite real number."""
+    if tol is None:
+        return default_tol(dim)
+    if isinstance(tol, bool) or not isinstance(tol, (int, float, np.integer, np.floating)) \
+            or not 0 < tol < np.inf:
+        raise ValidationError(f"tol must be a positive finite number, got {tol!r}")
+    return tol
 
 
 def rng_stream(seed: int, *key: int) -> np.random.Generator:

@@ -27,6 +27,7 @@ from ._linalg import (
     frob,
     frozen,
     hermitize,
+    resolve_tol,
     rng_stream,
 )
 from .errors import DecompositionError, ValidationError
@@ -306,7 +307,7 @@ def decompose_generated(generators: Sequence[np.ndarray], tol: float = 1e-9,
     letters = _letters(generators)
     return _discover(_word_sampler(letters),
                      lambda structure, w, rng: _residual(letters, structure, w),
-                     letters.shape[-1], tol, seed)
+                     letters.shape[-1], resolve_tol(tol, letters.shape[-1]), seed)
 
 
 def _word_sampler(letters: np.ndarray) -> Callable[[np.random.Generator], np.ndarray]:
@@ -434,9 +435,10 @@ def _discover(sample: Callable[[np.random.Generator], np.ndarray],
 
     ``check(structure, W, rng)`` returns the residual the split must keep
     within ``max(1e-6, 100 * tol)``, or raises :class:`_Retry`.  Up to 8
-    attempts run, attempt k on ``rng_stream(seed, 2, k)``.
+    attempts run, attempt k on ``rng_stream(seed, 2, k)``, and the error
+    carries the smallest residual checked.
     """
-    last_residual = None
+    residuals = []
     for attempt in range(8):
         rng = rng_stream(seed, 2, attempt)
         try:
@@ -446,9 +448,9 @@ def _discover(sample: Callable[[np.random.Generator], np.ndarray],
             continue
         if residual <= max(1e-6, 100.0 * tol):
             return structure, w
-        last_residual = residual
-    raise DecompositionError(
-        "block decomposition failed verification after retries", residual=last_residual)
+        residuals.append(residual)
+    raise DecompositionError("block decomposition failed verification after retries",
+                             residual=min(residuals, default=None))
 
 
 def _discover_span(element: Callable[[np.ndarray], np.ndarray], dim: int, d: int, tol: float,
@@ -485,6 +487,7 @@ def block_decompose(sub: SubalgebraBasis, tol: float = 1e-9,
     unitarity of W and the projection residuals of two fresh random elements.
     """
     d = sub.ambient_dim
+    tol = resolve_tol(tol, d)
     if not _identity_in_span(sub.basis, d, tol):
         raise ValidationError("subalgebra must contain the identity (unital closure)")
     return _discover_span(lambda c: np.tensordot(c, sub.basis, axes=1), sub.dim, d, tol, seed)

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import algebra as alg
 from . import decomp, entropy, gns, states, thermo
-from .errors import DecompositionError, InternalError, NotAStateError, ValidationError
+from .errors import DecompositionError, NotAStateError, ValidationError
 
 _LN2 = float(np.log(2.0))
 
@@ -220,7 +220,7 @@ def _cmd_structure(args) -> None:
 
 def _cmd_entropy(args) -> None:
     problem = _parse_problem(args)
-    report = entropy.state_entropy(problem.state, problem.structure, problem.tol)
+    report = entropy.state_entropy(problem.state, problem.tol)
     scale, unit = _unit(args)
     payload = {
         "state_entropy": report.state_entropy / scale,
@@ -242,10 +242,9 @@ def _cmd_entropy(args) -> None:
 
 def _cmd_oracle(args) -> None:
     problem = _parse_problem(args)
-    found, _ = decomp.infimum_oracle(problem.state, problem.structure,
-                                     samples=problem.samples, seed=problem.seed,
+    found, _ = decomp.infimum_oracle(problem.state, samples=problem.samples, seed=problem.seed,
                                      tol=problem.tol)
-    closed = entropy.state_entropy(problem.state, problem.structure, problem.tol).state_entropy
+    closed = entropy.state_entropy(problem.state, problem.tol).state_entropy
     scale, unit = _unit(args)
     payload = {
         "min_entropy_found": found / scale,
@@ -266,7 +265,7 @@ def _cmd_schrodinger(args) -> None:
     problem = _parse_problem(args)
     if problem.unitary is None:
         raise _ParseError("this command needs a 'unitary' entry in the problem file")
-    rho = states.representative_density(problem.state, problem.structure, problem.tol)
+    rho = states.representative_density(problem.state, problem.tol)
     dec = decomp.schrodinger_decomposition(rho, problem.unitary)
     weights = dec.weights()
     mixed = decomp.decomposition_entropy(dec)
@@ -290,11 +289,11 @@ def _cmd_schrodinger(args) -> None:
 
 def _cmd_gns(args) -> None:
     problem = _parse_problem(args)
-    g = gns.gns_construct(problem.state, problem.structure, problem.tol)
+    g = gns.gns_construct(problem.state, problem.tol)
     irreducible = gns.is_irreducible(g, problem.tol)
     sectors = gns.resolve_sectors(g, tol=problem.tol, seed=problem.seed)
     via_gns = gns.sectors_entropy(sectors).state_entropy
-    closed = entropy.state_entropy(problem.state, problem.structure, problem.tol).state_entropy
+    closed = entropy.state_entropy(problem.state, problem.tol).state_entropy
     scale, unit = _unit(args)
     payload = {
         "gns_dimension": g.dim,
@@ -381,7 +380,7 @@ def main(argv=None) -> int:
     except NotAStateError as exc:
         print(f"not a state: {exc}", file=sys.stderr)
         return 4
-    except (DecompositionError, InternalError, np.linalg.LinAlgError) as exc:
+    except (DecompositionError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except ValidationError as exc:

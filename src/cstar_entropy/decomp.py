@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import default_tol, rng_stream
+from ._linalg import resolve_tol, rng_stream
 from .algebra import BlockStructure, make_algebra
 from .entropy import _entropy_of, minimal_decomposition, shannon
 from .errors import ValidationError
@@ -209,8 +209,8 @@ def _chunk_entropies(seed: int, chunk: int, active, count: int = _CHUNK) -> np.n
     return -(w * np.log(np.where(w > 0.0, w, 1.0))).sum(axis=1)[:count]
 
 
-def infimum_oracle(omega: StateFunctional, structure: BlockStructure, samples: int = 1000,
-                   seed: int = 0, tol: float | None = None) -> tuple[float, Decomposition]:
+def infimum_oracle(omega: StateFunctional, samples: int = 1000, seed: int = 0,
+                   tol: float | None = None) -> tuple[float, Decomposition]:
     """Randomized search for the lowest-entropy decomposition of a state.
 
     Sample 0 is always the minimal decomposition, so the reported minimum
@@ -229,11 +229,11 @@ def infimum_oracle(omega: StateFunctional, structure: BlockStructure, samples: i
             raise ValidationError(f"{name} must be an integer, got {value!r}")
     if samples < 1:
         raise ValidationError("samples must be at least 1")
-    tol = default_tol(structure.ambient_dim) if tol is None else tol
-    base = minimal_decomposition(omega, structure, tol)
+    tol = resolve_tol(tol, omega.structure.ambient_dim)
+    base = minimal_decomposition(omega, tol)
     best_entropy = _entropy_of(base.weights(), _WEIGHT_FLOOR)
     best_index = 0
-    active = active_sectors(block_spectra(omega, structure, tol), tol)
+    active = active_sectors(block_spectra(omega, tol), tol)
 
     for chunk in range((samples + _CHUNK - 1) // _CHUNK):
         h = _chunk_entropies(seed, chunk, active, min(_CHUNK, samples - chunk * _CHUNK))
@@ -244,7 +244,7 @@ def infimum_oracle(omega: StateFunctional, structure: BlockStructure, samples: i
 
     if best_index == 0:
         return best_entropy, base
-    return best_entropy, _rebuild_sample(seed, best_index, active, structure)
+    return best_entropy, _rebuild_sample(seed, best_index, active, omega.structure)
 
 
 def _sample_isometries(seed: int, index: int, active) -> list[np.ndarray]:

@@ -13,8 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import default_tol
-from .algebra import BlockStructure
+from ._linalg import resolve_tol
 from .errors import ValidationError
 from .states import (
     Decomposition,
@@ -70,8 +69,7 @@ class EntropyReport:
     multiplicity_term: float
 
 
-def state_entropy(omega: StateFunctional, structure: BlockStructure,
-                  tol: float | None = None) -> EntropyReport:
+def state_entropy(omega: StateFunctional, tol: float | None = None) -> EntropyReport:
     """Entropy of a state from the canonical form of its representative.
 
     Sector weights and block spectra come from one eigendecomposition per
@@ -79,32 +77,31 @@ def state_entropy(omega: StateFunctional, structure: BlockStructure,
     own spectrum, not summed from those terms, so the multiplicity relation
     ``S_VN(rho_omega) = S(omega) + sum_i p_i log m_i`` remains a check.
     """
-    tol = default_tol(structure.ambient_dim) if tol is None else tol
-    spectra = block_spectra(omega, structure, tol)
+    tol = resolve_tol(tol, omega.structure.ambient_dim)
+    spectra = block_spectra(omega, tol)
     sectors = active_sectors(spectra, tol)
     sector = _entropy_of(np.array([w for _, w, _, _ in sectors]))
     mean = sum(w * _entropy_of(lam) for _, w, lam, _ in sectors)
-    mult = sum(w * np.log(structure.blocks[i][1]) for i, w, _, _ in sectors)
+    mult = sum(w * np.log(omega.structure.blocks[i][1]) for i, w, _, _ in sectors)
     return EntropyReport(
         state_entropy=sector + mean,
         sector_entropy=sector,
         mean_block_entropy=mean,
-        vn_of_representative=von_neumann(density_from_spectra(structure, spectra)),
+        vn_of_representative=von_neumann(density_from_spectra(omega.structure, spectra)),
         multiplicity_term=mult,
     )
 
 
-def minimal_decomposition(omega: StateFunctional, structure: BlockStructure,
-                          tol: float | None = None) -> Decomposition:
+def minimal_decomposition(omega: StateFunctional, tol: float | None = None) -> Decomposition:
     """The decomposition into pure states attaining the state entropy.
 
     Weights are ``p_i lambda_j`` with lambda_j the spectrum of the block
     states; the components are the corresponding eigenvectors, one sector at
     a time.
     """
-    tol = default_tol(structure.ambient_dim) if tol is None else tol
+    tol = resolve_tol(tol, omega.structure.ambient_dim)
     comps = []
-    for i, w, lams, vecs in active_sectors(block_spectra(omega, structure, tol), tol):
+    for i, w, lams, vecs in active_sectors(block_spectra(omega, tol), tol):
         for lam, vec in zip(lams, vecs.T):
             weight = w * float(lam)
             if weight < 1e-12:
@@ -112,4 +109,4 @@ def minimal_decomposition(omega: StateFunctional, structure: BlockStructure,
             comps.append((weight, i, vec / np.linalg.norm(vec)))
     total = sum(w for w, _, _ in comps)
     comps = [(w / total, i, v) for w, i, v in comps]
-    return Decomposition(structure, tuple(comps))
+    return Decomposition(omega.structure, tuple(comps))

@@ -23,7 +23,3 @@ class DecompositionError(RuntimeError):
     def __init__(self, message, residual=None):
         super().__init__(message)
         self.residual = residual
-
-
-class InternalError(RuntimeError):
-    """An invariant that should hold by construction was violated."""

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import default_tol, frob, frozen, hermitize, random_isometry, rng_stream
+from ._linalg import frob, frozen, hermitize, random_isometry, resolve_tol, rng_stream
 from .algebra import BlockStructure, _discover_span, split_blocks
 from .entropy import EntropyReport, _entropy_of
 from .errors import NotAStateError, ValidationError
@@ -76,19 +76,18 @@ class GnsData:
         return frozen(self.represent(np.eye(self.structure.algebra_dim)))
 
 
-def _gram_eigh(omega: StateFunctional,
-               structure: BlockStructure) -> tuple[np.ndarray, np.ndarray]:
+def _gram_eigh(omega: StateFunctional) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues and eigenvectors of the Gram matrix omega(B_k* B_l) over the matrix units.
 
     Unit products give <E_ab, E_cd> = delta_ac omega(E_bd), so block i of the
     matrix is kron(I_n, omega_i): n copies of omega_i on the diagonal, whose
     eigenvectors are n copies of those of omega_i.
     """
-    dim = structure.algebra_dim
+    dim = omega.structure.algebra_dim
     vecs = np.zeros((dim, dim), dtype=complex)
     eigs = np.empty(dim)
     off = 0
-    for (n, _), values in zip(structure.blocks, omega.block_values):
+    for (n, _), values in zip(omega.structure.blocks, omega.block_values):
         mu, w = np.linalg.eigh(hermitize(values))
         for a in range(off, off + n * n, n):
             vecs[a:a + n, a:a + n] = w
@@ -97,13 +96,10 @@ def _gram_eigh(omega: StateFunctional,
     return eigs, vecs
 
 
-def gns_construct(omega: StateFunctional, structure: BlockStructure,
-                  tol: float | None = None) -> GnsData:
+def gns_construct(omega: StateFunctional, tol: float | None = None) -> GnsData:
     """Build the GNS Hilbert space, represented operators and cyclic vector."""
-    if omega.structure.blocks != structure.blocks:
-        raise ValidationError("state and structure do not match")
-    tol = default_tol(structure.ambient_dim) if tol is None else tol
-    eigs, vecs = _gram_eigh(omega, structure)
+    tol = resolve_tol(tol, omega.structure.ambient_dim)
+    eigs, vecs = _gram_eigh(omega)
     scale = max(float(eigs.max()), 0.0)
     if eigs.min() < -tol * max(1.0, scale) * 10:
         raise NotAStateError(f"state inner product is not positive (eigenvalue {eigs.min():.3e})")
@@ -116,8 +112,8 @@ def gns_construct(omega: StateFunctional, structure: BlockStructure,
     quotient = (v * np.sqrt(lam)).conj().T      # coefficient space -> GNS coordinates
     embedding = v / np.sqrt(lam)                # GNS coordinates -> representatives
     cyclic = quotient @ np.concatenate([np.eye(n, dtype=complex).reshape(-1)
-                                        for n, _ in structure.blocks])
-    return GnsData(structure=structure, dim=dim, quotient=quotient,
+                                        for n, _ in omega.structure.blocks])
+    return GnsData(structure=omega.structure, dim=dim, quotient=quotient,
                    cyclic=cyclic, embedding=embedding)
 
 
@@ -154,7 +150,7 @@ class GnsSectors:
 
 def resolve_sectors(g: GnsData, tol: float | None = None, seed: int = 0) -> GnsSectors:
     """Block-decompose the represented algebra and reduce the cyclic vector."""
-    tol = default_tol(g.dim) if tol is None else tol
+    tol = resolve_tol(tol, g.dim)
     norms, keep = _unit_norms(g, tol)
     units = np.eye(len(norms))[keep] / norms[keep, None]    # an orthonormal basis of the span
     structure, w = _discover_span(lambda c: g.represent(c @ units), len(units), g.dim, tol, seed)
@@ -178,7 +174,7 @@ def gns_commutant_functional(g: GnsData, t: np.ndarray,
     Returns ``(weight, state)`` where ``weight * state(A) = <Omega| T pi(A)
     Omega>``; the leftover ``omega - weight * state`` is again positive.
     """
-    tol = default_tol(g.dim) if tol is None else tol
+    tol = resolve_tol(tol, g.dim)
     t = np.asarray(t, dtype=complex)
     if t.shape != (g.dim, g.dim):
         raise ValidationError("operator shape does not match the GNS dimension")
@@ -232,17 +228,15 @@ class IdentityDecomposition:
         object.__setattr__(self, "items", tuple(items))
 
 
-def identity_decomposition_random(g: GnsData, seed: int = 0,
-                                  sectors: GnsSectors | None = None,
+def identity_decomposition_random(sectors: GnsSectors, seed: int = 0,
                                   sizes: dict[int, int] | None = None) -> IdentityDecomposition:
-    """Random per-block resolutions of the identity on the multiplicity factors.
+    """Random per-block resolutions of the identity on the multiplicity factors of the sectors.
 
-    Each block i gets M_i terms with M_i drawn in [m_i, 2 m_i] (overridable
-    through ``sizes``), built from the rows of a random isometry so the
-    resolution is exact.  With M_i = m_i the rows form an orthonormal basis
-    and every weight is 1.
+    Each block i of ``sectors.structure`` gets M_i terms with M_i drawn in
+    [m_i, 2 m_i] (overridable through ``sizes``), built from the rows of a
+    random isometry so the resolution is exact.  With M_i = m_i the rows
+    form an orthonormal basis and every weight is 1.
     """
-    sectors = resolve_sectors(g, seed=seed) if sectors is None else sectors
     rng = rng_stream(seed, 3)
     items = []
     for i, (_, m) in enumerate(sectors.structure.blocks):
@@ -260,11 +254,12 @@ def identity_decomposition_random(g: GnsData, seed: int = 0,
     return IdentityDecomposition(tuple(items))
 
 
-def identity_decomposition_weights(g: GnsData, idec: IdentityDecomposition,
-                                   sectors: GnsSectors | None = None,
-                                   seed: int = 0) -> np.ndarray:
-    """Weights ``t_j <Omega| P_j Omega>`` of the pure decomposition induced by idec."""
-    sectors = resolve_sectors(g, seed=seed) if sectors is None else sectors
+def identity_decomposition_weights(sectors: GnsSectors, idec: IdentityDecomposition) -> np.ndarray:
+    """Weights ``t_j <Omega| P_j Omega>`` of the pure decomposition idec induces on the sectors.
+
+    Item (t, i, v) weighs ``t p_i <v| sigma_i |v>``, p_i and sigma_i block i's
+    weight and multiplicity state; an item that fits no block is rejected.
+    """
     out = []
     for t, i, v in idec.items:
         if not 0 <= i < sectors.structure.num_blocks or len(v) != sectors.structure.blocks[i][1]:
@@ -301,16 +296,16 @@ def sectors_entropy(sectors: GnsSectors) -> EntropyReport:
     )
 
 
-def gns_state_entropy(omega: StateFunctional, structure: BlockStructure,
-                      tol: float | None = None, seed: int = 0) -> EntropyReport:
+def gns_state_entropy(omega: StateFunctional, tol: float | None = None,
+                      seed: int = 0) -> EntropyReport:
     """State entropy recomputed through the GNS representation.
 
     Builds the representation, resolves its sectors and reads the report off
     them with :func:`sectors_entropy`; the result must agree with the
     closed-form entropy.
     """
-    tol = default_tol(structure.ambient_dim) if tol is None else tol
-    g = gns_construct(omega, structure, tol)
+    tol = resolve_tol(tol, omega.structure.ambient_dim)
+    g = gns_construct(omega, tol)
     return sectors_entropy(resolve_sectors(g, tol=tol, seed=seed))
 
 
@@ -320,5 +315,5 @@ def is_irreducible(g: GnsData, tol: float | None = None) -> bool:
     Equivalent test: an irreducibly acting *-algebra is the full matrix
     algebra, so dim^2 of the represented units must be nonzero.
     """
-    tol = default_tol(g.dim) if tol is None else tol
+    tol = resolve_tol(tol, g.dim)
     return int(np.count_nonzero(_unit_norms(g, tol)[1])) == g.dim * g.dim

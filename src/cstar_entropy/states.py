@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._linalg import default_tol, frob, frozen, hermitize
+from ._linalg import default_tol, frob, frozen, hermitize, resolve_tol
 from .algebra import (AlgebraElement, BlockStructure, _assemble, partial_traces, split_blocks,
                       structure_projection)
 from .errors import NotAStateError, ValidationError
@@ -145,7 +145,7 @@ def state_from_density(rho, structure: BlockStructure) -> StateFunctional:
     return StateFunctional(structure, _values_from_ambient(rho.matrix, structure))
 
 
-def block_spectra(omega: StateFunctional, structure: BlockStructure,
+def block_spectra(omega: StateFunctional,
                   tol: float | None = None) -> list[tuple[np.ndarray, np.ndarray]]:
     """Eigen-decomposition of each block of the in-algebra representative.
 
@@ -158,11 +158,9 @@ def block_spectra(omega: StateFunctional, structure: BlockStructure,
     Returns ``(eigenvalues, eigenvectors)`` of each X_i, eigenvalues in
     descending order.
     """
-    if structure.blocks != omega.structure.blocks:
-        raise ValidationError("state and structure do not match")
-    tol = default_tol(structure.ambient_dim) if tol is None else tol
+    tol = resolve_tol(tol, omega.structure.ambient_dim)
     spectra = [np.linalg.eigh(hermitize(v.T)) for v in omega.block_values]
-    lowest = min(w[0] / m for (w, _), (_, m) in zip(spectra, structure.blocks))
+    lowest = min(w[0] / m for (w, _), (_, m) in zip(spectra, omega.structure.blocks))
     if lowest < -tol * 10:
         raise NotAStateError(
             f"functional is not positive: representative has eigenvalue {lowest:.3e}")
@@ -182,10 +180,9 @@ def density_from_spectra(structure: BlockStructure,
         structure))
 
 
-def representative_density(omega: StateFunctional, structure: BlockStructure,
-                           tol: float | None = None) -> DensityMatrix:
+def representative_density(omega: StateFunctional, tol: float | None = None) -> DensityMatrix:
     """The unique density matrix inside the algebra reproducing the functional."""
-    return density_from_spectra(structure, block_spectra(omega, structure, tol))
+    return density_from_spectra(omega.structure, block_spectra(omega, tol))
 
 
 def active_sectors(spectra: Sequence[tuple[np.ndarray, np.ndarray]],
@@ -212,7 +209,7 @@ def state_from_values(structure: BlockStructure, basis_mats: Sequence[np.ndarray
     system in block coordinates.  Self-adjointness is checked by
     :class:`StateFunctional` and positivity on the block spectra.
     """
-    tol = default_tol(structure.ambient_dim) if tol is None else tol
+    tol = resolve_tol(tol, structure.ambient_dim)
     dim, d = structure.algebra_dim, structure.ambient_dim
     mats = [np.asarray(b, dtype=complex) for b in basis_mats]
     vals = np.asarray(values, dtype=complex)
@@ -232,7 +229,7 @@ def state_from_values(structure: BlockStructure, basis_mats: Sequence[np.ndarray
         raise ValidationError(f"declared basis is not linearly independent (condition {cond:.3e})")
     flat = np.linalg.solve(coeffs, vals)
     omega = StateFunctional(structure, tuple(split_blocks(flat, structure)))
-    block_spectra(omega, structure, tol)  # raises NotAStateError unless positive
+    block_spectra(omega, tol)  # raises NotAStateError unless positive
     return omega
 
 
@@ -247,7 +244,7 @@ def canonical_form(rho_omega, structure: BlockStructure,
     mat = _as_matrix(rho_omega)
     if not isinstance(rho_omega, DensityMatrix):
         DensityMatrix(mat)  # validate
-    tol = default_tol(structure.ambient_dim) if tol is None else tol
+    tol = resolve_tol(tol, structure.ambient_dim)
     proj, res = structure_projection(mat, structure)
     if res > max(tol * 100, 1e-7):
         raise ValidationError(f"matrix is outside the algebra span (projection residual {res:.3e})")
@@ -263,10 +260,10 @@ def canonical_form(rho_omega, structure: BlockStructure,
     return p / p.sum(), rhos
 
 
-def is_pure(omega: StateFunctional, structure: BlockStructure, tol: float | None = None) -> bool:
+def is_pure(omega: StateFunctional, tol: float | None = None) -> bool:
     """True iff exactly one sector carries weight and its block state has rank one."""
-    tol = default_tol(structure.ambient_dim) if tol is None else tol
-    sectors = active_sectors(block_spectra(omega, structure, tol), tol)
+    tol = resolve_tol(tol, omega.structure.ambient_dim)
+    sectors = active_sectors(block_spectra(omega, tol), tol)
     if len(sectors) != 1:
         return False
     lam = sectors[0][2]

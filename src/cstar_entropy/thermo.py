@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import default_tol
-from .algebra import AlgebraElement, BlockStructure, identity
+from ._linalg import resolve_tol
+from .algebra import AlgebraElement, identity
 from .entropy import von_neumann
 from .errors import DisconnectedSectorsError, ValidationError
 from .states import StateFunctional, active_sectors, block_spectra, density_from_spectra, is_pure
@@ -56,7 +56,7 @@ def has_definite_value(omega: StateFunctional, a: AlgebraElement,
     Returns ``(definite, value)`` with value = omega(a); definite means the
     variance omega((a - value)^2) vanishes within tol.
     """
-    tol = default_tol(a.structure.ambient_dim) if tol is None else tol
+    tol = resolve_tol(tol, a.structure.ambient_dim)
     if not a.is_selfadjoint(tol * 100):
         raise ValidationError("observable must be self-adjoint")
     value = omega.expect(a).real
@@ -113,43 +113,44 @@ def compression_heat(weight: float, acct: GasAccount) -> float:
     return acct.boltzmann * weight * acct.copies * acct.temperature * float(np.log(weight))
 
 
-def _sector_weights(spectra, structure: BlockStructure, tol: float) -> np.ndarray:
+def _sector_weights(spectra, tol: float) -> np.ndarray:
     """Canonical sector weights p_i from block spectra; zero on blocks without weight."""
-    p = np.zeros(structure.num_blocks)
+    p = np.zeros(len(spectra))
     for i, weight, _, _ in active_sectors(spectra, tol):
         p[i] = weight
     return p
 
 
-def gas_entropy(omega: StateFunctional, structure: BlockStructure, acct: GasAccount,
-                tol: float | None = None) -> float:
+def gas_entropy(omega: StateFunctional, acct: GasAccount, tol: float | None = None) -> float:
     """Per-copy thermodynamic entropy of the boxed ensemble, in nats.
 
     Equals the von Neumann entropy of the representative plus the average of
     the assigned sector entropies; with all of them zero and no
     multiplicities this is exactly the state entropy.
     """
-    if len(acct.sector_entropies) != structure.num_blocks:
+    if len(acct.sector_entropies) != omega.structure.num_blocks:
         raise ValidationError("one sector entropy per block required")
-    tol = default_tol(structure.ambient_dim) if tol is None else tol
-    spectra = block_spectra(omega, structure, tol)
-    rho = density_from_spectra(structure, spectra)
-    p = _sector_weights(spectra, structure, tol)
+    tol = resolve_tol(tol, omega.structure.ambient_dim)
+    spectra = block_spectra(omega, tol)
+    rho = density_from_spectra(omega.structure, spectra)
+    p = _sector_weights(spectra, tol)
     return von_neumann(rho) + float(np.dot(p, acct.sector_entropies))
 
 
 def sectors_connectable(omega_a: StateFunctional, omega_b: StateFunctional,
-                        structure: BlockStructure, tol: float | None = None) -> bool:
-    """Whether two pure states can be transformed into each other physically.
+                        tol: float | None = None) -> bool:
+    """Whether two pure states over one algebra can be transformed into each other physically.
 
     True iff their supporting sectors coincide; pure states of different
     sectors are separated by a superselection rule.
     """
-    tol = default_tol(structure.ambient_dim) if tol is None else tol
+    if omega_a.structure.blocks != omega_b.structure.blocks:
+        raise ValidationError("states belong to different block structures")
+    tol = resolve_tol(tol, omega_a.structure.ambient_dim)
     supports = []
     for name, omega in (("first", omega_a), ("second", omega_b)):
-        if not is_pure(omega, structure, tol):
+        if not is_pure(omega, tol):
             raise ValidationError(f"{name} state is not pure")
-        p = _sector_weights(block_spectra(omega, structure, tol), structure, tol)
+        p = _sector_weights(block_spectra(omega, tol), tol)
         supports.append(int(np.argmax(p)))
     return supports[0] == supports[1]

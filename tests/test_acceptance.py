@@ -42,12 +42,12 @@ def test_criterion_1_oracle_never_beats_closed_form(capsys):
             st = random_structure(rng, max_ambient=8)
             for k in range(5):
                 om = random_state(rng, st)
-                s = ce.state_entropy(om, st).state_entropy
-                found, dec = ce.infimum_oracle(om, st, samples=10_000, seed=100 * trial + k)
+                s = ce.state_entropy(om).state_entropy
+                found, dec = ce.infimum_oracle(om, samples=10_000, seed=100 * trial + k)
                 assert found >= s - 1e-9, f"oracle beat the closed form by {s - found:.2e}"
                 assert found <= s + 1e-9, "sample 0 did not attain the closed form"
                 assert np.allclose(dec.density(),
-                                   ce.representative_density(om, st).matrix, atol=1e-9)
+                                   ce.representative_density(om).matrix, atol=1e-9)
                 checked += 1
         assert checked >= 50
 
@@ -57,11 +57,11 @@ def test_criterion_2_multiplicity_relation(capsys):
         rng = rng_stream(1002)
         for _ in range(20):
             st = random_structure(rng, multiplicities=False)
-            rep = ce.state_entropy(random_state(rng, st), st)
+            rep = ce.state_entropy(random_state(rng, st))
             assert abs(rep.state_entropy - rep.vn_of_representative) <= 1e-9
         for _ in range(20):
             st = random_structure(rng, multiplicities=True)
-            rep = ce.state_entropy(random_state(rng, st), st)
+            rep = ce.state_entropy(random_state(rng, st))
             assert abs(rep.vn_of_representative - rep.state_entropy
                        - rep.multiplicity_term) <= 1e-9
 
@@ -96,16 +96,16 @@ def test_criterion_4_concavity_and_purity(capsys):
         lambdas = np.linspace(0.1, 0.9, 9)
         for _ in range(1000):
             om_a, om_b = random_state(rng, st), random_state(rng, st)
-            s_a = ce.state_entropy(om_a, st).state_entropy
-            s_b = ce.state_entropy(om_b, st).state_entropy
+            s_a = ce.state_entropy(om_a).state_entropy
+            s_b = ce.state_entropy(om_b).state_entropy
             lam = float(rng.choice(lambdas))
             mix = ce.convex_combine([om_a, om_b], [lam, 1.0 - lam])
-            s_mix = ce.state_entropy(mix, st).state_entropy
+            s_mix = ce.state_entropy(mix).state_entropy
             assert s_mix >= lam * s_a + (1.0 - lam) * s_b - 1e-9
         for trial in range(50):
             st2 = random_structure(rng)
             pure = random_pure_state(rng, st2)
-            assert ce.state_entropy(pure, st2).state_entropy <= 1e-9
+            assert ce.state_entropy(pure).state_entropy <= 1e-9
             # a mixture of two sectors with weights bounded away from 0 and 1
             if st2.num_blocks >= 2:
                 w = float(rng.uniform(0.2, 0.8))
@@ -117,7 +117,7 @@ def test_criterion_4_concavity_and_purity(capsys):
                     v /= np.linalg.norm(v)
                     rhos[i] = np.outer(v, v.conj())
                 om = ce.StateFunctional.from_canonical(st2, p, rhos)
-                assert ce.state_entropy(om, st2).state_entropy > 0.01
+                assert ce.state_entropy(om).state_entropy > 0.01
 
 
 def test_criterion_5_gns_suite(capsys):
@@ -127,15 +127,15 @@ def test_criterion_5_gns_suite(capsys):
             st = random_structure(rng, max_ambient=8)
             pure = bool(trial % 2)
             om = random_pure_state(rng, st) if pure else random_state(rng, st)
-            g = ce.gns_construct(om, st)
+            g = ce.gns_construct(om)
             elements = [ce.random_element(st, rng) for _ in range(10)]
             for a in elements:
                 coeffs = np.concatenate([part.reshape(-1) for part in a.parts])
                 lhs = g.cyclic.conj() @ (g.represent(coeffs) @ g.cyclic)
                 assert abs(lhs - om.expect(a)) <= 1e-9
-            assert ce.is_irreducible(g) == ce.is_pure(om, st)
-            via_gns = ce.gns_state_entropy(om, st, seed=trial).state_entropy
-            closed = ce.state_entropy(om, st).state_entropy
+            assert ce.is_irreducible(g) == ce.is_pure(om)
+            via_gns = ce.gns_state_entropy(om, seed=trial).state_entropy
+            closed = ce.state_entropy(om).state_entropy
             assert abs(via_gns - closed) <= 1e-9
 
 
@@ -159,14 +159,14 @@ def test_criterion_7_representative_uniqueness(capsys):
         for _ in range(25):
             st = random_structure(rng)
             om = random_state(rng, st)
-            rep = ce.representative_density(om, st).matrix
+            rep = ce.representative_density(om).matrix
             for a, mat in zip(ce.standard_basis(st), ce.embedded_standard_basis(st)):
                 assert abs(np.trace(rep @ mat) - om.expect(a)) <= 1e-10
             # the representative is the Hilbert-Schmidt projection of any
             # ambient density matrix inducing the same functional
             rho = random_ambient_density(rng, st.ambient_dim)
             om2 = ce.state_from_density(rho, st)
-            rep2 = ce.representative_density(om2, st).matrix
+            rep2 = ce.representative_density(om2).matrix
             proj, _ = ce.structure_projection(rho, st)
             assert np.allclose(rep2, proj, atol=1e-9)
             for mat in ce.embedded_standard_basis(st):
@@ -186,22 +186,22 @@ def test_criterion_8_thermodynamic_checks(capsys):
             om = random_state(rng, st)
             acct = ce.GasAccount(copies=4, temperature=1.5,
                                  sector_entropies=np.zeros(st.num_blocks), boltzmann=2.0)
-            dec = ce.minimal_decomposition(om, st)
+            dec = ce.minimal_decomposition(om)
             ledger = -sum(ce.compression_heat(w, acct) for w in dec.weights())
             ledger /= acct.boltzmann * acct.copies * acct.temperature
-            vn = ce.von_neumann(ce.representative_density(om, st))
+            vn = ce.von_neumann(ce.representative_density(om))
             assert abs(ledger - vn) <= 1e-9
-            assert abs(ce.gas_entropy(om, st, acct)
-                       - ce.state_entropy(om, st).state_entropy) <= 1e-9
+            assert abs(ce.gas_entropy(om, acct)
+                       - ce.state_entropy(om).state_entropy) <= 1e-9
 
 
 def test_criterion_9_hand_values(capsys):
     with _verdict(capsys, "9 (hand-computed values)"):
         st = ce.make_algebra([(1, 1), (1, 1)])
         om = ce.StateFunctional.from_canonical(st, [0.25, 0.75], [np.eye(1), np.eye(1)])
-        assert ce.state_entropy(om, st).state_entropy == pytest.approx(0.5623351, abs=1e-6)
+        assert ce.state_entropy(om).state_entropy == pytest.approx(0.5623351, abs=1e-6)
         for n in range(1, 9):
             stn = ce.make_algebra([(n, 1)])
             omn = ce.state_from_density(np.eye(n) / n, stn)
-            assert ce.state_entropy(omn, stn).state_entropy == pytest.approx(
+            assert ce.state_entropy(omn).state_entropy == pytest.approx(
                 np.log(n), abs=1e-12)

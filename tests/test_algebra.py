@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import cstar_entropy as ce
+from cstar_entropy import algebra
 from cstar_entropy._linalg import complex_gaussian, hermitize
 from cstar_entropy.algebra import _discover, _discover_span, _letters, _word_sampler
 from cstar_entropy.errors import DecompositionError, ValidationError
@@ -213,6 +214,15 @@ class TestDecomposeGenerated:
             with pytest.raises(DecompositionError) as err:
                 discover(rot, seed)
             assert err.value.residual > bound
+
+    def test_error_carries_the_smallest_residual(self, monkeypatch):
+        # every one of the 8 attempts splits, and each is checked against the next scripted residual
+        scripted = iter([0.5, 0.3, 0.9, 0.1, 0.7, 0.2, 0.8, 0.4])
+        monkeypatch.setattr(algebra, "_residual", lambda *args: next(scripted))
+        with pytest.raises(DecompositionError) as err:
+            ce.decompose_generated([np.diag([1.0, 2.0, 3.0])])
+        assert next(scripted, None) is None
+        assert err.value.residual == 0.1
 
 
 class TestCommutant:

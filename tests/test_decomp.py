@@ -170,21 +170,21 @@ class TestDecompositionEntropy:
         dec = ce.Decomposition(st, ((0.5, 0, psi), (0.5, 0, psi)))
         assert ce.decomposition_entropy(dec) == pytest.approx(np.log(2), abs=1e-12)
         om = dec.state()
-        assert ce.state_entropy(om, st).state_entropy < 1e-9
+        assert ce.state_entropy(om).state_entropy < 1e-9
 
     def test_minimal_decomposition_attains_state_entropy(self):
         rng = rng_stream(58)
         st = random_structure(rng)
         om = random_state(rng, st)
-        dec = ce.minimal_decomposition(om, st)
+        dec = ce.minimal_decomposition(om)
         assert ce.decomposition_entropy(dec) == pytest.approx(
-            ce.state_entropy(om, st).state_entropy, abs=1e-9)
+            ce.state_entropy(om).state_entropy, abs=1e-9)
 
     def test_split_adds_up(self):
         rng = rng_stream(59)
         st = ce.make_algebra([(2, 1), (3, 1)])
         om = random_state(rng, st)
-        dec = ce.minimal_decomposition(om, st)
+        dec = ce.minimal_decomposition(om)
         sector, within = ce.decomposition_entropy_split(dec)
         assert sector + within == pytest.approx(ce.decomposition_entropy(dec), abs=1e-12)
 
@@ -194,39 +194,39 @@ class TestInfimumOracle:
         st = ce.make_algebra([(2, 1)])
         psi = np.array([0.8, 0.6j], dtype=complex)
         om = ce.StateFunctional.from_canonical(st, [1.0], [np.outer(psi, psi.conj())])
-        found, dec = ce.infimum_oracle(om, st, samples=50, seed=1)
+        found, dec = ce.infimum_oracle(om, samples=50, seed=1)
         assert found == pytest.approx(0.0, abs=1e-12)
         assert len(dec.components) == 1
 
     def test_full_block_matches_von_neumann(self):
         st = ce.make_algebra([(2, 1)])
         om = ce.state_from_density(np.diag([0.25, 0.75]).astype(complex), st)
-        found, _ = ce.infimum_oracle(om, st, samples=1000, seed=2)
+        found, _ = ce.infimum_oracle(om, samples=1000, seed=2)
         assert found == pytest.approx(0.5623351446188083, abs=1e-9)
 
     def test_sample_zero_attains_minimum_and_no_sample_beats_it(self):
         rng = rng_stream(60)
         st = ce.make_algebra([(2, 1), (1, 1)])
         om = random_state(rng, st)
-        s = ce.state_entropy(om, st).state_entropy
-        found, dec = ce.infimum_oracle(om, st, samples=500, seed=3)
+        s = ce.state_entropy(om).state_entropy
+        found, dec = ce.infimum_oracle(om, samples=500, seed=3)
         assert found == pytest.approx(s, abs=1e-9)
-        assert np.allclose(dec.density(), ce.representative_density(om, st).matrix, atol=1e-9)
+        assert np.allclose(dec.density(), ce.representative_density(om).matrix, atol=1e-9)
 
     def test_samples_reconstruct_the_state(self):
         # the argmin decomposition must prepare the original representative
         rng = rng_stream(61)
         st = ce.make_algebra([(2, 2), (1, 1)])
         om = random_state(rng, st)
-        _, dec = ce.infimum_oracle(om, st, samples=100, seed=4)
-        assert np.allclose(dec.density(), ce.representative_density(om, st).matrix, atol=1e-9)
+        _, dec = ce.infimum_oracle(om, samples=100, seed=4)
+        assert np.allclose(dec.density(), ce.representative_density(om).matrix, atol=1e-9)
 
     def test_deterministic_across_runs(self):
         rng = rng_stream(62)
         st = random_structure(rng)
         om = random_state(rng, st)
-        a = ce.infimum_oracle(om, st, samples=200, seed=5)
-        b = ce.infimum_oracle(om, st, samples=200, seed=5)
+        a = ce.infimum_oracle(om, samples=200, seed=5)
+        b = ce.infimum_oracle(om, samples=200, seed=5)
         assert a[0] == b[0]
         assert np.array_equal(a[1].weights(), b[1].weights())
 
@@ -235,7 +235,7 @@ class TestInfimumOracle:
         st = random_structure(rng)
         om = random_state(rng, st)
         with pytest.raises(ValidationError):
-            ce.infimum_oracle(om, st, samples=0)
+            ce.infimum_oracle(om, samples=0)
 
     @pytest.mark.parametrize("bad", [
         {"samples": 2.5}, {"samples": float("nan")}, {"samples": True}, {"samples": "10"},
@@ -246,14 +246,14 @@ class TestInfimumOracle:
         st = ce.make_algebra([(2, 1)])
         om = ce.state_from_density(np.diag([0.25, 0.75]).astype(complex), st)
         with pytest.raises(ValidationError):
-            ce.infimum_oracle(om, st, **{"samples": 10, "seed": 1, **bad})
+            ce.infimum_oracle(om, **{"samples": 10, "seed": 1, **bad})
 
     def test_numpy_integer_samples_and_seed_accepted(self):
         rng = rng_stream(63)
         st = ce.make_algebra([(2, 1), (1, 2)])
         om = random_state(rng, st)
-        a = ce.infimum_oracle(om, st, samples=np.int64(1500), seed=np.uint32(7))
-        b = ce.infimum_oracle(om, st, samples=1500, seed=7)
+        a = ce.infimum_oracle(om, samples=np.int64(1500), seed=np.uint32(7))
+        b = ce.infimum_oracle(om, samples=1500, seed=7)
         assert a[0] == b[0] and np.array_equal(a[1].weights(), b[1].weights())
 
     def test_every_sample_reconstructs_the_state(self):
@@ -266,12 +266,12 @@ class TestInfimumOracle:
         rng = rng_stream(64)
         st = ce.make_algebra([(2, 1), (2, 2)])
         om = random_state(rng, st)
-        rho = ce.representative_density(om, st)
-        active = active_sectors(block_spectra(om, st, 1e-9), 1e-9)
+        rho = ce.representative_density(om)
+        active = active_sectors(block_spectra(om, 1e-9), 1e-9)
         for index in [*range(1, 21), 1024, 1025]:
             dec = _rebuild_sample(seed=11, index=index, active=active, structure=st)
             assert np.linalg.norm(dec.density() - rho.matrix) < 1e-9
-            assert ce.decomposition_entropy(dec) >= ce.state_entropy(om, st).state_entropy - 1e-9
+            assert ce.decomposition_entropy(dec) >= ce.state_entropy(om).state_entropy - 1e-9
             for (_, _, lam, _), u in zip(active, _sample_isometries(11, index, active)):
                 n = lam.size
                 assert u.shape[1] == n and n <= u.shape[0] <= 2 * n
@@ -286,7 +286,7 @@ class TestInfimumOracle:
         rng = rng_stream(65)
         st = ce.make_algebra([(3, 1), (2, 2), (1, 1)])
         om = random_state(rng, st)
-        active = active_sectors(block_spectra(om, st, 1e-9), 1e-9)
+        active = active_sectors(block_spectra(om, 1e-9), 1e-9)
         chunks = {c: _chunk_entropies(12, c, active) for c in range(3)}
         indices = [*range(1020, 1031), 2048, 2049]
         scanned = [chunks[(s - 1) // _CHUNK][(s - 1) % _CHUNK] for s in indices]
@@ -302,7 +302,7 @@ class TestInfimumOracle:
         rng = rng_stream(66)
         st = ce.make_algebra([(2, 1), (2, 1), (1, 2)])
         om = random_state(rng, st)
-        active = active_sectors(block_spectra(om, st, 1e-9), 1e-9)
+        active = active_sectors(block_spectra(om, 1e-9), 1e-9)
         whole = np.concatenate([_chunk_entropies(13, c, active) for c in range(3)])
         for samples in (1020, 1030, 2048, 2049):
             last = (samples - 1) // _CHUNK
@@ -332,10 +332,10 @@ class TestInfimumOracle:
         monkeypatch.setattr(decomp, "_rebuild_sample", lambda seed, index, active, structure: index)
         for tied, lowest in (((2049, 1025, 1024), 1024), ((2049, 1025), 1025), ((2980, 2049), 2049)):
             monkeypatch.setattr(decomp, "_chunk_entropies", scan_tied_at(tied, -1.0))
-            assert decomp.infimum_oracle(om, st, samples=3000, seed=0) == (-1.0, lowest)
+            assert decomp.infimum_oracle(om, samples=3000, seed=0) == (-1.0, lowest)
         # a pure state's sample 0 has entropy 0, so a sample that only ties it loses
         monkeypatch.setattr(decomp, "_chunk_entropies", scan_tied_at((5, 1025), 0.0))
-        found, dec = decomp.infimum_oracle(om, st, samples=3000, seed=0)
+        found, dec = decomp.infimum_oracle(om, samples=3000, seed=0)
         assert found == 0.0 and len(dec.components) == 1
 
 
@@ -356,7 +356,7 @@ def test_acceptance_states_oracle_digest():
 
     h = hashlib.sha256()
     for st, om, seed in _acceptance_states():
-        found, dec = ce.infimum_oracle(om, st, samples=3000, seed=seed)
+        found, dec = ce.infimum_oracle(om, samples=3000, seed=seed)
         h.update(found.hex().encode())
         h.update(dec.weights().tobytes())
     assert h.hexdigest() == "72efc446b401650285011d64983e6c583d8a60b0b4c6fd540b469d80209c8e79"
@@ -376,7 +376,7 @@ def test_acceptance_states_scan_entropies_digest():
 
     h = hashlib.sha256()
     for st, om, seed in _acceptance_states():
-        active = active_sectors(block_spectra(om, st, 1e-9), 1e-9)
+        active = active_sectors(block_spectra(om, 1e-9), 1e-9)
         for c in range(3):
             h.update(_chunk_entropies(seed, c, active, min(_CHUNK, 3000 - c * _CHUNK)).tobytes())
     assert h.hexdigest() == "2e3460c17e40ba3bad56fcbc19f011331c6c126c545b1abbf1950f8f71cc44f3"
@@ -431,7 +431,7 @@ def test_scan_matches_a_phase_fixed_qr_reference():
     from cstar_entropy.states import active_sectors, block_spectra
 
     for st, om, seed in _reference_cases():
-        active = active_sectors(block_spectra(om, st, 1e-9), 1e-9)
+        active = active_sectors(block_spectra(om, 1e-9), 1e-9)
         for c in (0, 1):
             gap = np.max(np.abs(_chunk_entropies(seed, c, active) - _qr_reference_entropies(seed, c, active)))
             assert gap <= 1e-12, (st.blocks, seed, c, gap)
@@ -481,16 +481,16 @@ def test_scan_calls_no_lapack_qr_and_draws_one_stream_per_chunk(monkeypatch):
     monkeypatch.setattr(decomp, "rng_stream", counting_stream)
     st = ce.make_algebra([(3, 2), (2, 1), (1, 1)])
     om = random_state(rng_stream(69), st)
-    found, _ = decomp.infimum_oracle(om, st, samples=3000, seed=9)
+    found, _ = decomp.infimum_oracle(om, samples=3000, seed=9)
     assert streams == [(9, 1, 0), (9, 1, 1), (9, 1, 2)]
-    assert found == pytest.approx(ce.state_entropy(om, st).state_entropy, abs=1e-12)
+    assert found == pytest.approx(ce.state_entropy(om).state_entropy, abs=1e-12)
 
 
 _NAN = float("nan")
 _M2 = ce.make_algebra([(2, 1)])
 _NAN_UNITARY = np.array([[1.0, 0.0], [0.0, _NAN]])
 _NAN_BASIS = np.array([[[_NAN, 0.0], [0.0, 1.0]]]) / np.sqrt(2)
-_M2_GNS = ce.gns_construct(ce.StateFunctional.from_canonical(_M2, [1.0], [np.eye(2) / 2]), _M2)
+_M2_GNS = ce.gns_construct(ce.StateFunctional.from_canonical(_M2, [1.0], [np.eye(2) / 2]))
 
 
 @pytest.mark.parametrize("call", [

@@ -1,7 +1,8 @@
-"""Smoke test: every demo script runs to completion."""
+"""Smoke test: every demo script and the README's quick start run to completion."""
 
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -11,10 +12,20 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
-@pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
-def test_demo_runs(demo):
+def _run(args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env,
+    proc = subprocess.run([sys.executable, *args], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
+def test_demo_runs(demo):
+    _run([str(demo)])
+
+
+def test_readme_quick_start_runs():
+    block = re.search(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    assert block, "README.md has no fenced python block"
+    _run(["-c", block.group(1)])

@@ -75,19 +75,19 @@ class TestStateEntropy:
         for _ in range(10):
             st = random_structure(rng)
             om = random_pure_state(rng, st)
-            assert ce.state_entropy(om, st).state_entropy < 1e-9
+            assert ce.state_entropy(om).state_entropy < 1e-9
 
     def test_diagonal_algebra_hand_value(self):
         st = ce.make_algebra([(1, 1), (1, 1)])
         om = ce.StateFunctional.from_canonical(st, [0.25, 0.75], [np.eye(1), np.eye(1)])
-        assert ce.state_entropy(om, st).state_entropy == pytest.approx(H_QUARTER, abs=1e-9)
+        assert ce.state_entropy(om).state_entropy == pytest.approx(H_QUARTER, abs=1e-9)
 
     def test_multiplicity_pure_state_report(self):
         # zero state entropy, but the representative has entropy log 2
         st = ce.make_algebra([(2, 2)])
         psi = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2)
         om = ce.StateFunctional.from_canonical(st, [1.0], [np.outer(psi, psi.conj())])
-        report = ce.state_entropy(om, st)
+        report = ce.state_entropy(om)
         assert report.state_entropy == pytest.approx(0.0, abs=1e-9)
         assert report.vn_of_representative == pytest.approx(LOG2, abs=1e-9)
         assert report.multiplicity_term == pytest.approx(LOG2, abs=1e-9)
@@ -97,7 +97,7 @@ class TestStateEntropy:
         for _ in range(10):
             st = random_structure(rng)
             om = random_state(rng, st)
-            rep = ce.state_entropy(om, st)
+            rep = ce.state_entropy(om)
             assert rep.state_entropy == pytest.approx(
                 rep.sector_entropy + rep.mean_block_entropy, abs=1e-9)
             assert rep.vn_of_representative == pytest.approx(
@@ -109,7 +109,7 @@ class TestStateEntropy:
         for _ in range(10):
             st = random_structure(rng, multiplicities=False)
             om = random_state(rng, st)
-            rep = ce.state_entropy(om, st)
+            rep = ce.state_entropy(om)
             assert rep.vn_of_representative == pytest.approx(rep.state_entropy, abs=1e-9)
 
     def test_multiplicity_invariance(self):
@@ -119,21 +119,21 @@ class TestStateEntropy:
         flat = st.multiplicity_free()
         for _ in range(5):
             om = random_state(rng, st)
-            p, rhos = ce.canonical_form(ce.representative_density(om, st), st)
+            p, rhos = ce.canonical_form(ce.representative_density(om), st)
             om_flat = ce.StateFunctional.from_canonical(flat, p, rhos)
-            assert ce.state_entropy(om, st).state_entropy == pytest.approx(
-                ce.state_entropy(om_flat, flat).state_entropy, abs=1e-9)
+            assert ce.state_entropy(om).state_entropy == pytest.approx(
+                ce.state_entropy(om_flat).state_entropy, abs=1e-9)
 
     def test_numeric_concavity(self):
         rng = rng_stream(37)
         st = ce.make_algebra([(2, 1), (2, 2)])
         for _ in range(20):
             om_a, om_b = random_state(rng, st), random_state(rng, st)
-            s_a = ce.state_entropy(om_a, st).state_entropy
-            s_b = ce.state_entropy(om_b, st).state_entropy
+            s_a = ce.state_entropy(om_a).state_entropy
+            s_b = ce.state_entropy(om_b).state_entropy
             for lam in np.linspace(0.1, 0.9, 9):
                 mix = ce.convex_combine([om_a, om_b], [lam, 1 - lam])
-                s_mix = ce.state_entropy(mix, st).state_entropy
+                s_mix = ce.state_entropy(mix).state_entropy
                 assert s_mix >= lam * s_a + (1 - lam) * s_b - 1e-9
 
     def test_zero_iff_pure(self):
@@ -141,8 +141,8 @@ class TestStateEntropy:
         for _ in range(10):
             st = random_structure(rng)
             om = random_state(rng, st)
-            s = ce.state_entropy(om, st).state_entropy
-            assert (s < 1e-9) == ce.is_pure(om, st)
+            s = ce.state_entropy(om).state_entropy
+            assert (s < 1e-9) == ce.is_pure(om)
 
 
 class TestMinimalDecomposition:
@@ -150,20 +150,20 @@ class TestMinimalDecomposition:
         st = ce.make_algebra([(2, 1)])
         psi = np.array([1.0, 1.0j], dtype=complex) / np.sqrt(2)
         om = ce.StateFunctional.from_canonical(st, [1.0], [np.outer(psi, psi.conj())])
-        dec = ce.minimal_decomposition(om, st)
+        dec = ce.minimal_decomposition(om)
         assert len(dec.components) == 1
         assert dec.components[0][0] == pytest.approx(1.0)
 
     def test_full_block_spectral_weights(self):
         st = ce.make_algebra([(2, 1)])
         om = ce.state_from_density(np.diag([0.25, 0.75]).astype(complex), st)
-        dec = ce.minimal_decomposition(om, st)
+        dec = ce.minimal_decomposition(om)
         assert np.allclose(sorted(dec.weights()), [0.25, 0.75])
 
     def test_two_sector_components(self):
         st = ce.make_algebra([(1, 1), (1, 1)])
         om = ce.StateFunctional.from_canonical(st, [0.5, 0.5], [np.eye(1), np.eye(1)])
-        dec = ce.minimal_decomposition(om, st)
+        dec = ce.minimal_decomposition(om)
         assert sorted(i for _, i, _ in dec.components) == [0, 1]
 
     def test_attains_state_entropy(self):
@@ -171,15 +171,15 @@ class TestMinimalDecomposition:
         for _ in range(10):
             st = random_structure(rng)
             om = random_state(rng, st)
-            dec = ce.minimal_decomposition(om, st)
+            dec = ce.minimal_decomposition(om)
             assert ce.shannon(dec.weights()) == pytest.approx(
-                ce.state_entropy(om, st).state_entropy, abs=1e-9)
+                ce.state_entropy(om).state_entropy, abs=1e-9)
 
     def test_reconstructs_representative(self):
         rng = rng_stream(40)
         for _ in range(5):
             st = random_structure(rng)
             om = random_state(rng, st)
-            dec = ce.minimal_decomposition(om, st)
+            dec = ce.minimal_decomposition(om)
             assert np.allclose(dec.density(),
-                               ce.representative_density(om, st).matrix, atol=1e-9)
+                               ce.representative_density(om).matrix, atol=1e-9)

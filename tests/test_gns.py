@@ -26,20 +26,20 @@ class TestGnsConstruct:
         psi = np.zeros(3, dtype=complex)
         psi[0] = 1.0
         om = ce.StateFunctional.from_canonical(st, [1.0], [np.outer(psi, psi.conj())])
-        g = ce.gns_construct(om, st)
+        g = ce.gns_construct(om)
         assert g.dim == 3
 
     def test_faithful_state_on_full_block(self):
         rng = rng_stream(70)
         st = ce.make_algebra([(3, 1)])
         om = ce.state_from_density(random_ambient_density(rng, 3), st)
-        assert ce.gns_construct(om, st).dim == 9
+        assert ce.gns_construct(om).dim == 9
 
     def test_diagonal_algebra_rep_ops_diagonal(self):
         st = ce.make_algebra([(1, 1)] * 3)
         om = ce.StateFunctional.from_canonical(
             st, [0.2, 0.3, 0.5], [np.eye(1)] * 3)
-        g = ce.gns_construct(om, st)
+        g = ce.gns_construct(om)
         assert g.dim == 3
         for op in g.rep_ops:
             assert np.allclose(op, np.diag(np.diag(op)), atol=1e-10)
@@ -49,7 +49,7 @@ class TestGnsConstruct:
         for _ in range(3):
             st = random_structure(rng, max_ambient=8)
             om = random_state(rng, st)
-            g = ce.gns_construct(om, st)
+            g = ce.gns_construct(om)
             for _ in range(100):
                 a = ce.random_element(st, rng)
                 lhs = g.cyclic.conj() @ (g.represent(_coeffs(a)) @ g.cyclic)
@@ -59,7 +59,7 @@ class TestGnsConstruct:
         rng = rng_stream(72)
         st = random_structure(rng, max_ambient=8)
         om = random_state(rng, st)
-        g = ce.gns_construct(om, st)
+        g = ce.gns_construct(om)
         for _ in range(10):
             a, b = ce.random_element(st, rng), ce.random_element(st, rng)
             pa, pb = g.represent(_coeffs(a)), g.represent(_coeffs(b))
@@ -70,7 +70,7 @@ class TestGnsConstruct:
         rng = rng_stream(73)
         st = random_structure(rng, max_ambient=8)
         om = random_state(rng, st)
-        g = ce.gns_construct(om, st)
+        g = ce.gns_construct(om)
         orbit = np.stack([op @ g.cyclic for op in g.rep_ops])
         assert np.linalg.matrix_rank(orbit) == g.dim
 
@@ -78,7 +78,7 @@ class TestGnsConstruct:
         rng = rng_stream(74)
         st = random_structure(rng, max_ambient=8)
         om = random_state(rng, st)
-        g = ce.gns_construct(om, st)
+        g = ce.gns_construct(om)
         # <E_ab, E_cd> = delta_ac omega(E_bd): block i of the Gram matrix is kron(I_n, omega_i)
         gram = np.zeros((st.algebra_dim, st.algebra_dim), dtype=complex)
         off = 0
@@ -91,7 +91,7 @@ class TestGnsConstruct:
         st = ce.make_algebra([(2, 1)])
         om = ce.StateFunctional(st, (np.array([[1.5, 0.0], [0.0, -0.5]], dtype=complex),))
         with pytest.raises(NotAStateError):
-            ce.gns_construct(om, st)
+            ce.gns_construct(om)
 
 
 class TestStackedArrays:
@@ -109,14 +109,14 @@ class TestStackedArrays:
         rng = rng_stream(89)
         st = ce.make_algebra([(2, 2), (1, 1)])
         om = random_state(rng, st)
-        g = ce.gns_construct(om, st)
+        g = ce.gns_construct(om)
         self._assert_read_only_stack(g.rep_ops, st.algebra_dim, g.dim)
 
     def test_subalgebra_bases_are_read_only_stacks(self):
         rng = rng_stream(90)
         st = ce.make_algebra([(2, 1), (1, 2)])
         om = random_state(rng, st)
-        g = ce.gns_construct(om, st)
+        g = ce.gns_construct(om)
         # the represented units are built on demand from read-only maps
         self._assert_read_only_stack(g.rep_ops, st.algebra_dim, g.dim)
         assert not (g.quotient.flags.writeable or g.embedding.flags.writeable)
@@ -133,7 +133,7 @@ class TestStackedArrays:
         psi = np.array([1.0, 1j]) / np.sqrt(2)
         rho = np.outer(psi, psi.conj()) if rank == 1 else np.diag([0.3, 0.7])
         om = ce.StateFunctional.from_canonical(st, [0.4, 0.0, 0.6], [rho, None, np.eye(1)])
-        g = ce.gns_construct(om, st)
+        g = ce.gns_construct(om)
         norms, keep = _unit_norms(g, 1e-9)
         assert np.allclose(norms, [np.sqrt(rank)] * 4 + [0.0] * 4 + [1.0], atol=1e-12)
         assert np.allclose(norms, np.linalg.norm(g.rep_ops, axis=(1, 2)), atol=1e-12)
@@ -146,25 +146,25 @@ class TestIrreducibility:
         for _ in range(5):
             st = random_structure(rng, max_ambient=8)
             om = random_pure_state(rng, st)
-            assert ce.is_irreducible(ce.gns_construct(om, st))
+            assert ce.is_irreducible(ce.gns_construct(om))
 
     def test_maximally_mixed_is_reducible(self):
         st = ce.make_algebra([(3, 1)])
         om = ce.state_from_density(np.eye(3) / 3, st)
-        assert not ce.is_irreducible(ce.gns_construct(om, st))
+        assert not ce.is_irreducible(ce.gns_construct(om))
 
     def test_two_sector_mixture_is_reducible(self):
         st = ce.make_algebra([(1, 1), (1, 1)])
         om = ce.StateFunctional.from_canonical(st, [0.5, 0.5], [np.eye(1), np.eye(1)])
-        assert not ce.is_irreducible(ce.gns_construct(om, st))
+        assert not ce.is_irreducible(ce.gns_construct(om))
 
     def test_purity_iff_irreducibility(self):
         rng = rng_stream(76)
         for trial in range(10):
             st = random_structure(rng, max_ambient=6)
             om = random_pure_state(rng, st) if trial % 2 else random_state(rng, st)
-            g = ce.gns_construct(om, st)
-            assert ce.is_irreducible(g) == ce.is_pure(om, st)
+            g = ce.gns_construct(om)
+            assert ce.is_irreducible(g) == ce.is_pure(om)
 
 
 class TestCommutantFunctional:
@@ -172,7 +172,7 @@ class TestCommutantFunctional:
         rng = rng_stream(77)
         st = random_structure(rng, max_ambient=6)
         om = random_state(rng, st)
-        g = ce.gns_construct(om, st)
+        g = ce.gns_construct(om)
         lam, sub = ce.gns_commutant_functional(g, np.eye(g.dim))
         assert lam == pytest.approx(1.0, abs=1e-10)
         assert np.allclose(sub.values(), om.values(), atol=1e-9)
@@ -181,7 +181,7 @@ class TestCommutantFunctional:
         rng = rng_stream(78)
         st = random_structure(rng, max_ambient=6)
         om = random_state(rng, st)
-        g = ce.gns_construct(om, st)
+        g = ce.gns_construct(om)
         lam, sub = ce.gns_commutant_functional(g, np.eye(g.dim) / 2)
         assert lam == pytest.approx(0.5, abs=1e-10)
         assert np.allclose(sub.values(), om.values(), atol=1e-9)
@@ -190,13 +190,13 @@ class TestCommutantFunctional:
         # projecting onto one sector of a two-sector mixture leaves a pure state
         st = ce.make_algebra([(1, 1), (1, 1)])
         om = ce.StateFunctional.from_canonical(st, [0.25, 0.75], [np.eye(1), np.eye(1)])
-        g = ce.gns_construct(om, st)
+        g = ce.gns_construct(om)
         # rep ops are diagonal here; the first sector projector is diag(1, 0)
         proj = np.zeros((2, 2))
         k = np.argmax([abs(op[0, 0]) for op in g.rep_ops])
         proj = np.round(np.abs(g.rep_ops[k])).real
         lam, sub = ce.gns_commutant_functional(g, proj)
-        assert ce.is_pure(sub, st)
+        assert ce.is_pure(sub)
         assert lam == pytest.approx(0.25, abs=1e-9) or lam == pytest.approx(0.75, abs=1e-9)
 
     def test_leftover_functional_is_positive(self):
@@ -204,7 +204,7 @@ class TestCommutantFunctional:
         st = ce.make_algebra([(2, 1), (1, 1)])
         rng = rng_stream(79)
         om = random_state(rng, st)
-        g = ce.gns_construct(om, st)
+        g = ce.gns_construct(om)
         t = np.eye(g.dim) * 0.6
         lam, sub = ce.gns_commutant_functional(g, t)
         rest = (om.values() - lam * sub.values()) / (1 - lam)
@@ -213,13 +213,13 @@ class TestCommutantFunctional:
             block_values.append(rest[off:off + n * n].reshape(n, n))
             off += n * n
         leftover = ce.StateFunctional(st, tuple(block_values))
-        ce.representative_density(leftover, st)  # raises if not positive
+        ce.representative_density(leftover)  # raises if not positive
 
     def test_non_commuting_operator_rejected(self):
         st = ce.make_algebra([(2, 1)])
         rng = rng_stream(80)
         om = random_state(rng, st)
-        g = ce.gns_construct(om, st)
+        g = ce.gns_construct(om)
         t = np.zeros((g.dim, g.dim))
         t[0, 0] = 1.0
         with pytest.raises(ValidationError):
@@ -229,14 +229,14 @@ class TestCommutantFunctional:
         st = ce.make_algebra([(2, 1)])
         rng = rng_stream(81)
         om = random_state(rng, st)
-        g = ce.gns_construct(om, st)
+        g = ce.gns_construct(om)
         with pytest.raises(ValidationError):
             ce.gns_commutant_functional(g, 2.0 * np.eye(g.dim))
 
     def test_nan_operator_fails_its_own_check(self):
         # not later, inside StateFunctional, after a RuntimeWarning
         st = ce.make_algebra([(2, 1)])
-        g = ce.gns_construct(random_state(rng_stream(82), st), st)
+        g = ce.gns_construct(random_state(rng_stream(82), st))
         t = np.eye(g.dim)
         t[0, 0] = np.nan
         with pytest.raises(ValidationError, match="not self-adjoint"):
@@ -248,10 +248,10 @@ class TestIdentityDecomposition:
         st = ce.make_algebra([(2, 1)])
         rng = rng_stream(82)
         om = random_state(rng, st)
-        g = ce.gns_construct(om, st)
+        g = ce.gns_construct(om)
         sectors = ce.resolve_sectors(g, seed=1)
         idec = ce.identity_decomposition_random(
-            g, seed=1, sectors=sectors,
+            sectors, seed=1,
             sizes={i: m for i, (_, m) in enumerate(sectors.structure.blocks) if m == 1})
         for t, _, v in idec.items:
             if len(v) == 1:
@@ -262,19 +262,19 @@ class TestIdentityDecomposition:
         st = ce.make_algebra([(2, 1)])
         rng = rng_stream(83)
         om = ce.state_from_density(random_ambient_density(rng, 2), st)
-        g = ce.gns_construct(om, st)
+        g = ce.gns_construct(om)
         sectors = ce.resolve_sectors(g, seed=2)
         sizes = {i: m for i, (_, m) in enumerate(sectors.structure.blocks)}
-        idec = ce.identity_decomposition_random(g, seed=2, sectors=sectors, sizes=sizes)
+        idec = ce.identity_decomposition_random(sectors, seed=2, sizes=sizes)
         assert all(abs(t - 1.0) < 1e-9 for t, _, _ in idec.items)
 
     def test_random_resolution_sums_to_identity(self):
         rng = rng_stream(84)
         st = ce.make_algebra([(2, 2), (1, 1)])
         om = random_state(rng, st)
-        g = ce.gns_construct(om, st)
+        g = ce.gns_construct(om)
         sectors = ce.resolve_sectors(g, seed=3)
-        idec = ce.identity_decomposition_random(g, seed=3, sectors=sectors)
+        idec = ce.identity_decomposition_random(sectors, seed=3)
         # constructor already validates the resolution; check grouping by block
         for i, (_, m) in enumerate(sectors.structure.blocks):
             acc = sum(t * np.outer(v, v.conj())
@@ -285,12 +285,12 @@ class TestIdentityDecomposition:
         rng = rng_stream(85)
         st = ce.make_algebra([(2, 2), (1, 2)])
         om = random_state(rng, st)
-        g = ce.gns_construct(om, st)
+        g = ce.gns_construct(om)
         sectors = ce.resolve_sectors(g, seed=4)
-        s = ce.state_entropy(om, st).state_entropy
+        s = ce.state_entropy(om).state_entropy
         for trial in range(5):
-            idec = ce.identity_decomposition_random(g, seed=trial, sectors=sectors)
-            lam = ce.identity_decomposition_weights(g, idec, sectors=sectors)
+            idec = ce.identity_decomposition_random(sectors, seed=trial)
+            lam = ce.identity_decomposition_weights(sectors, idec)
             assert lam.sum() == pytest.approx(1.0, abs=1e-9)
             assert ce.shannon(lam) >= s - 1e-9
 
@@ -298,13 +298,13 @@ class TestIdentityDecomposition:
                              ids=["block_past_the_end", "negative_block", "wrong_length"])
     def test_weights_reject_items_that_do_not_fit_the_sectors(self, block, length):
         st = ce.make_algebra([(2, 2), (1, 1)])
-        g = ce.gns_construct(random_state(rng_stream(92), st), st)
+        g = ce.gns_construct(random_state(rng_stream(92), st))
         sectors = ce.resolve_sectors(g)
         assert sectors.structure.blocks == ((2, 2), (1, 1))
         # an orthonormal basis of C^length resolves the identity, so the item set is valid
         idec = ce.IdentityDecomposition(tuple((1.0, block, e) for e in np.eye(length)))
         with pytest.raises(ValidationError):
-            ce.identity_decomposition_weights(g, idec, sectors=sectors)
+            ce.identity_decomposition_weights(sectors, idec)
 
 
 class TestGnsStateEntropy:
@@ -312,12 +312,12 @@ class TestGnsStateEntropy:
         rng = rng_stream(86)
         st = random_structure(rng, max_ambient=6)
         om = random_pure_state(rng, st)
-        assert ce.gns_state_entropy(om, st).state_entropy < 1e-9
+        assert ce.gns_state_entropy(om).state_entropy < 1e-9
 
     def test_faithful_m2_hand_value(self):
         st = ce.make_algebra([(2, 1)])
         om = ce.state_from_density(np.diag([0.25, 0.75]).astype(complex), st)
-        assert ce.gns_state_entropy(om, st).state_entropy == pytest.approx(
+        assert ce.gns_state_entropy(om).state_entropy == pytest.approx(
             0.5623351446188083, abs=1e-9)
 
     def test_matches_closed_form_on_random_states(self):
@@ -325,8 +325,8 @@ class TestGnsStateEntropy:
         for trial in range(10):
             st = random_structure(rng, max_ambient=10)
             om = random_state(rng, st)
-            via_gns = ce.gns_state_entropy(om, st, seed=trial).state_entropy
-            closed = ce.state_entropy(om, st).state_entropy
+            via_gns = ce.gns_state_entropy(om, seed=trial).state_entropy
+            closed = ce.state_entropy(om).state_entropy
             assert via_gns == pytest.approx(closed, abs=1e-9)
 
     def test_matches_closed_form_at_gns_dimension_320(self):
@@ -335,15 +335,15 @@ class TestGnsStateEntropy:
         rng = rng_stream(91)
         st = ce.make_algebra([(16, 2), (8, 1)])
         om = random_state(rng, st)
-        assert ce.gns_construct(om, st).dim == 320
-        via_gns = ce.gns_state_entropy(om, st).state_entropy
-        assert via_gns == pytest.approx(ce.state_entropy(om, st).state_entropy, abs=1e-12)
+        assert ce.gns_construct(om).dim == 320
+        via_gns = ce.gns_state_entropy(om).state_entropy
+        assert via_gns == pytest.approx(ce.state_entropy(om).state_entropy, abs=1e-12)
 
     def test_report_invariants(self):
         rng = rng_stream(88)
         st = ce.make_algebra([(2, 2), (1, 1)])
         om = random_state(rng, st)
-        rep = ce.gns_state_entropy(om, st)
+        rep = ce.gns_state_entropy(om)
         assert rep.state_entropy == pytest.approx(
             rep.sector_entropy + rep.mean_block_entropy, abs=1e-9)
         assert rep.vn_of_representative == pytest.approx(

@@ -51,7 +51,7 @@ def structures_and_states(draw, max_n=5, max_m=3, max_blocks=4):
 @given(structures_and_states())
 def test_closed_form_matches_riesz_solve(case):
     structure, om, _ = case
-    closed = ce.representative_density(om, structure).matrix
+    closed = ce.representative_density(om).matrix
     riesz = riesz_representative(ce.embedded_standard_basis(structure), om.values())
     assert np.max(np.abs(closed - riesz)) <= 1e-12
 
@@ -60,8 +60,8 @@ def test_closed_form_matches_riesz_solve(case):
 @given(structures_and_states())
 def test_multiplicity_relation(case):
     structure, om, p = case
-    report = ce.state_entropy(om, structure)
-    vn = ce.von_neumann(ce.representative_density(om, structure))
+    report = ce.state_entropy(om)
+    vn = ce.von_neumann(ce.representative_density(om))
     mult = sum(w * np.log(m) for w, (_, m) in zip(p, structure.blocks))
     assert abs(report.state_entropy - (vn - mult)) <= 1e-12
     assert abs(report.vn_of_representative - vn) <= 1e-12
@@ -71,7 +71,7 @@ def test_multiplicity_relation(case):
 @given(structures_and_states())
 def test_entropy_bounds(case):
     structure, om, _ = case
-    s = ce.state_entropy(om, structure).state_entropy
+    s = ce.state_entropy(om).state_entropy
     assert -1e-12 <= s <= np.log(sum(n for n, _ in structure.blocks)) + 1e-12
 
 
@@ -82,8 +82,8 @@ def test_entropy_invariant_under_block_permutation(case, data):
     perm = data.draw(st.permutations(range(structure.num_blocks)))
     permuted = ce.make_algebra([structure.blocks[i] for i in perm])
     om_perm = ce.StateFunctional(permuted, tuple(om.block_values[i] for i in perm))
-    s = ce.state_entropy(om, structure).state_entropy
-    assert abs(ce.state_entropy(om_perm, permuted).state_entropy - s) <= 1e-10
+    s = ce.state_entropy(om).state_entropy
+    assert abs(ce.state_entropy(om_perm).state_entropy - s) <= 1e-10
 
 
 @DISCOVERY_SETTINGS
@@ -95,10 +95,10 @@ def test_entropy_invariant_under_conjugated_generators(case, seed):
     gens = [v @ ce.embed(ce.random_element(structure, rng)) @ v.conj().T for _ in range(2)]
     found, w = ce.block_decompose(ce.generate_subalgebra(gens))
     assert sorted(found.blocks) == sorted(structure.blocks)
-    rho = v @ ce.representative_density(om, structure).matrix @ v.conj().T
+    rho = v @ ce.representative_density(om).matrix @ v.conj().T
     rediscovered = ce.state_from_density(w.conj().T @ rho @ w, found)
-    s = ce.state_entropy(om, structure).state_entropy
-    assert abs(ce.state_entropy(rediscovered, found).state_entropy - s) <= 1e-10
+    s = ce.state_entropy(om).state_entropy
+    assert abs(ce.state_entropy(rediscovered).state_entropy - s) <= 1e-10
 
 
 @DISCOVERY_SETTINGS
@@ -117,8 +117,8 @@ def test_discovered_blocks_do_not_depend_on_the_seed(case, rotation_seed, seed):
 @given(structures_and_states(max_n=3, max_m=2, max_blocks=3))
 def test_gns_route_matches_closed_form(case):
     structure, om, _ = case
-    s = ce.state_entropy(om, structure).state_entropy
-    assert abs(ce.gns_state_entropy(om, structure).state_entropy - s) <= 1e-10
+    s = ce.state_entropy(om).state_entropy
+    assert abs(ce.gns_state_entropy(om).state_entropy - s) <= 1e-10
 
 
 @DISCOVERY_SETTINGS
@@ -126,13 +126,13 @@ def test_gns_route_matches_closed_form(case):
 def test_gns_structure_is_weighted_blocks_with_rank_multiplicities(case, seed):
     # block i acts on C^{n_i} (x) C^{rank rho_i} in the GNS space, and not at all if p_i = 0
     structure, om, p = case
-    g = ce.gns_construct(om, structure)
+    g = ce.gns_construct(om)
     sectors = ce.resolve_sectors(g, seed=seed)
     expected = sorted((n, np.linalg.matrix_rank(v)) for (n, _), v, w in
                       zip(structure.blocks, om.block_values, p) if w > 0)
     assert sorted(sectors.structure.blocks) == expected
-    assert ce.is_irreducible(g) == ce.is_pure(om, structure)
-    s = ce.state_entropy(om, structure).state_entropy
+    assert ce.is_irreducible(g) == ce.is_pure(om)
+    s = ce.state_entropy(om).state_entropy
     assert abs(ce.sectors_entropy(sectors).state_entropy - s) <= 1e-10
 
 
@@ -140,8 +140,8 @@ def test_gns_structure_is_weighted_blocks_with_rank_multiplicities(case, seed):
 @given(structures_and_states(), st.integers(0, 2**32 - 1))
 def test_oracle_never_goes_below_closed_form(case, seed):
     structure, om, _ = case
-    s = ce.state_entropy(om, structure).state_entropy
-    found, dec = ce.infimum_oracle(om, structure, samples=200, seed=seed)
+    s = ce.state_entropy(om).state_entropy
+    found, dec = ce.infimum_oracle(om, samples=200, seed=seed)
     # sample 0 is the minimal decomposition, so the minimum also never exceeds S
     assert s - 1e-10 <= found <= s + 1e-10
     assert np.allclose(dec.state().values(), om.values(), atol=1e-9)

@@ -28,7 +28,7 @@ class TestStateFromDensity:
         st = ce.make_algebra([(3, 1)])
         rho = random_ambient_density(rng, 3)
         om = ce.state_from_density(rho, st)
-        assert np.allclose(ce.representative_density(om, st).matrix, rho, atol=1e-10)
+        assert np.allclose(ce.representative_density(om).matrix, rho, atol=1e-10)
 
     def test_multiplicity_block_pure_vector_state(self):
         # |00><00| restricted to M_2 (x) I_2 is represented by |0><0| (x) I/2
@@ -37,7 +37,7 @@ class TestStateFromDensity:
         rho[0, 0] = 1.0
         om = ce.state_from_density(rho, st)
         expected = np.kron(np.diag([1.0, 0.0]), np.eye(2) / 2)
-        assert np.allclose(ce.representative_density(om, st).matrix, expected, atol=1e-10)
+        assert np.allclose(ce.representative_density(om).matrix, expected, atol=1e-10)
 
     def test_dimension_mismatch(self):
         st = ce.make_algebra([(2, 1)])
@@ -50,21 +50,21 @@ class TestRepresentativeDensity:
         st = ce.make_algebra([(1, 1)] * 3)
         rho = np.array([[0.2, 0.1, 0.05], [0.1, 0.5, 0.0], [0.05, 0.0, 0.3]], dtype=complex)
         om = ce.state_from_density(rho, st)
-        assert np.allclose(ce.representative_density(om, st).matrix,
+        assert np.allclose(ce.representative_density(om).matrix,
                            np.diag([0.2, 0.5, 0.3]), atol=1e-10)
 
     def test_scalar_algebra_gives_maximally_mixed(self):
         st = ce.make_algebra([(1, 4)])
         rng = rng_stream(4)
         om = ce.state_from_density(random_ambient_density(rng, 4), st)
-        assert np.allclose(ce.representative_density(om, st).matrix, np.eye(4) / 4, atol=1e-10)
+        assert np.allclose(ce.representative_density(om).matrix, np.eye(4) / 4, atol=1e-10)
 
     def test_reproduces_functional_on_full_basis(self):
         rng = rng_stream(5)
         for trial in range(5):
             st = random_structure(rng)
             om = random_state(rng, st)
-            rho = ce.representative_density(om, st).matrix
+            rho = ce.representative_density(om).matrix
             for a, mat in zip(ce.standard_basis(st), ce.embedded_standard_basis(st)):
                 assert abs(np.trace(rho @ mat) - om.expect(a)) < 1e-10
 
@@ -74,7 +74,7 @@ class TestRepresentativeDensity:
         st = ce.make_algebra([(2, 2), (1, 1)])
         rho = random_ambient_density(rng, 5)
         om = ce.state_from_density(rho, st)
-        rep = ce.representative_density(om, st).matrix
+        rep = ce.representative_density(om).matrix
         for mat in ce.embedded_standard_basis(st):
             assert abs(np.trace((rho - rep) @ mat)) < 1e-10
 
@@ -84,9 +84,9 @@ class TestRepresentativeDensity:
         for trial in range(5):
             st = random_structure(rng)
             om = random_state(rng, st)
-            rep = ce.representative_density(om, st).matrix
+            rep = ce.representative_density(om).matrix
             om2 = ce.state_from_density(rep, st)
-            rep2 = ce.representative_density(om2, st).matrix
+            rep2 = ce.representative_density(om2).matrix
             assert np.allclose(rep, rep2, atol=1e-9)
 
     def test_positivity_failure_raises_not_a_state(self):
@@ -94,7 +94,7 @@ class TestRepresentativeDensity:
         values = (np.array([[1.2, 0.0], [0.0, -0.2]], dtype=complex),)
         om = ce.StateFunctional(st, values)
         with pytest.raises(NotAStateError):
-            ce.representative_density(om, st)
+            ce.representative_density(om)
 
     def test_unnormalized_functional_rejected(self):
         st = ce.make_algebra([(2, 1)])
@@ -173,7 +173,7 @@ class TestCanonicalForm:
         for trial in range(5):
             st = random_structure(rng)
             om = random_state(rng, st)
-            rho = ce.representative_density(om, st)
+            rho = ce.representative_density(om)
             p, rhos = ce.canonical_form(rho, st)
             om2 = ce.StateFunctional.from_canonical(st, p, rhos)
             assert np.allclose(om.values(), om2.values(), atol=1e-9)
@@ -190,20 +190,20 @@ class TestIsPure:
         st = ce.make_algebra([(2, 1)])
         psi = np.array([0.6, 0.8], dtype=complex)
         om = ce.StateFunctional.from_canonical(st, [1.0], [np.outer(psi, psi.conj())])
-        assert ce.is_pure(om, st)
+        assert ce.is_pure(om)
 
     def test_sector_mixture_is_not_pure(self):
         st = ce.make_algebra([(1, 1), (1, 1)])
         om = ce.StateFunctional.from_canonical(st, [0.5, 0.5], [np.eye(1), np.eye(1)])
-        assert not ce.is_pure(om, st)
+        assert not ce.is_pure(om)
 
     def test_pure_despite_multiplicity(self):
         # the representative has rank 2 but the state admits no decomposition
         st = ce.make_algebra([(2, 2)])
         psi = np.array([1.0, 0.0], dtype=complex)
         om = ce.StateFunctional.from_canonical(st, [1.0], [np.outer(psi, psi.conj())])
-        assert ce.is_pure(om, st)
-        rep = ce.representative_density(om, st)
+        assert ce.is_pure(om)
+        rep = ce.representative_density(om)
         assert np.linalg.matrix_rank(rep.matrix) == 2
 
     def test_purity_is_representation_independent(self):
@@ -212,14 +212,14 @@ class TestIsPure:
         flat = st.multiplicity_free()
         for trial in range(5):
             om = random_state(rng, st)
-            p, rhos = ce.canonical_form(ce.representative_density(om, st), st)
+            p, rhos = ce.canonical_form(ce.representative_density(om), st)
             om_flat = ce.StateFunctional.from_canonical(flat, p, rhos)
-            assert ce.is_pure(om, st) == ce.is_pure(om_flat, flat)
+            assert ce.is_pure(om) == ce.is_pure(om_flat)
 
     def test_mixed_block_state_is_not_pure(self):
         st = ce.make_algebra([(2, 1)])
         om = ce.StateFunctional.from_canonical(st, [1.0], [np.eye(2) / 2])
-        assert not ce.is_pure(om, st)
+        assert not ce.is_pure(om)
 
 
 class TestConvexCombine:
@@ -235,14 +235,14 @@ class TestConvexCombine:
         om0 = ce.StateFunctional.from_canonical(st, [1.0, 0.0], [np.eye(1), None])
         om1 = ce.StateFunctional.from_canonical(st, [0.0, 1.0], [None, np.eye(1)])
         mix = ce.convex_combine([om0, om1], [0.5, 0.5])
-        assert np.allclose(ce.representative_density(mix, st).matrix, np.eye(2) / 2)
+        assert np.allclose(ce.representative_density(mix).matrix, np.eye(2) / 2)
 
     def test_matches_density_mixture(self):
         st = ce.make_algebra([(2, 1)])
         om0 = ce.state_from_density(np.diag([1.0, 0.0]).astype(complex), st)
         om1 = ce.state_from_density(np.diag([0.0, 1.0]).astype(complex), st)
         mix = ce.convex_combine([om0, om1], [1 / 3, 2 / 3])
-        assert np.allclose(ce.representative_density(mix, st).matrix,
+        assert np.allclose(ce.representative_density(mix).matrix,
                            np.diag([1 / 3, 2 / 3]), atol=1e-12)
 
     def test_representatives_combine_affinely(self):
@@ -251,9 +251,9 @@ class TestConvexCombine:
         om_a, om_b = random_state(rng, st), random_state(rng, st)
         lam = 0.3
         mix = ce.convex_combine([om_a, om_b], [lam, 1 - lam])
-        expected = lam * ce.representative_density(om_a, st).matrix \
-            + (1 - lam) * ce.representative_density(om_b, st).matrix
-        assert np.allclose(ce.representative_density(mix, st).matrix, expected, atol=1e-9)
+        expected = lam * ce.representative_density(om_a).matrix \
+            + (1 - lam) * ce.representative_density(om_b).matrix
+        assert np.allclose(ce.representative_density(mix).matrix, expected, atol=1e-9)
 
     def test_mismatched_structures_rejected(self):
         rng = rng_stream(12)
@@ -270,7 +270,7 @@ class TestStateFromValues:
         st = ce.make_algebra([(2, 1), (1, 1)])
         om = random_state(rng, st)
         basis = list(ce.embedded_standard_basis(st))
-        values = [np.trace(ce.representative_density(om, st).matrix @ b) for b in basis]
+        values = [np.trace(ce.representative_density(om).matrix @ b) for b in basis]
         om2 = ce.state_from_values(st, basis, values)
         assert np.allclose(om.values(), om2.values(), atol=1e-9)
 

@@ -46,7 +46,7 @@ class TestHasDefiniteValue:
         definite, value = ce.has_definite_value(om, a)
         assert definite
         assert value == pytest.approx(2.0, abs=1e-9)
-        rep = ce.representative_density(om, st).matrix
+        rep = ce.representative_density(om).matrix
         assert np.allclose(rep, np.outer(psi, psi.conj()), atol=1e-9)
 
     def test_non_selfadjoint_rejected(self):
@@ -156,10 +156,10 @@ class TestCompressionHeat:
             st = random_structure(rng, multiplicities=False)
             om = random_state(rng, st)
             acct = _account(st, copies=3, temperature=0.7, k_b=2.0)
-            dec = ce.minimal_decomposition(om, st)
+            dec = ce.minimal_decomposition(om)
             total = -sum(ce.compression_heat(w, acct) for w in dec.weights())
             total /= acct.boltzmann * acct.copies * acct.temperature
-            vn = ce.von_neumann(ce.representative_density(om, st))
+            vn = ce.von_neumann(ce.representative_density(om))
             assert total == pytest.approx(vn, abs=1e-9)
 
 
@@ -168,27 +168,27 @@ class TestGasEntropy:
         rng = rng_stream(93)
         st = random_structure(rng, multiplicities=False)
         om = random_state(rng, st)
-        assert ce.gas_entropy(om, st, _account(st)) == pytest.approx(
-            ce.state_entropy(om, st).state_entropy, abs=1e-9)
+        assert ce.gas_entropy(om, _account(st)) == pytest.approx(
+            ce.state_entropy(om).state_entropy, abs=1e-9)
 
     def test_pure_state_with_zero_entropies(self):
         rng = rng_stream(94)
         st = random_structure(rng, multiplicities=False)
         om = random_pure_state(rng, st)
-        assert ce.gas_entropy(om, st, _account(st)) == pytest.approx(0.0, abs=1e-9)
+        assert ce.gas_entropy(om, _account(st)) == pytest.approx(0.0, abs=1e-9)
 
     def test_two_sector_hand_value(self):
         st = ce.make_algebra([(1, 1), (1, 1)])
         om = ce.StateFunctional.from_canonical(st, [0.5, 0.5], [np.eye(1), np.eye(1)])
         acct = _account(st, entropies=[0.0, np.log(2)])
-        assert ce.gas_entropy(om, st, acct) == pytest.approx(
+        assert ce.gas_entropy(om, acct) == pytest.approx(
             np.log(2) + 0.5 * np.log(2), abs=1e-12)
 
     def test_sector_count_mismatch_rejected(self):
         st = ce.make_algebra([(1, 1), (1, 1)])
         om = ce.StateFunctional.from_canonical(st, [0.5, 0.5], [np.eye(1), np.eye(1)])
         with pytest.raises(ValidationError):
-            ce.gas_entropy(om, st, _account(ce.make_algebra([(1, 1)])))
+            ce.gas_entropy(om, _account(ce.make_algebra([(1, 1)])))
 
 
 class TestSectorsConnectable:
@@ -197,20 +197,20 @@ class TestSectorsConnectable:
         st = ce.make_algebra([(2, 1), (2, 1)])
         om_a = random_pure_state(rng, st, block=0)
         om_b = random_pure_state(rng, st, block=0)
-        assert ce.sectors_connectable(om_a, om_b, st)
+        assert ce.sectors_connectable(om_a, om_b)
 
     def test_different_blocks(self):
         rng = rng_stream(96)
         st = ce.make_algebra([(2, 1), (2, 1)])
         om_a = random_pure_state(rng, st, block=0)
         om_b = random_pure_state(rng, st, block=1)
-        assert not ce.sectors_connectable(om_a, om_b, st)
+        assert not ce.sectors_connectable(om_a, om_b)
 
     def test_state_with_itself(self):
         rng = rng_stream(97)
         st = ce.make_algebra([(3, 1), (1, 1)])
         om = random_pure_state(rng, st)
-        assert ce.sectors_connectable(om, om, st)
+        assert ce.sectors_connectable(om, om)
 
     def test_mixed_state_rejected(self):
         rng = rng_stream(98)
@@ -218,4 +218,11 @@ class TestSectorsConnectable:
         om_mixed = random_state(rng, st)
         om_pure = random_pure_state(rng, st)
         with pytest.raises(ValidationError):
-            ce.sectors_connectable(om_mixed, om_pure, st)
+            ce.sectors_connectable(om_mixed, om_pure)
+
+    def test_states_over_different_algebras_rejected(self):
+        rng = rng_stream(99)
+        om_a = random_pure_state(rng, ce.make_algebra([(2, 1), (2, 1)]))
+        om_b = random_pure_state(rng, ce.make_algebra([(2, 1)]))
+        with pytest.raises(ValidationError, match="different block structures"):
+            ce.sectors_connectable(om_a, om_b)

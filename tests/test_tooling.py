@@ -4,12 +4,15 @@
 traced run; a rename in the package would otherwise only show up as a
 ``--trace 1`` failure.  The two constants are read from the file's syntax
 tree; the file is neither executed nor modified.  The package's runtime
-depends on numpy and the standard library alone.
+depends on numpy and the standard library alone, and a function of a state
+reads the algebra off the state instead of taking it as a second argument.
 """
 
 import ast
 import importlib
+import inspect
 import pathlib
+import re
 import sys
 
 import pytest
@@ -51,3 +54,35 @@ def test_runtime_imports_only_numpy_and_the_standard_library(path):
     allowed = {"numpy", "__future__"} | set(sys.stdlib_module_names)
     foreign = sorted(set(_import_roots(path)) - allowed)
     assert not foreign, f"{path.name} imports {foreign}"
+
+
+def _public_callables():
+    """(qualified name, callable) for each public function, class and method of the package."""
+    for path in SOURCES:
+        if path.stem.startswith("_"):
+            continue
+        module = importlib.import_module(f"{PACKAGE}.{path.stem}")
+        for name, obj in vars(module).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__ \
+                    or inspect.isclass(obj) and issubclass(obj, Exception):
+                continue
+            if inspect.isfunction(obj) or inspect.isclass(obj):
+                yield f"{path.stem}.{name}", obj
+            if inspect.isclass(obj):
+                yield from ((f"{path.stem}.{name}.{attr}", getattr(obj, attr))
+                            for attr in vars(obj) if not attr.startswith("_")
+                            and inspect.isroutine(getattr(obj, attr)))
+
+
+def test_no_public_callable_takes_both_a_state_and_a_structure():
+    offenders, scanned = [], set()
+    for name, obj in _public_callables():
+        scanned.add(name)
+        params = inspect.signature(obj).parameters.values()
+        annotations = " ".join(str(p.annotation) for p in params)
+        if re.search(r"\bStateFunctional\b", annotations) and \
+                re.search(r"\bBlockStructure\b", annotations):
+            offenders.append(name)
+    assert {"entropy.state_entropy", "states.canonical_form", "states.StateFunctional.expect",
+            "thermo.sectors_connectable"} <= scanned
+    assert not offenders, f"take both a StateFunctional and a BlockStructure: {offenders}"
