@@ -12,14 +12,24 @@ def default_tol(dim: int) -> float:
     return 1e-9 if dim <= 64 else 1e-9 * dim / 64.0
 
 
+def _is_real(x) -> bool:
+    return not isinstance(x, bool) and isinstance(x, (int, float, np.integer, np.floating))
+
+
 def resolve_tol(tol, dim: int) -> float:
     """``default_tol(dim)`` for None, else tol, which must be a positive finite real number."""
     if tol is None:
         return default_tol(dim)
-    if isinstance(tol, bool) or not isinstance(tol, (int, float, np.integer, np.floating)) \
-            or not 0 < tol < np.inf:
+    if not _is_real(tol) or not 0 < tol < np.inf:
         raise ValidationError(f"tol must be a positive finite number, got {tol!r}")
     return tol
+
+
+def check_tol(tol) -> float:
+    """tol as a float; it must be a finite real number >= 0, where 0 asks for an exact check."""
+    if not _is_real(tol) or not 0 <= tol < np.inf:
+        raise ValidationError(f"tol must be a nonnegative finite number, got {tol!r}")
+    return float(tol)
 
 
 def rng_stream(seed: int, *key: int) -> np.random.Generator:

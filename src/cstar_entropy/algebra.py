@@ -22,6 +22,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ._linalg import (
+    check_tol,
     complex_gaussian,
     eigh_clusters,
     frob,
@@ -122,6 +123,7 @@ class AlgebraElement:
         return AlgebraElement(self.structure, tuple(a.conj().T for a in self.parts))
 
     def is_selfadjoint(self, tol: float = 1e-9) -> bool:
+        tol = check_tol(tol)
         return all(frob(a - a.conj().T) <= tol * max(1.0, frob(a)) for a in self.parts)
 
     def _check_same(self, other: "AlgebraElement") -> None:
@@ -150,8 +152,10 @@ def _assemble(parts: Sequence[np.ndarray], structure: BlockStructure) -> np.ndar
     """
     d = structure.ambient_dim
     out = np.zeros(parts[0].shape[:-2] + (d, d), dtype=complex)
-    for sl, (_, m), x in zip(structure.ambient_slices(), structure.blocks, parts):
-        out[..., sl, sl] = np.kron(x, np.eye(m))
+    for sl, (n, m), x in zip(structure.ambient_slices(), structure.blocks, parts):
+        # the Kronecker product x (x) I_m: entry [(a, j), (b, k)] is x[a, b] * I[j, k]
+        out[..., sl, sl] = (x[..., :, None, :, None] * np.eye(m)[:, None, :]).reshape(
+            x.shape[:-2] + (n * m, n * m))
     return out
 
 
@@ -180,9 +184,11 @@ def embedded_standard_basis(structure: BlockStructure) -> np.ndarray:
 
 def split_blocks(flat: np.ndarray, structure: BlockStructure) -> list[np.ndarray]:
     """Per-block parts (..., n_i, n_i) of standard-basis coefficients (..., algebra_dim)."""
-    ends = np.cumsum([n * n for n, _ in structure.blocks])[:-1]
-    return [x.reshape(x.shape[:-1] + (n, n))
-            for x, (n, _) in zip(np.split(flat, ends, axis=-1), structure.blocks)]
+    out, start = [], 0
+    for n, _ in structure.blocks:
+        out.append(flat[..., start:start + n * n].reshape(flat.shape[:-1] + (n, n)))
+        start += n * n
+    return out
 
 
 def partial_traces(mat: np.ndarray, structure: BlockStructure) -> list[np.ndarray]:

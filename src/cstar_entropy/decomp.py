@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import resolve_tol, rng_stream
+from ._linalg import check_tol, resolve_tol, rng_stream
 from .algebra import BlockStructure, make_algebra
 from .entropy import _entropy_of, minimal_decomposition, shannon
 from .errors import ValidationError
@@ -35,6 +35,7 @@ _CHUNK = 1024  # oracle samples per stream; part of the sampling contract
 
 
 def _check_unitary(u: np.ndarray, tol: float) -> np.ndarray:
+    tol = check_tol(tol)
     u = np.asarray(u, dtype=complex)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise ValidationError("unitary must be a square matrix")
@@ -104,6 +105,7 @@ def majorizes(p, q, tol: float = 1e-9) -> MajorizationVerdict:
     Shorter vectors are zero-padded.  ``relation`` reports which side
     dominates at every prefix, within tol.
     """
+    tol = check_tol(tol)
     vecs = []
     for name, v in (("p", p), ("q", q)):
         arr = np.asarray(v, dtype=float)

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import resolve_tol
+from ._linalg import check_tol, resolve_tol
+from .algebra import BlockStructure
 from .errors import ValidationError
 from .states import (
     Decomposition,
@@ -21,7 +22,6 @@ from .states import (
     StateFunctional,
     active_sectors,
     block_spectra,
-    density_from_spectra,
 )
 
 
@@ -38,6 +38,7 @@ def shannon(p, tol: float = 1e-9) -> float:
     Entries within tol below zero are clamped and the vector renormalized;
     anything worse is a validation error.
     """
+    tol = check_tol(tol)
     arr = np.asarray(p, dtype=float)
     if arr.ndim != 1 or arr.size == 0:
         raise ValidationError("probability vector must be one-dimensional and nonempty")
@@ -54,12 +55,19 @@ def von_neumann(rho) -> float:
     return _entropy_of(rho.spectrum)
 
 
+def _representative_entropy(structure: BlockStructure, spectra) -> float:
+    """S_VN(rho_omega) from :func:`block_spectra`: each eigenvalue w / m_i repeated m_i times."""
+    return _entropy_of(np.concatenate(
+        [np.repeat(w / m, m) for (_, m), (w, _) in zip(structure.blocks, spectra)]))
+
+
 @dataclass(frozen=True)
 class EntropyReport:
     """Entropy of a state together with its constituents.
 
     state_entropy = sector_entropy + mean_block_entropy, and the von Neumann
-    entropy of the representative exceeds it by the multiplicity term.
+    entropy of the representative, read off the block spectra, exceeds it by
+    the multiplicity term.
     """
 
     state_entropy: float
@@ -73,9 +81,10 @@ def state_entropy(omega: StateFunctional, tol: float | None = None) -> EntropyRe
     """Entropy of a state from the canonical form of its representative.
 
     Sector weights and block spectra come from one eigendecomposition per
-    block.  The von Neumann entropy of the representative is taken from its
-    own spectrum, not summed from those terms, so the multiplicity relation
-    ``S_VN(rho_omega) = S(omega) + sum_i p_i log m_i`` remains a check.
+    block.  The spectrum of the representative ``(+)_i (X_i / m_i) (x) I_{m_i}``
+    is those block spectra, each eigenvalue divided by m_i and repeated m_i
+    times, so S_VN(rho_omega) is read off them without forming the d x d
+    matrix; it satisfies ``S_VN(rho_omega) = S(omega) + sum_i p_i log m_i``.
     """
     tol = resolve_tol(tol, omega.structure.ambient_dim)
     spectra = block_spectra(omega, tol)
@@ -87,7 +96,7 @@ def state_entropy(omega: StateFunctional, tol: float | None = None) -> EntropyRe
         state_entropy=sector + mean,
         sector_entropy=sector,
         mean_block_entropy=mean,
-        vn_of_representative=von_neumann(density_from_spectra(omega.structure, spectra)),
+        vn_of_representative=_representative_entropy(omega.structure, spectra),
         multiplicity_term=mult,
     )
 

@@ -172,17 +172,15 @@ def block_spectra(omega: StateFunctional,
     return [(w / total, v[:, ::-1]) for w, (_, v) in zip(clipped, spectra)]
 
 
-def density_from_spectra(structure: BlockStructure,
-                         spectra: Sequence[tuple[np.ndarray, np.ndarray]]) -> DensityMatrix:
-    """The embedded density matrix ``(+)_i (X_i / m_i) (x) I_{m_i}`` from block spectra."""
-    return DensityMatrix(_assemble(
-        [(v * (w / m)) @ v.conj().T for (_, m), (w, v) in zip(structure.blocks, spectra)],
-        structure))
-
-
 def representative_density(omega: StateFunctional, tol: float | None = None) -> DensityMatrix:
-    """The unique density matrix inside the algebra reproducing the functional."""
-    return density_from_spectra(omega.structure, block_spectra(omega, tol))
+    """The unique density matrix inside the algebra reproducing the functional.
+
+    It is ``(+)_i (X_i / m_i) (x) I_{m_i}``, assembled from :func:`block_spectra`.
+    """
+    spectra = block_spectra(omega, tol)
+    return DensityMatrix(_assemble(
+        [(v * (w / m)) @ v.conj().T for (_, m), (w, v) in zip(omega.structure.blocks, spectra)],
+        omega.structure))
 
 
 def active_sectors(spectra: Sequence[tuple[np.ndarray, np.ndarray]],

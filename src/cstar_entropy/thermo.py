@@ -13,11 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import resolve_tol
+from ._linalg import check_tol, resolve_tol
 from .algebra import AlgebraElement, identity
-from .entropy import von_neumann
+from .entropy import _representative_entropy
 from .errors import DisconnectedSectorsError, ValidationError
-from .states import StateFunctional, active_sectors, block_spectra, density_from_spectra, is_pure
+from .states import StateFunctional, active_sectors, block_spectra, is_pure
 
 
 @dataclass(frozen=True)
@@ -75,6 +75,7 @@ def zeno_sequence(phi: np.ndarray, psi: np.ndarray, k: int, tol: float = 1e-9,
     """
     if k < 1:
         raise ValidationError("k must be at least 1")
+    tol = check_tol(tol)
     if block_phi != block_psi:
         raise DisconnectedSectorsError(
             f"vectors live in disconnected sectors {block_phi} and {block_psi}")
@@ -132,9 +133,8 @@ def gas_entropy(omega: StateFunctional, acct: GasAccount, tol: float | None = No
         raise ValidationError("one sector entropy per block required")
     tol = resolve_tol(tol, omega.structure.ambient_dim)
     spectra = block_spectra(omega, tol)
-    rho = density_from_spectra(omega.structure, spectra)
     p = _sector_weights(spectra, tol)
-    return von_neumann(rho) + float(np.dot(p, acct.sector_entropies))
+    return _representative_entropy(omega.structure, spectra) + float(np.dot(p, acct.sector_entropies))
 
 
 def sectors_connectable(omega_a: StateFunctional, omega_b: StateFunctional,

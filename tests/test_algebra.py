@@ -39,6 +39,58 @@ class TestMakeAlgebra:
             ce.make_algebra(blocks)
 
 
+def _kron_assemble(parts, structure):
+    d = structure.ambient_dim
+    out = np.zeros(parts[0].shape[:-2] + (d, d), dtype=complex)
+    for sl, (_, m), x in zip(structure.ambient_slices(), structure.blocks, parts):
+        out[..., sl, sl] = np.kron(x, np.eye(m))
+    return out
+
+
+def _signed_parts(structure, lead, rng):
+    """Parts with negative real and imaginary entries and zeros of both signs."""
+    parts = []
+    for n, _ in structure.blocks:
+        x = -np.abs(complex_gaussian(lead + (n, n), rng).real) \
+            - 1j * np.abs(complex_gaussian(lead + (n, n), rng).imag)
+        flat = x.reshape(-1)
+        flat[::3] = complex(-0.0, 0.0)
+        flat[1::5] = complex(0.0, -0.0)
+        parts.append(x)
+    return parts
+
+
+class TestConverters:
+    STRUCTURE = ce.make_algebra([(2, 1), (3, 2), (1, 3)])
+
+    @pytest.mark.parametrize("lead", [(), (5,), (2, 3)])
+    def test_assemble_is_bit_identical_to_kron(self, lead):
+        parts = _signed_parts(self.STRUCTURE, lead, rng_stream(71, len(lead)))
+        got = algebra._assemble(parts, self.STRUCTURE)
+        want = _kron_assemble(parts, self.STRUCTURE)
+        assert got.shape == lead + (11, 11)
+        assert got.tobytes() == want.tobytes()
+        assert np.array_equal(np.signbit(got.real), np.signbit(want.real))
+        assert np.array_equal(np.signbit(got.imag), np.signbit(want.imag))
+
+    def test_assemble_of_real_parts_is_bit_identical_to_kron(self):
+        parts = [x.real for x in _signed_parts(self.STRUCTURE, (4,), rng_stream(72))]
+        got = algebra._assemble(parts, self.STRUCTURE)
+        assert got.tobytes() == _kron_assemble(parts, self.STRUCTURE).tobytes()
+
+    @pytest.mark.parametrize("lead", [(), (4,), (2, 3)])
+    def test_split_blocks_matches_np_split(self, lead):
+        flat = complex_gaussian(lead + (self.STRUCTURE.algebra_dim,), rng_stream(73, len(lead)))
+        ends = np.cumsum([n * n for n, _ in self.STRUCTURE.blocks])[:-1]
+        want = np.split(flat, ends, axis=-1)
+        got = algebra.split_blocks(flat, self.STRUCTURE)
+        assert len(got) == len(want)
+        for g, w, (n, _) in zip(got, want, self.STRUCTURE.blocks):
+            assert g.shape == lead + (n, n)
+            assert g.tobytes() == w.reshape(lead + (n, n)).tobytes()
+            assert np.shares_memory(g, flat)
+
+
 class TestEmbed:
     def test_identity_embeds_to_identity(self):
         st = ce.make_algebra([(2, 2), (3, 1)])

@@ -183,3 +183,38 @@ class TestMinimalDecomposition:
             dec = ce.minimal_decomposition(om)
             assert np.allclose(dec.density(),
                                ce.representative_density(om).matrix, atol=1e-9)
+
+
+class TestRepresentativeEntropyFromBlockSpectra:
+    @staticmethod
+    def _clipping_edge_state():
+        # block 0 has an eigenvalue of -1e-13 that block_spectra clips; block 1 carries no weight
+        st = ce.make_algebra([(2, 2), (1, 3), (3, 1)])
+        v = np.linalg.qr(np.array([[1.0, 2.0], [1j, -1.0]]))[0]
+        x0 = v @ np.diag([0.55, -1e-13]) @ v.conj().T
+        x2 = np.diag([0.3, 0.15 + 1e-13, 0.0])
+        return ce.StateFunctional(st, (x0.T, np.zeros((1, 1)), x2.T))
+
+    def test_no_density_matrix_is_constructed(self, monkeypatch):
+        om = self._clipping_edge_state()
+        acct = ce.GasAccount(copies=1, temperature=1.0, sector_entropies=np.zeros(3))
+        built = []
+        post_init = ce.DensityMatrix.__post_init__
+
+        def spy(self):
+            built.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(ce.DensityMatrix, "__post_init__", spy)
+        ce.state_entropy(om)
+        ce.gas_entropy(om, acct)
+        assert built == []
+        ce.representative_density(om)  # the spy does see a construction
+        assert len(built) == 1
+
+    def test_agrees_with_the_spectrum_of_the_representative_at_the_clipping_edge(self):
+        om = self._clipping_edge_state()
+        direct = ce.von_neumann(ce.representative_density(om))
+        assert ce.state_entropy(om).vn_of_representative == pytest.approx(direct, abs=1e-12)
+        acct = ce.GasAccount(copies=1, temperature=1.0, sector_entropies=np.zeros(3))
+        assert ce.gas_entropy(om, acct) == pytest.approx(direct, abs=1e-12)

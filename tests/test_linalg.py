@@ -106,3 +106,31 @@ def test_tol_that_is_not_a_positive_finite_number_is_rejected(name, tol):
     _TOL_CALLS[name](None)
     with pytest.raises(ValidationError, match="tol must be a positive finite number"):
         _TOL_CALLS[name](tol)
+
+
+# every public function whose tol defaults to a float, called on exact inputs; there tol = 0
+# asks for an exact check
+_EXACT_TOL_CALLS = {
+    "shannon": lambda tol: ce.shannon([0.5, 0.5], tol=tol),
+    "majorizes": lambda tol: ce.majorizes([0.5, 0.5], [1.0], tol=tol),
+    "schrodinger_decomposition": lambda tol: ce.schrodinger_decomposition(
+        np.eye(2) / 2, np.eye(2), tol=tol),
+    "doubly_stochastic_from_unitary": lambda tol: ce.doubly_stochastic_from_unitary(
+        np.eye(2), tol=tol),
+    "zeno_sequence": lambda tol: ce.zeno_sequence([1.0, 0.0], [0.0, 1.0], 3, tol=tol),
+    "is_selfadjoint": lambda tol: ce.identity(_ST).is_selfadjoint(tol),
+}
+
+
+@pytest.mark.parametrize("tol", [np.nan, np.inf, -1.0, True], ids=["nan", "inf", "negative", "bool"])
+@pytest.mark.parametrize("name", sorted(_EXACT_TOL_CALLS))
+def test_tol_that_is_not_a_nonnegative_finite_number_is_rejected(name, tol):
+    _EXACT_TOL_CALLS[name](1e-9)
+    with pytest.raises(ValidationError, match="tol must be a nonnegative finite number"):
+        _EXACT_TOL_CALLS[name](tol)
+
+
+@pytest.mark.parametrize("name", sorted(_EXACT_TOL_CALLS))
+def test_zero_tol_is_an_exact_check(name):
+    _EXACT_TOL_CALLS[name](0)
+    _EXACT_TOL_CALLS[name](0.0)
