@@ -32,20 +32,31 @@ def check_tol(tol) -> float:
     return float(tol)
 
 
+def check_int(value, name: str, minimum: int | None = None) -> int:
+    """value as an int; it must be an integer, not a bool, float or string, and at least minimum."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ValidationError(f"{name} must be at least {minimum}, got {value!r}")
+    return int(value)
+
+
 def rng_stream(seed: int, *key: int) -> np.random.Generator:
     """Counter-based generator for (seed, key...).
 
     The seed selects the Philox key and the stream key parts select a
     disjoint counter block, so streams with distinct keys never overlap and
     draws are reproducible regardless of evaluation order.  That is what
-    makes sampled results bit-identical under any scheduling.
+    makes sampled results bit-identical under any scheduling.  The seed
+    must be an integer (:func:`check_int`).
     """
+    seed = check_int(seed, "seed")
     if len(key) > 3:
         raise ValueError("at most three stream key parts are supported")
     counter = np.zeros(4, dtype=np.uint64)
     for i, k in enumerate(reversed(key)):
         counter[3 - i] = np.uint64(int(k) & 0xFFFF_FFFF_FFFF_FFFF)
-    bitgen = np.random.Philox(key=int(seed) & ((1 << 128) - 1), counter=counter)
+    bitgen = np.random.Philox(key=seed & ((1 << 128) - 1), counter=counter)
     return np.random.Generator(bitgen)
 
 
@@ -112,20 +123,3 @@ def orthonormal_extend(basis: np.ndarray, candidates: np.ndarray, cutoff: float)
     lead = new[np.arange(new.shape[0]), np.argmax(np.abs(new), axis=1)]
     return np.concatenate([basis, new * (lead.conj() / np.abs(lead))[:, None]])
 
-
-def eigh_clusters(mat: np.ndarray, rel_tol: float):
-    """Eigen-decompose a Hermitian matrix, grouping numerically equal eigenvalues.
-
-    Two adjacent (sorted) eigenvalues belong to one cluster iff their gap is
-    below rel_tol times the spectral scale.  Returns [(mean eigenvalue,
-    isometry onto the cluster eigenspace), ...] in ascending eigenvalue order.
-    """
-    w, v = np.linalg.eigh(mat)
-    scale = max(float(np.max(np.abs(w))), 1e-300)
-    boundaries = np.nonzero(np.diff(w) > rel_tol * scale)[0] + 1
-    out = []
-    start = 0
-    for stop in list(boundaries) + [len(w)]:
-        out.append((float(np.mean(w[start:stop])), v[:, start:stop]))
-        start = stop
-    return out

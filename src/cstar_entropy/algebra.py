@@ -24,7 +24,6 @@ import numpy as np
 from ._linalg import (
     check_tol,
     complex_gaussian,
-    eigh_clusters,
     frob,
     frozen,
     hermitize,
@@ -135,13 +134,9 @@ def identity(structure: BlockStructure) -> AlgebraElement:
     return AlgebraElement(structure, tuple(np.eye(n) for n, _ in structure.blocks))
 
 
-def random_element(structure: BlockStructure, rng: np.random.Generator,
-                   hermitian: bool = False) -> AlgebraElement:
-    parts = []
-    for n, _ in structure.blocks:
-        x = complex_gaussian((n, n), rng)
-        parts.append(hermitize(x) if hermitian else x)
-    return AlgebraElement(structure, tuple(parts))
+def random_element(structure: BlockStructure, rng: np.random.Generator) -> AlgebraElement:
+    return AlgebraElement(structure,
+                          tuple(complex_gaussian((n, n), rng) for n, _ in structure.blocks))
 
 
 def _assemble(parts: Sequence[np.ndarray], structure: BlockStructure) -> np.ndarray:
@@ -383,11 +378,11 @@ def _split_attempt(sample: Callable[[np.random.Generator], np.ndarray], d: int, 
                    rng: np.random.Generator) -> tuple[BlockStructure, np.ndarray]:
     # A generic self-adjoint element is (+)_i X_i (x) I_{m_i} with simple,
     # mutually distinct spectra, so its eigenvalue clusters are the spaces
-    # e (x) C^{m_i}, one per eigenvalue of each X_i.
-    clusters = eigh_clusters(hermitize(sample(rng)), tol)
-    v = np.concatenate([q for _, q in clusters], axis=1)
-    dims = np.array([q.shape[1] for _, q in clusters])
-    starts = np.cumsum(dims) - dims
+    # e (x) C^{m_i}, one per eigenvalue of each X_i: the runs of sorted
+    # eigenvalues whose adjacent gaps are below tol times the spectral scale.
+    lam, v = np.linalg.eigh(hermitize(sample(rng)))
+    starts = np.flatnonzero(np.diff(lam, prepend=-np.inf) > tol * max(np.max(np.abs(lam)), 1e-300))
+    dims = np.diff(starts, append=d)
 
     # A generic element B compresses to zero between clusters of different
     # blocks and to a nonzero multiple of a unitary between clusters of one
@@ -398,11 +393,11 @@ def _split_attempt(sample: Callable[[np.random.Generator], np.ndarray], d: int, 
     coupled = np.sqrt(sq + sq.T) > max(1e-8, tol) * frob(b)
 
     sectors = []
-    free = np.ones(len(clusters), dtype=bool)
-    for first in range(len(clusters)):
+    free = np.ones(len(starts), dtype=bool)
+    for first in range(len(starts)):
         if not free[first]:
             continue
-        members = np.arange(len(clusters)) == first
+        members = np.arange(len(starts)) == first
         while not np.array_equal(grown := members | coupled[members].any(axis=0), members):
             members = grown
         free &= ~members
@@ -420,7 +415,7 @@ def _split_attempt(sample: Callable[[np.random.Generator], np.ndarray], d: int, 
                 np.max(np.linalg.norm((s / scale[:, None]) ** 2 - 1, axis=1)) > 1e-6:
             raise _Retry()
         cols = np.einsum("xam,amk->xak", v[:, rows].reshape(d, -1, m), u @ vh).reshape(d, -1)
-        sectors.append((len(s), m, clusters[first][0], cols))
+        sectors.append((len(s), m, lam[starts[first]], cols))
 
     # Deterministic output order: big blocks first, then A's lowest eigenvalue
     # in the block (fixed for a fixed seed).

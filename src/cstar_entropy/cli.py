@@ -113,7 +113,8 @@ def _resolve_options(doc: dict, args) -> tuple[float, int, int]:
     return tol, seed, samples
 
 
-def _parse_problem(args, need_state: bool = True, need_generators: bool = False) -> _Problem:
+def _parse_problem(args, structure_only: bool = False) -> _Problem:
+    """The problem in args.file; structure_only asks for generators and reads no state."""
     doc = _load_json(args.file)
     tol, seed, samples = _resolve_options(doc, args)
 
@@ -122,7 +123,7 @@ def _parse_problem(args, need_state: bool = True, need_generators: bool = False)
         raise _ParseError("algebra must contain exactly one of 'blocks' or 'generators'")
     transform = gens = None
     if "blocks" in algebra_form:
-        if need_generators:
+        if structure_only:
             raise _ParseError("this command requires the algebra as generators")
         try:
             structure = alg.make_algebra([tuple(b) for b in algebra_form["blocks"]])
@@ -142,7 +143,7 @@ def _parse_problem(args, need_state: bool = True, need_generators: bool = False)
 
     state = None
     state_form = doc.get("state")
-    if need_state:
+    if not structure_only:
         if not isinstance(state_form, dict) or \
                 len(state_form.keys() & {"density", "canonical", "values"}) != 1:
             raise _ParseError(
@@ -198,7 +199,7 @@ def _emit(args, payload: dict, lines: list[str]) -> None:
 def _cmd_structure(args) -> None:
     """Blocks, dimensions and the residual: the largest relative projection residual
     ``||W* S W - P(W* S W)|| / ||S||`` of the generators S and their adjoints."""
-    problem = _parse_problem(args, need_state=False, need_generators=True)
+    problem = _parse_problem(args, structure_only=True)
     residual = alg.generator_residual(problem.generators, problem.structure, problem.transform)
     payload = {
         "blocks": [list(b) for b in problem.structure.blocks],

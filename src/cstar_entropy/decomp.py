@@ -13,22 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import check_tol, resolve_tol, rng_stream
+from ._linalg import check_int, check_tol, resolve_tol, rng_stream
 from .algebra import BlockStructure, make_algebra
 from .entropy import _entropy_of, minimal_decomposition, shannon
 from .errors import ValidationError
 from .states import Decomposition, DensityMatrix, StateFunctional, active_sectors, block_spectra
-
-__all__ = [
-    "Decomposition",
-    "MajorizationVerdict",
-    "schrodinger_decomposition",
-    "doubly_stochastic_from_unitary",
-    "majorizes",
-    "decomposition_entropy",
-    "decomposition_entropy_split",
-    "infimum_oracle",
-]
 
 _WEIGHT_FLOOR = 1e-12  # components below this are dropped and the rest renormalized
 _CHUNK = 1024  # oracle samples per stream; part of the sampling contract
@@ -226,11 +215,7 @@ def infimum_oracle(omega: StateFunctional, samples: int = 1000, seed: int = 0,
     sample's entropy depends on (seed, s) alone; ties resolve to the lowest
     sample index.  samples and seed must be integers, not booleans.
     """
-    for name, value in (("samples", samples), ("seed", seed)):
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-            raise ValidationError(f"{name} must be an integer, got {value!r}")
-    if samples < 1:
-        raise ValidationError("samples must be at least 1")
+    samples = check_int(samples, "samples", 1)
     tol = resolve_tol(tol, omega.structure.ambient_dim)
     base = minimal_decomposition(omega, tol)
     best_entropy = _entropy_of(base.weights(), _WEIGHT_FLOOR)

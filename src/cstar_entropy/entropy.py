@@ -9,7 +9,7 @@ multiplicity term ``sum_i p_i log m_i``.  All entropies are in nats.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -29,7 +29,7 @@ def _entropy_of(weights: np.ndarray, floor: float = 0.0) -> float:
     """-sum w log w over the weights above floor, renormalized to sum 1 (0 log 0 = 0)."""
     w = weights[weights > floor]
     w = w / w.sum()
-    return float(-(w * np.log(w)).sum())
+    return float(0.0 - (w * np.log(w)).sum())  # one point gives 0.0 - 0.0 = +0.0, not -(0.0)
 
 
 def shannon(p, tol: float = 1e-9) -> float:
@@ -75,6 +75,10 @@ class EntropyReport:
     mean_block_entropy: float
     vn_of_representative: float
     multiplicity_term: float
+
+    def __post_init__(self):
+        for f in fields(self):
+            object.__setattr__(self, f.name, float(getattr(self, f.name)))
 
 
 def state_entropy(omega: StateFunctional, tol: float | None = None) -> EntropyReport:

@@ -20,20 +20,6 @@ from .entropy import EntropyReport, _entropy_of
 from .errors import NotAStateError, ValidationError
 from .states import StateFunctional
 
-__all__ = [
-    "GnsData",
-    "GnsSectors",
-    "IdentityDecomposition",
-    "gns_construct",
-    "resolve_sectors",
-    "gns_commutant_functional",
-    "identity_decomposition_random",
-    "identity_decomposition_weights",
-    "sectors_entropy",
-    "gns_state_entropy",
-    "is_irreducible",
-]
-
 
 @dataclass(frozen=True)
 class GnsData:
@@ -136,15 +122,15 @@ def _unit_norms(g: GnsData, tol: float) -> tuple[np.ndarray, np.ndarray]:
 class GnsSectors:
     """Block data of the represented algebra on the GNS space.
 
-    Weights are the squared norms of the cyclic vector's sector projections;
-    ``block_states`` are the reduced states on the irreducible factors and
-    ``multiplicity_states`` the reduced states on the multiplicity factors.
+    Weights are the squared norms of the cyclic vector's sector projections
+    and ``multiplicity_states`` its normalized reduced states on the
+    multiplicity factors.  By the Schmidt decomposition the reduced state on
+    a block's irreducible factor has the same nonzero spectrum, so that
+    state is not kept.
     """
 
     structure: BlockStructure
-    unitary: np.ndarray
     weights: np.ndarray
-    block_states: tuple[np.ndarray, ...]
     multiplicity_states: tuple[np.ndarray, ...]
 
 
@@ -155,16 +141,15 @@ def resolve_sectors(g: GnsData, tol: float | None = None, seed: int = 0) -> GnsS
     units = np.eye(len(norms))[keep] / norms[keep, None]    # an orthonormal basis of the span
     structure, w = _discover_span(lambda c: g.represent(c @ units), len(units), g.dim, tol, seed)
     rotated = w.conj().T @ g.cyclic
-    weights, blocks, mults = [], [], []
+    weights, mults = [], []
     for sl, (n, m) in zip(structure.ambient_slices(), structure.blocks):
         part = rotated[sl]
         p = float(np.linalg.norm(part) ** 2)
         weights.append(p)
         psi = part.reshape(n, m) / np.sqrt(p)
-        blocks.append(psi @ psi.conj().T)
         mults.append(psi.T @ psi.conj())
-    return GnsSectors(structure=structure, unitary=w, weights=np.array(weights),
-                      block_states=tuple(blocks), multiplicity_states=tuple(mults))
+    return GnsSectors(structure=structure, weights=np.array(weights),
+                      multiplicity_states=tuple(mults))
 
 
 def gns_commutant_functional(g: GnsData, t: np.ndarray,
@@ -275,17 +260,17 @@ def sectors_entropy(sectors: GnsSectors) -> EntropyReport:
 
     The sector weights are the squared norms of the cyclic vector's
     projections and the block entropies those of its reduced states on the
-    multiplicity factors.
+    multiplicity factors, which equal those on the irreducible factors.
     """
     p = sectors.weights
     sector_entropy = _entropy_of(p)
     mean = 0.0
     vn = 0.0
     mult = 0.0
-    for w, sigma, block_rho, (_, m) in zip(p, sectors.multiplicity_states,
-                                           sectors.block_states, sectors.structure.blocks):
-        mean += w * _entropy_of(np.linalg.eigvalsh(sigma))
-        vn += w * (_entropy_of(np.linalg.eigvalsh(block_rho)) + np.log(m))
+    for w, sigma, (_, m) in zip(p, sectors.multiplicity_states, sectors.structure.blocks):
+        block = _entropy_of(np.linalg.eigvalsh(sigma))
+        mean += w * block
+        vn += w * (block + np.log(m))
         mult += w * np.log(m)
     return EntropyReport(
         state_entropy=sector_entropy + mean,

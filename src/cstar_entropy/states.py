@@ -51,10 +51,6 @@ class DensityMatrix:
         return self.matrix.shape[0]
 
 
-def _as_matrix(rho) -> np.ndarray:
-    return rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
-
-
 @dataclass(frozen=True)
 class StateFunctional:
     """A state given by its values on the matrix-unit basis of the algebra.
@@ -239,11 +235,9 @@ def canonical_form(rho_omega, structure: BlockStructure,
     the normalized n_i x n_i density matrix (None when p_i is numerically
     zero).  The input must lie in the embedded algebra.
     """
-    mat = _as_matrix(rho_omega)
-    if not isinstance(rho_omega, DensityMatrix):
-        DensityMatrix(mat)  # validate
+    rho_omega = rho_omega if isinstance(rho_omega, DensityMatrix) else DensityMatrix(rho_omega)
     tol = resolve_tol(tol, structure.ambient_dim)
-    proj, res = structure_projection(mat, structure)
+    proj, res = structure_projection(rho_omega.matrix, structure)
     if res > max(tol * 100, 1e-7):
         raise ValidationError(f"matrix is outside the algebra span (projection residual {res:.3e})")
     p = np.zeros(structure.num_blocks)

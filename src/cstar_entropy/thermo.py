@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import check_tol, resolve_tol
+from ._linalg import _is_real, check_int, check_tol, resolve_tol
 from .algebra import AlgebraElement, identity
 from .entropy import _representative_entropy
 from .errors import DisconnectedSectorsError, ValidationError
@@ -35,17 +35,15 @@ class GasAccount:
     boltzmann: float = 1.0
 
     def __post_init__(self):
-        if int(self.copies) < 1:
-            raise ValidationError("need at least one copy")
-        if not self.temperature > 0:
-            raise ValidationError("temperature must be positive")
-        if not self.boltzmann > 0:
-            raise ValidationError("boltzmann constant must be positive")
+        object.__setattr__(self, "copies", check_int(self.copies, "copies", 1))
+        for name in ("temperature", "boltzmann"):
+            value = getattr(self, name)
+            if not _is_real(value) or not 0 < value < np.inf:
+                raise ValidationError(f"{name} must be a positive finite number, got {value!r}")
         s = np.array(self.sector_entropies, dtype=float)
         if s.ndim != 1 or not np.all(np.isfinite(s)):
             raise ValidationError("sector entropies must be a vector of finite numbers")
         s.setflags(write=False)
-        object.__setattr__(self, "copies", int(self.copies))
         object.__setattr__(self, "sector_entropies", s)
 
 
@@ -73,8 +71,7 @@ def zeno_sequence(phi: np.ndarray, psi: np.ndarray, k: int, tol: float = 1e-9,
     each step succeeds with probability ``cos^2(pi / 2k)``.  Both vectors
     must be unit, mutually orthogonal, and live in the same sector.
     """
-    if k < 1:
-        raise ValidationError("k must be at least 1")
+    k = check_int(k, "k", 1)
     tol = check_tol(tol)
     if block_phi != block_psi:
         raise DisconnectedSectorsError(
@@ -97,8 +94,7 @@ def zeno_sequence(phi: np.ndarray, psi: np.ndarray, k: int, tol: float = 1e-9,
 
 def zeno_success_probability(k: int) -> float:
     """Probability ``cos^{2k}(pi / 2k)`` that all k steps succeed; -> 1 as k grows."""
-    if k < 1:
-        raise ValidationError("k must be at least 1")
+    k = check_int(k, "k", 1)
     return float(np.cos(np.pi / (2 * k)) ** (2 * k))
 
 
@@ -114,14 +110,6 @@ def compression_heat(weight: float, acct: GasAccount) -> float:
     return acct.boltzmann * weight * acct.copies * acct.temperature * float(np.log(weight))
 
 
-def _sector_weights(spectra, tol: float) -> np.ndarray:
-    """Canonical sector weights p_i from block spectra; zero on blocks without weight."""
-    p = np.zeros(len(spectra))
-    for i, weight, _, _ in active_sectors(spectra, tol):
-        p[i] = weight
-    return p
-
-
 def gas_entropy(omega: StateFunctional, acct: GasAccount, tol: float | None = None) -> float:
     """Per-copy thermodynamic entropy of the boxed ensemble, in nats.
 
@@ -133,8 +121,8 @@ def gas_entropy(omega: StateFunctional, acct: GasAccount, tol: float | None = No
         raise ValidationError("one sector entropy per block required")
     tol = resolve_tol(tol, omega.structure.ambient_dim)
     spectra = block_spectra(omega, tol)
-    p = _sector_weights(spectra, tol)
-    return _representative_entropy(omega.structure, spectra) + float(np.dot(p, acct.sector_entropies))
+    assigned = sum(w * acct.sector_entropies[i] for i, w, _, _ in active_sectors(spectra, tol))
+    return _representative_entropy(omega.structure, spectra) + float(assigned)
 
 
 def sectors_connectable(omega_a: StateFunctional, omega_b: StateFunctional,
@@ -151,6 +139,5 @@ def sectors_connectable(omega_a: StateFunctional, omega_b: StateFunctional,
     for name, omega in (("first", omega_a), ("second", omega_b)):
         if not is_pure(omega, tol):
             raise ValidationError(f"{name} state is not pure")
-        p = _sector_weights(block_spectra(omega, tol), tol)
-        supports.append(int(np.argmax(p)))
+        supports.append(active_sectors(block_spectra(omega, tol), tol)[0][0])
     return supports[0] == supports[1]

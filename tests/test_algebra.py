@@ -9,7 +9,8 @@ from cstar_entropy._linalg import complex_gaussian, hermitize
 from cstar_entropy.algebra import _discover, _discover_span, _letters, _word_sampler
 from cstar_entropy.errors import DecompositionError, ValidationError
 
-from helpers import conjugated_algebra_generators, haar_unitary, random_structure, rng_stream
+from helpers import (conjugated_algebra_generators, haar_unitary, random_pure_state, random_state,
+                     random_structure, rng_stream)
 
 
 class TestMakeAlgebra:
@@ -457,3 +458,32 @@ class TestBlockDecompose:
         b2, w2 = ce.block_decompose(sub, seed=7)
         assert b1.blocks == b2.blocks
         assert np.array_equal(w1, w2)
+
+
+def test_discovery_digest():
+    # Pins the bits discovery returns: blocks and W of seeded decompose_generated
+    # and block_decompose calls, and the sectors resolve_sectors reads off the GNS
+    # representation of a few states (its W is not returned, but the weights and
+    # multiplicity states are computed from it).  Recorded before the eigenvalue
+    # clusters were read straight off eigh's sorted columns.
+    import hashlib
+
+    h = hashlib.sha256()
+
+    def pin(structure, *arrays):
+        h.update(repr(structure.blocks).encode())
+        for a in arrays:
+            h.update(np.ascontiguousarray(a).tobytes())
+
+    rng = rng_stream(2024)
+    for blocks in (((2, 2), (1, 1)), ((3, 1), (2, 2)), ((3, 2), (2, 2), (1, 2)), ((4, 1), (1, 3)),
+                   ((2, 1), (2, 1), (1, 1)), ((1, 2), (1, 2), (1, 1), (1, 1))):
+        st = ce.make_algebra(blocks)
+        gens = conjugated_algebra_generators(rng, st)
+        for seed in (0, 5):
+            pin(*ce.decompose_generated(gens, seed=seed))
+        pin(*ce.block_decompose(ce.generate_subalgebra(gens), seed=3))
+        for om in (random_state(rng, st), random_pure_state(rng, st)):
+            sectors = ce.resolve_sectors(ce.gns_construct(om), seed=1)
+            pin(sectors.structure, sectors.weights, *sectors.multiplicity_states)
+    assert h.hexdigest() == "6cc27ffc7d1d46593c2f5b03c10b0cb670f307cf6921358ab6f53745bff1634b"

@@ -11,6 +11,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import tempfile
 
 import numpy as np
@@ -274,6 +275,8 @@ def test_cli_fuzz_exit_codes(mutation, data):
         assert code == 2
     if code == 0:
         json.loads(out.getvalue())
+        # an entropy of zero, and a gap of zero between two of them, print as 0.0
+        assert not re.search(r"-0\.0(?!\d)", out.getvalue()), out.getvalue()
     else:
         lines = err.getvalue().strip().splitlines()
         assert len(lines) == 1, lines

@@ -121,9 +121,10 @@ class TestZenoSuccessProbability:
         for k in [2, 5, 10, 100, 1000, 100_000]:
             assert ce.zeno_success_probability(k) >= 1.0 - np.pi ** 2 / (4 * k)
 
-    def test_invalid_k_rejected(self):
+    @pytest.mark.parametrize("k", [0, -3, 2.5, True, "3", float("nan")])
+    def test_invalid_k_rejected(self, k):
         with pytest.raises(ValidationError):
-            ce.zeno_success_probability(0)
+            ce.zeno_success_probability(k)
 
 
 class TestCompressionHeat:

@@ -4,8 +4,9 @@
 traced run; a rename in the package would otherwise only show up as a
 ``--trace 1`` failure.  The two constants are read from the file's syntax
 tree; the file is neither executed nor modified.  The package's runtime
-depends on numpy and the standard library alone, and a function of a state
-reads the algebra off the state instead of taking it as a second argument.
+depends on numpy and the standard library alone, a function of a state
+reads the algebra off the state instead of taking it as a second argument,
+and every function and class the package defines is named somewhere else.
 """
 
 import ast
@@ -86,3 +87,34 @@ def test_no_public_callable_takes_both_a_state_and_a_structure():
     assert {"entropy.state_entropy", "states.canonical_form", "states.StateFunctional.expect",
             "thermo.sectors_connectable"} <= scanned
     assert not offenders, f"take both a StateFunctional and a BlockStructure: {offenders}"
+
+
+def _names_used(tree):
+    """Every name a syntax tree refers to: names, attributes, imported names, and
+    string constants that are one identifier (the traced names in ``perfbench/spans.py``)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name.split(".")[-1]
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and node.value.isidentifier():
+            yield node.value
+
+
+def test_every_package_definition_is_named_elsewhere():
+    # a function or class nothing refers to is a leftover; dunder methods are
+    # called by Python itself.  Syntax trees are read, nothing is executed.
+    files = [p for d in ("src", "tests", "demos", "perfbench") for p in (ROOT / d).rglob("*.py")]
+    used = set()
+    for path in files:
+        used.update(_names_used(ast.parse(path.read_text())))
+    defined = [(path.name, node.name) for path in SOURCES
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+               and not (node.name.startswith("__") and node.name.endswith("__"))]
+    assert len(defined) > 100
+    unused = sorted(f"{file}: {name}" for file, name in defined if name not in used)
+    assert not unused, f"defined but named nowhere else: {unused}"
