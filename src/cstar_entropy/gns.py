@@ -3,9 +3,10 @@
 The state defines an inner product ``<A, B> = omega(A* B)`` on the algebra;
 quotienting out its null space gives a Hilbert space on which the algebra
 acts by left multiplication, with the class of the identity as cyclic
-vector.  Decomposing that representation into blocks and reducing the cyclic
-vector onto the multiplicity factors reproduces the state entropy by a
-second, independent route.
+vector.  In GNS coordinates block i acts as ``C_i (x) I_{r_i}``, r_i the
+rank of omega_i, so the representation is held in block form.  Decomposing
+it into blocks and reducing the cyclic vector onto the multiplicity factors
+reproduces the state entropy by a second, independent route.
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import frob, frozen, hermitize, random_isometry, resolve_tol, rng_stream
-from .algebra import BlockStructure, _discover_span, split_blocks
+from ._linalg import check_int, frob, frozen, hermitize, random_isometry, resolve_tol, rng_stream
+from .algebra import BlockStructure, _assemble, _discover_span, split_blocks, structure_projection
 from .entropy import EntropyReport, _entropy_of
 from .errors import NotAStateError, ValidationError
 from .states import StateFunctional
@@ -23,99 +24,59 @@ from .states import StateFunctional
 
 @dataclass(frozen=True)
 class GnsData:
-    """The GNS representation of a state.
+    """The GNS representation of a state, in block form.
 
-    ``quotient`` maps coefficient space onto GNS coordinates, ``embedding``
-    is the (state-inner-product) isometry taking them back to representatives,
-    and ``cyclic`` is the class of the identity.  No represented operator is
-    stored: :meth:`represent` computes them from the two maps.
+    ``structure`` is the algebra's block structure.  Block ``active[j]`` of
+    the algebra, of rank r > 0, acts on the GNS space as C (x) I_r on block
+    j of ``gns_structure`` = ((n, r), ...); blocks of rank 0 act as zero.
+    ``cyclic`` is the class of the identity, block j read row-major as an
+    n x r matrix.
     """
 
     structure: BlockStructure
-    dim: int
-    quotient: np.ndarray
+    gns_structure: BlockStructure
+    active: tuple[int, ...]
     cyclic: np.ndarray
-    embedding: np.ndarray
 
     def __post_init__(self):
-        for name in ("quotient", "cyclic", "embedding"):
-            object.__setattr__(self, name, frozen(getattr(self, name)))
-
-    def represent(self, coeffs: np.ndarray) -> np.ndarray:
-        """Represented operators pi(C), (..., dim, dim), of basis coefficients (..., algebra_dim).
-
-        Left multiplication by C acts on block i's coefficient rows as
-        C_i (x) I, so pi(C) is ``quotient`` times C_i (x) I applied to each
-        block's rows of ``embedding``.
-        """
-        out, off = 0, 0
-        for x in split_blocks(np.asarray(coeffs, dtype=complex), self.structure):
-            n = x.shape[-1]
-            moved = x @ self.embedding[off:off + n * n].reshape(n, -1)
-            out = out + self.quotient[:, off:off + n * n] @ moved.reshape(x.shape[:-2] + (n * n, -1))
-            off += n * n
-        return out
+        object.__setattr__(self, "cyclic", frozen(self.cyclic))
 
     @property
-    def rep_ops(self) -> np.ndarray:
-        """Represented matrix units, a read-only (algebra_dim, dim, dim) stack built on demand."""
-        return frozen(self.represent(np.eye(self.structure.algebra_dim)))
+    def dim(self) -> int:
+        return self.gns_structure.ambient_dim
 
-
-def _gram_eigh(omega: StateFunctional) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues and eigenvectors of the Gram matrix omega(B_k* B_l) over the matrix units.
-
-    Unit products give <E_ab, E_cd> = delta_ac omega(E_bd), so block i of the
-    matrix is kron(I_n, omega_i): n copies of omega_i on the diagonal, whose
-    eigenvectors are n copies of those of omega_i.
-    """
-    dim = omega.structure.algebra_dim
-    vecs = np.zeros((dim, dim), dtype=complex)
-    eigs = np.empty(dim)
-    off = 0
-    for (n, _), values in zip(omega.structure.blocks, omega.block_values):
-        mu, w = np.linalg.eigh(hermitize(values))
-        for a in range(off, off + n * n, n):
-            vecs[a:a + n, a:a + n] = w
-            eigs[a:a + n] = mu
-        off += n * n
-    return eigs, vecs
+    def represent(self, coeffs: np.ndarray) -> np.ndarray:
+        """Represented operators pi(C), (..., dim, dim), of basis coefficients (..., algebra_dim)."""
+        parts = split_blocks(np.asarray(coeffs, dtype=complex), self.structure)
+        return _assemble([parts[i] for i in self.active], self.gns_structure)
 
 
 def gns_construct(omega: StateFunctional, tol: float | None = None) -> GnsData:
-    """Build the GNS Hilbert space, represented operators and cyclic vector."""
+    """Build the GNS representation from one eigendecomposition per block of the state.
+
+    Unit products give <E_ab, E_cd> = delta_ac omega_i(E_bd), so block i of
+    the Gram matrix is I_n (x) omega_i.  An eigenpair (mu_k, w_k) of omega_i
+    kept above the rank cutoff gives the GNS vectors e_a (x) w_k / sqrt(mu_k),
+    on which C acts as C (x) I_r and the identity has coordinates
+    conj(w[a, k]) sqrt(mu_k).
+    """
     tol = resolve_tol(tol, omega.structure.ambient_dim)
-    eigs, vecs = _gram_eigh(omega)
+    spectra = [np.linalg.eigh(hermitize(values)) for values in omega.block_values]
+    eigs = np.concatenate([mu for mu, _ in spectra])
     scale = max(float(eigs.max()), 0.0)
     if eigs.min() < -tol * max(1.0, scale) * 10:
         raise NotAStateError(f"state inner product is not positive (eigenvalue {eigs.min():.3e})")
-    keep = eigs > tol * max(scale, 1e-300)
-    lam = eigs[keep]
-    v = vecs[:, keep]
-    dim = int(keep.sum())
-    if dim == 0:
+    blocks, active, cyclic = [], [], []
+    for i, ((n, _), (mu, w)) in enumerate(zip(omega.structure.blocks, spectra)):
+        keep = mu > tol * max(scale, 1e-300)
+        if keep.any():
+            blocks.append((n, int(keep.sum())))
+            active.append(i)
+            cyclic.append((w[:, keep].conj() * np.sqrt(mu[keep])).reshape(-1))
+    if not active:
         raise NotAStateError("state inner product vanishes identically")
-    quotient = (v * np.sqrt(lam)).conj().T      # coefficient space -> GNS coordinates
-    embedding = v / np.sqrt(lam)                # GNS coordinates -> representatives
-    cyclic = quotient @ np.concatenate([np.eye(n, dtype=complex).reshape(-1)
-                                        for n, _ in omega.structure.blocks])
-    return GnsData(structure=omega.structure, dim=dim, quotient=quotient,
-                   cyclic=cyclic, embedding=embedding)
-
-
-def _unit_norms(g: GnsData, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Hilbert-Schmidt norms of the represented units, and which of them count as nonzero.
-
-    Left multiplication on the quotient makes the represented units orthogonal:
-    Tr pi(E_ab)* pi(E_cd) = delta_ac Tr pi(E_bd), and Tr o pi is a trace on each
-    block.  So the nonzero ones are a basis of the represented algebra, and
-    ||pi(E_ab)||^2 = Tr pi(E_bb) is the sum over c of the E_bc diagonal entries
-    of ``embedding @ quotient``.
-    """
-    diag = np.einsum("ij,ji->j", g.quotient, g.embedding).real
-    norms = np.sqrt(np.concatenate([np.tile(np.sum(x, axis=1), len(x))
-                                    for x in split_blocks(diag, g.structure)]))
-    return norms, norms > tol * max(1.0, float(np.max(norms)))
+    return GnsData(structure=omega.structure, gns_structure=BlockStructure(tuple(blocks)),
+                   active=tuple(active), cyclic=np.concatenate(cyclic))
 
 
 @dataclass(frozen=True)
@@ -135,11 +96,20 @@ class GnsSectors:
 
 
 def resolve_sectors(g: GnsData, tol: float | None = None, seed: int = 0) -> GnsSectors:
-    """Block-decompose the represented algebra and reduce the cyclic vector."""
+    """Block-decompose the represented algebra and reduce the cyclic vector.
+
+    The represented units of GNS block (n, r) are Hilbert-Schmidt orthogonal
+    with norm sqrt(r), so discovery reads the represented algebra through
+    their combinations with coefficients scaled by 1/sqrt(r).
+    """
     tol = resolve_tol(tol, g.dim)
-    norms, keep = _unit_norms(g, tol)
-    units = np.eye(len(norms))[keep] / norms[keep, None]    # an orthonormal basis of the span
-    structure, w = _discover_span(lambda c: g.represent(c @ units), len(units), g.dim, tol, seed)
+
+    def element(c: np.ndarray) -> np.ndarray:
+        return _assemble([x / np.sqrt(r) for x, (_, r) in
+                          zip(split_blocks(c, g.gns_structure), g.gns_structure.blocks)],
+                         g.gns_structure)
+
+    structure, w = _discover_span(element, g.gns_structure.algebra_dim, g.dim, tol, seed)
     rotated = w.conj().T @ g.cyclic
     weights, mults = [], []
     for sl, (n, m) in zip(structure.ambient_slices(), structure.blocks):
@@ -169,15 +139,24 @@ def gns_commutant_functional(g: GnsData, t: np.ndarray,
     eigs = np.linalg.eigvalsh(hermitize(t))
     if not (-eigs[0] <= tol * 10 and eigs[-1] - 1.0 <= tol * 10):
         raise ValidationError(f"operator spectrum [{eigs[0]:.3e}, {eigs[-1]:.3e}] not within [0, 1]")
-    ops = g.rep_ops
-    comm = np.linalg.norm(t @ ops - ops @ t, axis=(1, 2))
-    if not np.max(comm) <= max(tol * 100, 1e-7):
+    # The commutant of (+)_j C_j (x) I_r is (+)_j I_n (x) M_r; listing block j's
+    # coordinates (a, k) as (k, a) turns it into the algebra (+)_j M_r (x) I_n.
+    # With P the projection onto it, ||[T, pi(E)]|| = ||[T - P(T), pi(E)]|| <=
+    # 2 ||T - P(T)|| for every unit E, so half the commutator bound is checked.
+    order = np.concatenate([sl.start + np.arange(n * r).reshape(n, r).T.reshape(-1) for sl, (n, r)
+                            in zip(g.gns_structure.ambient_slices(), g.gns_structure.blocks)])
+    swapped = BlockStructure(tuple((r, n) for n, r in g.gns_structure.blocks))
+    if not structure_projection(t[np.ix_(order, order)], swapped)[1] <= max(tol * 100, 1e-7) / 2:
         raise ValidationError("operator does not commute with the represented algebra")
     weight = float((g.cyclic.conj() @ (t @ g.cyclic)).real)
     if weight <= tol:
         raise ValidationError("operator annihilates the cyclic vector; no sub-state")
-    raw = (ops @ g.cyclic) @ (t.T @ g.cyclic.conj())
-    return weight, StateFunctional(g.structure, tuple(split_blocks(raw / weight, g.structure)))
+    # on block j, <Omega| T pi(E_ab) Omega> = (Phi Omega^T)[a, b] with Phi = T^T conj(Omega)
+    phi = t.T @ g.cyclic.conj()
+    raw = [np.zeros((n, n), dtype=complex) for n, _ in g.structure.blocks]
+    for i, sl, (n, r) in zip(g.active, g.gns_structure.ambient_slices(), g.gns_structure.blocks):
+        raw[i] = phi[sl].reshape(n, r) @ g.cyclic[sl].reshape(n, r).T / weight
+    return weight, StateFunctional(g.structure, tuple(raw))
 
 
 @dataclass(frozen=True)
@@ -224,12 +203,13 @@ def identity_decomposition_random(sectors: GnsSectors, seed: int = 0,
     """
     rng = rng_stream(seed, 3)
     items = []
+    sizes = {} if sizes is None else sizes
+    for key in sizes:
+        if not 0 <= check_int(key, "sizes key") < sectors.structure.num_blocks:
+            raise ValidationError(f"sizes key {key!r} names no block of {sectors.structure.blocks}")
     for i, (_, m) in enumerate(sectors.structure.blocks):
-        count = sizes.get(i) if sizes else None
-        if count is None:
-            count = int(rng.integers(m, 2 * m + 1))
-        if count < m:
-            raise ValidationError(f"block {i} needs at least {m} terms")
+        count = sizes.get(i)
+        count = int(rng.integers(m, 2 * m + 1)) if count is None else check_int(count, f"sizes[{i}]", m)
         iso = random_isometry(count, m, rng)
         for row in iso.conj():
             t = float(np.linalg.norm(row) ** 2)
@@ -294,11 +274,10 @@ def gns_state_entropy(omega: StateFunctional, tol: float | None = None,
     return sectors_entropy(resolve_sectors(g, tol=tol, seed=seed))
 
 
-def is_irreducible(g: GnsData, tol: float | None = None) -> bool:
+def is_irreducible(g: GnsData) -> bool:
     """True iff the represented algebra has a trivial commutant.
 
-    Equivalent test: an irreducibly acting *-algebra is the full matrix
-    algebra, so dim^2 of the represented units must be nonzero.
+    The commutant is (+)_j I_n (x) M_r over the GNS blocks (n, r), so that
+    means a single block of multiplicity one.
     """
-    tol = resolve_tol(tol, g.dim)
-    return int(np.count_nonzero(_unit_norms(g, tol)[1])) == g.dim * g.dim
+    return g.gns_structure.blocks == ((g.dim, 1),)

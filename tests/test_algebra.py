@@ -460,17 +460,16 @@ class TestBlockDecompose:
         assert np.array_equal(w1, w2)
 
 
-def test_discovery_digest():
-    # Pins the bits discovery returns: blocks and W of seeded decompose_generated
-    # and block_decompose calls, and the sectors resolve_sectors reads off the GNS
-    # representation of a few states (its W is not returned, but the weights and
-    # multiplicity states are computed from it).  Recorded before the eigenvalue
-    # clusters were read straight off eigh's sorted columns.
+def _pinned_digests():
+    # Two sha256 digests over one seeded loop: discovery's bits (blocks and W of
+    # seeded decompose_generated and block_decompose calls) and the sectors
+    # resolve_sectors reads off the GNS representation of a few states (its W is
+    # not returned, but the weights and multiplicity states are computed from it).
     import hashlib
 
-    h = hashlib.sha256()
+    discovery, sectors_digest = hashlib.sha256(), hashlib.sha256()
 
-    def pin(structure, *arrays):
+    def pin(h, structure, *arrays):
         h.update(repr(structure.blocks).encode())
         for a in arrays:
             h.update(np.ascontiguousarray(a).tobytes())
@@ -481,9 +480,22 @@ def test_discovery_digest():
         st = ce.make_algebra(blocks)
         gens = conjugated_algebra_generators(rng, st)
         for seed in (0, 5):
-            pin(*ce.decompose_generated(gens, seed=seed))
-        pin(*ce.block_decompose(ce.generate_subalgebra(gens), seed=3))
+            pin(discovery, *ce.decompose_generated(gens, seed=seed))
+        pin(discovery, *ce.block_decompose(ce.generate_subalgebra(gens), seed=3))
         for om in (random_state(rng, st), random_pure_state(rng, st)):
             sectors = ce.resolve_sectors(ce.gns_construct(om), seed=1)
-            pin(sectors.structure, sectors.weights, *sectors.multiplicity_states)
-    assert h.hexdigest() == "6cc27ffc7d1d46593c2f5b03c10b0cb670f307cf6921358ab6f53745bff1634b"
+            pin(sectors_digest, sectors.structure, sectors.weights, *sectors.multiplicity_states)
+    return discovery.hexdigest(), sectors_digest.hexdigest()
+
+
+def test_discovery_digest():
+    # Recorded before the GNS representation was held in block form, which
+    # leaves discovery's inputs and bits untouched.
+    assert _pinned_digests()[0] == "8aa0de23bdb1d9c7fc9713fc46d9e81b9e5a3254152d4d836963ae023e4be935"
+
+
+def test_resolve_sectors_digest():
+    # Recorded once the represented algebra was assembled from the GNS blocks
+    # directly; the dense maps it replaced moved the weights and multiplicity
+    # states by rounding only.
+    assert _pinned_digests()[1] == "f62f97ab01d889f93fb36cee1a3492d35028792cf9c2c3240d4c71bea3b94cf4"

@@ -522,6 +522,10 @@ _E1, _E2 = np.eye(2)
     lambda: ce.decompose_generated([np.diag([1.0, 2.0])], seed="3"),
     lambda: ce.block_decompose(ce.SubalgebraBasis(2, [np.eye(2) / np.sqrt(2)]), seed=2.5),
     lambda: ce.identity_decomposition_random(ce.resolve_sectors(_M2_GNS), seed=True),
+    lambda: ce.identity_decomposition_random(ce.resolve_sectors(_M2_GNS), sizes={0: 2.5}),
+    lambda: ce.identity_decomposition_random(ce.resolve_sectors(_M2_GNS), sizes={0: "3"}),
+    lambda: ce.identity_decomposition_random(ce.resolve_sectors(_M2_GNS), sizes={0: True}),
+    lambda: ce.identity_decomposition_random(ce.resolve_sectors(_M2_GNS), sizes={9: 2}),
 ], ids=["shannon", "majorizes_p", "majorizes_q", "decomposition_weight", "decomposition_vector",
         "identity_decomposition_vector", "zeno_sequence", "doubly_stochastic",
         "schrodinger_decomposition", "gas_account", "gns_commutant_functional",
@@ -529,10 +533,12 @@ _E1, _E2 = np.eye(2)
         "gas_account_copies_bool", "gas_account_temperature_inf", "gas_account_temperature_bool",
         "gas_account_boltzmann_inf", "zeno_sequence_k_fraction", "resolve_sectors_seed_fraction",
         "gns_state_entropy_seed_bool", "decompose_generated_seed_str",
-        "block_decompose_seed_fraction", "identity_decomposition_random_seed_bool"])
+        "block_decompose_seed_fraction", "identity_decomposition_random_seed_bool",
+        "identity_decomposition_random_sizes_fraction", "identity_decomposition_random_sizes_str",
+        "identity_decomposition_random_sizes_bool", "identity_decomposition_random_sizes_no_block"])
 def test_public_validators_reject_nan(call):
     # every check of the form `defect > bound` is false on NaN, so each must be written to
     # fail it; counts and seeds must be integers, which a NaN, a fraction, a bool or a
-    # string is not, and a temperature or a constant must be finite
+    # string is not, a sizes key must name a block, and a temperature or a constant must be finite
     with pytest.raises(ValidationError):
         call()

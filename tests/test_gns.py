@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 import cstar_entropy as ce
+from cstar_entropy._linalg import complex_gaussian
 from cstar_entropy.errors import NotAStateError, ValidationError
-from cstar_entropy.gns import _unit_norms
 
 from helpers import (
     random_ambient_density,
@@ -41,7 +41,7 @@ class TestGnsConstruct:
             st, [0.2, 0.3, 0.5], [np.eye(1)] * 3)
         g = ce.gns_construct(om)
         assert g.dim == 3
-        for op in g.rep_ops:
+        for op in g.represent(np.eye(st.algebra_dim)):
             assert np.allclose(op, np.diag(np.diag(op)), atol=1e-10)
 
     def test_reproduces_functional(self):
@@ -71,7 +71,7 @@ class TestGnsConstruct:
         st = random_structure(rng, max_ambient=8)
         om = random_state(rng, st)
         g = ce.gns_construct(om)
-        orbit = np.stack([op @ g.cyclic for op in g.rep_ops])
+        orbit = g.represent(np.eye(st.algebra_dim)) @ g.cyclic
         assert np.linalg.matrix_rank(orbit) == g.dim
 
     def test_dim_equals_gram_rank(self):
@@ -105,39 +105,35 @@ class TestStackedArrays:
         with pytest.raises(ValueError):
             arr[0, 0, 0] = 1.0
 
-    def test_rep_ops_is_one_read_only_stack(self):
-        rng = rng_stream(89)
-        st = ce.make_algebra([(2, 2), (1, 1)])
-        om = random_state(rng, st)
-        g = ce.gns_construct(om)
-        self._assert_read_only_stack(g.rep_ops, st.algebra_dim, g.dim)
-
     def test_subalgebra_bases_are_read_only_stacks(self):
         rng = rng_stream(90)
         st = ce.make_algebra([(2, 1), (1, 2)])
         om = random_state(rng, st)
         g = ce.gns_construct(om)
-        # the represented units are built on demand from read-only maps
-        self._assert_read_only_stack(g.rep_ops, st.algebra_dim, g.dim)
-        assert not (g.quotient.flags.writeable or g.embedding.flags.writeable)
+        # the represented units are built on demand; the cyclic vector is read-only
+        assert not g.cyclic.flags.writeable
+        with pytest.raises(ValueError):
+            g.cyclic[0] = 1.0
         sub = ce.generate_subalgebra([ce.embed(ce.random_element(st, rng)) for _ in range(2)])
         self._assert_read_only_stack(sub.basis, st.algebra_dim, st.ambient_dim)
         com = ce.commutant(sub)
         self._assert_read_only_stack(com.basis, com.dim, st.ambient_dim)
 
     @pytest.mark.parametrize("rank", [1, 2])
-    def test_unit_norms_read_off_the_maps(self, rank):
-        # a zero-weight block represents as zero; a rank-r block state gives
-        # units of Hilbert-Schmidt norm sqrt(r)
+    def test_unit_norms_read_off_the_blocks(self, rank):
+        # a zero-weight block is left out of the GNS blocks and represents as
+        # zero; a rank-r block state gives GNS block (n, r) and units of
+        # Hilbert-Schmidt norm sqrt(r)
         st = ce.make_algebra([(2, 1), (2, 2), (1, 1)])
         psi = np.array([1.0, 1j]) / np.sqrt(2)
         rho = np.outer(psi, psi.conj()) if rank == 1 else np.diag([0.3, 0.7])
         om = ce.StateFunctional.from_canonical(st, [0.4, 0.0, 0.6], [rho, None, np.eye(1)])
         g = ce.gns_construct(om)
-        norms, keep = _unit_norms(g, 1e-9)
+        assert g.gns_structure.blocks == ((2, rank), (1, 1))
+        assert g.active == (0, 2)
+        assert g.dim == 2 * rank + 1
+        norms = np.linalg.norm(g.represent(np.eye(st.algebra_dim)), axis=(1, 2))
         assert np.allclose(norms, [np.sqrt(rank)] * 4 + [0.0] * 4 + [1.0], atol=1e-12)
-        assert np.allclose(norms, np.linalg.norm(g.rep_ops, axis=(1, 2)), atol=1e-12)
-        assert np.count_nonzero(keep) == 5
 
 
 class TestIrreducibility:
@@ -191,10 +187,10 @@ class TestCommutantFunctional:
         st = ce.make_algebra([(1, 1), (1, 1)])
         om = ce.StateFunctional.from_canonical(st, [0.25, 0.75], [np.eye(1), np.eye(1)])
         g = ce.gns_construct(om)
-        # rep ops are diagonal here; the first sector projector is diag(1, 0)
-        proj = np.zeros((2, 2))
-        k = np.argmax([abs(op[0, 0]) for op in g.rep_ops])
-        proj = np.round(np.abs(g.rep_ops[k])).real
+        # represented units are diagonal here; the first sector projector is diag(1, 0)
+        units = g.represent(np.eye(st.algebra_dim))
+        k = np.argmax([abs(op[0, 0]) for op in units])
+        proj = np.round(np.abs(units[k])).real
         lam, sub = ce.gns_commutant_functional(g, proj)
         assert ce.is_pure(sub)
         assert lam == pytest.approx(0.25, abs=1e-9) or lam == pytest.approx(0.75, abs=1e-9)
@@ -214,6 +210,65 @@ class TestCommutantFunctional:
             off += n * n
         leftover = ce.StateFunctional(st, tuple(block_values))
         ce.representative_density(leftover)  # raises if not positive
+
+    @staticmethod
+    def _commutant_part(g, t):
+        # the orthogonal projection of T onto the commutant (+)_j I_n (x) M_r of the
+        # GNS blocks (n, r), whose coordinates are (a, k) row-major
+        out = np.zeros_like(t)
+        off = 0
+        for n, r in g.gns_structure.blocks:
+            sl = slice(off, off + n * r)
+            out[sl, sl] = np.kron(np.eye(n), np.einsum("akal->kl", t[sl, sl].reshape(n, r, n, r)) / n)
+            off += n * r
+        return out
+
+    def test_commutant_check_is_never_looser_than_the_commutators(self):
+        # T = P(T) + eps H, H Hermitian with P(H) = 0 and ||H||_F = 1, eps swept across
+        # the check's bound: whenever T is accepted, every ||[T, pi(E_k)]||_F is within
+        # max(100 tol, 1e-7), the bound the commutators themselves were held to
+        tol = 1e-9
+        bound = max(100 * tol, 1e-7)
+        st = ce.make_algebra([(2, 1), (3, 2), (1, 1)])
+        accepted = rejected = 0
+        for seed in range(5):
+            rng = rng_stream(93, seed)
+            g = ce.gns_construct(random_state(rng, st))
+            assert g.gns_structure.blocks == ((2, 2), (3, 3), (1, 1))
+            units = g.represent(np.eye(st.algebra_dim))
+            z = complex_gaussian((g.dim, g.dim), rng)
+            c = self._commutant_part(g, z @ z.conj().T)
+            c = 0.2 * np.eye(g.dim) + 0.6 * c / np.linalg.norm(c, 2)
+            h = complex_gaussian((g.dim, g.dim), rng)
+            h = h + h.conj().T
+            h = h - self._commutant_part(g, h)
+            h /= np.linalg.norm(h)
+            for eps in np.geomspace(bound / 10, bound * 10, 21):
+                t = c + eps * h
+                try:
+                    ce.gns_commutant_functional(g, t, tol)
+                except ValidationError as err:
+                    assert "does not commute" in str(err)
+                    rejected += 1
+                    continue
+                accepted += 1
+                assert max(np.linalg.norm(t @ u - u @ t) for u in units) <= bound
+        assert accepted > 0 and rejected > 0
+
+    def test_zero_weight_block_gets_a_zero_sub_state(self):
+        st = ce.make_algebra([(2, 1), (2, 2), (1, 1)])
+        om = ce.StateFunctional.from_canonical(st, [0.4, 0.0, 0.6],
+                                               [np.diag([0.3, 0.7]), None, np.eye(1)])
+        g = ce.gns_construct(om)
+        assert g.active == (0, 2)
+        t = np.zeros((g.dim, g.dim), dtype=complex)
+        t[:4, :4] = np.kron(np.eye(2), [[0.5, 0.2j], [-0.2j, 0.3]])
+        t[4, 4] = 0.5
+        lam, sub = ce.gns_commutant_functional(g, t)
+        assert np.array_equal(sub.block_values[1], np.zeros((2, 2)))
+        units = g.represent(np.eye(st.algebra_dim))
+        expected = [g.cyclic.conj() @ t @ u @ g.cyclic for u in units]
+        assert np.allclose(lam * sub.values(), expected, atol=1e-12)
 
     def test_non_commuting_operator_rejected(self):
         st = ce.make_algebra([(2, 1)])

@@ -88,7 +88,6 @@ _TOL_CALLS = {
     "resolve_sectors": lambda tol: ce.resolve_sectors(_G, tol),
     "gns_commutant_functional": lambda tol: ce.gns_commutant_functional(_G, np.eye(_G.dim), tol),
     "gns_state_entropy": lambda tol: ce.gns_state_entropy(_OM, tol),
-    "is_irreducible": lambda tol: ce.is_irreducible(_G, tol),
     "has_definite_value": lambda tol: ce.has_definite_value(_OM, ce.identity(_ST), tol),
     "gas_entropy": lambda tol: ce.gas_entropy(_OM, ce.GasAccount(1, 1.0, np.zeros(2)), tol),
     "sectors_connectable": lambda tol: ce.sectors_connectable(_PURE, _PURE, tol),

@@ -6,7 +6,8 @@ traced run; a rename in the package would otherwise only show up as a
 tree; the file is neither executed nor modified.  The package's runtime
 depends on numpy and the standard library alone, a function of a state
 reads the algebra off the state instead of taking it as a second argument,
-and every function and class the package defines is named somewhere else.
+every function and class the package defines is named somewhere else, and
+``algebra._assemble`` is the one builder of block matrices.
 """
 
 import ast
@@ -118,3 +119,15 @@ def test_every_package_definition_is_named_elsewhere():
     assert len(defined) > 100
     unused = sorted(f"{file}: {name}" for file, name in defined if name not in used)
     assert not unused, f"defined but named nowhere else: {unused}"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_block_matrices_are_built_by_assemble_only(path):
+    # np.kron and np.block would build (+)_i X_i (x) I_m a second way
+    banned = {"kron", "block"}
+    found = [node.lineno for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Attribute) and node.attr in banned
+             and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")
+             or isinstance(node, ast.ImportFrom) and node.module == "numpy"
+             and any(alias.name in banned for alias in node.names)]
+    assert not found, f"{path.name} calls np.kron or np.block at lines {found}"
