@@ -1,4 +1,4 @@
-"""Seeded randomness and small dense linear-algebra helpers."""
+"""Seeded randomness, small dense linear-algebra helpers and the table of numerical cutoffs."""
 
 from __future__ import annotations
 
@@ -7,9 +7,99 @@ import numpy as np
 from .errors import ValidationError
 
 
-def default_tol(dim: int) -> float:
-    """Absolute tolerance for trace/positivity checks; scaled above dimension 64."""
-    return 1e-9 if dim <= 64 else 1e-9 * dim / 64.0
+class Cutoff:
+    """Every numerical cutoff the package applies, in one table; never instantiated.
+
+    A fixed cutoff is a constant.  A relative one is a function of the
+    tolerance ``tol`` in use and of a ``scale`` (a norm, a dimension or its
+    square root).  Each formula keeps the operand order of the check it
+    serves, so a cutoff has the same value to the bit wherever it is read.
+    """
+
+    TOL = 1e-9  # the default tolerance up to dimension 64
+    WEIGHT_FLOOR = 1e-12  # a weight at or below it is dropped; one above its negative counts as 0
+    PROBABILITY = 1e-9  # a probability vector's sum may miss 1, and a weight exceed 1, by this
+    UNIT_NORM = 1e-8  # a decomposition's unit vectors and weight sum may miss 1 by this
+    ALIGN_SCALE = 1e-8  # discovery retries on a compression between clusters below this scale
+    ALIGN_DEFECT = 1e-6  # ... or on one further than this from a multiple of a unitary
+    CONDITION = 1e6  # largest condition number of state_from_values' block-coordinate system
+    ZENO = 1e-9 * 100  # zeno_sequence: the vectors' norm defect and overlap
+
+    @staticmethod
+    def default(scale):
+        """The tolerance a function applies when given none; scale the ambient dimension."""
+        return Cutoff.TOL if scale <= 64 else Cutoff.TOL * scale / 64.0
+
+    @staticmethod
+    def spectral(tol, scale):
+        """An eigenvalue, or a gap between two, is nonzero above this; scale the largest modulus."""
+        return tol * max(scale, 1e-300)
+
+    @staticmethod
+    def coupling(tol, scale):
+        """Discovery: a compression between clusters couples them above this; scale ||B||_F."""
+        return max(1e-8, tol) * scale
+
+    @staticmethod
+    def identity_in_span(tol, scale):
+        """Residual of the identity against a span; scale sqrt(d)."""
+        return max(tol, 1e-9) * 10 * scale
+
+    @staticmethod
+    def certificate(tol):
+        """Discovery's largest projection residual of the algebra onto the split."""
+        return max(1e-6, 100.0 * tol)
+
+    @staticmethod
+    def identity_defect(scale):
+        """||X - I||_F of discovery's W*W or a resolution of the identity; scale the dimension."""
+        return 1e-8 * scale
+
+    @staticmethod
+    def gram(scale):
+        """||G - I||_F of the Gram matrix of an orthonormal basis; scale the basis size."""
+        return 1e-7 * scale
+
+    @staticmethod
+    def unitary(scale):
+        """||U*U - I||_F of a mixing unitary; scale sqrt(n)."""
+        return 1e-8 * max(1.0, scale)
+
+    @staticmethod
+    def probability_sum(scale):
+        """How far a probability vector of length scale may sum away from 1."""
+        return 1e-9 * scale
+
+    @staticmethod
+    def defect(tol, scale):
+        """Asymmetry of a Hermitian matrix, or a negative Gram eigenvalue; scale its norm."""
+        return tol * max(1.0, scale) * 10
+
+    @staticmethod
+    def selfadjoint(tol, scale):
+        """Asymmetry of a state's value matrix; scale its norm."""
+        return tol * 100 * max(1.0, scale)
+
+    @staticmethod
+    def eigenvalue(tol):
+        """How far an eigenvalue, or a density matrix's trace, may leave its range."""
+        return tol * 10
+
+    @staticmethod
+    def aggregate(tol):
+        """A state's normalization, its representative's trace, a pure block's second eigenvalue
+        and an observable's self-adjointness (has_definite_value)."""
+        return tol * 100
+
+    @staticmethod
+    def span(tol):
+        """Projection residual of a matrix the algebra must contain."""
+        return max(tol * 100, 1e-7)
+
+    @staticmethod
+    def variance(tol):
+        """Largest variance of an observable with a definite value."""
+        return max(tol * 100, 1e-10)
 
 
 def _is_real(x) -> bool:
@@ -17,9 +107,9 @@ def _is_real(x) -> bool:
 
 
 def resolve_tol(tol, dim: int) -> float:
-    """``default_tol(dim)`` for None, else tol, which must be a positive finite real number."""
+    """``Cutoff.default(dim)`` for None, else tol, which must be a positive finite real number."""
     if tol is None:
-        return default_tol(dim)
+        return Cutoff.default(dim)
     if not _is_real(tol) or not 0 < tol < np.inf:
         raise ValidationError(f"tol must be a positive finite number, got {tol!r}")
     return tol

@@ -22,6 +22,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ._linalg import (
+    Cutoff,
+    check_int,
     check_tol,
     complex_gaussian,
     frob,
@@ -35,7 +37,7 @@ from .errors import DecompositionError, ValidationError
 
 @dataclass(frozen=True)
 class BlockStructure:
-    """Ordered list of blocks (n, m): block dimension n with multiplicity m.
+    """Ordered list of blocks (n, m) of positive integers: block dimension n with multiplicity m.
 
     The ambient Hilbert space is ``(+)_i C^{n_i} (x) C^{m_i}`` with the
     algebra acting as ``X_i (x) I_{m_i}`` on block i.
@@ -44,12 +46,10 @@ class BlockStructure:
     blocks: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        blocks = tuple((int(n), int(m)) for n, m in self.blocks)
+        blocks = tuple((check_int(n, "block dimension", 1), check_int(m, "block multiplicity", 1))
+                       for n, m in self.blocks)
         if not blocks:
             raise ValidationError("a block structure needs at least one block")
-        for n, m in blocks:
-            if n < 1 or m < 1:
-                raise ValidationError(f"block dimensions must be positive, got ({n}, {m})")
         object.__setattr__(self, "blocks", blocks)
 
     @property
@@ -121,7 +121,7 @@ class AlgebraElement:
     def adjoint(self) -> "AlgebraElement":
         return AlgebraElement(self.structure, tuple(a.conj().T for a in self.parts))
 
-    def is_selfadjoint(self, tol: float = 1e-9) -> bool:
+    def is_selfadjoint(self, tol: float = Cutoff.TOL) -> bool:
         tol = check_tol(tol)
         return all(frob(a - a.conj().T) <= tol * max(1.0, frob(a)) for a in self.parts)
 
@@ -232,7 +232,7 @@ class SubalgebraBasis:
         mats = frozen(self.basis)
         rows = mats.reshape(len(mats), -1)
         gram = rows @ rows.conj().T
-        if not frob(gram - np.eye(len(mats))) <= 1e-7 * len(mats):
+        if not frob(gram - np.eye(len(mats))) <= Cutoff.gram(len(mats)):
             raise ValidationError("basis is not orthonormal under the Hilbert-Schmidt inner product")
         object.__setattr__(self, "ambient_dim", d)
         object.__setattr__(self, "basis", mats)
@@ -286,7 +286,7 @@ def generator_residual(generators: Sequence[np.ndarray], structure: BlockStructu
     return _residual(_letters(generators), structure, w)
 
 
-def decompose_generated(generators: Sequence[np.ndarray], tol: float = 1e-9,
+def decompose_generated(generators: Sequence[np.ndarray], tol: float = Cutoff.TOL,
                         seed: int = 0) -> tuple[BlockStructure, np.ndarray]:
     """Block structure of the smallest unital *-algebra A containing the generators.
 
@@ -296,7 +296,7 @@ def decompose_generated(generators: Sequence[np.ndarray], tol: float = 1e-9,
     generic elements H (hermitized) and B that way.  The split
     ``D = W ((+)_i M_{n_i} (x) I_{m_i}) W*`` is certified equal to A by:
     (i) every generator and its adjoint projects into D within
-    ``max(1e-6, 100 * tol)`` relative to its Frobenius norm, so A is in D;
+    ``Cutoff.certificate(tol)`` relative to its Frobenius norm, so A is in D;
     (ii) in each block, H has n_i eigenvalue clusters that B's coupling
     graph connects, so A acts irreducibly on it, and (iii) distinct blocks
     carry disjoint H spectra, so no two are equivalent; by the density
@@ -337,7 +337,8 @@ def _unit_basis(structure: BlockStructure, w: np.ndarray, factor: int) -> Subalg
     return SubalgebraBasis(d, np.concatenate(parts))
 
 
-def generate_subalgebra(generators: Sequence[np.ndarray], tol: float = 1e-9) -> SubalgebraBasis:
+def generate_subalgebra(generators: Sequence[np.ndarray],
+                        tol: float = Cutoff.TOL) -> SubalgebraBasis:
     """Orthonormal basis of the smallest unital *-algebra containing the generators.
 
     Runs :func:`decompose_generated` (seed 0) and reads the basis
@@ -350,7 +351,7 @@ def generate_subalgebra(generators: Sequence[np.ndarray], tol: float = 1e-9) -> 
     return _unit_basis(*decompose_generated(generators, tol), 0)
 
 
-def commutant(sub: SubalgebraBasis, tol: float = 1e-9) -> SubalgebraBasis:
+def commutant(sub: SubalgebraBasis, tol: float = Cutoff.TOL) -> SubalgebraBasis:
     """Orthonormal basis of {X : X B = B X for every basis element B}.
 
     The span must be a unital *-algebra, ``W ((+)_i M_{n_i} (x) I_{m_i}) W*``
@@ -371,7 +372,7 @@ def _identity_in_span(bmats: np.ndarray, d: int, tol: float) -> bool:
     rows = bmats.reshape(len(bmats), -1)
     vec_id = np.eye(d, dtype=complex).reshape(-1)
     res = vec_id - (rows.conj() @ vec_id) @ rows
-    return float(np.linalg.norm(res)) <= max(tol, 1e-9) * 10 * np.sqrt(d)
+    return float(np.linalg.norm(res)) <= Cutoff.identity_in_span(tol, np.sqrt(d))
 
 
 def _split_attempt(sample: Callable[[np.random.Generator], np.ndarray], d: int, tol: float,
@@ -381,7 +382,8 @@ def _split_attempt(sample: Callable[[np.random.Generator], np.ndarray], d: int, 
     # e (x) C^{m_i}, one per eigenvalue of each X_i: the runs of sorted
     # eigenvalues whose adjacent gaps are below tol times the spectral scale.
     lam, v = np.linalg.eigh(hermitize(sample(rng)))
-    starts = np.flatnonzero(np.diff(lam, prepend=-np.inf) > tol * max(np.max(np.abs(lam)), 1e-300))
+    starts = np.flatnonzero(
+        np.diff(lam, prepend=-np.inf) > Cutoff.spectral(tol, np.max(np.abs(lam))))
     dims = np.diff(starts, append=d)
 
     # A generic element B compresses to zero between clusters of different
@@ -390,7 +392,7 @@ def _split_attempt(sample: Callable[[np.random.Generator], np.ndarray], d: int, 
     b = sample(rng)
     comp = v.conj().T @ b @ v
     sq = np.add.reduceat(np.add.reduceat(np.abs(comp) ** 2, starts, axis=0), starts, axis=1)
-    coupled = np.sqrt(sq + sq.T) > max(1e-8, tol) * frob(b)
+    coupled = np.sqrt(sq + sq.T) > Cutoff.coupling(tol, frob(b))
 
     sectors = []
     free = np.ones(len(starts), dtype=bool)
@@ -411,8 +413,8 @@ def _split_attempt(sample: Callable[[np.random.Generator], np.ndarray], d: int, 
         rows = (starts[members][:, None] + np.arange(m)).reshape(-1)
         u, s, vh = np.linalg.svd(comp[rows, starts[first]:starts[first] + m].reshape(-1, m, m))
         scale = np.sqrt(np.mean(s ** 2, axis=1))
-        if np.min(scale) < 1e-8 or \
-                np.max(np.linalg.norm((s / scale[:, None]) ** 2 - 1, axis=1)) > 1e-6:
+        if np.min(scale) < Cutoff.ALIGN_SCALE or np.max(np.linalg.norm(
+                (s / scale[:, None]) ** 2 - 1, axis=1)) > Cutoff.ALIGN_DEFECT:
             raise _Retry()
         cols = np.einsum("xam,amk->xak", v[:, rows].reshape(d, -1, m), u @ vh).reshape(d, -1)
         sectors.append((len(s), m, lam[starts[first]], cols))
@@ -424,7 +426,7 @@ def _split_attempt(sample: Callable[[np.random.Generator], np.ndarray], d: int, 
     if sum(n * m for n, m in blocks) != d:
         raise _Retry()
     w = np.concatenate([cols for *_, cols in sectors], axis=1)
-    if frob(w.conj().T @ w - np.eye(d)) > 1e-8 * d:
+    if frob(w.conj().T @ w - np.eye(d)) > Cutoff.identity_defect(d):
         raise _Retry()
     return BlockStructure(blocks), w
 
@@ -435,7 +437,7 @@ def _discover(sample: Callable[[np.random.Generator], np.ndarray],
     """Split an algebra on C^d by the random elements ``sample(rng)`` draws from it.
 
     ``check(structure, W, rng)`` returns the residual the split must keep
-    within ``max(1e-6, 100 * tol)``, or raises :class:`_Retry`.  Up to 8
+    within ``Cutoff.certificate(tol)``, or raises :class:`_Retry`.  Up to 8
     attempts run, attempt k on ``rng_stream(seed, 2, k)``, and the error
     carries the smallest residual checked.
     """
@@ -447,7 +449,7 @@ def _discover(sample: Callable[[np.random.Generator], np.ndarray],
             residual = check(structure, w, rng)
         except _Retry:
             continue
-        if residual <= max(1e-6, 100.0 * tol):
+        if residual <= Cutoff.certificate(tol):
             return structure, w
         residuals.append(residual)
     raise DecompositionError("block decomposition failed verification after retries",
@@ -468,7 +470,7 @@ def _discover_span(element: Callable[[np.ndarray], np.ndarray], dim: int, d: int
     return _discover(lambda rng: element(complex_gaussian(dim, rng)), check, d, tol, seed)
 
 
-def block_decompose(sub: SubalgebraBasis, tol: float = 1e-9,
+def block_decompose(sub: SubalgebraBasis, tol: float = Cutoff.TOL,
                     seed: int = 0) -> tuple[BlockStructure, np.ndarray]:
     """Recover the block structure of a matrix *-algebra.
 
@@ -478,7 +480,7 @@ def block_decompose(sub: SubalgebraBasis, tol: float = 1e-9,
     the spaces e (x) C^{m_i}, one per eigenvalue of each block of A.  A
     random element B couples two clusters iff they lie in one block: the
     Frobenius norm of its two compressions between them, taken together,
-    exceeds ``max(1e-8, tol) * ||B||_F``.  The connected components of that
+    exceeds ``Cutoff.coupling(tol, ||B||_F)``.  The connected components of that
     graph are the blocks (n_i clusters of a common dimension m_i), and the
     compressions of B onto each block's first cluster align its
     multiplicity spaces.  Blocks are ordered by decreasing n, then m, then

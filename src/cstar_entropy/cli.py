@@ -23,6 +23,7 @@ import numpy as np
 
 from . import algebra as alg
 from . import decomp, entropy, gns, states, thermo
+from ._linalg import Cutoff
 from .errors import DecompositionError, NotAStateError, ValidationError
 
 _LN2 = float(np.log(2.0))
@@ -73,7 +74,9 @@ def _load_json(path: str) -> dict:
             doc = json.load(fh)
     except OSError as exc:
         raise _ParseError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # a JSONDecodeError, a file that is not UTF-8, an integer of more digits than
+        # int() converts, or nesting deeper than the recursion limit
         raise _ParseError(f"{path}: invalid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise _ParseError(f"{path}: top level must be an object")
@@ -85,11 +88,10 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _integer_option(options: dict, name: str, default: int) -> int:
+def _json_int(value, what: str) -> int:
     """An int or an integral float such as 1000.0; not a string, a bool, 2.7 or inf."""
-    value = options.get(name, default)
     if not _is_number(value) or (isinstance(value, float) and not value.is_integer()):
-        raise _ParseError(f"options: {name} must be an integer, got {value!r}")
+        raise _ParseError(f"{what} must be an integer, got {value!r}")
     return int(value)
 
 
@@ -97,7 +99,7 @@ def _resolve_options(doc: dict, args) -> tuple[float, int, int]:
     options = doc.get("options", {})
     if not isinstance(options, dict):
         raise _ParseError("options must be an object")
-    tol = options.get("tol", 1e-9) if args.tol is None else args.tol
+    tol = options.get("tol", Cutoff.TOL) if args.tol is None else args.tol
     if not _is_number(tol):
         raise _ParseError(f"options: tol must be a number, got {tol!r}")
     try:
@@ -106,10 +108,10 @@ def _resolve_options(doc: dict, args) -> tuple[float, int, int]:
         raise _ParseError(f"options: tol must be a number: {exc}") from None
     if not np.isfinite(tol) or tol <= 0:
         raise _ParseError(f"tol must be a positive finite number, got {tol!r}")
-    seed = args.seed if args.seed is not None else _integer_option(options, "seed", 0)
+    seed = _json_int(options.get("seed", 0), "options: seed") if args.seed is None else args.seed
     samples = getattr(args, "samples", None)
     if samples is None:
-        samples = _integer_option(options, "samples", 1000)
+        samples = _json_int(options.get("samples", 1000), "options: samples")
     return tol, seed, samples
 
 
@@ -126,9 +128,13 @@ def _parse_problem(args, structure_only: bool = False) -> _Problem:
         if structure_only:
             raise _ParseError("this command requires the algebra as generators")
         try:
-            structure = alg.make_algebra([tuple(b) for b in algebra_form["blocks"]])
+            structure = alg.make_algebra([tuple(_json_int(x, "algebra blocks: a dimension")
+                                                for x in b) for b in algebra_form["blocks"]])
         except (TypeError, ValueError) as exc:
             raise _ParseError(f"algebra blocks: {exc}") from None
+        if structure.ambient_dim ** 2 * 16 > np.iinfo(np.intp).max:
+            raise _ParseError(f"algebra blocks: ambient dimension {structure.ambient_dim} is too "
+                              "large for a d x d complex array")
     else:
         gens = [_complex_from_json(g, f"generator {k}", 2)
                 for k, g in enumerate(_json_list(algebra_form["generators"], "algebra generators"))]
@@ -383,6 +389,9 @@ def main(argv=None) -> int:
         return 4
     except (DecompositionError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError:
+        print("numerical failure: out of memory", file=sys.stderr)
         return 3
     except ValidationError as exc:
         print(f"invalid input: {exc}", file=sys.stderr)

@@ -13,23 +13,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import check_int, check_tol, resolve_tol, rng_stream
+from ._linalg import Cutoff, check_int, resolve_tol, rng_stream
 from .algebra import BlockStructure, make_algebra
 from .entropy import _entropy_of, minimal_decomposition, shannon
 from .errors import ValidationError
 from .states import Decomposition, DensityMatrix, StateFunctional, active_sectors, block_spectra
 
-_WEIGHT_FLOOR = 1e-12  # components below this are dropped and the rest renormalized
 _CHUNK = 1024  # oracle samples per stream; part of the sampling contract
 
 
-def _check_unitary(u: np.ndarray, tol: float) -> np.ndarray:
-    tol = check_tol(tol)
+def _check_unitary(u: np.ndarray) -> np.ndarray:
     u = np.asarray(u, dtype=complex)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise ValidationError("unitary must be a square matrix")
     defect = float(np.linalg.norm(u.conj().T @ u - np.eye(u.shape[0])))
-    if not defect <= tol * max(1.0, np.sqrt(u.shape[0])):
+    if not defect <= Cutoff.unitary(np.sqrt(u.shape[0])):
         raise ValidationError(f"matrix is not unitary (defect {defect:.3e})")
     return u
 
@@ -46,18 +44,18 @@ def _mixed_vectors(lam: np.ndarray, psi: np.ndarray, u: np.ndarray):
     ``p_i = sum_j |u_ij|^2 lam_j`` over the retained spectrum, with vectors
     proportional to ``sum_j u_ij sqrt(lam_j) psi_j``.
     """
-    rank = int(np.sum(lam > _WEIGHT_FLOOR))
+    rank = int(np.sum(lam > Cutoff.WEIGHT_FLOOR))
     r = u.shape[0]
     if r < rank:
         raise ValidationError(f"unitary size {r} is below the rank {rank}")
     amp = psi[:, :rank] * np.sqrt(lam[:rank])
     tilde = amp @ u[:, :rank].T
     weights = np.linalg.norm(tilde, axis=0) ** 2
-    keep = weights > _WEIGHT_FLOOR
+    keep = weights > Cutoff.WEIGHT_FLOOR
     return weights[keep], tilde[:, keep] / np.sqrt(weights[keep])
 
 
-def schrodinger_decomposition(rho, u: np.ndarray, tol: float = 1e-8) -> Decomposition:
+def schrodinger_decomposition(rho, u: np.ndarray) -> Decomposition:
     """Decomposition of a density matrix induced by a unitary mixing matrix.
 
     With the identity this is the spectral decomposition; any unitary of size
@@ -65,7 +63,7 @@ def schrodinger_decomposition(rho, u: np.ndarray, tol: float = 1e-8) -> Decompos
     weights ``p = |u|^2 lam``.
     """
     rho = rho if isinstance(rho, DensityMatrix) else DensityMatrix(rho)
-    u = _check_unitary(u, tol)
+    u = _check_unitary(u)
     lam, psi = _spectral(rho.matrix)
     weights, vectors = _mixed_vectors(lam, psi, u)
     total = weights.sum()
@@ -74,9 +72,9 @@ def schrodinger_decomposition(rho, u: np.ndarray, tol: float = 1e-8) -> Decompos
     return Decomposition(structure, comps)
 
 
-def doubly_stochastic_from_unitary(u: np.ndarray, tol: float = 1e-8) -> np.ndarray:
+def doubly_stochastic_from_unitary(u: np.ndarray) -> np.ndarray:
     """Entrywise squared moduli of a unitary: a doubly stochastic matrix."""
-    u = _check_unitary(u, tol)
+    u = _check_unitary(u)
     return np.abs(u) ** 2
 
 
@@ -88,19 +86,19 @@ class MajorizationVerdict:
     partial_sums: tuple[np.ndarray, np.ndarray]
 
 
-def majorizes(p, q, tol: float = 1e-9) -> MajorizationVerdict:
+def majorizes(p, q) -> MajorizationVerdict:
     """Compare sorted cumulative sums of two probability vectors.
 
     Shorter vectors are zero-padded.  ``relation`` reports which side
-    dominates at every prefix, within tol.
+    dominates at every prefix, within ``Cutoff.PROBABILITY``.
     """
-    tol = check_tol(tol)
+    tol = Cutoff.PROBABILITY
     vecs = []
     for name, v in (("p", p), ("q", q)):
         arr = np.asarray(v, dtype=float)
         if arr.ndim != 1 or arr.size == 0:
             raise ValidationError(f"{name} must be a nonempty vector")
-        if np.any(arr < -tol) or not abs(arr.sum() - 1.0) <= max(tol, 1e-12) * arr.size:
+        if np.any(arr < -tol) or not abs(arr.sum() - 1.0) <= Cutoff.probability_sum(arr.size):
             raise ValidationError(f"{name} is not a probability vector")
         vecs.append(np.clip(arr, 0.0, None))
     size = max(len(vecs[0]), len(vecs[1]))
@@ -185,17 +183,17 @@ def _chunk_entropies(seed: int, chunk: int, active, count: int = _CHUNK) -> np.n
     Each block's draws go through one :func:`_isometries` call over their
     first rank columns (all the weights read), every sample's weights
     ``|Q|^2 lambda`` land zero-padded in one row, and each row's entropy drops
-    the entries at or below ``_WEIGHT_FLOOR``.  The whole chunk is always
+    the entries at or below ``Cutoff.WEIGHT_FLOOR``.  The whole chunk is always
     computed alike, so each entropy is a function of (seed, sample index) alone.
     """
     sizes, gauss = _chunk_draws(seed, chunk, active)
     parts = []
     for (_, w_block, lam, _), z, block_sizes in zip(active, gauss, sizes.T):
-        rank = int(np.sum(lam > _WEIGHT_FLOOR))
+        rank = int(np.sum(lam > Cutoff.WEIGHT_FLOOR))
         u = _isometries(z, block_sizes, rank)
         parts.append(w_block * ((u.real ** 2 + u.imag ** 2) * lam[:rank]).sum(axis=2))
     weights = np.concatenate(parts, axis=1)
-    w = np.where(weights > _WEIGHT_FLOOR, weights, 0.0)
+    w = np.where(weights > Cutoff.WEIGHT_FLOOR, weights, 0.0)
     w = w / w.sum(axis=1, keepdims=True)
     return -(w * np.log(np.where(w > 0.0, w, 1.0))).sum(axis=1)[:count]
 
@@ -218,7 +216,7 @@ def infimum_oracle(omega: StateFunctional, samples: int = 1000, seed: int = 0,
     samples = check_int(samples, "samples", 1)
     tol = resolve_tol(tol, omega.structure.ambient_dim)
     base = minimal_decomposition(omega, tol)
-    best_entropy = _entropy_of(base.weights(), _WEIGHT_FLOOR)
+    best_entropy = _entropy_of(base.weights(), Cutoff.WEIGHT_FLOOR)
     best_index = 0
     active = active_sectors(block_spectra(omega, tol), tol)
 
@@ -248,7 +246,7 @@ def _rebuild_sample(seed: int, index: int, active, structure: BlockStructure) ->
         weights, vectors = _mixed_vectors(lam, psi, u)
         for k, w in enumerate(weights):
             weight = w_block * float(w)
-            if weight > _WEIGHT_FLOOR:
+            if weight > Cutoff.WEIGHT_FLOOR:
                 comps.append((weight, i, vectors[:, k]))
     total = sum(w for w, _, _ in comps)
     return Decomposition(structure, tuple((w / total, i, v) for w, i, v in comps))

@@ -13,7 +13,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from ._linalg import check_tol, resolve_tol
+from ._linalg import Cutoff, resolve_tol
 from .algebra import BlockStructure
 from .errors import ValidationError
 from .states import (
@@ -32,19 +32,18 @@ def _entropy_of(weights: np.ndarray, floor: float = 0.0) -> float:
     return float(0.0 - (w * np.log(w)).sum())  # one point gives 0.0 - 0.0 = +0.0, not -(0.0)
 
 
-def shannon(p, tol: float = 1e-9) -> float:
+def shannon(p) -> float:
     """Shannon entropy of a probability vector, in nats.
 
-    Entries within tol below zero are clamped and the vector renormalized;
-    anything worse is a validation error.
+    Entries at most ``Cutoff.PROBABILITY`` below zero count as zero and the
+    vector is renormalized; anything worse is a validation error.
     """
-    tol = check_tol(tol)
     arr = np.asarray(p, dtype=float)
     if arr.ndim != 1 or arr.size == 0:
         raise ValidationError("probability vector must be one-dimensional and nonempty")
-    if np.any(arr < -tol):
+    if np.any(arr < -Cutoff.PROBABILITY):
         raise ValidationError(f"negative probability {arr.min()!r}")
-    if not abs(arr.sum() - 1.0) <= max(tol, 1e-12) * arr.size:
+    if not abs(arr.sum() - 1.0) <= Cutoff.probability_sum(arr.size):
         raise ValidationError(f"probabilities sum to {arr.sum()!r}, expected 1")
     return _entropy_of(arr)
 
@@ -117,7 +116,7 @@ def minimal_decomposition(omega: StateFunctional, tol: float | None = None) -> D
     for i, w, lams, vecs in active_sectors(block_spectra(omega, tol), tol):
         for lam, vec in zip(lams, vecs.T):
             weight = w * float(lam)
-            if weight < 1e-12:
+            if weight < Cutoff.WEIGHT_FLOOR:
                 continue
             comps.append((weight, i, vec / np.linalg.norm(vec)))
     total = sum(w for w, _, _ in comps)

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import check_int, frob, frozen, hermitize, random_isometry, resolve_tol, rng_stream
+from ._linalg import (Cutoff, check_int, frob, frozen, hermitize, random_isometry, resolve_tol,
+                      rng_stream)
 from .algebra import BlockStructure, _assemble, _discover_span, split_blocks, structure_projection
 from .entropy import EntropyReport, _entropy_of
 from .errors import NotAStateError, ValidationError
@@ -58,23 +59,25 @@ def gns_construct(omega: StateFunctional, tol: float | None = None) -> GnsData:
     the Gram matrix is I_n (x) omega_i.  An eigenpair (mu_k, w_k) of omega_i
     kept above the rank cutoff gives the GNS vectors e_a (x) w_k / sqrt(mu_k),
     on which C acts as C (x) I_r and the identity has coordinates
-    conj(w[a, k]) sqrt(mu_k).
+    conj(w[a, k]) sqrt(mu_k).  A tol that keeps no eigenvalue is a
+    :class:`ValidationError`.
     """
     tol = resolve_tol(tol, omega.structure.ambient_dim)
     spectra = [np.linalg.eigh(hermitize(values)) for values in omega.block_values]
     eigs = np.concatenate([mu for mu, _ in spectra])
     scale = max(float(eigs.max()), 0.0)
-    if eigs.min() < -tol * max(1.0, scale) * 10:
+    if eigs.min() < -Cutoff.defect(tol, scale):
         raise NotAStateError(f"state inner product is not positive (eigenvalue {eigs.min():.3e})")
     blocks, active, cyclic = [], [], []
     for i, ((n, _), (mu, w)) in enumerate(zip(omega.structure.blocks, spectra)):
-        keep = mu > tol * max(scale, 1e-300)
+        keep = mu > Cutoff.spectral(tol, scale)
         if keep.any():
             blocks.append((n, int(keep.sum())))
             active.append(i)
             cyclic.append((w[:, keep].conj() * np.sqrt(mu[keep])).reshape(-1))
     if not active:
-        raise NotAStateError("state inner product vanishes identically")
+        raise ValidationError(f"tol {tol!r} keeps no eigenvalue of the state inner product "
+                              f"(cutoff tol * {scale!r})")
     return GnsData(structure=omega.structure, gns_structure=BlockStructure(tuple(blocks)),
                    active=tuple(active), cyclic=np.concatenate(cyclic))
 
@@ -134,10 +137,10 @@ def gns_commutant_functional(g: GnsData, t: np.ndarray,
     if t.shape != (g.dim, g.dim):
         raise ValidationError("operator shape does not match the GNS dimension")
     # each check reads `not defect <= bound`, which a NaN defect fails
-    if not frob(t - t.conj().T) <= tol * max(1.0, frob(t)) * 10:
+    if not frob(t - t.conj().T) <= Cutoff.defect(tol, frob(t)):
         raise ValidationError("operator is not self-adjoint")
     eigs = np.linalg.eigvalsh(hermitize(t))
-    if not (-eigs[0] <= tol * 10 and eigs[-1] - 1.0 <= tol * 10):
+    if not (-eigs[0] <= Cutoff.eigenvalue(tol) and eigs[-1] - 1.0 <= Cutoff.eigenvalue(tol)):
         raise ValidationError(f"operator spectrum [{eigs[0]:.3e}, {eigs[-1]:.3e}] not within [0, 1]")
     # The commutant of (+)_j C_j (x) I_r is (+)_j I_n (x) M_r; listing block j's
     # coordinates (a, k) as (k, a) turns it into the algebra (+)_j M_r (x) I_n.
@@ -146,7 +149,7 @@ def gns_commutant_functional(g: GnsData, t: np.ndarray,
     order = np.concatenate([sl.start + np.arange(n * r).reshape(n, r).T.reshape(-1) for sl, (n, r)
                             in zip(g.gns_structure.ambient_slices(), g.gns_structure.blocks)])
     swapped = BlockStructure(tuple((r, n) for n, r in g.gns_structure.blocks))
-    if not structure_projection(t[np.ix_(order, order)], swapped)[1] <= max(tol * 100, 1e-7) / 2:
+    if not structure_projection(t[np.ix_(order, order)], swapped)[1] <= Cutoff.span(tol) / 2:
         raise ValidationError("operator does not commute with the represented algebra")
     weight = float((g.cyclic.conj() @ (t @ g.cyclic)).real)
     if weight <= tol:
@@ -176,9 +179,9 @@ class IdentityDecomposition:
         for t, i, v in self.items:
             t, i = float(t), int(i)
             vec = np.asarray(v, dtype=complex)
-            if not 0.0 < t <= 1.0 + 1e-9:
+            if not 0.0 < t <= 1.0 + Cutoff.PROBABILITY:
                 raise ValidationError(f"weight {t!r} outside (0, 1]")
-            if not abs(np.linalg.norm(vec) - 1.0) <= 1e-8:
+            if not abs(np.linalg.norm(vec) - 1.0) <= Cutoff.UNIT_NORM:
                 raise ValidationError("vectors must be unit norm")
             by_block.setdefault(i, []).append((t, vec))
             items.append((t, i, frozen(vec)))
@@ -187,7 +190,7 @@ class IdentityDecomposition:
             acc = np.zeros((m, m), dtype=complex)
             for t, vec in terms:
                 acc += t * np.outer(vec, vec.conj())
-            if not frob(acc - np.eye(m)) <= 1e-8 * m:
+            if not frob(acc - np.eye(m)) <= Cutoff.identity_defect(m):
                 raise ValidationError(f"block {i} terms do not resolve the identity")
         object.__setattr__(self, "items", tuple(items))
 
@@ -213,7 +216,7 @@ def identity_decomposition_random(sectors: GnsSectors, seed: int = 0,
         iso = random_isometry(count, m, rng)
         for row in iso.conj():
             t = float(np.linalg.norm(row) ** 2)
-            if t <= 1e-12:
+            if t <= Cutoff.WEIGHT_FLOOR:
                 continue
             items.append((t, i, row / np.sqrt(t)))
     return IdentityDecomposition(tuple(items))

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._linalg import default_tol, frob, frozen, hermitize, resolve_tol
+from ._linalg import Cutoff, frob, frozen, hermitize, resolve_tol
 from .algebra import (AlgebraElement, BlockStructure, _assemble, partial_traces, split_blocks,
                       structure_projection)
 from .errors import NotAStateError, ValidationError
@@ -33,14 +33,14 @@ class DensityMatrix:
             raise ValidationError("density matrix must be square")
         if not np.all(np.isfinite(mat)):
             raise ValidationError("density matrix has non-finite entries")
-        tol = default_tol(mat.shape[0])
-        if frob(mat - mat.conj().T) > tol * max(1.0, frob(mat)) * 10:
+        tol = Cutoff.default(mat.shape[0])
+        if frob(mat - mat.conj().T) > Cutoff.defect(tol, frob(mat)):
             raise ValidationError("density matrix is not Hermitian")
         eigs = np.linalg.eigvalsh(hermitize(mat))
-        if eigs[0] < -tol * 10:
+        if eigs[0] < -Cutoff.eigenvalue(tol):
             raise ValidationError(f"density matrix has negative eigenvalue {eigs[0]:.3e}")
         tr = float(np.trace(mat).real)
-        if abs(tr - 1.0) > tol * 10:
+        if abs(tr - 1.0) > Cutoff.eigenvalue(tol):
             raise ValidationError(f"density matrix has trace {tr!r}, expected 1")
         eigs.setflags(write=False)
         object.__setattr__(self, "matrix", frozen(mat))
@@ -67,7 +67,7 @@ class StateFunctional:
     def __post_init__(self):
         if len(self.block_values) != self.structure.num_blocks:
             raise ValidationError("one value matrix per block required")
-        tol = default_tol(self.structure.ambient_dim)
+        tol = Cutoff.default(self.structure.ambient_dim)
         values = []
         unit = 0.0
         for (n, _), v in zip(self.structure.blocks, self.block_values):
@@ -77,12 +77,12 @@ class StateFunctional:
             if not np.all(np.isfinite(arr)):
                 raise ValidationError("value matrix has non-finite entries")
             asym = frob(arr - arr.conj().T)
-            if asym > tol * 100 * max(1.0, frob(arr)):
+            if asym > Cutoff.selfadjoint(tol, frob(arr)):
                 raise NotAStateError(
                     f"functional is not self-adjoint: omega(A*) != conj omega(A) (defect {asym:.3e})")
             unit += np.trace(arr)
             values.append(frozen(arr))
-        if abs(unit - 1.0) > tol * 100:
+        if abs(unit - 1.0) > Cutoff.aggregate(tol):
             raise NotAStateError(f"functional is not normalized: value {unit!r} on the identity")
         object.__setattr__(self, "block_values", tuple(values))
 
@@ -108,7 +108,7 @@ class StateFunctional:
             raise ValidationError("weights and block states must match the block count")
         if not np.all(np.isfinite(p)):
             raise ValidationError("sector weights must be finite")
-        if np.any(p < -1e-12) or abs(p.sum() - 1.0) > 1e-9:
+        if np.any(p < -Cutoff.WEIGHT_FLOOR) or abs(p.sum() - 1.0) > Cutoff.PROBABILITY:
             raise NotAStateError("sector weights must form a probability vector")
         values = []
         for (n, _), w, rho in zip(structure.blocks, p, rhos):
@@ -157,11 +157,11 @@ def block_spectra(omega: StateFunctional,
     tol = resolve_tol(tol, omega.structure.ambient_dim)
     spectra = [np.linalg.eigh(hermitize(v.T)) for v in omega.block_values]
     lowest = min(w[0] / m for (w, _), (_, m) in zip(spectra, omega.structure.blocks))
-    if lowest < -tol * 10:
+    if lowest < -Cutoff.eigenvalue(tol):
         raise NotAStateError(
             f"functional is not positive: representative has eigenvalue {lowest:.3e}")
     tr = float(sum(w.sum() for w, _ in spectra))
-    if abs(tr - 1.0) > tol * 100:
+    if abs(tr - 1.0) > Cutoff.aggregate(tol):
         raise NotAStateError(f"functional is not normalized: representative trace {tr!r}")
     clipped = [np.clip(w[::-1], 0.0, None) for w, _ in spectra]
     total = sum(w.sum() for w in clipped)
@@ -185,9 +185,13 @@ def active_sectors(spectra: Sequence[tuple[np.ndarray, np.ndarray]],
 
     From the output of :func:`block_spectra`, returns ``(i, p_i, spectrum of
     rho_i, eigenvectors of rho_i)`` for each block whose weight ``tr X_i``
-    exceeds tol, with the weights renormalized over those blocks.
+    exceeds tol, with the weights renormalized over those blocks.  A tol
+    that keeps no block is a :class:`ValidationError`.
     """
     kept = [(i, float(w.sum()), w, v) for i, (w, v) in enumerate(spectra) if w.sum() > tol]
+    if not kept:
+        largest = max(float(w.sum()) for w, _ in spectra)
+        raise ValidationError(f"tol {tol!r} discards every sector (largest weight {largest!r})")
     total = sum(weight for _, weight, _, _ in kept)
     return [(i, weight / total, w / weight, v) for i, weight, w, v in kept]
 
@@ -213,13 +217,13 @@ def state_from_values(structure: BlockStructure, basis_mats: Sequence[np.ndarray
             f"each; got {len(mats)} matrices and {vals.size} values")
     stack = np.stack(mats)
     res = float(np.max(structure_projection(stack, structure)[1]))
-    if res > max(tol * 100, 1e-7):
+    if res > Cutoff.span(tol):
         raise ValidationError(
             f"declared basis does not lie in the embedded algebra (residual {res:.3e})")
     coeffs = np.concatenate([(x / m).reshape(dim, -1) for x, (_, m) in
                              zip(partial_traces(stack, structure), structure.blocks)], axis=1)
     cond = np.linalg.cond(coeffs)
-    if not cond <= 1e6:
+    if not cond <= Cutoff.CONDITION:
         raise ValidationError(f"declared basis is not linearly independent (condition {cond:.3e})")
     flat = np.linalg.solve(coeffs, vals)
     omega = StateFunctional(structure, tuple(split_blocks(flat, structure)))
@@ -238,7 +242,7 @@ def canonical_form(rho_omega, structure: BlockStructure,
     rho_omega = rho_omega if isinstance(rho_omega, DensityMatrix) else DensityMatrix(rho_omega)
     tol = resolve_tol(tol, structure.ambient_dim)
     proj, res = structure_projection(rho_omega.matrix, structure)
-    if res > max(tol * 100, 1e-7):
+    if res > Cutoff.span(tol):
         raise ValidationError(f"matrix is outside the algebra span (projection residual {res:.3e})")
     p = np.zeros(structure.num_blocks)
     rhos: list[np.ndarray | None] = []
@@ -259,7 +263,7 @@ def is_pure(omega: StateFunctional, tol: float | None = None) -> bool:
     if len(sectors) != 1:
         return False
     lam = sectors[0][2]
-    return bool(lam.size == 1 or lam[1] < tol * 100)
+    return bool(lam.size == 1 or lam[1] < Cutoff.aggregate(tol))
 
 
 def convex_combine(states: Sequence[StateFunctional], weights: Sequence[float]) -> StateFunctional:
@@ -267,7 +271,8 @@ def convex_combine(states: Sequence[StateFunctional], weights: Sequence[float]) 
     if not states:
         raise ValidationError("need at least one state")
     w = np.asarray(weights, dtype=float)
-    if w.shape != (len(states),) or np.any(w < -1e-12) or abs(w.sum() - 1.0) > 1e-9:
+    if w.shape != (len(states),) or np.any(w < -Cutoff.WEIGHT_FLOOR) \
+            or abs(w.sum() - 1.0) > Cutoff.PROBABILITY:
         raise ValidationError("weights must form a probability vector matching the states")
     structure = states[0].structure
     for s in states[1:]:
@@ -309,13 +314,13 @@ class Decomposition:
             if vec.shape != (n,):
                 raise ValidationError("component vector does not match its block dimension")
             nrm = float(np.linalg.norm(vec))
-            if not abs(nrm - 1.0) <= 1e-8:
+            if not abs(nrm - 1.0) <= Cutoff.UNIT_NORM:
                 raise ValidationError(f"component vector norm {nrm!r} is not 1")
             total += w
             comps.append((w, i, frozen(vec)))
         if not comps:
             raise ValidationError("a decomposition needs at least one component")
-        if not abs(total - 1.0) <= 1e-8:
+        if not abs(total - 1.0) <= Cutoff.UNIT_NORM:
             raise ValidationError(f"weights sum to {total!r}, expected 1")
         object.__setattr__(self, "components", tuple(comps))
 

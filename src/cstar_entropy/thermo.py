@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import _is_real, check_int, check_tol, resolve_tol
+from ._linalg import Cutoff, _is_real, check_int, resolve_tol
 from .algebra import AlgebraElement, identity
 from .entropy import _representative_entropy
 from .errors import DisconnectedSectorsError, ValidationError
@@ -55,15 +55,15 @@ def has_definite_value(omega: StateFunctional, a: AlgebraElement,
     variance omega((a - value)^2) vanishes within tol.
     """
     tol = resolve_tol(tol, a.structure.ambient_dim)
-    if not a.is_selfadjoint(tol * 100):
+    if not a.is_selfadjoint(Cutoff.aggregate(tol)):
         raise ValidationError("observable must be self-adjoint")
     value = omega.expect(a).real
     shifted = a - value * identity(a.structure)
     variance = omega.expect(shifted @ shifted).real
-    return bool(variance < max(tol * 100, 1e-10)), float(value)
+    return bool(variance < Cutoff.variance(tol)), float(value)
 
 
-def zeno_sequence(phi: np.ndarray, psi: np.ndarray, k: int, tol: float = 1e-9,
+def zeno_sequence(phi: np.ndarray, psi: np.ndarray, k: int,
                   block_phi: int = 0, block_psi: int = 0) -> tuple[list[np.ndarray], list[float]]:
     """Stepwise rotation from phi to psi through k intermediate measurements.
 
@@ -72,7 +72,6 @@ def zeno_sequence(phi: np.ndarray, psi: np.ndarray, k: int, tol: float = 1e-9,
     must be unit, mutually orthogonal, and live in the same sector.
     """
     k = check_int(k, "k", 1)
-    tol = check_tol(tol)
     if block_phi != block_psi:
         raise DisconnectedSectorsError(
             f"vectors live in disconnected sectors {block_phi} and {block_psi}")
@@ -81,10 +80,10 @@ def zeno_sequence(phi: np.ndarray, psi: np.ndarray, k: int, tol: float = 1e-9,
     if phi.shape != psi.shape or phi.ndim != 1:
         raise ValidationError("vectors must be one-dimensional and of equal length")
     for name, v in (("phi", phi), ("psi", psi)):
-        if not abs(np.linalg.norm(v) - 1.0) <= tol * 100:
+        if not abs(np.linalg.norm(v) - 1.0) <= Cutoff.ZENO:
             raise ValidationError(f"{name} is not a unit vector")
     overlap = abs(np.vdot(phi, psi))
-    if not overlap <= tol * 100:
+    if not overlap <= Cutoff.ZENO:
         raise ValidationError(f"vectors are not orthogonal (overlap {overlap:.3e})")
     angles = np.pi * np.arange(k + 1) / (2 * k)
     vectors = [np.cos(t) * phi + np.sin(t) * psi for t in angles]

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import cstar_entropy as ce
+from cstar_entropy import entropy as entropy_module
 from cstar_entropy._linalg import complex_gaussian
 from cstar_entropy.cli import main
 
@@ -313,6 +314,40 @@ class TestExitCodes:
     def test_missing_file(self):
         assert main(["entropy", "/nonexistent/problem.json"]) == 2
 
+    @pytest.mark.parametrize("text", [
+        "[" * 100_000 + "]" * 100_000,
+        '{"options": {"tol": ' + "1" * 5000 + "}}",
+    ], ids=["nested_past_the_recursion_limit", "integer_of_5000_digits"])
+    def test_json_that_cannot_be_loaded_is_a_parse_error(self, tmp_path, capsys, text):
+        path = tmp_path / "problem.json"
+        path.write_text(text)
+        assert main(["entropy", str(path)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "invalid JSON" in err[0]
+
+    def test_out_of_memory_is_a_numerical_failure(self, diag_quarter_problem, capsys, monkeypatch):
+        def exhausted(*args, **kwargs):
+            raise MemoryError()
+
+        monkeypatch.setattr(entropy_module, "state_entropy", exhausted)
+        assert main(["entropy", diag_quarter_problem, "--json"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "numerical failure: out of memory\n"
+
+    @pytest.mark.parametrize("tol", ["0.6", "1.0"])
+    @pytest.mark.parametrize("command", ["entropy", "gns", "oracle"])
+    def test_tol_that_discards_every_sector_exits_2(self, tmp_path, capsys, command, tol):
+        # both sector weights are 0.5 (S = 1.5 log 2); at tol 0.6 the GNS rank cutoff 0.3 still
+        # keeps the (1,1) block, at tol 1.0 it keeps nothing
+        doc = {"algebra": {"blocks": [[2, 1], [1, 1]]},
+               "state": {"canonical": {"p": [0.5, 0.5],
+                                       "rhos": [_mat(np.eye(2) / 2), _mat(np.eye(1))]}}}
+        assert main([command, _write(tmp_path, doc), "--tol", tol, "--json"]) == 2
+        captured = capsys.readouterr()
+        err = captured.err.strip().splitlines()
+        assert captured.out == "" and len(err) == 1
+        assert err[0].startswith(f"invalid input: tol {tol} ")
+
 
 def _m2_density_doc(**extra):
     doc = {"algebra": {"blocks": [[2, 1]]}, "state": {"density": _mat(np.eye(2) / 2)}}
@@ -396,6 +431,24 @@ class TestRejectedInputs:
         captured = capsys.readouterr()
         err = captured.err.strip().splitlines()
         assert captured.out == "" and len(err) == 1 and err[0].startswith("error:")
+
+    @pytest.mark.parametrize("dim", [2.7, "2", True, float("nan"), 1e18, 10**20],
+                             ids=["fraction", "numeric_string", "bool", "nan", "1e18", "1e20"])
+    def test_block_dimension_that_is_not_a_usable_integer_exits_2(self, tmp_path, capsys, dim):
+        # 1e18 and 10**20 are integers, but numpy cannot index a d x d complex array of them
+        doc = {"algebra": {"blocks": [[dim, 1]]}, "state": {"density": _mat(np.eye(2) / 2)}}
+        assert main(["entropy", _write(tmp_path, doc), "--json"]) == 2
+        captured = capsys.readouterr()
+        err = captured.err.strip().splitlines()
+        assert captured.out == "" and len(err) == 1 and err[0].startswith("error: algebra blocks:")
+
+    def test_integral_float_block_dimensions_still_run(self, tmp_path, capsys):
+        outputs = []
+        for blocks in ([[2, 1]], [[2.0, 1.0]]):
+            doc = {"algebra": {"blocks": blocks}, "state": {"density": _mat(np.diag([0.25, 0.75]))}}
+            assert main(["entropy", _write(tmp_path, doc), "--json"]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
 
     def test_integral_float_options_still_run(self, tmp_path, capsys):
         doc = _m2_density_doc(options={"samples": 40.0, "seed": 3.0})

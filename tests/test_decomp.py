@@ -526,6 +526,10 @@ _E1, _E2 = np.eye(2)
     lambda: ce.identity_decomposition_random(ce.resolve_sectors(_M2_GNS), sizes={0: "3"}),
     lambda: ce.identity_decomposition_random(ce.resolve_sectors(_M2_GNS), sizes={0: True}),
     lambda: ce.identity_decomposition_random(ce.resolve_sectors(_M2_GNS), sizes={9: 2}),
+    lambda: ce.make_algebra([(2.7, 1)]),
+    lambda: ce.make_algebra([("2", 1)]),
+    lambda: ce.make_algebra([(True, 1)]),
+    lambda: ce.make_algebra([(2, _NAN)]),
 ], ids=["shannon", "majorizes_p", "majorizes_q", "decomposition_weight", "decomposition_vector",
         "identity_decomposition_vector", "zeno_sequence", "doubly_stochastic",
         "schrodinger_decomposition", "gas_account", "gns_commutant_functional",
@@ -535,10 +539,13 @@ _E1, _E2 = np.eye(2)
         "gns_state_entropy_seed_bool", "decompose_generated_seed_str",
         "block_decompose_seed_fraction", "identity_decomposition_random_seed_bool",
         "identity_decomposition_random_sizes_fraction", "identity_decomposition_random_sizes_str",
-        "identity_decomposition_random_sizes_bool", "identity_decomposition_random_sizes_no_block"])
+        "identity_decomposition_random_sizes_bool", "identity_decomposition_random_sizes_no_block",
+        "block_dimension_fraction", "block_dimension_str", "block_dimension_bool",
+        "block_multiplicity_nan"])
 def test_public_validators_reject_nan(call):
     # every check of the form `defect > bound` is false on NaN, so each must be written to
-    # fail it; counts and seeds must be integers, which a NaN, a fraction, a bool or a
-    # string is not, a sizes key must name a block, and a temperature or a constant must be finite
+    # fail it; counts, seeds and block dimensions must be integers, which a NaN, a fraction,
+    # a bool or a string is not, a sizes key must name a block, and a temperature or a
+    # constant must be finite
     with pytest.raises(ValidationError):
         call()

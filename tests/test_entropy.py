@@ -185,6 +185,17 @@ class TestMinimalDecomposition:
                                ce.representative_density(om).matrix, atol=1e-9)
 
 
+@pytest.mark.parametrize("call", [ce.state_entropy, ce.minimal_decomposition],
+                         ids=["state_entropy", "minimal_decomposition"])
+def test_tol_that_discards_every_sector_is_an_input_error(call):
+    # S = 1.5 log 2; both sector weights are 0.5, so tol 0.6 keeps neither
+    st = ce.make_algebra([(2, 1), (1, 1)])
+    om = ce.StateFunctional.from_canonical(st, [0.5, 0.5], [np.eye(2) / 2, np.eye(1)])
+    with pytest.raises(ValidationError,
+                       match=r"tol 0\.6 discards every sector \(largest weight 0\.5\)"):
+        call(om, 0.6)
+
+
 class TestRepresentativeEntropyFromBlockSpectra:
     @staticmethod
     def _clipping_edge_state():

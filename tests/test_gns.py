@@ -394,6 +394,14 @@ class TestGnsStateEntropy:
         via_gns = ce.gns_state_entropy(om).state_entropy
         assert via_gns == pytest.approx(ce.state_entropy(om).state_entropy, abs=1e-12)
 
+    def test_tol_that_keeps_no_gram_eigenvalue_is_an_input_error(self):
+        # the largest Gram eigenvalue is 0.5 and the rank cutoff tol * 0.5 keeps nothing at tol 1
+        st = ce.make_algebra([(2, 1), (1, 1)])
+        om = ce.StateFunctional.from_canonical(st, [0.5, 0.5], [np.eye(2) / 2, np.eye(1)])
+        with pytest.raises(ValidationError, match="tol 1.0 keeps no eigenvalue") as err:
+            ce.gns_state_entropy(om, 1.0)
+        assert not isinstance(err.value, NotAStateError)
+
     def test_report_invariants(self):
         rng = rng_stream(88)
         st = ce.make_algebra([(2, 2), (1, 1)])

@@ -1,11 +1,14 @@
-"""Tests for the contracts of the orthonormal extension and of the tolerance argument."""
+"""Tests for the contracts of the orthonormal extension, of the tolerance argument and of
+the cutoff table."""
+
+import inspect
 
 import numpy as np
 import pytest
 
 import cstar_entropy as ce
 from cstar_entropy import states
-from cstar_entropy._linalg import complex_gaussian, orthonormal_extend, rng_stream
+from cstar_entropy._linalg import Cutoff, complex_gaussian, orthonormal_extend, rng_stream
 from cstar_entropy.errors import ValidationError
 
 
@@ -110,13 +113,6 @@ def test_tol_that_is_not_a_positive_finite_number_is_rejected(name, tol):
 # every public function whose tol defaults to a float, called on exact inputs; there tol = 0
 # asks for an exact check
 _EXACT_TOL_CALLS = {
-    "shannon": lambda tol: ce.shannon([0.5, 0.5], tol=tol),
-    "majorizes": lambda tol: ce.majorizes([0.5, 0.5], [1.0], tol=tol),
-    "schrodinger_decomposition": lambda tol: ce.schrodinger_decomposition(
-        np.eye(2) / 2, np.eye(2), tol=tol),
-    "doubly_stochastic_from_unitary": lambda tol: ce.doubly_stochastic_from_unitary(
-        np.eye(2), tol=tol),
-    "zeno_sequence": lambda tol: ce.zeno_sequence([1.0, 0.0], [0.0, 1.0], 3, tol=tol),
     "is_selfadjoint": lambda tol: ce.identity(_ST).is_selfadjoint(tol),
 }
 
@@ -133,3 +129,82 @@ def test_tol_that_is_not_a_nonnegative_finite_number_is_rejected(name, tol):
 def test_zero_tol_is_an_exact_check(name):
     _EXACT_TOL_CALLS[name](0)
     _EXACT_TOL_CALLS[name](0.0)
+
+
+# Each entry of the cutoff table next to the inline expression it replaced, kept here as the
+# reference.  Where the replaced expression read a tol parameter that is gone, its default
+# stands in: 1e-8 for the unitary checks, 1e-9 for shannon, majorizes and zeno_sequence.
+_REPLACED = {
+    "TOL": 1e-9,
+    "WEIGHT_FLOOR": 1e-12,
+    "PROBABILITY": 1e-9,
+    "UNIT_NORM": 1e-8,
+    "ALIGN_SCALE": 1e-8,
+    "ALIGN_DEFECT": 1e-6,
+    "CONDITION": 1e6,
+    "ZENO": 1e-9 * 100,
+    "default": lambda scale: 1e-9 if scale <= 64 else 1e-9 * scale / 64.0,
+    "spectral": lambda tol, scale: tol * max(scale, 1e-300),
+    "coupling": lambda tol, scale: max(1e-8, tol) * scale,
+    "identity_in_span": lambda tol, scale: max(tol, 1e-9) * 10 * scale,
+    "certificate": lambda tol: max(1e-6, 100.0 * tol),
+    "identity_defect": lambda scale: 1e-8 * scale,
+    "gram": lambda scale: 1e-7 * scale,
+    "unitary": lambda scale: 1e-8 * max(1.0, scale),
+    "probability_sum": lambda scale: max(1e-9, 1e-12) * scale,
+    "defect": lambda tol, scale: tol * max(1.0, scale) * 10,
+    "selfadjoint": lambda tol, scale: tol * 100 * max(1.0, scale),
+    "eigenvalue": lambda tol: tol * 10,
+    "aggregate": lambda tol: tol * 100,
+    "span": lambda tol: max(tol * 100, 1e-7),
+    "variance": lambda tol: max(tol * 100, 1e-10),
+}
+# call sites that negate an entry replaced these expressions
+_NEGATED = {
+    "WEIGHT_FLOOR": -1e-12,
+    "eigenvalue": lambda tol: -tol * 10,
+    "defect": lambda tol, scale: -tol * max(1.0, scale) * 10,
+}
+_TOLS = [1e-15, 1e-12, 1e-9, 1e-6, 1e-3, 0.5]
+_SCALES = [0.0, 1e-300, 1.0, 37.5, 1e6]
+
+
+def _bits(x):
+    return np.float64(x).tobytes()
+
+
+def _grid(reference):
+    """Keyword arguments for the reference over the grid of tol and scale, with the scale both
+    a float and a numpy float; one None for a constant."""
+    if not callable(reference):
+        return [None]
+    params = inspect.signature(reference).parameters
+    return [{k: v for k, v in (("tol", t), ("scale", s)) if k in params}
+            for t in _TOLS for s in _SCALES + [np.float64(s) for s in _SCALES]]
+
+
+def _value(entry, kwargs):
+    return entry if kwargs is None else entry(**kwargs)
+
+
+def test_cutoff_table_has_one_reference_per_entry():
+    entries = {name for name in vars(Cutoff) if not name.startswith("_")}
+    assert entries == set(_REPLACED)
+    for name, reference in _REPLACED.items():
+        if callable(reference):
+            assert inspect.signature(getattr(Cutoff, name)).parameters.keys() \
+                == inspect.signature(reference).parameters.keys(), name
+
+
+@pytest.mark.parametrize("name", sorted(_REPLACED))
+def test_cutoff_is_bit_identical_to_the_expression_it_replaced(name):
+    entry, reference = getattr(Cutoff, name), _REPLACED[name]
+    for kwargs in _grid(reference):
+        assert _bits(_value(entry, kwargs)) == _bits(_value(reference, kwargs)), (name, kwargs)
+
+
+@pytest.mark.parametrize("name", sorted(_NEGATED))
+def test_negated_cutoff_is_bit_identical_to_the_expression_it_replaced(name):
+    entry, reference = getattr(Cutoff, name), _NEGATED[name]
+    for kwargs in _grid(reference):
+        assert _bits(-_value(entry, kwargs)) == _bits(_value(reference, kwargs)), (name, kwargs)

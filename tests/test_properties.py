@@ -156,9 +156,9 @@ _JUNK = st.one_of(st.none(), st.booleans(), st.integers(-3, 5), st.text(max_size
 _BAD_ENTRY = st.sampled_from([float("nan"), float("inf"), -1.0, 2.0])
 _COMMANDS = ["entropy", "oracle", "gns", "structure", "schrodinger"]
 _MUTATIONS = [
-    "state_shape", "other_shape", "matrix_entry", "algebra_junk", "blocks_junk", "generator_junk",
-    "state_junk", "p_junk", "drop_basis", "dependent_basis", "outside_basis", "unitary_junk",
-    "option_junk", "none"]
+    "state_shape", "other_shape", "matrix_entry", "algebra_junk", "blocks_junk", "block_dim",
+    "generator_junk", "state_junk", "p_junk", "drop_basis", "dependent_basis", "outside_basis",
+    "unitary_junk", "option_junk", "none"]
 _FORM_OF = {"p_junk": "canonical", "drop_basis": "values", "dependent_basis": "values",
             "outside_basis": "values"}
 
@@ -187,7 +187,7 @@ def problem_files(draw, mutation):
     structure = ce.make_algebra(blocks)
     d = structure.ambient_dim
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    if draw(st.booleans()):
+    if mutation == "block_dim" or draw(st.booleans()):
         algebra = {"blocks": [list(b) for b in blocks]}
     else:
         algebra = {"generators": [_pairs(ce.embed(ce.random_element(structure, rng)))
@@ -222,6 +222,11 @@ def problem_files(draw, mutation):
     elif mutation == "blocks_junk":
         doc["algebra"] = {"blocks": draw(st.lists(
             st.lists(st.one_of(st.integers(-1, 3), _JUNK), max_size=3), max_size=3))}
+    elif mutation == "block_dim":
+        # a fraction, a boolean, a numeric string, or an integer too large for a d x d array
+        block = algebra["blocks"][draw(st.integers(0, len(blocks) - 1))]
+        block[draw(st.integers(0, 1))] = draw(
+            st.sampled_from([0.5, 2.7, True, False, "2", 10**20]))
     elif mutation == "generator_junk":
         doc["algebra"] = {"generators": draw(st.one_of(_JUNK, st.lists(_JUNK, max_size=2)))}
     elif mutation == "state_junk":
@@ -256,7 +261,7 @@ def problem_files(draw, mutation):
     return doc
 
 
-# One run per mutation, so every mutation is reached: 14 x 15 = 210 examples.
+# One run per mutation, so every mutation is reached: 15 x 15 = 225 examples.
 @pytest.mark.parametrize("mutation", _MUTATIONS)
 @settings(max_examples=15, deadline=None, derandomize=True)
 @given(data=st.data())
@@ -271,7 +276,7 @@ def test_cli_fuzz_exit_codes(mutation, data):
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main([command, path, "--json"])
     assert code in (0, 2, 3, 4)
-    if any(isinstance(v, str) for v in doc["options"].values()):
+    if any(isinstance(v, str) for v in doc["options"].values()) or mutation == "block_dim":
         assert code == 2
     if code == 0:
         json.loads(out.getvalue())

@@ -6,8 +6,9 @@ traced run; a rename in the package would otherwise only show up as a
 tree; the file is neither executed nor modified.  The package's runtime
 depends on numpy and the standard library alone, a function of a state
 reads the algebra off the state instead of taking it as a second argument,
-every function and class the package defines is named somewhere else, and
-``algebra._assemble`` is the one builder of block matrices.
+every function and class the package defines is named somewhere else,
+``algebra._assemble`` is the one builder of block matrices, and every
+numerical cutoff is an entry of the one table ``_linalg.Cutoff``.
 """
 
 import ast
@@ -131,3 +132,41 @@ def test_block_matrices_are_built_by_assemble_only(path):
              or isinstance(node, ast.ImportFrom) and node.module == "numpy"
              and any(alias.name in banned for alias in node.names)]
     assert not found, f"{path.name} calls np.kron or np.block at lines {found}"
+
+
+def _cutoff_table(tree):
+    """The ``Cutoff`` class of a syntax tree, or None."""
+    return next((node for node in tree.body
+                 if isinstance(node, ast.ClassDef) and node.name == "Cutoff"), None)
+
+
+def _outside(tree, table):
+    """The nodes of a syntax tree that are not part of the table."""
+    inside = set(map(id, ast.walk(table))) if table else set()
+    return [node for node in ast.walk(tree) if id(node) not in inside]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_small_float_literals_live_in_the_cutoff_table(path):
+    # a literal in (0, 1e-5) is a numerical cutoff, signature defaults and scale guards
+    # included; each belongs in _linalg.Cutoff, where it is named once
+    tree = ast.parse(path.read_text())
+    found = [node.lineno for node in _outside(tree, _cutoff_table(tree))
+             if isinstance(node, ast.Constant) and isinstance(node.value, float)
+             and 0 < node.value < 1e-5]
+    assert not found, f"{path.name} has float literals below 1e-5 at lines {found}"
+
+
+def test_every_cutoff_table_entry_is_read():
+    table = _cutoff_table(ast.parse((ROOT / "src" / "cstar_entropy" / "_linalg.py").read_text()))
+    entries = {target.id for node in table.body if isinstance(node, ast.Assign)
+               for target in node.targets} \
+        | {node.name for node in table.body if isinstance(node, ast.FunctionDef)}
+    read = set()
+    for path in SOURCES:
+        tree = ast.parse(path.read_text())
+        read.update(node.attr for node in _outside(tree, _cutoff_table(tree))
+                    if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id == "Cutoff")
+    assert len(entries) > 20
+    assert not entries - read, f"cutoff table entries nothing reads: {sorted(entries - read)}"
