@@ -72,7 +72,7 @@ class Cutoff:
 
     @staticmethod
     def defect(tol, scale):
-        """Asymmetry of a Hermitian matrix, or a negative Gram eigenvalue; scale its norm."""
+        """Asymmetry of a Hermitian matrix; scale its norm."""
         return tol * max(1.0, scale) * 10
 
     @staticmethod
@@ -87,8 +87,8 @@ class Cutoff:
 
     @staticmethod
     def aggregate(tol):
-        """A state's normalization, its representative's trace, a pure block's second eigenvalue
-        and an observable's self-adjointness (has_definite_value)."""
+        """A state's normalization, a pure block's second eigenvalue and an observable's
+        self-adjointness (has_definite_value)."""
         return tol * 100
 
     @staticmethod

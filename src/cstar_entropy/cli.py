@@ -272,7 +272,7 @@ def _cmd_schrodinger(args) -> None:
     problem = _parse_problem(args)
     if problem.unitary is None:
         raise _ParseError("this command needs a 'unitary' entry in the problem file")
-    rho = states.representative_density(problem.state, problem.tol)
+    rho = states.representative_density(problem.state)
     dec = decomp.schrodinger_decomposition(rho, problem.unitary)
     weights = dec.weights()
     mixed = decomp.decomposition_entropy(dec)

@@ -17,9 +17,10 @@ from ._linalg import Cutoff, check_int, resolve_tol, rng_stream
 from .algebra import BlockStructure, make_algebra
 from .entropy import _entropy_of, minimal_decomposition, shannon
 from .errors import ValidationError
-from .states import Decomposition, DensityMatrix, StateFunctional, active_sectors, block_spectra
+from .states import Decomposition, DensityMatrix, StateFunctional, active_sectors
 
 _CHUNK = 1024  # oracle samples per stream; part of the sampling contract
+_MAX_SAMPLES = 10 ** 8  # largest oracle scan, about 5 minutes at 3 microseconds per sample
 
 
 def _check_unitary(u: np.ndarray) -> np.ndarray:
@@ -211,14 +212,17 @@ def infimum_oracle(omega: StateFunctional, samples: int = 1000, seed: int = 0,
     Sample s is row (s - 1) mod 1024 of chunk (s - 1) // 1024, which draws
     from ``rng_stream(seed, 1, chunk)`` (see :func:`_chunk_draws`), so each
     sample's entropy depends on (seed, s) alone; ties resolve to the lowest
-    sample index.  samples and seed must be integers, not booleans.
+    sample index.  samples and seed must be integers, not booleans, and
+    samples is at most ``_MAX_SAMPLES``.
     """
     samples = check_int(samples, "samples", 1)
+    if samples > _MAX_SAMPLES:
+        raise ValidationError(f"samples must be at most {_MAX_SAMPLES}, got {samples!r}")
     tol = resolve_tol(tol, omega.structure.ambient_dim)
     base = minimal_decomposition(omega, tol)
     best_entropy = _entropy_of(base.weights(), Cutoff.WEIGHT_FLOOR)
     best_index = 0
-    active = active_sectors(block_spectra(omega, tol), tol)
+    active = active_sectors(omega, tol)
 
     for chunk in range((samples + _CHUNK - 1) // _CHUNK):
         h = _chunk_entropies(seed, chunk, active, min(_CHUNK, samples - chunk * _CHUNK))

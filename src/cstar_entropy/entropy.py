@@ -14,15 +14,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from ._linalg import Cutoff, resolve_tol
-from .algebra import BlockStructure
 from .errors import ValidationError
-from .states import (
-    Decomposition,
-    DensityMatrix,
-    StateFunctional,
-    active_sectors,
-    block_spectra,
-)
+from .states import Decomposition, DensityMatrix, StateFunctional, active_sectors
 
 
 def _entropy_of(weights: np.ndarray, floor: float = 0.0) -> float:
@@ -54,10 +47,10 @@ def von_neumann(rho) -> float:
     return _entropy_of(rho.spectrum)
 
 
-def _representative_entropy(structure: BlockStructure, spectra) -> float:
-    """S_VN(rho_omega) from :func:`block_spectra`: each eigenvalue w / m_i repeated m_i times."""
+def _representative_entropy(omega: StateFunctional) -> float:
+    """S_VN(rho_omega) from ``omega.spectra``: each eigenvalue w / m_i repeated m_i times."""
     return _entropy_of(np.concatenate(
-        [np.repeat(w / m, m) for (_, m), (w, _) in zip(structure.blocks, spectra)]))
+        [np.repeat(w / m, m) for (_, m), (w, _) in zip(omega.structure.blocks, omega.spectra)]))
 
 
 @dataclass(frozen=True)
@@ -83,15 +76,14 @@ class EntropyReport:
 def state_entropy(omega: StateFunctional, tol: float | None = None) -> EntropyReport:
     """Entropy of a state from the canonical form of its representative.
 
-    Sector weights and block spectra come from one eigendecomposition per
-    block.  The spectrum of the representative ``(+)_i (X_i / m_i) (x) I_{m_i}``
-    is those block spectra, each eigenvalue divided by m_i and repeated m_i
-    times, so S_VN(rho_omega) is read off them without forming the d x d
-    matrix; it satisfies ``S_VN(rho_omega) = S(omega) + sum_i p_i log m_i``.
+    Sector weights and block spectra are read off ``omega.spectra``.  The
+    spectrum of the representative ``(+)_i (X_i / m_i) (x) I_{m_i}`` is those
+    block spectra, each eigenvalue divided by m_i and repeated m_i times, so
+    S_VN(rho_omega) is read off them without forming the d x d matrix; it
+    satisfies ``S_VN(rho_omega) = S(omega) + sum_i p_i log m_i``.
     """
     tol = resolve_tol(tol, omega.structure.ambient_dim)
-    spectra = block_spectra(omega, tol)
-    sectors = active_sectors(spectra, tol)
+    sectors = active_sectors(omega, tol)
     sector = _entropy_of(np.array([w for _, w, _, _ in sectors]))
     mean = sum(w * _entropy_of(lam) for _, w, lam, _ in sectors)
     mult = sum(w * np.log(omega.structure.blocks[i][1]) for i, w, _, _ in sectors)
@@ -99,7 +91,7 @@ def state_entropy(omega: StateFunctional, tol: float | None = None) -> EntropyRe
         state_entropy=sector + mean,
         sector_entropy=sector,
         mean_block_entropy=mean,
-        vn_of_representative=_representative_entropy(omega.structure, spectra),
+        vn_of_representative=_representative_entropy(omega),
         multiplicity_term=mult,
     )
 
@@ -109,14 +101,14 @@ def minimal_decomposition(omega: StateFunctional, tol: float | None = None) -> D
 
     Weights are ``p_i lambda_j`` with lambda_j the spectrum of the block
     states; the components are the corresponding eigenvectors, one sector at
-    a time.
+    a time.  Weights at or below ``Cutoff.WEIGHT_FLOOR`` are dropped.
     """
     tol = resolve_tol(tol, omega.structure.ambient_dim)
     comps = []
-    for i, w, lams, vecs in active_sectors(block_spectra(omega, tol), tol):
+    for i, w, lams, vecs in active_sectors(omega, tol):
         for lam, vec in zip(lams, vecs.T):
             weight = w * float(lam)
-            if weight < Cutoff.WEIGHT_FLOOR:
+            if weight <= Cutoff.WEIGHT_FLOOR:
                 continue
             comps.append((weight, i, vec / np.linalg.norm(vec)))
     total = sum(w for w, _, _ in comps)

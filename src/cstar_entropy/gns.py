@@ -19,7 +19,7 @@ from ._linalg import (Cutoff, check_int, frob, frozen, hermitize, random_isometr
                       rng_stream)
 from .algebra import BlockStructure, _assemble, _discover_span, split_blocks, structure_projection
 from .entropy import EntropyReport, _entropy_of
-from .errors import NotAStateError, ValidationError
+from .errors import ValidationError
 from .states import StateFunctional
 
 
@@ -53,28 +53,26 @@ class GnsData:
 
 
 def gns_construct(omega: StateFunctional, tol: float | None = None) -> GnsData:
-    """Build the GNS representation from one eigendecomposition per block of the state.
+    """Build the GNS representation from the block spectra the state carries.
 
     Unit products give <E_ab, E_cd> = delta_ac omega_i(E_bd), so block i of
     the Gram matrix is I_n (x) omega_i.  An eigenpair (mu_k, w_k) of omega_i
     kept above the rank cutoff gives the GNS vectors e_a (x) w_k / sqrt(mu_k),
     on which C acts as C (x) I_r and the identity has coordinates
-    conj(w[a, k]) sqrt(mu_k).  A tol that keeps no eigenvalue is a
-    :class:`ValidationError`.
+    conj(w[a, k]) sqrt(mu_k).  As omega_i = X_i^T, conj(w) is v of
+    ``omega.spectra``, read in ascending order.  A tol that keeps no
+    eigenvalue is a :class:`ValidationError`.
     """
     tol = resolve_tol(tol, omega.structure.ambient_dim)
-    spectra = [np.linalg.eigh(hermitize(values)) for values in omega.block_values]
-    eigs = np.concatenate([mu for mu, _ in spectra])
-    scale = max(float(eigs.max()), 0.0)
-    if eigs.min() < -Cutoff.defect(tol, scale):
-        raise NotAStateError(f"state inner product is not positive (eigenvalue {eigs.min():.3e})")
+    scale = max(float(lam[0]) for lam, _ in omega.spectra)
     blocks, active, cyclic = [], [], []
-    for i, ((n, _), (mu, w)) in enumerate(zip(omega.structure.blocks, spectra)):
+    for i, ((n, _), (lam, v)) in enumerate(zip(omega.structure.blocks, omega.spectra)):
+        mu, v = lam[::-1], v[:, ::-1]
         keep = mu > Cutoff.spectral(tol, scale)
         if keep.any():
             blocks.append((n, int(keep.sum())))
             active.append(i)
-            cyclic.append((w[:, keep].conj() * np.sqrt(mu[keep])).reshape(-1))
+            cyclic.append((v[:, keep] * np.sqrt(mu[keep])).reshape(-1))
     if not active:
         raise ValidationError(f"tol {tol!r} keeps no eigenvalue of the state inner product "
                               f"(cutoff tol * {scale!r})")

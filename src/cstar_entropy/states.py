@@ -56,13 +56,16 @@ class StateFunctional:
     """A state given by its values on the matrix-unit basis of the algebra.
 
     ``block_values[i][a, b]`` is the value on the (a, b) matrix unit of block
-    i.  Self-adjointness (the value matrices are Hermitian) and normalization
-    (value 1 on the identity) are enforced on construction; positivity is
-    checked on the spectra of the representative's blocks.
+    i.  Construction alone decides, at the default tol, that the functional
+    is self-adjoint, normalized and positive.  The representative is
+    ``(+)_i (X_i / m_i) (x) I_{m_i}`` with ``X_i = values_i^T``, and
+    ``spectra`` holds one ``eigh`` of each X_i: eigenvalues descending,
+    clipped at zero and renormalized to total one, and their eigenvectors.
     """
 
     structure: BlockStructure
     block_values: tuple[np.ndarray, ...]
+    spectra: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.block_values) != self.structure.num_blocks:
@@ -84,7 +87,19 @@ class StateFunctional:
             values.append(frozen(arr))
         if abs(unit - 1.0) > Cutoff.aggregate(tol):
             raise NotAStateError(f"functional is not normalized: value {unit!r} on the identity")
+        spectra = [np.linalg.eigh(hermitize(v.T)) for v in values]
+        lowest = min(w[0] / m for (w, _), (_, m) in zip(spectra, self.structure.blocks))
+        if lowest < -Cutoff.eigenvalue(tol):
+            raise NotAStateError(
+                f"functional is not positive: representative has eigenvalue {lowest:.3e}")
+        clipped = [np.clip(w[::-1], 0.0, None) for w, _ in spectra]
+        total = sum(w.sum() for w in clipped)
+        spectra = tuple((w / total, v[:, ::-1]) for w, (_, v) in zip(clipped, spectra))
+        for w, v in spectra:
+            w.setflags(write=False)
+            v.setflags(write=False)
         object.__setattr__(self, "block_values", tuple(values))
+        object.__setattr__(self, "spectra", spectra)
 
     def expect(self, a: AlgebraElement) -> complex:
         """Value of the functional on an algebra element."""
@@ -141,56 +156,28 @@ def state_from_density(rho, structure: BlockStructure) -> StateFunctional:
     return StateFunctional(structure, _values_from_ambient(rho.matrix, structure))
 
 
-def block_spectra(omega: StateFunctional,
-                  tol: float | None = None) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Eigen-decomposition of each block of the in-algebra representative.
-
-    On the matrix-unit basis the Hilbert-Schmidt Gram matrix of the embedded
-    algebra is block-diagonal ``m_i I``, so the representative is
-    ``(+)_i (X_i / m_i) (x) I_{m_i}`` with ``X_i = values_i^T``, and its
-    spectrum is the union of the spectra of ``X_i / m_i``, each repeated m_i
-    times.  Positivity and normalization are checked on those spectra; then
-    eigenvalue noise is clipped at zero and the total renormalized to one.
-    Returns ``(eigenvalues, eigenvectors)`` of each X_i, eigenvalues in
-    descending order.
-    """
-    tol = resolve_tol(tol, omega.structure.ambient_dim)
-    spectra = [np.linalg.eigh(hermitize(v.T)) for v in omega.block_values]
-    lowest = min(w[0] / m for (w, _), (_, m) in zip(spectra, omega.structure.blocks))
-    if lowest < -Cutoff.eigenvalue(tol):
-        raise NotAStateError(
-            f"functional is not positive: representative has eigenvalue {lowest:.3e}")
-    tr = float(sum(w.sum() for w, _ in spectra))
-    if abs(tr - 1.0) > Cutoff.aggregate(tol):
-        raise NotAStateError(f"functional is not normalized: representative trace {tr!r}")
-    clipped = [np.clip(w[::-1], 0.0, None) for w, _ in spectra]
-    total = sum(w.sum() for w in clipped)
-    return [(w / total, v[:, ::-1]) for w, (_, v) in zip(clipped, spectra)]
-
-
-def representative_density(omega: StateFunctional, tol: float | None = None) -> DensityMatrix:
+def representative_density(omega: StateFunctional) -> DensityMatrix:
     """The unique density matrix inside the algebra reproducing the functional.
 
-    It is ``(+)_i (X_i / m_i) (x) I_{m_i}``, assembled from :func:`block_spectra`.
+    It is ``(+)_i (X_i / m_i) (x) I_{m_i}``, assembled from ``omega.spectra``.
     """
-    spectra = block_spectra(omega, tol)
-    return DensityMatrix(_assemble(
-        [(v * (w / m)) @ v.conj().T for (_, m), (w, v) in zip(omega.structure.blocks, spectra)],
-        omega.structure))
+    parts = [(v * (w / m)) @ v.conj().T
+             for (_, m), (w, v) in zip(omega.structure.blocks, omega.spectra)]
+    return DensityMatrix(_assemble(parts, omega.structure))
 
 
-def active_sectors(spectra: Sequence[tuple[np.ndarray, np.ndarray]],
+def active_sectors(omega: StateFunctional,
                    tol: float) -> list[tuple[int, float, np.ndarray, np.ndarray]]:
     """The canonical form ``(+)_i p_i (rho_i (x) I_{m_i} / m_i)`` in spectral terms.
 
-    From the output of :func:`block_spectra`, returns ``(i, p_i, spectrum of
-    rho_i, eigenvectors of rho_i)`` for each block whose weight ``tr X_i``
-    exceeds tol, with the weights renormalized over those blocks.  A tol
-    that keeps no block is a :class:`ValidationError`.
+    From ``omega.spectra``, returns ``(i, p_i, spectrum of rho_i, eigenvectors
+    of rho_i)`` for each block whose weight ``tr X_i`` exceeds tol, with the
+    weights renormalized over those blocks.  A tol that keeps no block is a
+    :class:`ValidationError`.
     """
-    kept = [(i, float(w.sum()), w, v) for i, (w, v) in enumerate(spectra) if w.sum() > tol]
+    kept = [(i, float(w.sum()), w, v) for i, (w, v) in enumerate(omega.spectra) if w.sum() > tol]
     if not kept:
-        largest = max(float(w.sum()) for w, _ in spectra)
+        largest = max(float(w.sum()) for w, _ in omega.spectra)
         raise ValidationError(f"tol {tol!r} discards every sector (largest weight {largest!r})")
     total = sum(weight for _, weight, _, _ in kept)
     return [(i, weight / total, w / weight, v) for i, weight, w, v in kept]
@@ -204,8 +191,8 @@ def state_from_values(structure: BlockStructure, basis_mats: Sequence[np.ndarray
     of the embedded algebra.  The state with block values V_i takes the value
     ``sum_i sum_ab X_i[a, b] V_i[a, b]`` on ``(+)_i X_i (x) I_{m_i}``, where X_i
     is the element's i-th partial trace over m_i, so the V_i solve one square
-    system in block coordinates.  Self-adjointness is checked by
-    :class:`StateFunctional` and positivity on the block spectra.
+    system in block coordinates.  :class:`StateFunctional` decides whether
+    the solution is a state.
     """
     tol = resolve_tol(tol, structure.ambient_dim)
     dim, d = structure.algebra_dim, structure.ambient_dim
@@ -226,9 +213,7 @@ def state_from_values(structure: BlockStructure, basis_mats: Sequence[np.ndarray
     if not cond <= Cutoff.CONDITION:
         raise ValidationError(f"declared basis is not linearly independent (condition {cond:.3e})")
     flat = np.linalg.solve(coeffs, vals)
-    omega = StateFunctional(structure, tuple(split_blocks(flat, structure)))
-    block_spectra(omega, tol)  # raises NotAStateError unless positive
-    return omega
+    return StateFunctional(structure, tuple(split_blocks(flat, structure)))
 
 
 def canonical_form(rho_omega, structure: BlockStructure,
@@ -259,7 +244,7 @@ def canonical_form(rho_omega, structure: BlockStructure,
 def is_pure(omega: StateFunctional, tol: float | None = None) -> bool:
     """True iff exactly one sector carries weight and its block state has rank one."""
     tol = resolve_tol(tol, omega.structure.ambient_dim)
-    sectors = active_sectors(block_spectra(omega, tol), tol)
+    sectors = active_sectors(omega, tol)
     if len(sectors) != 1:
         return False
     lam = sectors[0][2]

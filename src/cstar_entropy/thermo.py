@@ -17,7 +17,7 @@ from ._linalg import Cutoff, _is_real, check_int, resolve_tol
 from .algebra import AlgebraElement, identity
 from .entropy import _representative_entropy
 from .errors import DisconnectedSectorsError, ValidationError
-from .states import StateFunctional, active_sectors, block_spectra, is_pure
+from .states import StateFunctional, active_sectors, is_pure
 
 
 @dataclass(frozen=True)
@@ -119,9 +119,8 @@ def gas_entropy(omega: StateFunctional, acct: GasAccount, tol: float | None = No
     if len(acct.sector_entropies) != omega.structure.num_blocks:
         raise ValidationError("one sector entropy per block required")
     tol = resolve_tol(tol, omega.structure.ambient_dim)
-    spectra = block_spectra(omega, tol)
-    assigned = sum(w * acct.sector_entropies[i] for i, w, _, _ in active_sectors(spectra, tol))
-    return _representative_entropy(omega.structure, spectra) + float(assigned)
+    assigned = sum(w * acct.sector_entropies[i] for i, w, _, _ in active_sectors(omega, tol))
+    return _representative_entropy(omega) + float(assigned)
 
 
 def sectors_connectable(omega_a: StateFunctional, omega_b: StateFunctional,
@@ -138,5 +137,5 @@ def sectors_connectable(omega_a: StateFunctional, omega_b: StateFunctional,
     for name, omega in (("first", omega_a), ("second", omega_b)):
         if not is_pure(omega, tol):
             raise ValidationError(f"{name} state is not pure")
-        supports.append(active_sectors(block_spectra(omega, tol), tol)[0][0])
+        supports.append(active_sectors(omega, tol)[0][0])
     return supports[0] == supports[1]

@@ -495,7 +495,8 @@ def test_discovery_digest():
 
 
 def test_resolve_sectors_digest():
-    # Recorded once the represented algebra was assembled from the GNS blocks
-    # directly; the dense maps it replaced moved the weights and multiplicity
-    # states by rounding only.
-    assert _pinned_digests()[1] == "f62f97ab01d889f93fb36cee1a3492d35028792cf9c2c3240d4c71bea3b94cf4"
+    # Recorded once gns_construct read the eigenvectors of X_i = omega_i^T that
+    # the state keeps, instead of diagonalizing omega_i again; over this loop
+    # the blocks stayed the same and the weights moved by at most 4.4e-16, the
+    # multiplicity states' entries and spectra by at most 2.2e-16.
+    assert _pinned_digests()[1] == "1ec8054299c47c891025324a288187b96e6d6d77d9c13f42f0288d5326c14efb"

@@ -349,6 +349,33 @@ class TestExitCodes:
         assert err[0].startswith(f"invalid input: tol {tol} ")
 
 
+class TestRoutesAgreeOnWhatIsAState:
+    """A functional is a state or not whatever the command and whatever --tol."""
+
+    @pytest.mark.parametrize("tol", [None, "1e-6", "1e-12"], ids=["default", "1e-6", "1e-12"])
+    @pytest.mark.parametrize("blocks,values,code", [
+        ([[1, 4], [1, 1]], [-3e-8, 1 + 3e-8], 0),  # representative eigenvalue -7.5e-9
+        ([[1, 1], [1, 1]], [-3e-8, 1 + 3e-8], 4),
+        ([[1, 4], [1, 1]], [-5e-8, 1 + 5e-8], 4),
+        ([[1, 1], [1, 1]], [-5e-8, 1 + 5e-8], 4),
+        ([[1, 4], [1, 1]], [-5e-9, 1 + 5e-9], 0),
+        ([[1, 1], [1, 1]], [-5e-9, 1 + 5e-9], 0),
+        ([[1, 4], [1, 1]], [0.5, 0.5 + 5e-10], 0),  # normalization off by +5e-10
+        ([[1, 1], [1, 1]], [0.5, 0.5 + 5e-10], 0),
+    ], ids=["-3e-8_on_(1,4)", "-3e-8_on_(1,1)", "-5e-8_on_(1,4)", "-5e-8_on_(1,1)",
+            "-5e-9_on_(1,4)", "-5e-9_on_(1,1)", "unit+5e-10_on_(1,4)", "unit+5e-10_on_(1,1)"])
+    def test_entropy_oracle_and_gns_exit_alike(self, tmp_path, capsys, blocks, values, code, tol):
+        st = ce.make_algebra([tuple(b) for b in blocks])
+        doc = {"algebra": {"blocks": blocks},
+               "state": {"values": [[v, 0.0] for v in values],
+                         "basis": [_mat(b) for b in ce.embedded_standard_basis(st)]}}
+        path = _write(tmp_path, doc)
+        flags = ["--json"] + ([] if tol is None else ["--tol", tol])
+        codes = {command: main([command, path, *flags]) for command in ("entropy", "oracle", "gns")}
+        capsys.readouterr()
+        assert codes == dict.fromkeys(("entropy", "oracle", "gns"), code)
+
+
 def _m2_density_doc(**extra):
     doc = {"algebra": {"blocks": [[2, 1]]}, "state": {"density": _mat(np.eye(2) / 2)}}
     doc.update(extra)
@@ -412,6 +439,19 @@ class TestRejectedInputs:
         assert main(["oracle", _write(tmp_path, doc)]) == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error:")
+
+    @pytest.mark.parametrize("options,flags", [
+        ({"samples": 1e30}, []),
+        ({}, ["--samples", "1" + "0" * 30]),
+    ], ids=["file_1e30", "flag_of_31_digits"])
+    def test_samples_above_the_bound_exit_2_at_once(self, tmp_path, capsys, options, flags):
+        # a scan of 10**30 samples would never end; anything above 10**8 is an input error
+        path = _write(tmp_path, _m2_density_doc(options=options))
+        start = time.perf_counter()
+        assert main(["oracle", path, "--json", *flags]) == 2
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert captured.out == "" and "samples must be at most 100000000" in captured.err
 
     @pytest.mark.parametrize("field", ["samples", "seed"])
     def test_infinite_integer_option_is_one_error_line(self, tmp_path, capsys, field):

@@ -237,6 +237,16 @@ class TestInfimumOracle:
         with pytest.raises(ValidationError):
             ce.infimum_oracle(om, samples=0)
 
+    def test_samples_above_the_bound_rejected(self):
+        # the bound is checked before any chunk is drawn, so no long scan runs here
+        from cstar_entropy.decomp import _MAX_SAMPLES
+
+        st = ce.make_algebra([(2, 1)])
+        om = ce.state_from_density(np.diag([0.25, 0.75]).astype(complex), st)
+        for samples in (_MAX_SAMPLES + 1, np.int64(10) ** 18, 10 ** 30):
+            with pytest.raises(ValidationError, match="samples must be at most 100000000"):
+                ce.infimum_oracle(om, samples=samples)
+
     @pytest.mark.parametrize("bad", [
         {"samples": 2.5}, {"samples": float("nan")}, {"samples": True}, {"samples": "10"},
         {"seed": 1.5}, {"seed": np.float64(1.0)}, {"seed": False}, {"seed": None},
@@ -261,13 +271,13 @@ class TestInfimumOracle:
         # the representative density matrix; 1024 and 1025 sit on either side
         # of the first chunk boundary
         from cstar_entropy.decomp import _rebuild_sample, _sample_isometries
-        from cstar_entropy.states import active_sectors, block_spectra
+        from cstar_entropy.states import active_sectors
 
         rng = rng_stream(64)
         st = ce.make_algebra([(2, 1), (2, 2)])
         om = random_state(rng, st)
         rho = ce.representative_density(om)
-        active = active_sectors(block_spectra(om, 1e-9), 1e-9)
+        active = active_sectors(om, 1e-9)
         for index in [*range(1, 21), 1024, 1025]:
             dec = _rebuild_sample(seed=11, index=index, active=active, structure=st)
             assert np.linalg.norm(dec.density() - rho.matrix) < 1e-9
@@ -281,12 +291,12 @@ class TestInfimumOracle:
         # the batched scan's per-sample entropies against the fully rebuilt
         # decompositions, on indices that cross two chunk boundaries
         from cstar_entropy.decomp import _CHUNK, _chunk_entropies, _rebuild_sample
-        from cstar_entropy.states import active_sectors, block_spectra
+        from cstar_entropy.states import active_sectors
 
         rng = rng_stream(65)
         st = ce.make_algebra([(3, 1), (2, 2), (1, 1)])
         om = random_state(rng, st)
-        active = active_sectors(block_spectra(om, 1e-9), 1e-9)
+        active = active_sectors(om, 1e-9)
         chunks = {c: _chunk_entropies(12, c, active) for c in range(3)}
         indices = [*range(1020, 1031), 2048, 2049]
         scanned = [chunks[(s - 1) // _CHUNK][(s - 1) % _CHUNK] for s in indices]
@@ -297,12 +307,12 @@ class TestInfimumOracle:
         # neither the number of samples nor which chunks are scanned moves a
         # sample's entropy; the seed does
         from cstar_entropy.decomp import _CHUNK, _chunk_entropies
-        from cstar_entropy.states import active_sectors, block_spectra
+        from cstar_entropy.states import active_sectors
 
         rng = rng_stream(66)
         st = ce.make_algebra([(2, 1), (2, 1), (1, 2)])
         om = random_state(rng, st)
-        active = active_sectors(block_spectra(om, 1e-9), 1e-9)
+        active = active_sectors(om, 1e-9)
         whole = np.concatenate([_chunk_entropies(13, c, active) for c in range(3)])
         for samples in (1020, 1030, 2048, 2049):
             last = (samples - 1) // _CHUNK
@@ -374,11 +384,11 @@ def test_acceptance_states_scan_entropies_digest():
     import hashlib
 
     from cstar_entropy.decomp import _CHUNK, _chunk_entropies
-    from cstar_entropy.states import active_sectors, block_spectra
+    from cstar_entropy.states import active_sectors
 
     h = hashlib.sha256()
     for st, om, seed in _acceptance_states():
-        active = active_sectors(block_spectra(om, 1e-9), 1e-9)
+        active = active_sectors(om, 1e-9)
         for c in range(3):
             h.update(_chunk_entropies(seed, c, active, min(_CHUNK, 3000 - c * _CHUNK)).tobytes())
     assert h.hexdigest() == "2e3460c17e40ba3bad56fcbc19f011331c6c126c545b1abbf1950f8f71cc44f3"
@@ -430,10 +440,10 @@ def test_scan_matches_a_phase_fixed_qr_reference():
     # same draws to rounding: acceptance-1 states, rank-deficient block
     # states and blocks up to n = 10
     from cstar_entropy.decomp import _chunk_entropies
-    from cstar_entropy.states import active_sectors, block_spectra
+    from cstar_entropy.states import active_sectors
 
     for st, om, seed in _reference_cases():
-        active = active_sectors(block_spectra(om, 1e-9), 1e-9)
+        active = active_sectors(om, 1e-9)
         for c in (0, 1):
             gap = np.max(np.abs(_chunk_entropies(seed, c, active) - _qr_reference_entropies(seed, c, active)))
             assert gap <= 1e-12, (st.blocks, seed, c, gap)

@@ -160,6 +160,15 @@ class TestMinimalDecomposition:
         dec = ce.minimal_decomposition(om)
         assert np.allclose(sorted(dec.weights()), [0.25, 0.75])
 
+    def test_weight_at_the_floor_is_dropped(self):
+        # a weight equal to Cutoff.WEIGHT_FLOOR = 1e-12 is dropped, as by the oracle
+        # and identity_decomposition_random
+        st = ce.make_algebra([(2, 1)])
+        om = ce.state_from_density(np.diag([1e-12, 1 - 1e-12]), st)
+        assert om.spectra[0][0][1] == 1e-12
+        dec = ce.minimal_decomposition(om)
+        assert len(dec.components) == 1 and dec.components[0][0] == 1.0
+
     def test_two_sector_components(self):
         st = ce.make_algebra([(1, 1), (1, 1)])
         om = ce.StateFunctional.from_canonical(st, [0.5, 0.5], [np.eye(1), np.eye(1)])
@@ -199,7 +208,7 @@ def test_tol_that_discards_every_sector_is_an_input_error(call):
 class TestRepresentativeEntropyFromBlockSpectra:
     @staticmethod
     def _clipping_edge_state():
-        # block 0 has an eigenvalue of -1e-13 that block_spectra clips; block 1 carries no weight
+        # block 0 has an eigenvalue of -1e-13 that construction clips; block 1 carries no weight
         st = ce.make_algebra([(2, 2), (1, 3), (3, 1)])
         v = np.linalg.qr(np.array([[1.0, 2.0], [1j, -1.0]]))[0]
         x0 = v @ np.diag([0.55, -1e-13]) @ v.conj().T

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 import cstar_entropy as ce
-from cstar_entropy import states
 from cstar_entropy._linalg import Cutoff, complex_gaussian, orthonormal_extend, rng_stream
 from cstar_entropy.errors import ValidationError
 
@@ -78,8 +77,6 @@ _SUB = ce.generate_subalgebra(_GENS)
 
 # every public function that takes tol, called on valid inputs
 _TOL_CALLS = {
-    "block_spectra": lambda tol: states.block_spectra(_OM, tol),
-    "representative_density": lambda tol: ce.representative_density(_OM, tol),
     "is_pure": lambda tol: ce.is_pure(_OM, tol),
     "state_from_values": lambda tol: ce.state_from_values(
         _ST, list(ce.embedded_standard_basis(_ST)), _OM.values(), tol),

@@ -92,9 +92,8 @@ class TestRepresentativeDensity:
     def test_positivity_failure_raises_not_a_state(self):
         st = ce.make_algebra([(2, 1)])
         values = (np.array([[1.2, 0.0], [0.0, -0.2]], dtype=complex),)
-        om = ce.StateFunctional(st, values)
-        with pytest.raises(NotAStateError):
-            ce.representative_density(om)
+        with pytest.raises(NotAStateError, match="not positive"):
+            ce.StateFunctional(st, values)
 
     def test_unnormalized_functional_rejected(self):
         st = ce.make_algebra([(2, 1)])
@@ -122,6 +121,46 @@ class TestRepresentativeDensity:
             ce.StateFunctional(st, (mat,))
         with pytest.raises(ValidationError):
             ce.StateFunctional.from_canonical(st, [bad], [None])
+
+
+class TestStateIsCheckedOnce:
+    """Construction makes the one eigen-decomposition per block that every route reads."""
+
+    def test_one_eigh_per_block_at_construction_and_none_after(self, monkeypatch):
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counted(mat):
+            calls.append(mat.shape)
+            return eigh(mat)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        st = ce.make_algebra([(3, 1), (2, 2), (1, 3)])
+        om = random_state(rng_stream(301), st)
+        pure = ce.StateFunctional.from_canonical(st, [0.0, 1.0, 0.0],
+                                                 [None, np.diag([1.0, 0.0]), None])
+        assert calls == [(3, 3), (2, 2), (1, 1)] * 2
+        calls.clear()
+        acct = ce.GasAccount(copies=1, temperature=1.0, sector_entropies=np.zeros(3))
+        ce.state_entropy(om)
+        ce.minimal_decomposition(om)
+        ce.is_pure(om)
+        ce.infimum_oracle(om, samples=5)
+        ce.gas_entropy(om, acct)
+        ce.sectors_connectable(pure, pure)
+        ce.gns_construct(om)
+        assert calls == []
+
+    def test_spectra_are_read_only_descending_and_sum_to_one(self):
+        st = ce.make_algebra([(2, 2), (1, 1)])
+        # block 0's eigenvalue of -1e-12 is within the default cutoff and is clipped
+        om = ce.StateFunctional(st, (np.diag([0.6, -1e-12]).astype(complex), np.eye(1) * 0.4))
+        (w0, v0), (w1, _) = om.spectra
+        assert w0[0] == pytest.approx(0.6) and w0[1] == 0.0 and w1[0] == pytest.approx(0.4)
+        assert w0.sum() + w1.sum() == pytest.approx(1.0, abs=1e-15)
+        for arr in (w0, v0):
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
 
 
 class TestDensityMatrix:

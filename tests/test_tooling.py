@@ -7,8 +7,9 @@ tree; the file is neither executed nor modified.  The package's runtime
 depends on numpy and the standard library alone, a function of a state
 reads the algebra off the state instead of taking it as a second argument,
 every function and class the package defines is named somewhere else,
-``algebra._assemble`` is the one builder of block matrices, and every
-numerical cutoff is an entry of the one table ``_linalg.Cutoff``.
+``algebra._assemble`` is the one builder of block matrices, every
+numerical cutoff is an entry of the one table ``_linalg.Cutoff``, and only
+``states`` decides that a functional is not a state.
 """
 
 import ast
@@ -170,3 +171,14 @@ def test_every_cutoff_table_entry_is_read():
                     and node.value.id == "Cutoff")
     assert len(entries) > 20
     assert not entries - read, f"cutoff table entries nothing reads: {sorted(entries - read)}"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_only_states_raises_not_a_state(path):
+    # StateFunctional decides positivity, normalization and self-adjointness on
+    # construction; a second check elsewhere would decide with its own cutoff
+    found = [node.lineno for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Raise) and node.exc is not None
+             and "NotAStateError" in {n.id for n in ast.walk(node.exc) if isinstance(n, ast.Name)}]
+    assert path.name == "states.py" or not found, \
+        f"{path.name} raises NotAStateError at lines {found}"
