@@ -298,7 +298,7 @@ def _cmd_gns(args) -> None:
     problem = _parse_problem(args)
     g = gns.gns_construct(problem.state, problem.tol)
     irreducible = gns.is_irreducible(g)
-    sectors = gns.resolve_sectors(g, tol=problem.tol, seed=problem.seed)
+    sectors = gns.resolve_sectors(g, seed=problem.seed)
     via_gns = gns.sectors_entropy(sectors).state_entropy
     closed = entropy.state_entropy(problem.state, problem.tol).state_entropy
     scale, unit = _unit(args)

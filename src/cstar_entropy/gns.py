@@ -101,7 +101,8 @@ def resolve_sectors(g: GnsData, tol: float | None = None, seed: int = 0) -> GnsS
 
     The represented units of GNS block (n, r) are Hilbert-Schmidt orthogonal
     with norm sqrt(r), so discovery reads the represented algebra through
-    their combinations with coefficients scaled by 1/sqrt(r).
+    their combinations with coefficients scaled by 1/sqrt(r).  tol is
+    discovery's relative cluster gap, ``Cutoff.default(g.dim)`` by default.
     """
     tol = resolve_tol(tol, g.dim)
 
@@ -266,13 +267,14 @@ def gns_state_entropy(omega: StateFunctional, tol: float | None = None,
                       seed: int = 0) -> EntropyReport:
     """State entropy recomputed through the GNS representation.
 
-    Builds the representation, resolves its sectors and reads the report off
-    them with :func:`sectors_entropy`; the result must agree with the
-    closed-form entropy.
+    Builds the representation at tol, resolves its sectors at discovery's
+    default cluster gap (a sector cutoff is no eigenvalue gap) and reads the
+    report off them with :func:`sectors_entropy`; the result must agree with
+    the closed-form entropy.
     """
     tol = resolve_tol(tol, omega.structure.ambient_dim)
     g = gns_construct(omega, tol)
-    return sectors_entropy(resolve_sectors(g, tol=tol, seed=seed))
+    return sectors_entropy(resolve_sectors(g, seed=seed))
 
 
 def is_irreducible(g: GnsData) -> bool:

@@ -12,7 +12,7 @@ from cstar_entropy import entropy as entropy_module
 from cstar_entropy._linalg import complex_gaussian
 from cstar_entropy.cli import main
 
-from helpers import conjugated_algebra_generators, haar_unitary, rng_stream
+from helpers import conjugated_algebra_generators, haar_unitary, random_block_density, rng_stream
 
 
 def _mat(m):
@@ -264,6 +264,20 @@ class TestGnsCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["gns_dimension"] == 2
         assert payload["irreducible"] is True
+
+    @pytest.mark.parametrize("seed", [5, 6, 9])
+    def test_coarse_tol_leaves_discovery_at_its_own_gap(self, tmp_path, capsys, seed):
+        # --tol is the sector cutoff; read as discovery's relative cluster gap on the GNS
+        # space, 0.3 failed verification (exit 3) on these states where entropy exits 0
+        blocks = [[3, 2], [2, 1], [1, 1]]
+        rng = rng_stream(seed)
+        p = rng.dirichlet(np.ones(3))
+        rhos = [random_block_density(rng, n) for n, _ in blocks]
+        doc = {"algebra": {"blocks": blocks},
+               "state": {"canonical": {"p": [float(w) for w in p], "rhos": [_mat(r) for r in rhos]}}}
+        path = _write(tmp_path, doc)
+        assert main(["entropy", path, "--tol", "0.3", "--json"]) == 0
+        assert main(["gns", path, "--tol", "0.3", "--json"]) == 0
 
 
 class TestZenoCommand:
