@@ -21,7 +21,7 @@ from .errors import ValidationError
 from .states import Decomposition, DensityMatrix, StateFunctional, active_sectors
 
 _CHUNK = 1024  # oracle samples per stream; part of the sampling contract
-_MAX_SAMPLES = 10 ** 8  # largest oracle scan, about 4 minutes at 2.5 microseconds per sample
+_MAX_SAMPLES = 10 ** 8  # largest oracle scan, about 4-5 minutes at 2.3-2.9 microseconds per sample
 
 
 def _check_unitary(u: np.ndarray) -> np.ndarray:
@@ -136,14 +136,21 @@ def decomposition_entropy_split(dec: Decomposition) -> tuple[float, float]:
     return _entropy_of(p), within
 
 
-def _chunk_draws(seed: int, chunk: int, active) -> tuple[np.ndarray, Iterator[np.ndarray]]:
+def _scan_buffers(active) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A scan's weights, and flat draw and Q buffers sized for its largest block, made once per call."""
+    ns = [lam.size for _, _, lam, _ in active]
+    squares = _CHUNK * max(ns) ** 2
+    return np.empty((2 * sum(ns), _CHUNK)), np.empty(4 * squares), np.empty(2 * squares, dtype=complex)
+
+
+def _chunk_draws(seed: int, chunk: int, active, out: np.ndarray) -> tuple[np.ndarray, Iterator[np.ndarray]]:
     """Sizes and raw Gaussian draws of the oracle samples in one chunk.
 
     Chunk c holds samples ``c * _CHUNK + 1 ..`` in its rows and is read from
     ``rng_stream(seed, 1, c)``: first one ``integers`` draw of the (rows, k)
     sizes, r in [n_i, 2 n_i] for block i, then one (rows, 2, 2 n_i, n_i)
-    normal draw x per active block, in block order, made as the returned
-    iterator advances, so no draw is held while earlier blocks are computed.
+    normal draw x per active block, in block order, made into the front of
+    out as the returned iterator advances, so each draw lives until the next.
     A sample's complex Gaussian is ``x[s, 0] + 1j * x[s, 1]``, of which a size
     r takes the first r rows.  The whole chunk is always drawn, so every
     sample reads the same numbers whichever samples are evaluated.
@@ -151,15 +158,16 @@ def _chunk_draws(seed: int, chunk: int, active) -> tuple[np.ndarray, Iterator[np
     rng = rng_stream(seed, 1, chunk)
     ns = np.array([lam.size for _, _, lam, _ in active])
     sizes = rng.integers(ns, 2 * ns + 1, size=(_CHUNK, ns.size))
-    return sizes, (rng.standard_normal((_CHUNK, 2, 2 * n, n)) for n in ns)
+    return sizes, (rng.standard_normal(out=np.ndarray((_CHUNK, 2, 2 * n, n), buffer=out)) for n in ns)
 
 
-def _isometries(x: np.ndarray, sizes: np.ndarray, cols: int) -> np.ndarray:
+def _isometries(x: np.ndarray, sizes: np.ndarray, cols: int, out: np.ndarray) -> np.ndarray:
     """Phase-fixed Q of each draw's first r rows and first cols columns, zero-padded.
 
     x is one block's (count, 2, 2 n_i, n_i) raw draws (see :func:`_chunk_draws`)
     and sizes their sizes r; the result is (cols, 2 n_i, count), column j of
-    sample s in ``q[j, :, s]``.  Rows at and beyond r are zeroed, which
+    sample s in ``q[j, :, s]``, made in the front of out; once copied there,
+    x serves the sweep as a work row.  Rows at and beyond r are zeroed, which
     changes no inner product, so one Gram-Schmidt sweep with every projection
     made twice (Giraud, Langou & Rozloznik, 2005) serves every r.  R's
     diagonal comes out positive, so each Q is :func:`phase_fixed_qr` of the
@@ -167,10 +175,11 @@ def _isometries(x: np.ndarray, sizes: np.ndarray, cols: int) -> np.ndarray:
     """
     # samples along the innermost axis: every step adds or scales whole rows of samples
     n = x.shape[3]
-    q = np.empty((cols, 2 * n, x.shape[0]), dtype=complex)
+    q = np.ndarray((cols, 2 * n, x.shape[0]), dtype=complex, buffer=out)
     q.real, q.imag = x[:, 0, :, :cols].T, x[:, 1, :, :cols].T
-    q[:, n:] *= np.arange(n, 2 * n)[:, None] < sizes  # r >= n keeps the first n rows
-    work = np.empty(q.shape[1:], dtype=complex)
+    work = np.ndarray(q.shape[1:], dtype=complex, buffer=x)
+    # r >= n keeps the first n rows; a complex mask, as a bool one costs a copy of q[:, n:]
+    q[:, n:] *= (np.arange(n, 2 * n)[:, None] < sizes).astype(complex)
     for j, v in enumerate(q):
         for _ in range(2):
             for u in q[:j]:
@@ -182,7 +191,7 @@ def _isometries(x: np.ndarray, sizes: np.ndarray, cols: int) -> np.ndarray:
     return q
 
 
-def _chunk_entropies(seed: int, chunk: int, active, count: int = _CHUNK) -> np.ndarray:
+def _chunk_entropies(seed: int, chunk: int, active, count: int = _CHUNK, buffers=None) -> np.ndarray:
     """Decomposition entropies of the first count samples of a chunk.
 
     Each block's draws go through one :func:`_isometries` call over their
@@ -190,21 +199,26 @@ def _chunk_entropies(seed: int, chunk: int, active, count: int = _CHUNK) -> np.n
     ``|Q|^2 lambda`` land zero-padded in one column of a (sum 2 n_i, rows)
     array, and each column's entropy drops the entries at or below
     ``Cutoff.WEIGHT_FLOOR``.  The whole chunk is always computed alike, so
-    each entropy is a function of (seed, sample index) alone.
+    each entropy is a function of (seed, sample index) alone.  Every entry
+    of buffers (fresh ones when None) is written before it is read.
     """
-    sizes, draws = _chunk_draws(seed, chunk, active)
-    weights = np.zeros((sum(2 * lam.size for _, _, lam, _ in active), _CHUNK))
+    weights, floats, complexes = buffers or _scan_buffers(active)
+    sizes, draws = _chunk_draws(seed, chunk, active, floats)
+    weights.fill(0.0)
     start = 0
     for (_, w_block, lam, _), x, block_sizes in zip(active, draws, sizes.T):
         rank = int(np.sum(lam > Cutoff.WEIGHT_FLOOR))
         block = weights[start:start + 2 * lam.size]
-        for lam_j, q_j in zip(lam, _isometries(x, block_sizes, rank)):
+        for lam_j, q_j in zip(lam, _isometries(x, block_sizes, rank, complexes)):
             block += lam_j * (q_j.real ** 2 + q_j.imag ** 2)
         block *= w_block
         start += 2 * lam.size
-    w = np.where(weights > Cutoff.WEIGHT_FLOOR, weights, 0.0)
-    w /= w.sum(axis=0)
-    return -(w * np.log(np.where(w > 0.0, w, 1.0))).sum(axis=0)[:count]
+    weights[weights <= Cutoff.WEIGHT_FLOOR] = 0.0
+    weights /= weights.sum(axis=0)
+    # in place but for one array: each (sum 2 n_i, 1024) temporary adds to a one-chunk scan's peak
+    logs = np.where(weights > 0.0, weights, 1.0)
+    np.log(logs, out=logs)
+    return -np.multiply(logs, weights, out=logs).sum(axis=0)[:count]
 
 
 def infimum_oracle(omega: StateFunctional, samples: int = 1000, seed: int = 0,
@@ -231,9 +245,10 @@ def infimum_oracle(omega: StateFunctional, samples: int = 1000, seed: int = 0,
     best_entropy = _entropy_of(base.weights(), Cutoff.WEIGHT_FLOOR)
     best_index = 0
     active = active_sectors(omega, tol)
+    buffers = _scan_buffers(active)
 
     for chunk in range((samples + _CHUNK - 1) // _CHUNK):
-        h = _chunk_entropies(seed, chunk, active, min(_CHUNK, samples - chunk * _CHUNK))
+        h = _chunk_entropies(seed, chunk, active, min(_CHUNK, samples - chunk * _CHUNK), buffers)
         j = int(np.argmin(h))
         # argmin is the first minimum and the comparison strict, so ties keep the lowest index
         if h[j] < best_entropy:
@@ -244,11 +259,13 @@ def infimum_oracle(omega: StateFunctional, samples: int = 1000, seed: int = 0,
     return best_entropy, _rebuild_sample(seed, best_index, active, omega.structure)
 
 
-def _sample_isometries(seed: int, index: int, active) -> list[np.ndarray]:
+def _sample_isometries(seed: int, index: int, active, buffers=None) -> list[np.ndarray]:
     """The r x n_i isometry of each active block for sample index >= 1, as the scan computes it."""
     chunk, row = divmod(index - 1, _CHUNK)
-    sizes, draws = _chunk_draws(seed, chunk, active)
-    return [_isometries(x, rs, x.shape[3])[:, :r, row].T for x, rs, r in zip(draws, sizes.T, sizes[row])]
+    _, floats, complexes = buffers or _scan_buffers(active)
+    sizes, draws = _chunk_draws(seed, chunk, active, floats)
+    return [_isometries(x, rs, x.shape[3], complexes)[:, :r, row].T.copy()
+            for x, rs, r in zip(draws, sizes.T, sizes[row])]
 
 
 def _rebuild_sample(seed: int, index: int, active, structure: BlockStructure) -> Decomposition:

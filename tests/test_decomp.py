@@ -331,7 +331,7 @@ class TestInfimumOracle:
         from cstar_entropy import decomp
 
         def scan_tied_at(tied, value):
-            def scan(seed, chunk, active, count=decomp._CHUNK):
+            def scan(seed, chunk, active, count=decomp._CHUNK, buffers=None):
                 h = np.full(count, np.inf)
                 for s in tied:
                     c, row = divmod(s - 1, decomp._CHUNK)
@@ -410,17 +410,17 @@ def _qr_reference_entropies(seed, chunk, active):
     bit-equal to what the scan draws.
     """
     from cstar_entropy._linalg import phase_fixed_qr
-    from cstar_entropy.decomp import _CHUNK, _chunk_draws
+    from cstar_entropy.decomp import _CHUNK, _chunk_draws, _scan_buffers
     from cstar_entropy.entropy import _entropy_of
 
     rng = rng_stream(seed, 1, chunk)
     ns = np.array([lam.size for _, _, lam, _ in active])
     sizes = rng.integers(ns, 2 * ns + 1, size=(_CHUNK, ns.size))
     draws = [rng.standard_normal((_CHUNK, 2, 2 * n, n)) for n in ns]
-    scan_sizes, scan_draws = _chunk_draws(seed, chunk, active)
-    scan_draws = list(scan_draws)
+    scan_sizes, scan_draws = _chunk_draws(seed, chunk, active, _scan_buffers(active)[1])
+    # each scan draw is compared before the next one overwrites it in the shared buffer
     assert np.array_equal(scan_sizes, sizes)
-    assert len(scan_draws) == len(draws) and all(map(np.array_equal, scan_draws, draws))
+    assert [np.array_equal(a, b) for a, b in zip(scan_draws, draws, strict=True)] == [True] * len(draws)
     blocks = []
     for (_, w_block, lam, _), x, block_sizes in zip(active, draws, sizes.T):
         z = x[:, 0] + 1j * x[:, 1]
@@ -486,7 +486,7 @@ def test_isometries_are_orthonormal_on_ill_conditioned_draws():
             a = left @ np.diag(np.logspace(0, -np.log10(cond), n)) @ haar_unitary(n, rng)
             x[s, 0, :r], x[s, 1, :r] = a.real, a.imag
         z = x[:, 0] + 1j * x[:, 1]
-        q = _isometries(x, sizes, n)
+        q = _isometries(x, sizes, n, np.empty(2 * n * n * count, dtype=complex))
         assert q.shape == (n, 2 * n, count)
         for s in range(count):
             r = sizes[s]
@@ -508,11 +508,24 @@ def test_scan_calls_no_lapack_qr_and_draws_one_stream_per_chunk(monkeypatch):
     def no_qr(*args, **kwargs):
         raise AssertionError("the oracle scan called np.linalg.qr")
 
-    streams = []
+    streams, normals = [], []
+
+    class RecordingStream:
+        """A stream that records the chunk, size and out array of each normal draw."""
+
+        def __init__(self, rng):
+            self.rng = rng
+
+        def __getattr__(self, name):
+            return getattr(self.rng, name)
+
+        def standard_normal(self, size=None, **kwargs):
+            normals.append((len(streams) - 1, size, kwargs.get("out")))
+            return self.rng.standard_normal(size, **kwargs)
 
     def counting_stream(*key):
         streams.append(key)
-        return rng_stream(*key)
+        return RecordingStream(rng_stream(*key))
 
     monkeypatch.setattr(np.linalg, "qr", no_qr)
     monkeypatch.setattr(decomp, "rng_stream", counting_stream)
@@ -521,7 +534,92 @@ def test_scan_calls_no_lapack_qr_and_draws_one_stream_per_chunk(monkeypatch):
     found, _ = decomp.infimum_oracle(om, samples=3000, seed=9)
     assert streams == [(9, 1, 0), (9, 1, 1), (9, 1, 2)]
     assert found == pytest.approx(ce.state_entropy(om).state_entropy, abs=1e-12)
+    # one normal draw per block per chunk, each into a buffer made once for the scan
+    assert [chunk for chunk, _, _ in normals] == [0, 0, 0, 1, 1, 1, 2, 2, 2]
+    assert all(size is None and out is not None for _, size, out in normals)
+    first = [out for chunk, _, out in normals if chunk == 0]
+    for chunk in (1, 2):
+        later = [out for c, _, out in normals if c == chunk]
+        assert all(np.shares_memory(a, b) for a, b in zip(first, later, strict=True))
 
+
+def test_scan_buffers_carry_nothing_between_chunks():
+    # white-box: a chunk, and the rebuild, write every buffer entry they read,
+    # so buffers filled with NaN, or left by a chunk of another state (other
+    # n_i, a rank-deficient block and an n = 1 block), give the bytes of fresh
+    # buffers; chunk 2 of a 3000-sample scan is partial
+    from cstar_entropy.decomp import _CHUNK, _chunk_entropies, _sample_isometries, _scan_buffers
+    from cstar_entropy.states import active_sectors
+
+    rng = rng_stream(70)
+    active = active_sectors(random_state(rng, ce.make_algebra([(3, 2), (2, 1), (1, 1)])), 1e-9)
+    other_st = ce.make_algebra([(4, 1), (2, 2), (1, 1)])
+    other = active_sectors(_rank_deficient_state(rng, other_st, (2, 2, 1)), 1e-9)
+    shared = _scan_buffers(other)  # larger than active's in every buffer
+    rows = sum(2 * lam.size for _, _, lam, _ in active)
+    in_shared = (shared[0].reshape(-1)[:rows * _CHUNK].reshape(rows, _CHUNK), *shared[1:])
+
+    def dirty():
+        nan = _scan_buffers(active)
+        for buffer in nan:
+            buffer.fill(np.nan)
+        yield nan
+        _chunk_entropies(16, 1, other, _CHUNK, shared)
+        yield in_shared
+
+    for chunk, count in ((0, _CHUNK), (2, 3000 - 2 * _CHUNK)):
+        fresh = _chunk_entropies(15, chunk, active, count).tobytes()
+        for buffers in dirty():
+            assert _chunk_entropies(15, chunk, active, count, buffers).tobytes() == fresh
+    for index in (1024, 1025, 2048):
+        fresh = [u.tobytes() for u in _sample_isometries(15, index, active)]
+        for buffers in dirty():
+            assert [u.tobytes() for u in _sample_isometries(15, index, active, buffers)] == fresh
+
+
+def test_oracle_is_reentrant_across_threads(monkeypatch):
+    # two scans of different structures at once, each with its own buffers,
+    # return the bytes of the same scans run one after the other, and so do
+    # the scanned entropies, recorded on the way (sample 0 wins both scans,
+    # so the results alone would miss most damage)
+    import sys
+    import threading
+    from concurrent.futures import ThreadPoolExecutor
+
+    from cstar_entropy import decomp
+
+    rng = rng_stream(71)
+    states = [random_state(rng, ce.make_algebra(blocks)) for blocks in ([(3, 2), (2, 1), (1, 1)], [(4, 1), (1, 3)])]
+    scan, local = decomp._chunk_entropies, threading.local()
+
+    def recording_scan(*args):
+        h = scan(*args)
+        local.entropies.append(h.tobytes())
+        return h
+
+    def run(om):
+        local.entropies = []
+        found, dec = ce.infimum_oracle(om, samples=3000, seed=5)
+        return found.hex(), dec.weights().tobytes(), local.entropies
+
+    monkeypatch.setattr(decomp, "_chunk_entropies", recording_scan)
+    serial = [run(om) for om in states]
+    assert [len(entropies) for _, _, entropies in serial] == [3, 3]
+    start = threading.Barrier(2, timeout=30)
+
+    def run_together(om):
+        start.wait()
+        return run(om)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            for _ in range(4):
+                futures = [pool.submit(run_together, om) for om in states]
+                assert [f.result(timeout=60) for f in futures] == serial
+    finally:
+        sys.setswitchinterval(interval)
 
 _NAN = float("nan")
 _M2 = ce.make_algebra([(2, 1)])
