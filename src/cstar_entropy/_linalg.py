@@ -136,9 +136,12 @@ def rng_stream(seed: int, *key: int) -> np.random.Generator:
 
     The seed selects the Philox key and the stream key parts select a
     disjoint counter block, so streams with distinct keys never overlap and
-    draws are reproducible regardless of evaluation order.  That is what
-    makes sampled results bit-identical under any scheduling.  The seed
-    must be an integer (:func:`check_int`).
+    draws are reproducible regardless of evaluation order: discovery and
+    the GNS identity decompositions are bit-identical under any scheduling.
+    The oracle's chunks draw from SFC64 streams of their own (stream
+    contract v3, ``decomp._chunk_stream``), as deterministic but independent
+    only with overwhelming probability.  The seed must be an integer
+    (:func:`check_int`).
     """
     seed = check_int(seed, "seed")
     if len(key) > 3:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import Cutoff, check_int, resolve_tol, rng_stream
+from ._linalg import Cutoff, check_int, resolve_tol
 from .algebra import BlockStructure, make_algebra
 from .entropy import _entropy_of, minimal_decomposition, shannon
 from .errors import ValidationError
@@ -137,47 +137,57 @@ def decomposition_entropy_split(dec: Decomposition) -> tuple[float, float]:
 
 
 def _scan_buffers(active) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """A scan's weights, and flat draw and Q buffers sized for its largest block, made once per call."""
+    """A scan's weights, a flat Q buffer and a work row, sized for its largest block and made once per call."""
     ns = [lam.size for _, _, lam, _ in active]
-    squares = _CHUNK * max(ns) ** 2
-    return np.empty((2 * sum(ns), _CHUNK)), np.empty(4 * squares), np.empty(2 * squares, dtype=complex)
+    n = max(ns)
+    return np.empty((2 * sum(ns), _CHUNK)), np.empty(2 * n * n * _CHUNK, dtype=complex), \
+        np.empty((2 * n, _CHUNK), dtype=complex)
+
+
+def _chunk_stream(seed: int, chunk: int) -> np.random.Generator:
+    """The generator of oracle chunk c: SFC64 keyed by ``SeedSequence(seed mod 2^128, spawn_key=(1, c))``."""
+    seed = check_int(seed, "seed")
+    seq = np.random.SeedSequence(seed & ((1 << 128) - 1), spawn_key=(1, chunk))
+    return np.random.Generator(np.random.SFC64(seq))
 
 
 def _chunk_draws(seed: int, chunk: int, active, out: np.ndarray) -> tuple[np.ndarray, Iterator[np.ndarray]]:
-    """Sizes and raw Gaussian draws of the oracle samples in one chunk.
+    """Sizes and complex Gaussian draws of the oracle samples in one chunk.
 
-    Chunk c holds samples ``c * _CHUNK + 1 ..`` in its rows and is read from
-    ``rng_stream(seed, 1, c)``: first one ``integers`` draw of the (rows, k)
-    sizes, r in [n_i, 2 n_i] for block i, then one (rows, 2, 2 n_i, n_i)
-    normal draw x per active block, in block order, made into the front of
-    out as the returned iterator advances, so each draw lives until the next.
-    A sample's complex Gaussian is ``x[s, 0] + 1j * x[s, 1]``, of which a size
-    r takes the first r rows.  The whole chunk is always drawn, so every
-    sample reads the same numbers whichever samples are evaluated.
+    Chunk c holds samples ``c * _CHUNK + 1 ..`` and is read from
+    ``_chunk_stream(seed, c)`` (stream contract v3): first one ``integers``
+    draw of the (_CHUNK, k) sizes, r in [n_i, 2 n_i] for block i, then one
+    normal draw per active block, in block order, made straight into the
+    front of out, viewed as float, as the returned iterator advances, so
+    each draw lives until the next.  A block's draw is the complex
+    (n_i, 2 n_i, _CHUNK) array q whose real and imaginary parts come in
+    turn; sample s's complex Gaussian has entry (a, j) at ``q[j, a, s]``,
+    and a size r takes its first r rows.  The whole chunk is always drawn,
+    so every sample reads the same numbers whichever samples are evaluated.
     """
-    rng = rng_stream(seed, 1, chunk)
+    rng = _chunk_stream(seed, chunk)
     ns = np.array([lam.size for _, _, lam, _ in active])
     sizes = rng.integers(ns, 2 * ns + 1, size=(_CHUNK, ns.size))
-    return sizes, (rng.standard_normal(out=np.ndarray((_CHUNK, 2, 2 * n, n), buffer=out)) for n in ns)
+    return sizes, (rng.standard_normal(out=np.ndarray((n, 2 * n, 2 * _CHUNK), buffer=out)).view(complex)
+                   for n in ns)
 
 
-def _isometries(x: np.ndarray, sizes: np.ndarray, cols: int, out: np.ndarray) -> np.ndarray:
-    """Phase-fixed Q of each draw's first r rows and first cols columns, zero-padded.
+def _isometries(q: np.ndarray, sizes: np.ndarray, cols: int, work: np.ndarray) -> np.ndarray:
+    """Phase-fixed Q of each draw's first r rows and first cols columns, zero-padded, in place.
 
-    x is one block's (count, 2, 2 n_i, n_i) raw draws (see :func:`_chunk_draws`)
-    and sizes their sizes r; the result is (cols, 2 n_i, count), column j of
-    sample s in ``q[j, :, s]``, made in the front of out; once copied there,
-    x serves the sweep as a work row.  Rows at and beyond r are zeroed, which
-    changes no inner product, so one Gram-Schmidt sweep with every projection
-    made twice (Giraud, Langou & Rozloznik, 2005) serves every r.  R's
-    diagonal comes out positive, so each Q is :func:`phase_fixed_qr` of the
-    complex draw's first r rows and cols columns to rounding.
+    q is one block's (n_i, 2 n_i, count) complex draws (see :func:`_chunk_draws`)
+    and sizes their sizes r; the result is its first cols columns, column j
+    of sample s in ``q[j, :, s]``, and the first 2 n_i rows of work serve
+    the sweep as a work row.  Rows at and beyond r are zeroed, which changes
+    no inner product, so one Gram-Schmidt sweep with every projection made
+    twice (Giraud, Langou & Rozloznik, 2005) serves every r.  R's diagonal
+    comes out positive, so each Q is :func:`phase_fixed_qr` of the complex
+    draw's first r rows and cols columns to rounding.
     """
     # samples along the innermost axis: every step adds or scales whole rows of samples
-    n = x.shape[3]
-    q = np.ndarray((cols, 2 * n, x.shape[0]), dtype=complex, buffer=out)
-    q.real, q.imag = x[:, 0, :, :cols].T, x[:, 1, :, :cols].T
-    work = np.ndarray(q.shape[1:], dtype=complex, buffer=x)
+    n = q.shape[0]
+    q = q[:cols]
+    work = work[:2 * n]
     # r >= n keeps the first n rows; a complex mask, as a bool one costs a copy of q[:, n:]
     q[:, n:] *= (np.arange(n, 2 * n)[:, None] < sizes).astype(complex)
     for j, v in enumerate(q):
@@ -202,14 +212,14 @@ def _chunk_entropies(seed: int, chunk: int, active, count: int = _CHUNK, buffers
     each entropy is a function of (seed, sample index) alone.  Every entry
     of buffers (fresh ones when None) is written before it is read.
     """
-    weights, floats, complexes = buffers or _scan_buffers(active)
-    sizes, draws = _chunk_draws(seed, chunk, active, floats)
+    weights, q_buffer, work = buffers or _scan_buffers(active)
+    sizes, draws = _chunk_draws(seed, chunk, active, q_buffer)
     weights.fill(0.0)
     start = 0
-    for (_, w_block, lam, _), x, block_sizes in zip(active, draws, sizes.T):
+    for (_, w_block, lam, _), q, block_sizes in zip(active, draws, sizes.T):
         rank = int(np.sum(lam > Cutoff.WEIGHT_FLOOR))
         block = weights[start:start + 2 * lam.size]
-        for lam_j, q_j in zip(lam, _isometries(x, block_sizes, rank, complexes)):
+        for lam_j, q_j in zip(lam, _isometries(q, block_sizes, rank, work)):
             block += lam_j * (q_j.real ** 2 + q_j.imag ** 2)
         block *= w_block
         start += 2 * lam.size
@@ -232,9 +242,9 @@ def infimum_oracle(omega: StateFunctional, samples: int = 1000, seed: int = 0,
     Q of the first r rows of a complex Gaussian, computed by Gram-Schmidt run
     twice, see :func:`_isometries`), and mix the block state accordingly.
     Sample s is row (s - 1) mod 1024 of chunk (s - 1) // 1024, which draws
-    from ``rng_stream(seed, 1, chunk)`` (see :func:`_chunk_draws`), so each
-    sample's entropy depends on (seed, s) alone; ties resolve to the lowest
-    sample index.  samples and seed must be integers, not booleans, and
+    from ``_chunk_stream(seed, chunk)`` (stream contract v3, see
+    :func:`_chunk_draws`), so each sample's entropy depends on (seed, s)
+    alone; ties resolve to the lowest sample index.  samples and seed must be integers, not booleans, and
     samples is at most ``_MAX_SAMPLES``.
     """
     samples = check_int(samples, "samples", 1)
@@ -262,10 +272,10 @@ def infimum_oracle(omega: StateFunctional, samples: int = 1000, seed: int = 0,
 def _sample_isometries(seed: int, index: int, active, buffers=None) -> list[np.ndarray]:
     """The r x n_i isometry of each active block for sample index >= 1, as the scan computes it."""
     chunk, row = divmod(index - 1, _CHUNK)
-    _, floats, complexes = buffers or _scan_buffers(active)
-    sizes, draws = _chunk_draws(seed, chunk, active, floats)
-    return [_isometries(x, rs, x.shape[3], complexes)[:, :r, row].T.copy()
-            for x, rs, r in zip(draws, sizes.T, sizes[row])]
+    _, q_buffer, work = buffers or _scan_buffers(active)
+    sizes, draws = _chunk_draws(seed, chunk, active, q_buffer)
+    return [_isometries(q, rs, q.shape[0], work)[:, :r, row].T.copy()
+            for q, rs, r in zip(draws, sizes.T, sizes[row])]
 
 
 def _rebuild_sample(seed: int, index: int, active, structure: BlockStructure) -> Decomposition:

@@ -216,6 +216,13 @@ class TestOracleCommand:
         assert payload["samples"] == 25
         assert payload["min_entropy_found"] == pytest.approx(0.5623351446188083, abs=1e-9)
 
+    @pytest.mark.parametrize("seed", ["-1", str(2 ** 128 + 5)])
+    def test_any_integer_seed_exits_0(self, tmp_path, capsys, seed):
+        # the chunk streams take the seed modulo 2^128, so no seed reaches the user as a traceback
+        path = _write(tmp_path, _m2_density_doc(options={"samples": 1500}))
+        assert main(["oracle", path, "--json", "--seed", seed]) == 0
+        assert json.loads(capsys.readouterr().out)["samples"] == 1500
+
     def test_flags_do_not_carry_over_to_the_next_command(self, tmp_path, capsys):
         # the parser is built once per process, so each call must parse afresh
         path = _write(tmp_path, _m2_density_doc(options={"samples": 12}))

@@ -249,9 +249,9 @@ class TestInfimumOracle:
 
     @pytest.mark.parametrize("bad", [
         {"samples": 2.5}, {"samples": float("nan")}, {"samples": True}, {"samples": "10"},
-        {"seed": 1.5}, {"seed": np.float64(1.0)}, {"seed": False}, {"seed": None},
+        {"seed": 1.5}, {"seed": np.float64(1.0)}, {"seed": False}, {"seed": True}, {"seed": None},
     ], ids=["samples_fraction", "samples_nan", "samples_bool", "samples_str",
-            "seed_fraction", "seed_numpy_float", "seed_bool", "seed_none"])
+            "seed_fraction", "seed_numpy_float", "seed_bool", "seed_true", "seed_none"])
     def test_non_integer_samples_and_seed_rejected(self, bad):
         st = ce.make_algebra([(2, 1)])
         om = ce.state_from_density(np.diag([0.25, 0.75]).astype(complex), st)
@@ -264,6 +264,24 @@ class TestInfimumOracle:
         om = random_state(rng, st)
         a = ce.infimum_oracle(om, samples=np.int64(1500), seed=np.uint32(7))
         b = ce.infimum_oracle(om, samples=1500, seed=7)
+        assert a[0] == b[0] and np.array_equal(a[1].weights(), b[1].weights())
+
+    def test_seeds_reach_the_chunk_streams_modulo_2_128(self):
+        # as rng_stream does, the chunk streams take any integer seed modulo
+        # 2^128: a negative seed is deterministic and 2^128 + 5 is seed 5
+        from cstar_entropy.decomp import _chunk_entropies
+        from cstar_entropy.states import active_sectors
+
+        st = ce.make_algebra([(3, 1), (2, 2)])
+        om = random_state(rng_stream(72), st)
+        active = active_sectors(om, 1e-9)
+        minus_one = _chunk_entropies(-1, 1, active).tobytes()
+        assert _chunk_entropies(-1, 1, active).tobytes() == minus_one
+        assert _chunk_entropies(2 ** 128 - 1, 1, active).tobytes() == minus_one
+        five = _chunk_entropies(5, 1, active).tobytes()
+        assert _chunk_entropies(2 ** 128 + 5, 1, active).tobytes() == five != minus_one
+        a = ce.infimum_oracle(om, samples=1500, seed=-1)
+        b = ce.infimum_oracle(om, samples=1500, seed=-1)
         assert a[0] == b[0] and np.array_equal(a[1].weights(), b[1].weights())
 
     def test_every_sample_reconstructs_the_state(self):
@@ -388,7 +406,10 @@ def test_acceptance_states_scan_entropies_digest():
     # the sweep moved in place onto the raw draws and the weights and entropies
     # to (sum 2 n_i, 1024) columns: same draws, 97.7 % of the 153 600 entropies
     # bit-identical, the rest moved by at most 8.9e-16 (2^-50); the digest above
-    # did not move.
+    # did not move.  Re-recorded for stream contract v3 (SFC64 chunk streams keyed
+    # by SeedSequence, drawn straight into the sweep's layout): every draw, and so
+    # every entropy, is new; the reference test below still bounds each by 1e-12
+    # against LAPACK, and the digest above did not move.
     import hashlib
 
     from cstar_entropy.decomp import _CHUNK, _chunk_entropies
@@ -399,31 +420,35 @@ def test_acceptance_states_scan_entropies_digest():
         active = active_sectors(om, 1e-9)
         for c in range(3):
             h.update(_chunk_entropies(seed, c, active, min(_CHUNK, 3000 - c * _CHUNK)).tobytes())
-    assert h.hexdigest() == "f5badd5de6380b1a81d9849084ba417a77a5d01f273afa69503decf913c838ae"
+    assert h.hexdigest() == "58a722d0dbf5ef83f041088d0beaaf1c90730afd7ad07b23aa8f2da77a2f150f"
 
 
 def _qr_reference_entropies(seed, chunk, active):
     """A chunk's sample entropies from its stream, with one LAPACK phase-fixed QR per block and size.
 
-    The draws are read here in stream contract v2's order, one ``integers``
-    draw of the sizes and then one normal draw per active block, and must be
+    The draws are read here in stream contract v3's order, from SFC64 keyed
+    by ``SeedSequence(seed, spawn_key=(1, chunk))``: one ``integers`` draw of
+    the sizes, then one normal draw per active block whose entries, taken in
+    pairs as real and imaginary parts, fill the complex (n_i, 2 n_i, 1024)
+    array with entry (a, j) of sample s at ``[j, a, s]``.  They must be
     bit-equal to what the scan draws.
     """
     from cstar_entropy._linalg import phase_fixed_qr
     from cstar_entropy.decomp import _CHUNK, _chunk_draws, _scan_buffers
     from cstar_entropy.entropy import _entropy_of
 
-    rng = rng_stream(seed, 1, chunk)
+    rng = np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed, spawn_key=(1, chunk))))
     ns = np.array([lam.size for _, _, lam, _ in active])
     sizes = rng.integers(ns, 2 * ns + 1, size=(_CHUNK, ns.size))
-    draws = [rng.standard_normal((_CHUNK, 2, 2 * n, n)) for n in ns]
+    pairs = [rng.standard_normal((n, 2 * n, _CHUNK, 2)) for n in ns]
+    draws = [x[..., 0] + 1j * x[..., 1] for x in pairs]
     scan_sizes, scan_draws = _chunk_draws(seed, chunk, active, _scan_buffers(active)[1])
     # each scan draw is compared before the next one overwrites it in the shared buffer
     assert np.array_equal(scan_sizes, sizes)
     assert [np.array_equal(a, b) for a, b in zip(scan_draws, draws, strict=True)] == [True] * len(draws)
     blocks = []
-    for (_, w_block, lam, _), x, block_sizes in zip(active, draws, sizes.T):
-        z = x[:, 0] + 1j * x[:, 1]
+    for (_, w_block, lam, _), q, block_sizes in zip(active, draws, sizes.T):
+        z = q.transpose(2, 1, 0)  # (sample, row, column)
         rank = int(np.sum(lam > 1e-12))
         probs = np.zeros((_CHUNK, 2 * lam.size))
         for r in range(lam.size, 2 * lam.size + 1):
@@ -479,15 +504,15 @@ def test_isometries_are_orthonormal_on_ill_conditioned_draws():
     count = 200
     for n in (1, 2, 3, 5, 10):
         sizes = rng.integers(n, 2 * n + 1, size=count)
-        x = rng.standard_normal((count, 2, 2 * n, n))
+        draws = rng.standard_normal((n, 2 * n, count, 2)).view(complex)[..., 0]
         for s, cond in enumerate(np.logspace(0, 13, count)):
             r = sizes[s]
             left = haar_unitary(r, rng)[:, :n]
             a = left @ np.diag(np.logspace(0, -np.log10(cond), n)) @ haar_unitary(n, rng)
-            x[s, 0, :r], x[s, 1, :r] = a.real, a.imag
-        z = x[:, 0] + 1j * x[:, 1]
-        q = _isometries(x, sizes, n, np.empty(2 * n * n * count, dtype=complex))
-        assert q.shape == (n, 2 * n, count)
+            draws[:, :r, s] = a.T
+        z = draws.transpose(2, 1, 0).copy()  # (sample, row, column)
+        q = _isometries(draws, sizes, n, np.empty((2 * n, count), dtype=complex))
+        assert q.shape == (n, 2 * n, count) and np.shares_memory(q, draws)
         for s in range(count):
             r = sizes[s]
             qs = q[:, :, s].T
@@ -523,12 +548,16 @@ def test_scan_calls_no_lapack_qr_and_draws_one_stream_per_chunk(monkeypatch):
             normals.append((len(streams) - 1, size, kwargs.get("out")))
             return self.rng.standard_normal(size, **kwargs)
 
-    def counting_stream(*key):
-        streams.append(key)
-        return RecordingStream(rng_stream(*key))
+    chunk_stream = decomp._chunk_stream
+
+    def counting_stream(seed, chunk):
+        rng = chunk_stream(seed, chunk)
+        seq = rng.bit_generator.seed_seq
+        streams.append((seq.entropy, *seq.spawn_key))
+        return RecordingStream(rng)
 
     monkeypatch.setattr(np.linalg, "qr", no_qr)
-    monkeypatch.setattr(decomp, "rng_stream", counting_stream)
+    monkeypatch.setattr(decomp, "_chunk_stream", counting_stream)
     st = ce.make_algebra([(3, 2), (2, 1), (1, 1)])
     om = random_state(rng_stream(69), st)
     found, _ = decomp.infimum_oracle(om, samples=3000, seed=9)

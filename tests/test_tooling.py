@@ -8,8 +8,10 @@ depends on numpy and the standard library alone, a function of a state
 reads the algebra off the state instead of taking it as a second argument,
 every function and class the package defines is named somewhere else,
 ``algebra._assemble`` is the one builder of block matrices, every
-numerical cutoff is an entry of the one table ``_linalg.Cutoff``, and only
-``states`` decides that a functional is not a state.
+numerical cutoff is an entry of the one table ``_linalg.Cutoff``, only
+``states`` decides that a functional is not a state, and each stream
+contract has one constructor: Philox in ``_linalg.rng_stream``, SFC64 in
+``decomp._chunk_stream``.
 """
 
 import ast
@@ -182,3 +184,25 @@ def test_only_states_raises_not_a_state(path):
              and "NotAStateError" in {n.id for n in ast.walk(node.exc) if isinstance(n, ast.Name)}]
     assert path.name == "states.py" or not found, \
         f"{path.name} raises NotAStateError at lines {found}"
+
+
+def _bit_generator_sites(node, owner=None):
+    """(innermost enclosing function, name) of each Philox, SFC64 or SeedSequence a syntax tree names."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        owner = node.name
+    name = node.attr if isinstance(node, ast.Attribute) else node.id if isinstance(node, ast.Name) \
+        else node.name.split(".")[-1] if isinstance(node, ast.alias) else None
+    if name in ("Philox", "SFC64", "SeedSequence"):
+        yield owner, name
+    for child in ast.iter_child_nodes(node):
+        yield from _bit_generator_sites(child, owner)
+
+
+def test_one_constructor_per_stream_contract():
+    # rng_stream builds every Philox stream and the oracle's chunk-stream helper
+    # every SFC64 one, so a seed reaches each contract through one checked path
+    sites = {(path.name, *site) for path in SOURCES
+             for site in _bit_generator_sites(ast.parse(path.read_text()))}
+    assert sites == {("_linalg.py", "rng_stream", "Philox"),
+                     ("decomp.py", "_chunk_stream", "SFC64"),
+                     ("decomp.py", "_chunk_stream", "SeedSequence")}, sorted(sites, key=str)
