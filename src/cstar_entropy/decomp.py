@@ -16,7 +16,7 @@ import numpy as np
 
 from ._linalg import Cutoff, check_int, resolve_tol
 from .algebra import BlockStructure, make_algebra
-from .entropy import _entropy_of, minimal_decomposition, shannon
+from .entropy import _entropy_of, minimal_decomposition, shannon, state_entropy
 from .errors import ValidationError
 from .states import Decomposition, DensityMatrix, StateFunctional, active_sectors
 
@@ -235,8 +235,9 @@ def infimum_oracle(omega: StateFunctional, samples: int = 1000, seed: int = 0,
                    tol: float | None = None) -> tuple[float, Decomposition]:
     """Randomized search for the lowest-entropy decomposition of a state.
 
-    Sample 0 is always the minimal decomposition, so the reported minimum
-    never exceeds the closed-form entropy.  Samples 1..samples each draw, per
+    Sample 0 is the minimal decomposition and carries the closed form's own
+    value, ``state_entropy(omega, tol).state_entropy``, so the reported
+    minimum never exceeds it and falls below it only where a sample does.  Samples 1..samples each draw, per
     active block, a decomposition size r in [n_i, 2 n_i] and an r x n_i
     isometry (the first n_i columns of a Haar unitary of size r: the phase-fixed
     Q of the first r rows of a complex Gaussian, computed by Gram-Schmidt run
@@ -251,8 +252,7 @@ def infimum_oracle(omega: StateFunctional, samples: int = 1000, seed: int = 0,
     if samples > _MAX_SAMPLES:
         raise ValidationError(f"samples must be at most {_MAX_SAMPLES}, got {samples!r}")
     tol = resolve_tol(tol, omega.structure.ambient_dim)
-    base = minimal_decomposition(omega, tol)
-    best_entropy = _entropy_of(base.weights(), Cutoff.WEIGHT_FLOOR)
+    best_entropy = state_entropy(omega, tol).state_entropy
     best_index = 0
     active = active_sectors(omega, tol)
     buffers = _scan_buffers(active)
@@ -265,7 +265,7 @@ def infimum_oracle(omega: StateFunctional, samples: int = 1000, seed: int = 0,
             best_entropy, best_index = float(h[j]), chunk * _CHUNK + j + 1
 
     if best_index == 0:
-        return best_entropy, base
+        return best_entropy, minimal_decomposition(omega, tol)
     return best_entropy, _rebuild_sample(seed, best_index, active, omega.structure)
 
 

@@ -210,6 +210,17 @@ class TestOracleCommand:
         assert payload["gap"] == pytest.approx(0.0, abs=1e-9)
         assert payload["samples"] == 50
 
+    def test_gap_exactly_zero_where_sample_0_wins(self, tmp_path, capsys):
+        # maximally mixed blocks, where the flat weights' entropy used to come out
+        # 2.2e-16 below the closed form's
+        doc = {
+            "algebra": {"blocks": [[3, 2], [2, 1], [1, 1]]},
+            "state": {"canonical": {"p": [0.5, 0.3, 0.2],
+                                    "rhos": [_mat(np.eye(n) / n) for n in (3, 2, 1)]}},
+        }
+        assert main(["oracle", _write(tmp_path, doc), "--json", "--samples", "1"]) == 0
+        assert json.loads(capsys.readouterr().out)["gap"] == 0.0
+
     def test_flag_overrides_file_options(self, diag_quarter_problem, capsys):
         assert main(["oracle", diag_quarter_problem, "--json", "--samples", "25"]) == 0
         payload = json.loads(capsys.readouterr().out)
