@@ -21,7 +21,7 @@ from .errors import ValidationError
 from .states import Decomposition, DensityMatrix, StateFunctional, active_sectors
 
 _CHUNK = 1024  # oracle samples per stream; part of the sampling contract
-_MAX_SAMPLES = 10 ** 8  # largest oracle scan, about 4-5 minutes at 2.3-2.9 microseconds per sample
+_MAX_SAMPLES = 10 ** 8  # largest oracle scan, 2-4 minutes at 1.3-2.5 us per sample at (3,2),(2,1),(1,1)
 
 
 def _check_unitary(u: np.ndarray) -> np.ndarray:
@@ -137,7 +137,7 @@ def decomposition_entropy_split(dec: Decomposition) -> tuple[float, float]:
 
 
 def _scan_buffers(active) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """A scan's weights, a flat Q buffer and a work row, sized for its largest block and made once per call."""
+    """A scan's weights, flat Q buffer and work row, sized for its largest block; made once per call."""
     ns = [lam.size for _, _, lam, _ in active]
     n = max(ns)
     return np.empty((2 * sum(ns), _CHUNK)), np.empty(2 * n * n * _CHUNK, dtype=complex), \
@@ -145,7 +145,11 @@ def _scan_buffers(active) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _chunk_stream(seed: int, chunk: int) -> np.random.Generator:
-    """The generator of oracle chunk c: SFC64 keyed by ``SeedSequence(seed mod 2^128, spawn_key=(1, c))``."""
+    """Oracle chunk c's generator (stream contract v3).
+
+    SFC64 keyed by ``SeedSequence(seed mod 2^128, spawn_key=(1, c))``; the
+    seed must be an integer (:func:`check_int`).
+    """
     seed = check_int(seed, "seed")
     seq = np.random.SeedSequence(seed & ((1 << 128) - 1), spawn_key=(1, chunk))
     return np.random.Generator(np.random.SFC64(seq))
@@ -237,16 +241,17 @@ def infimum_oracle(omega: StateFunctional, samples: int = 1000, seed: int = 0,
 
     Sample 0 is the minimal decomposition and carries the closed form's own
     value, ``state_entropy(omega, tol).state_entropy``, so the reported
-    minimum never exceeds it and falls below it only where a sample does.  Samples 1..samples each draw, per
-    active block, a decomposition size r in [n_i, 2 n_i] and an r x n_i
-    isometry (the first n_i columns of a Haar unitary of size r: the phase-fixed
-    Q of the first r rows of a complex Gaussian, computed by Gram-Schmidt run
-    twice, see :func:`_isometries`), and mix the block state accordingly.
-    Sample s is row (s - 1) mod 1024 of chunk (s - 1) // 1024, which draws
-    from ``_chunk_stream(seed, chunk)`` (stream contract v3, see
-    :func:`_chunk_draws`), so each sample's entropy depends on (seed, s)
-    alone; ties resolve to the lowest sample index.  samples and seed must be integers, not booleans, and
-    samples is at most ``_MAX_SAMPLES``.
+    minimum never exceeds it and falls below it only where a sample does.
+    Samples 1..samples each draw, per active block, a decomposition size r
+    in [n_i, 2 n_i] and an r x n_i isometry (the first n_i columns of a Haar
+    unitary of size r: the phase-fixed Q of the first r rows of a complex
+    Gaussian, computed by Gram-Schmidt run twice, see :func:`_isometries`),
+    and mix the block state accordingly.  Sample s is row (s - 1) mod 1024
+    of chunk (s - 1) // 1024, which draws from ``_chunk_stream(seed, chunk)``
+    (stream contract v3, see :func:`_chunk_draws`), so each sample's entropy
+    depends on (seed, s) alone; ties resolve to the lowest sample index.
+    samples and seed must be integers, not booleans, and samples is at most
+    ``_MAX_SAMPLES``.
     """
     samples = check_int(samples, "samples", 1)
     if samples > _MAX_SAMPLES:

@@ -205,6 +205,55 @@ def test_tol_that_discards_every_sector_is_an_input_error(call):
         call(om, 0.6)
 
 
+class TestSectorsBelowTol:
+    """A sector whose weight is at or below tol is dropped and the rest renormalized."""
+
+    P = np.array([0.6, 0.4 - 1e-7, 1e-7])
+
+    @classmethod
+    def _state(cls):
+        st = ce.make_algebra([(2, 1), (1, 1), (1, 1)])
+        rho = np.array([[0.7, 0.2 - 0.1j], [0.2 + 0.1j, 0.3]])
+        return ce.StateFunctional.from_canonical(st, cls.P, [rho, np.eye(1), np.eye(1)]), rho
+
+    @staticmethod
+    def _closed_form(p, rho):
+        """H(p) + sum_i p_i S(rho_i), the one-dimensional blocks adding nothing."""
+        lam = np.linalg.eigvalsh(rho)
+        return float(-(p * np.log(p)).sum() - p[0] * (lam * np.log(lam)).sum())
+
+    @staticmethod
+    def _by_block(dec):
+        weights = np.zeros(3)
+        for w, i, _ in dec.components:
+            weights[i] += w
+        return weights
+
+    def test_every_route_keeps_a_sector_above_tol(self):
+        om, rho = self._state()
+        expected = self._closed_form(self.P, rho)
+        # dropping the 1e-7 sector moves the entropy by over 1e-6, so the 1e-12 checks tell the two apart
+        assert abs(expected - self._closed_form(self.P[:2] / self.P[:2].sum(), rho)) > 1e-6
+        assert ce.state_entropy(om, 1e-9).state_entropy == pytest.approx(expected, abs=1e-12)
+        assert np.allclose(self._by_block(ce.minimal_decomposition(om, 1e-9)), self.P,
+                           rtol=0.0, atol=1e-12)
+        found, dec = ce.infimum_oracle(om, samples=2000, seed=1, tol=1e-9)
+        assert found == pytest.approx(expected, abs=1e-12)
+        assert np.allclose(self._by_block(dec), self.P, rtol=0.0, atol=1e-12)
+        assert ce.gns_construct(om, 1e-9).active == (0, 1, 2)
+
+    def test_closed_form_and_oracle_renormalize_over_the_kept_sectors(self):
+        om, rho = self._state()
+        kept = self.P[:2] / self.P[:2].sum()
+        expected = self._closed_form(kept, rho)
+        assert ce.state_entropy(om, 1e-6).state_entropy == pytest.approx(expected, abs=1e-12)
+        assert np.allclose(self._by_block(ce.minimal_decomposition(om, 1e-6)), [*kept, 0.0],
+                           rtol=0.0, atol=1e-12)
+        found, dec = ce.infimum_oracle(om, samples=2000, seed=1, tol=1e-6)
+        assert found == pytest.approx(expected, abs=1e-12)
+        assert np.allclose(self._by_block(dec), [*kept, 0.0], rtol=0.0, atol=1e-12)
+
+
 class TestRepresentativeEntropyFromBlockSpectra:
     @staticmethod
     def _clipping_edge_state():
