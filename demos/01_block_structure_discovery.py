@@ -3,8 +3,9 @@
 A finite-dimensional *-algebra of matrices always looks, in the right basis,
 like a direct sum of full matrix blocks repeated with multiplicities.  This
 script hides such an algebra behind a random change of basis, recovers the
-hidden structure straight from two generators, and reads a basis of the
-generated algebra off the recovered change of basis.
+hidden structure straight from two generators, and holds the generated
+algebra and its commutant in block form, as that structure and the recovered
+change of basis.
 """
 
 import numpy as np
@@ -42,7 +43,8 @@ print("\nrecovered structure:", blocks.blocks)
 print("largest relative off-structure residual of the generators: %.2e"
       % ce.generator_residual(generators, blocks, w))
 
-# A basis of the generated algebra, read off W: W (E_ab (x) I_m) W* / sqrt(m).
+# The generated algebra in block form; its basis W (E_ab (x) I_m) W* / sqrt(m)
+# is read off W when asked for.
 sub = ce.generate_subalgebra(generators, tol=1e-9)
 print("generated *-algebra dimension:", sub.dim)
 
@@ -50,14 +52,18 @@ print("generated *-algebra dimension:", sub.dim)
 print("sum n_i^2 =", sum(n * n for n, _ in blocks.blocks), "== span dim", sub.dim)
 print("sum n_i m_i =", sum(n * m for n, m in blocks.blocks), "== ambient", sub.ambient_dim)
 
-# Discovery from that basis finds the same blocks.
-print("from the basis:", ce.block_decompose(sub, tol=1e-9, seed=0)[0].blocks)
+# Discovery from that basis stack finds the same blocks.
+print("from the basis:", ce.block_decompose(sub.basis, tol=1e-9, seed=0)[0].blocks)
 
 # ----------------------------------------------------------------------
-# The commutant sees the multiplicities mirrored: sum m_i^2 dimensions.
+# The commutant sees the multiplicities mirrored: sum m_i^2 dimensions.  It
+# is read off the same W with the two tensor factors swapped, so nothing is
+# discovered a second time.
 # ----------------------------------------------------------------------
 com = ce.commutant(sub)
-print("\ncommutant dimension:", com.dim, "(expected", sum(m * m for _, m in blocks.blocks), ")")
+print("\ncommutant blocks:", com.structure.blocks)
+print("commutant dimension:", com.dim, "(expected", sum(m * m for _, m in blocks.blocks), ")")
 
 double = ce.commutant(com)
-print("double commutant dimension:", double.dim, "(matches the algebra span)")
+print("double commutant equals the algebra:",
+      double.structure.blocks == sub.structure.blocks and np.array_equal(double.w, sub.w))

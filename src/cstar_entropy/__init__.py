@@ -19,13 +19,11 @@ from .algebra import (
     identity,
     make_algebra,
     random_element,
-    standard_basis,
     structure_projection,
 )
 from .decomp import (
     MajorizationVerdict,
     decomposition_entropy,
-    decomposition_entropy_split,
     doubly_stochastic_from_unitary,
     infimum_oracle,
     majorizes,

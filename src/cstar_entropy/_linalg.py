@@ -52,7 +52,8 @@ class Cutoff:
 
     @staticmethod
     def identity_defect(scale):
-        """||X - I||_F of discovery's W*W or a resolution of the identity; scale the dimension."""
+        """||X - I||_F of discovery's W*W, a SubalgebraBasis's W*W or a resolution of the
+        identity; scale the dimension."""
         return 1e-8 * scale
 
     @staticmethod

@@ -10,8 +10,9 @@ second one couples them (Murota, Kanno, Kojima & Kojima, 2010), without
 computing the center.  The algebra is read only through random elements: an
 algebra given by an orthonormal basis draws them as random combinations of
 the basis, one given by generators S as products of two random elements of
-span{I, S, S*}, with no basis and no closure under words.  Bases of a
-generated algebra and of commutants are read off the recovered W.
+span{I, S, S*}, with no basis and no closure under words.  A generated
+algebra is held in block form, as its structure and W, and its commutant is
+read off the same W with the two tensor factors swapped.
 """
 
 from __future__ import annotations
@@ -63,10 +64,6 @@ class BlockStructure:
     @property
     def algebra_dim(self) -> int:
         return sum(n * n for n, m in self.blocks)
-
-    def multiplicity_free(self) -> "BlockStructure":
-        """The companion structure with every multiplicity set to 1."""
-        return BlockStructure(tuple((n, 1) for n, _ in self.blocks))
 
     def ambient_slices(self) -> list[slice]:
         """Slice of the ambient space occupied by each block."""
@@ -159,21 +156,8 @@ def embed(a: AlgebraElement) -> np.ndarray:
     return _assemble(a.parts, a.structure)
 
 
-def standard_basis(structure: BlockStructure) -> list[AlgebraElement]:
-    """Matrix-unit basis of the abstract algebra, block by block, row-major."""
-    out = []
-    for i, (n, _) in enumerate(structure.blocks):
-        for a in range(n):
-            for b in range(n):
-                parts = [np.zeros((nn, nn)) for nn, _ in structure.blocks]
-                parts[i] = np.zeros((n, n))
-                parts[i][a, b] = 1.0
-                out.append(AlgebraElement(structure, tuple(parts)))
-    return out
-
-
 def embedded_standard_basis(structure: BlockStructure) -> np.ndarray:
-    """Embedded matrix units, shape (algebra_dim, d, d), in :func:`standard_basis` order."""
+    """Embedded matrix units E_ab, shape (algebra_dim, d, d), block by block, row-major."""
     return _assemble(split_blocks(np.eye(structure.algebra_dim), structure), structure)
 
 
@@ -216,45 +200,51 @@ def structure_projection(mat: np.ndarray,
     return proj, float(res) if mat.ndim == 2 else res
 
 
+def _swap_factors(structure: BlockStructure) -> tuple[BlockStructure, np.ndarray]:
+    """The structure ((m_i, n_i)) and the order listing block i's coordinates (a, j) as (j, a):
+    reordered by it, the commutant ``(+)_i I_{n_i} (x) M_{m_i}`` reads ``(+)_i M_{m_i} (x) I_{n_i}``."""
+    order = np.concatenate([sl.start + np.arange(n * m).reshape(n, m).T.reshape(-1)
+                            for sl, (n, m) in zip(structure.ambient_slices(), structure.blocks)])
+    return BlockStructure(tuple((m, n) for n, m in structure.blocks)), order
+
+
 @dataclass(frozen=True)
 class SubalgebraBasis:
-    """Hilbert-Schmidt-orthonormal basis of a matrix *-algebra on C^d, as one (k, d, d) stack."""
+    """The unital matrix *-algebra ``W ((+)_i M_{n_i} (x) I_{m_i}) W*`` on C^d, in block form:
+    the structure and a read-only unitary W, whose columns are the blocks' coordinates (a, j)."""
 
-    ambient_dim: int
-    basis: np.ndarray
+    structure: BlockStructure
+    w: np.ndarray
 
     def __post_init__(self):
-        d = int(self.ambient_dim)
-        if not len(self.basis):
-            raise ValidationError("a subalgebra basis cannot be empty")
-        if any(np.shape(b) != (d, d) for b in self.basis):
-            raise ValidationError("basis matrices must be square of the ambient dimension")
-        mats = frozen(self.basis)
-        rows = mats.reshape(len(mats), -1)
-        gram = rows @ rows.conj().T
-        if not frob(gram - np.eye(len(mats))) <= Cutoff.gram(len(mats)):
-            raise ValidationError("basis is not orthonormal under the Hilbert-Schmidt inner product")
-        object.__setattr__(self, "ambient_dim", d)
-        object.__setattr__(self, "basis", mats)
+        d = self.structure.ambient_dim
+        w = frozen(self.w)
+        if w.shape != (d, d):
+            raise ValidationError(f"W of shape {w.shape} does not match ambient dimension {d}")
+        # written `not defect <= bound`, which a NaN defect fails
+        if not frob(w.conj().T @ w - np.eye(d)) <= Cutoff.identity_defect(d):
+            raise ValidationError("W is not unitary")
+        object.__setattr__(self, "w", w)
+
+    @property
+    def ambient_dim(self) -> int:
+        return self.structure.ambient_dim
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return self.structure.algebra_dim
 
-    def span_projector(self) -> np.ndarray:
-        """Projector onto the span, as a d^2 x d^2 matrix on vectorized space."""
-        rows = self.basis.reshape(self.dim, -1)
-        return rows.conj().T @ rows
-
-    def closure_defect(self) -> float:
-        """Largest residual of products and adjoints of basis elements against the span."""
-        rows = self.basis.reshape(self.dim, -1)
-        worst = 0.0
-        for a in self.basis:
-            cmat = np.concatenate([a.conj().T[None], a @ self.basis]).reshape(-1, rows.shape[1])
-            res = cmat - (cmat @ rows.conj().T) @ rows
-            worst = max(worst, float(np.max(np.linalg.norm(res, axis=1))))
-        return worst
+    @property
+    def basis(self) -> np.ndarray:
+        """Hilbert-Schmidt-orthonormal basis ``W (E_ab (x) I_{m_i}) W* / sqrt(m_i)``, block by
+        block, row-major: a read-only (dim, d, d) stack, built on each call."""
+        d = self.ambient_dim
+        parts = []
+        for sl, (n, m) in zip(self.structure.ambient_slices(), self.structure.blocks):
+            cols = self.w[:, sl].reshape(d, n, m)
+            units = np.einsum("xap,ybp->abxy", cols, cols.conj()) / np.sqrt(m)
+            parts.append(units.reshape(n * n, d, d))
+        return frozen(np.concatenate(parts))
 
 
 def _letters(generators: Sequence[np.ndarray]) -> np.ndarray:
@@ -324,55 +314,35 @@ def _word_sampler(letters: np.ndarray) -> Callable[[np.random.Generator], np.nda
     return sample
 
 
-def _unit_basis(structure: BlockStructure, w: np.ndarray, factor: int) -> SubalgebraBasis:
-    """Orthonormal basis read off W, block by block: factor 0 gives the algebra,
-    ``W (E_ab (x) I_m) W* / sqrt(m)``; factor 1 its commutant, ``W (I_n (x) E_pq) W* / sqrt(n)``."""
-    d = len(w)
-    parts = []
-    for sl, (n, m) in zip(structure.ambient_slices(), structure.blocks):
-        cols = np.moveaxis(w[:, sl].reshape(d, n, m), 1 + factor, 1)
-        k, other = cols.shape[1:]
-        units = np.einsum("xap,ybp->abxy", cols, cols.conj()) / np.sqrt(other)
-        parts.append(units.reshape(k * k, d, d))
-    return SubalgebraBasis(d, np.concatenate(parts))
-
-
 def generate_subalgebra(generators: Sequence[np.ndarray],
                         tol: float = Cutoff.TOL) -> SubalgebraBasis:
-    """Orthonormal basis of the smallest unital *-algebra containing the generators.
+    """The smallest unital *-algebra containing the generators, in block form.
 
-    Runs :func:`decompose_generated` (seed 0) and reads the basis
-    ``W (E_ab (x) I_{m_i}) W* / sqrt(m_i)`` off the discovered W, block by
-    block, row-major, of dimension ``sum n_i^2``.  Nothing is closed under
-    words: ``tol`` is discovery's relative eigenvalue-cluster gap, not a
-    rank cutoff.  Raises :class:`DecompositionError` when no attempt passes
-    the certificate.
+    Returns the ``(structure, W)`` of :func:`decompose_generated` (seed 0)
+    as a :class:`SubalgebraBasis`, of dimension ``sum n_i^2``.  Nothing is
+    closed under words: ``tol`` is discovery's relative eigenvalue-cluster
+    gap, not a rank cutoff.  Raises :class:`DecompositionError` when no
+    attempt passes the certificate.
     """
-    return _unit_basis(*decompose_generated(generators, tol), 0)
+    return SubalgebraBasis(*decompose_generated(generators, tol))
 
 
-def commutant(sub: SubalgebraBasis, tol: float = Cutoff.TOL) -> SubalgebraBasis:
-    """Orthonormal basis of {X : X B = B X for every basis element B}.
+def commutant(sub: SubalgebraBasis) -> SubalgebraBasis:
+    """The commutant {X : X A = A X for every A in sub}, in block form.
 
-    The span must be a unital *-algebra, ``W ((+)_i M_{n_i} (x) I_{m_i}) W*``
-    with W from :func:`block_decompose` (seed 0); its commutant is
-    ``W ((+)_i I_{n_i} (x) M_{m_i}) W*``, with orthonormal basis
-    ``W (I_{n_i} (x) E_pq) W* / sqrt(n_i)``.  A span without the identity
-    raises :class:`ValidationError`, one that is not closed
-    :class:`DecompositionError`.
+    The commutant of ``W ((+)_i M_{n_i} (x) I_{m_i}) W*`` is
+    ``W ((+)_i I_{n_i} (x) M_{m_i}) W*`` (Davidson, 1996), the algebra of
+    the structure ((m_i, n_i)) under W with each block's coordinates
+    (a, j) listed as (j, a).  Its basis is ``W (I_{n_i} (x) E_pq) W* /
+    sqrt(n_i)``, of dimension ``sum m_i^2``.  Nothing is discovered, and
+    ``commutant(commutant(sub))`` returns sub's blocks and W.
     """
-    return _unit_basis(*block_decompose(sub, tol), 1)
+    swapped, order = _swap_factors(sub.structure)
+    return SubalgebraBasis(swapped, sub.w[:, order])
 
 
 class _Retry(Exception):
     """A degenerate draw: the attempt is repeated with fresh randomness."""
-
-
-def _identity_in_span(bmats: np.ndarray, d: int, tol: float) -> bool:
-    rows = bmats.reshape(len(bmats), -1)
-    vec_id = np.eye(d, dtype=complex).reshape(-1)
-    res = vec_id - (rows.conj() @ vec_id) @ rows
-    return float(np.linalg.norm(res)) <= Cutoff.identity_in_span(tol, np.sqrt(d))
 
 
 def _split_attempt(sample: Callable[[np.random.Generator], np.ndarray], d: int, tol: float,
@@ -470,12 +440,14 @@ def _discover_span(element: Callable[[np.ndarray], np.ndarray], dim: int, d: int
     return _discover(lambda rng: element(complex_gaussian(dim, rng)), check, d, tol, seed)
 
 
-def block_decompose(sub: SubalgebraBasis, tol: float = Cutoff.TOL,
+def block_decompose(basis: np.ndarray, tol: float = Cutoff.TOL,
                     seed: int = 0) -> tuple[BlockStructure, np.ndarray]:
-    """Recover the block structure of a matrix *-algebra.
+    """Recover the block structure of a matrix *-algebra given by an orthonormal basis.
 
-    Returns ``(structure, W)`` with W unitary such that conjugating the span
-    by W gives ``(+)_i M_{n_i} (x) I_{m_i}``.  The eigenvalue clusters (at
+    ``basis`` is a (k, d, d) stack whose Gram matrix is I_k within ``Cutoff.gram(k)``; an
+    empty, ragged, non-finite or non-orthonormal stack, or a span without the identity, is
+    a :class:`ValidationError`.  Returns ``(structure, W)`` with W unitary such that
+    conjugating the span by W gives ``(+)_i M_{n_i} (x) I_{m_i}``.  The eigenvalue clusters (at
     relative gap ``tol``) of a random self-adjoint element A of the span are
     the spaces e (x) C^{m_i}, one per eigenvalue of each block of A.  A
     random element B couples two clusters iff they lie in one block: the
@@ -489,8 +461,21 @@ def block_decompose(sub: SubalgebraBasis, tol: float = Cutoff.TOL,
     times, and the result is verified against the dimension laws, the
     unitarity of W and the projection residuals of two fresh random elements.
     """
-    d = sub.ambient_dim
+    try:
+        mats = np.asarray(basis, dtype=complex)
+    except (TypeError, ValueError):  # a ragged stack, or entries that are not numbers
+        raise ValidationError("basis matrices must be square of the ambient dimension") from None
+    if not mats.size:
+        raise ValidationError("a subalgebra basis cannot be empty")
+    if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
+        raise ValidationError("basis matrices must be square of the ambient dimension")
+    k, d = len(mats), mats.shape[-1]
+    rows = mats.reshape(k, -1)
+    # written `not defect <= bound`, which a NaN or infinite entry fails
+    if not frob(rows @ rows.conj().T - np.eye(k)) <= Cutoff.gram(k):
+        raise ValidationError("basis is not orthonormal under the Hilbert-Schmidt inner product")
     tol = resolve_tol(tol, d)
-    if not _identity_in_span(sub.basis, d, tol):
+    vec_id = np.eye(d, dtype=complex).reshape(-1)
+    if not frob(vec_id - (rows.conj() @ vec_id) @ rows) <= Cutoff.identity_in_span(tol, np.sqrt(d)):
         raise ValidationError("subalgebra must contain the identity (unital closure)")
-    return _discover_span(lambda c: np.tensordot(c, sub.basis, axes=1), sub.dim, d, tol, seed)
+    return _discover_span(lambda c: np.tensordot(c, mats, axes=1), k, d, tol, seed)

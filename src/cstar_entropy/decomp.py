@@ -16,7 +16,7 @@ import numpy as np
 
 from ._linalg import Cutoff, check_int, resolve_tol
 from .algebra import BlockStructure, make_algebra
-from .entropy import _entropy_of, minimal_decomposition, shannon, state_entropy
+from .entropy import minimal_decomposition, shannon, state_entropy
 from .errors import ValidationError
 from .states import Decomposition, DensityMatrix, StateFunctional, active_sectors
 
@@ -120,20 +120,6 @@ def majorizes(p, q) -> MajorizationVerdict:
 def decomposition_entropy(dec: Decomposition) -> float:
     """Shannon entropy of the weight vector of a decomposition."""
     return shannon(dec.weights())
-
-
-def decomposition_entropy_split(dec: Decomposition) -> tuple[float, float]:
-    """Split of the decomposition entropy into sector mixing and within-block parts.
-
-    Returns ``(H(p), sum_i p_i H(v_i))`` where p groups the weights by block;
-    the two parts add up to the total entropy.
-    """
-    by_block: dict[int, list[float]] = {}
-    for w, i, _ in dec.components:
-        by_block.setdefault(i, []).append(w)
-    p = np.array([sum(ws) for ws in by_block.values()])
-    within = sum(sum(ws) * _entropy_of(np.array(ws)) for ws in by_block.values())
-    return _entropy_of(p), within
 
 
 def _scan_buffers(active) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -18,9 +18,9 @@ from .errors import ValidationError
 from .states import Decomposition, DensityMatrix, StateFunctional, active_sectors
 
 
-def _entropy_of(weights: np.ndarray, floor: float = 0.0) -> float:
-    """-sum w log w over the weights above floor, renormalized to sum 1 (0 log 0 = 0)."""
-    w = weights[weights > floor]
+def _entropy_of(weights: np.ndarray) -> float:
+    """-sum w log w over the positive weights, renormalized to sum 1 (0 log 0 = 0)."""
+    w = weights[weights > 0.0]
     w = w / w.sum()
     return float(0.0 - (w * np.log(w)).sum())  # one point gives 0.0 - 0.0 = +0.0, not -(0.0)
 

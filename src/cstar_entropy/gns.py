@@ -17,7 +17,8 @@ import numpy as np
 
 from ._linalg import (Cutoff, check_int, frob, frozen, hermitize, random_isometry, resolve_tol,
                       rng_stream)
-from .algebra import BlockStructure, _assemble, _discover_span, split_blocks, structure_projection
+from .algebra import (BlockStructure, _assemble, _discover_span, _swap_factors, split_blocks,
+                      structure_projection)
 from .entropy import EntropyReport, _entropy_of
 from .errors import ValidationError
 from .states import StateFunctional
@@ -141,13 +142,10 @@ def gns_commutant_functional(g: GnsData, t: np.ndarray,
     eigs = np.linalg.eigvalsh(hermitize(t))
     if not (-eigs[0] <= Cutoff.eigenvalue(tol) and eigs[-1] - 1.0 <= Cutoff.eigenvalue(tol)):
         raise ValidationError(f"operator spectrum [{eigs[0]:.3e}, {eigs[-1]:.3e}] not within [0, 1]")
-    # The commutant of (+)_j C_j (x) I_r is (+)_j I_n (x) M_r; listing block j's
-    # coordinates (a, k) as (k, a) turns it into the algebra (+)_j M_r (x) I_n.
-    # With P the projection onto it, ||[T, pi(E)]|| = ||[T - P(T), pi(E)]|| <=
-    # 2 ||T - P(T)|| for every unit E, so half the commutator bound is checked.
-    order = np.concatenate([sl.start + np.arange(n * r).reshape(n, r).T.reshape(-1) for sl, (n, r)
-                            in zip(g.gns_structure.ambient_slices(), g.gns_structure.blocks)])
-    swapped = BlockStructure(tuple((r, n) for n, r in g.gns_structure.blocks))
+    # The commutant of (+)_j C_j (x) I_r is the algebra (+)_j M_r (x) I_n in the swapped order.
+    # With P the projection onto it, ||[T, pi(E)]|| = ||[T - P(T), pi(E)]|| <= 2 ||T - P(T)||
+    # for every unit E, so half the commutator bound is checked.
+    swapped, order = _swap_factors(g.gns_structure)
     if not structure_projection(t[np.ix_(order, order)], swapped)[1] <= Cutoff.span(tol) / 2:
         raise ValidationError("operator does not commute with the represented algebra")
     weight = float((g.cyclic.conj() @ (t @ g.cyclic)).real)

@@ -4,6 +4,7 @@ import numpy as np
 
 import cstar_entropy as ce
 from cstar_entropy._linalg import haar_unitary, rng_stream
+from cstar_entropy.entropy import _entropy_of
 
 
 def random_structure(rng, max_ambient=12, max_blocks=3, multiplicities=True):
@@ -77,6 +78,50 @@ def conjugated_algebra_generators(rng, structure, count=2):
             for _ in range(count)]
 
 
+def multiplicity_free(structure):
+    """The companion structure with every multiplicity set to 1."""
+    return ce.make_algebra([(n, 1) for n, _ in structure.blocks])
+
+
+def standard_basis(structure):
+    """Matrix-unit basis of the abstract algebra, block by block, row-major: the elements
+    ``ce.embedded_standard_basis`` embeds, in its order."""
+    out = []
+    for i, (n, _) in enumerate(structure.blocks):
+        for a in range(n):
+            for b in range(n):
+                parts = [np.zeros((nn, nn)) for nn, _ in structure.blocks]
+                parts[i][a, b] = 1.0
+                out.append(ce.AlgebraElement(structure, tuple(parts)))
+    return out
+
+
+def decomposition_entropy_split(dec):
+    """Split of a decomposition's entropy into sector mixing and within-block parts.
+
+    Returns ``(H(p), sum_i p_i H(v_i))`` where p groups the weights by block;
+    the two parts add up to the total entropy.
+    """
+    by_block = {}
+    for w, i, _ in dec.components:
+        by_block.setdefault(i, []).append(w)
+    p = np.array([sum(ws) for ws in by_block.values()])
+    within = sum(sum(ws) * _entropy_of(np.array(ws)) for ws in by_block.values())
+    return _entropy_of(p), within
+
+
+def closure_defect(basis):
+    """Largest residual of products and adjoints of an orthonormal (k, d, d) stack's
+    elements against its span."""
+    rows = basis.reshape(len(basis), -1)
+    worst = 0.0
+    for a in basis:
+        cmat = np.concatenate([a.conj().T[None], a @ basis]).reshape(-1, rows.shape[1])
+        res = cmat - (cmat @ rows.conj().T) @ rows
+        worst = max(worst, float(np.max(np.linalg.norm(res, axis=1))))
+    return worst
+
+
 __all__ = [
     "haar_unitary",
     "rng_stream",
@@ -87,4 +132,8 @@ __all__ = [
     "random_ambient_density",
     "riesz_representative",
     "conjugated_algebra_generators",
+    "multiplicity_free",
+    "standard_basis",
+    "decomposition_entropy_split",
+    "closure_defect",
 ]

@@ -19,6 +19,7 @@ from helpers import (
     random_structure,
     rng_stream,
     conjugated_algebra_generators,
+    standard_basis,
 )
 
 
@@ -145,7 +146,7 @@ def test_criterion_6_structure_discovery(capsys):
         for trial in range(100):
             st = random_structure(rng, max_ambient=12)
             sub = ce.generate_subalgebra(conjugated_algebra_generators(rng, st))
-            blocks, w = ce.block_decompose(sub, seed=trial)
+            blocks, w = ce.block_decompose(sub.basis, seed=trial)
             assert sorted(blocks.blocks) == sorted(st.blocks)
             assert blocks.algebra_dim == sub.dim
             assert blocks.ambient_dim == st.ambient_dim
@@ -160,7 +161,7 @@ def test_criterion_7_representative_uniqueness(capsys):
             st = random_structure(rng)
             om = random_state(rng, st)
             rep = ce.representative_density(om).matrix
-            for a, mat in zip(ce.standard_basis(st), ce.embedded_standard_basis(st)):
+            for a, mat in zip(standard_basis(st), ce.embedded_standard_basis(st)):
                 assert abs(np.trace(rep @ mat) - om.expect(a)) <= 1e-10
             # the representative is the Hilbert-Schmidt projection of any
             # ambient density matrix inducing the same functional

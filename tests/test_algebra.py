@@ -9,8 +9,9 @@ from cstar_entropy._linalg import complex_gaussian, hermitize
 from cstar_entropy.algebra import _discover, _discover_span, _letters, _word_sampler
 from cstar_entropy.errors import DecompositionError, ValidationError
 
-from helpers import (conjugated_algebra_generators, haar_unitary, random_pure_state, random_state,
-                     random_structure, rng_stream)
+from helpers import (closure_defect, conjugated_algebra_generators, haar_unitary,
+                     multiplicity_free, random_pure_state, random_state, random_structure,
+                     rng_stream)
 
 
 class TestMakeAlgebra:
@@ -32,7 +33,7 @@ class TestMakeAlgebra:
 
     def test_multiplicity_free_companion(self):
         st = ce.make_algebra([(2, 2), (3, 1)])
-        assert st.multiplicity_free().blocks == ((2, 1), (3, 1))
+        assert multiplicity_free(st).blocks == ((2, 1), (3, 1))
 
     @pytest.mark.parametrize("blocks", [[(0, 1)], [(1, 0)], [(-2, 1)], []])
     def test_rejects_bad_blocks(self, blocks):
@@ -162,16 +163,21 @@ class TestStructureProjection:
 
 
 class TestSubalgebraBasis:
-    @pytest.mark.parametrize("basis", [
-        (),
-        (np.eye(2) / np.sqrt(2), np.eye(3)),
-        (np.eye(3) / np.sqrt(3),),
-        np.eye(2)[None, None],
-        (np.eye(2), np.diag([1.0, 0.0])),
-    ], ids=["empty", "ragged", "wrong_size", "wrong_rank", "not_orthonormal"])
-    def test_malformed_basis_rejected(self, basis):
+    @pytest.mark.parametrize("w", [
+        np.eye(3),
+        np.eye(2)[None],
+        np.diag([1.0, 1.0 + 1e-6]),
+        np.array([[1.0, 1e-6], [0.0, 1.0]]),
+    ], ids=["wrong_size", "wrong_rank", "not_unitary", "not_unitary_off_diagonal"])
+    def test_malformed_w_rejected(self, w):
         with pytest.raises(ValidationError):
-            ce.SubalgebraBasis(2, basis)
+            ce.SubalgebraBasis(ce.make_algebra([(1, 2)]), w)
+
+    def test_unitary_w_is_kept_read_only(self):
+        w = haar_unitary(3, rng_stream(15))
+        sub = ce.SubalgebraBasis(ce.make_algebra([(1, 1), (1, 2)]), w)
+        assert np.array_equal(sub.w, w) and not sub.w.flags.writeable
+        assert (sub.ambient_dim, sub.dim) == (3, 2)
 
 
 class TestGenerateSubalgebra:
@@ -199,14 +205,14 @@ class TestGenerateSubalgebra:
         rng = rng_stream(9)
         st = random_structure(rng, max_ambient=8)
         sub = ce.generate_subalgebra(conjugated_algebra_generators(rng, st))
-        assert sub.closure_defect() < 1e-8
+        assert closure_defect(sub.basis) < 1e-8
 
     def test_shift_needs_long_words(self):
         # words of length at most four in J and J* span only 21 of the 25 dimensions
         shift = np.diag(np.ones(4), k=1)
         sub = ce.generate_subalgebra([shift])
         assert sub.dim == 25
-        assert sub.closure_defect() < 1e-8
+        assert closure_defect(sub.basis) < 1e-8
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValidationError):
@@ -297,15 +303,15 @@ class TestCommutant:
         sub = ce.generate_subalgebra([ce.embed(ce.random_element(st, rng)) for _ in range(2)])
         assert ce.commutant(sub).dim == 4 + 9
 
-    def test_double_commutant_recovers_span(self):
+    def test_double_commutant_is_the_algebra(self):
         rng = rng_stream(13)
         for trial in range(3):
             st = random_structure(rng, max_ambient=6)
             sub = ce.generate_subalgebra(conjugated_algebra_generators(rng, st))
             double = ce.commutant(ce.commutant(sub))
             assert double.dim == sub.dim
-            dist = np.linalg.norm(double.span_projector() - sub.span_projector())
-            assert dist < 1e-8
+            assert double.structure.blocks == sub.structure.blocks
+            assert np.array_equal(double.w, sub.w)
 
     def test_read_off_the_blocks_at_ambient_dimension_23(self):
         # dim A = 61 on C^23; the commutant (+) I_n (x) M_m has dimension 2^2 + 2^2 + 1^2
@@ -315,30 +321,47 @@ class TestCommutant:
         assert com.dim == 4 + 4 + 1
         comm = com.basis[:, None] @ sub.basis[None] - sub.basis[None] @ com.basis[:, None]
         assert np.max(np.linalg.norm(comm, axis=(-2, -1))) <= 1e-10
-        dist = np.linalg.norm(ce.commutant(com).span_projector() - sub.span_projector())
-        assert dist <= 1e-8
+        double = ce.commutant(com)
+        assert double.structure.blocks == sub.structure.blocks
+        assert np.array_equal(double.w, sub.w)
 
-    def test_span_without_identity_is_rejected(self):
-        unit = np.zeros((1, 2, 2), dtype=complex)
-        unit[0, 0, 0] = 1.0
-        with pytest.raises(ValidationError):
-            ce.commutant(ce.SubalgebraBasis(2, unit))
+    def test_large_algebra_is_held_in_block_form(self):
+        # the (832, 80, 80) basis stack alone would take 85 MB; neither call builds it
+        import tracemalloc
 
-    def test_unital_span_that_is_not_closed_is_rejected(self):
-        # span{I, E_12} is not *-closed: the blocks discovery finds, (2, 1) and (1, 1),
-        # span 5 dimensions, not 2
-        basis = np.zeros((2, 3, 3), dtype=complex)
-        basis[0] = np.eye(3) / np.sqrt(3)
-        basis[1, 0, 1] = 1.0
-        with pytest.raises(DecompositionError):
-            ce.commutant(ce.SubalgebraBasis(3, basis))
+        st = ce.make_algebra([(24, 2), (16, 2)])
+        gens = conjugated_algebra_generators(rng_stream(16), st)
+        tracemalloc.start()
+        try:
+            sub = ce.generate_subalgebra(gens)
+            com = ce.commutant(sub)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (sub.dim, com.dim) == (832, 8)
+        assert peak < 20 * 2 ** 20
 
 
 class TestBlockDecompose:
+    @pytest.mark.parametrize("basis", [
+        (),
+        np.zeros((0, 2, 2)),
+        (np.eye(2) / np.sqrt(2), np.eye(3)),
+        np.eye(2)[None, None],
+        np.eye(2) / np.sqrt(2),
+        np.ones((1, 2, 3)) / np.sqrt(6),
+        (np.eye(2), np.diag([1.0, 0.0])),
+        [[["a", "b"], ["c", "d"]]],
+    ], ids=["empty", "empty_stack", "ragged", "wrong_rank", "single_matrix", "not_square",
+            "not_orthonormal", "not_numbers"])
+    def test_malformed_stack_rejected(self, basis):
+        with pytest.raises(ValidationError):
+            ce.block_decompose(basis)
+
     def test_full_m3(self):
         rng = rng_stream(21)
         g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        blocks, w = ce.block_decompose(ce.generate_subalgebra([g]), seed=1)
+        blocks, w = ce.block_decompose(ce.generate_subalgebra([g]).basis, seed=1)
         assert blocks.blocks == ((3, 1),)
         assert np.allclose(w @ w.conj().T, np.eye(3), atol=1e-9)
 
@@ -346,21 +369,21 @@ class TestBlockDecompose:
         rng = rng_stream(22)
         st = ce.make_algebra([(2, 2)])
         sub = ce.generate_subalgebra(conjugated_algebra_generators(rng, st))
-        blocks, _ = ce.block_decompose(sub, seed=2)
+        blocks, _ = ce.block_decompose(sub.basis, seed=2)
         assert blocks.blocks == ((2, 2),)
 
     def test_conjugated_diagonal(self):
         rng = rng_stream(23)
         v = haar_unitary(3, rng)
         sub = ce.generate_subalgebra([v @ np.diag([1.0, 2.0, 3.0]).astype(complex) @ v.conj().T])
-        blocks, _ = ce.block_decompose(sub, seed=2)
+        blocks, _ = ce.block_decompose(sub.basis, seed=2)
         assert blocks.blocks == ((1, 1), (1, 1), (1, 1))
 
     def test_transformed_basis_is_block_diagonal(self):
         rng = rng_stream(24)
         st = ce.make_algebra([(2, 1), (1, 2)])
         sub = ce.generate_subalgebra(conjugated_algebra_generators(rng, st))
-        blocks, w = ce.block_decompose(sub, seed=4)
+        blocks, w = ce.block_decompose(sub.basis, seed=4)
         assert sorted(blocks.blocks) == sorted(st.blocks)
         for mat in sub.basis:
             _, res = ce.structure_projection(w.conj().T @ mat @ w, blocks)
@@ -371,7 +394,7 @@ class TestBlockDecompose:
         for trial in range(8):
             st = random_structure(rng, max_ambient=10)
             sub = ce.generate_subalgebra(conjugated_algebra_generators(rng, st))
-            blocks, _ = ce.block_decompose(sub, seed=trial)
+            blocks, _ = ce.block_decompose(sub.basis, seed=trial)
             assert sorted(blocks.blocks) == sorted(st.blocks)
             assert blocks.algebra_dim == sub.dim
             assert blocks.ambient_dim == sub.ambient_dim
@@ -385,23 +408,37 @@ class TestBlockDecompose:
         st = ce.make_algebra(blocks)
         sub = ce.generate_subalgebra(conjugated_algebra_generators(rng, st))
         for seed in range(4):
-            found, w = ce.block_decompose(sub, seed=seed)
+            found, w = ce.block_decompose(sub.basis, seed=seed)
             assert found.blocks == blocks
             residual = ce.structure_projection(w.conj().T @ sub.basis @ w, found)[1]
             assert np.max(residual) < 1e-8
 
     def test_scalars_are_one_block_with_multiplicity(self):
         sub = ce.generate_subalgebra([np.eye(4)])
-        blocks, _ = ce.block_decompose(sub, seed=0)
+        blocks, _ = ce.block_decompose(sub.basis, seed=0)
         assert blocks.blocks == ((1, 4),)
 
     def test_non_unital_span_rejected(self):
         # an orthonormal non-unital set is not a valid algebra basis here
         mat = np.zeros((2, 2), dtype=complex)
         mat[0, 1] = 1.0
-        sub = ce.SubalgebraBasis(2, (mat,))
         with pytest.raises(ValidationError):
-            ce.block_decompose(sub)
+            ce.block_decompose((mat,))
+
+    def test_span_without_identity_is_rejected(self):
+        unit = np.zeros((1, 2, 2), dtype=complex)
+        unit[0, 0, 0] = 1.0
+        with pytest.raises(ValidationError):
+            ce.block_decompose(unit)
+
+    def test_unital_span_that_is_not_closed_is_rejected(self):
+        # span{I, E_12} is not *-closed: the blocks discovery finds, (2, 1) and (1, 1),
+        # span 5 dimensions, not 2
+        basis = np.zeros((2, 3, 3), dtype=complex)
+        basis[0] = np.eye(3) / np.sqrt(3)
+        basis[1, 0, 1] = 1.0
+        with pytest.raises(DecompositionError):
+            ce.block_decompose(basis)
 
     def test_absurd_tolerance_fails(self):
         # a huge tolerance merges every eigenvalue cluster into one, so no
@@ -410,7 +447,7 @@ class TestBlockDecompose:
         st = ce.make_algebra([(2, 1), (1, 1)])
         sub = ce.generate_subalgebra(conjugated_algebra_generators(rng, st))
         with pytest.raises(DecompositionError):
-            ce.block_decompose(sub, tol=100.0, seed=0)
+            ce.block_decompose(sub.basis, tol=100.0, seed=0)
 
     def test_random_element_verification_rejects_a_spoiled_unitary(self):
         # Rotating the discovered W by a small unitary R leaves a whole-stack
@@ -420,7 +457,7 @@ class TestBlockDecompose:
         rng = rng_stream(29)
         st = ce.make_algebra([(2, 2), (1, 1)])
         sub = ce.generate_subalgebra(conjugated_algebra_generators(rng, st))
-        found, w = ce.block_decompose(sub, seed=0)
+        found, w = ce.block_decompose(sub.basis, seed=0)
         herm = hermitize(complex_gaussian((st.ambient_dim,) * 2, rng))
 
         def stack_residual(rot):
@@ -454,8 +491,8 @@ class TestBlockDecompose:
         rng = rng_stream(27)
         st = ce.make_algebra([(2, 2), (1, 1)])
         sub = ce.generate_subalgebra(conjugated_algebra_generators(rng, st))
-        b1, w1 = ce.block_decompose(sub, seed=7)
-        b2, w2 = ce.block_decompose(sub, seed=7)
+        b1, w1 = ce.block_decompose(sub.basis, seed=7)
+        b2, w2 = ce.block_decompose(sub.basis, seed=7)
         assert b1.blocks == b2.blocks
         assert np.array_equal(w1, w2)
 
@@ -481,7 +518,7 @@ def _pinned_digests():
         gens = conjugated_algebra_generators(rng, st)
         for seed in (0, 5):
             pin(discovery, *ce.decompose_generated(gens, seed=seed))
-        pin(discovery, *ce.block_decompose(ce.generate_subalgebra(gens), seed=3))
+        pin(discovery, *ce.block_decompose(ce.generate_subalgebra(gens).basis, seed=3))
         for om in (random_state(rng, st), random_pure_state(rng, st)):
             sectors = ce.resolve_sectors(ce.gns_construct(om), seed=1)
             pin(sectors_digest, sectors.structure, sectors.weights, *sectors.multiplicity_states)

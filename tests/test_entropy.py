@@ -6,7 +6,7 @@ import pytest
 import cstar_entropy as ce
 from cstar_entropy.errors import ValidationError
 
-from helpers import random_pure_state, random_state, random_structure, rng_stream
+from helpers import multiplicity_free, random_pure_state, random_state, random_structure, rng_stream
 
 # computed by direct evaluation of -sum p log p
 H_QUARTER = 0.5623351446188083
@@ -116,7 +116,7 @@ class TestStateEntropy:
         # the entropy does not depend on the representation multiplicities
         rng = rng_stream(36)
         st = ce.make_algebra([(2, 3), (3, 2)])
-        flat = st.multiplicity_free()
+        flat = multiplicity_free(st)
         for _ in range(5):
             om = random_state(rng, st)
             p, rhos = ce.canonical_form(ce.representative_density(om), st)

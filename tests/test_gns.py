@@ -118,6 +118,7 @@ class TestStackedArrays:
         self._assert_read_only_stack(sub.basis, st.algebra_dim, st.ambient_dim)
         com = ce.commutant(sub)
         self._assert_read_only_stack(com.basis, com.dim, st.ambient_dim)
+        assert not sub.w.flags.writeable and not com.w.flags.writeable
 
     @pytest.mark.parametrize("rank", [1, 2])
     def test_unit_norms_read_off_the_blocks(self, rank):

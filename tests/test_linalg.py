@@ -92,9 +92,8 @@ _TOL_CALLS = {
     "gas_entropy": lambda tol: ce.gas_entropy(_OM, ce.GasAccount(1, 1.0, np.zeros(2)), tol),
     "sectors_connectable": lambda tol: ce.sectors_connectable(_PURE, _PURE, tol),
     "decompose_generated": lambda tol: ce.decompose_generated(_GENS, tol),
-    "block_decompose": lambda tol: ce.block_decompose(_SUB, tol),
+    "block_decompose": lambda tol: ce.block_decompose(_SUB.basis, tol),
     "generate_subalgebra": lambda tol: ce.generate_subalgebra(_GENS, tol),
-    "commutant": lambda tol: ce.commutant(_SUB, tol),
 }
 
 

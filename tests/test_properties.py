@@ -94,7 +94,7 @@ def test_entropy_invariant_under_conjugated_generators(case, seed):
     rng = rng_stream(seed)
     v = haar_unitary(structure.ambient_dim, rng)
     gens = [v @ ce.embed(ce.random_element(structure, rng)) @ v.conj().T for _ in range(2)]
-    found, w = ce.block_decompose(ce.generate_subalgebra(gens))
+    found, w = ce.block_decompose(ce.generate_subalgebra(gens).basis)
     assert sorted(found.blocks) == sorted(structure.blocks)
     rho = v @ ce.representative_density(om).matrix @ v.conj().T
     rediscovered = ce.state_from_density(w.conj().T @ rho @ w, found)
@@ -110,7 +110,7 @@ def test_discovered_blocks_do_not_depend_on_the_seed(case, rotation_seed, seed):
     rng = rng_stream(rotation_seed)
     v = haar_unitary(structure.ambient_dim, rng)
     gens = [v @ ce.embed(ce.random_element(structure, rng)) @ v.conj().T for _ in range(2)]
-    found, _ = ce.block_decompose(ce.generate_subalgebra(gens), seed=seed)
+    found, _ = ce.block_decompose(ce.generate_subalgebra(gens).basis, seed=seed)
     assert found.blocks == tuple(sorted(structure.blocks, key=lambda b: (-b[0], -b[1])))
 
 

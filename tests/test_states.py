@@ -7,10 +7,12 @@ import cstar_entropy as ce
 from cstar_entropy.errors import NotAStateError, ValidationError
 
 from helpers import (
+    multiplicity_free,
     random_ambient_density,
     random_state,
     random_structure,
     rng_stream,
+    standard_basis,
 )
 
 
@@ -65,7 +67,7 @@ class TestRepresentativeDensity:
             st = random_structure(rng)
             om = random_state(rng, st)
             rho = ce.representative_density(om).matrix
-            for a, mat in zip(ce.standard_basis(st), ce.embedded_standard_basis(st)):
+            for a, mat in zip(standard_basis(st), ce.embedded_standard_basis(st)):
                 assert abs(np.trace(rho @ mat) - om.expect(a)) < 1e-10
 
     def test_hs_projection_property(self):
@@ -248,7 +250,7 @@ class TestIsPure:
     def test_purity_is_representation_independent(self):
         rng = rng_stream(9)
         st = ce.make_algebra([(2, 3), (3, 2)])
-        flat = st.multiplicity_free()
+        flat = multiplicity_free(st)
         for trial in range(5):
             om = random_state(rng, st)
             p, rhos = ce.canonical_form(ce.representative_density(om), st)

@@ -1,4 +1,4 @@
-"""Repository tooling guards, checked by reading syntax trees only.
+"""Repository tooling guards, checked by reading syntax trees and the README only.
 
 ``perfbench/spans.py`` wraps each ``module.function`` in ``TRACED`` for a
 traced run; a rename in the package would otherwise only show up as a
@@ -8,10 +8,10 @@ depends on numpy and the standard library alone, a function of a state
 reads the algebra off the state instead of taking it as a second argument,
 every function and class the package defines is named somewhere else,
 ``algebra._assemble`` is the one builder of block matrices, every
-numerical cutoff is an entry of the one table ``_linalg.Cutoff``, only
-``states`` decides that a functional is not a state, and each stream
-contract has one constructor: Philox in ``_linalg.rng_stream``, SFC64 in
-``decomp._chunk_stream``.
+numerical cutoff is an entry of the one table ``_linalg.Cutoff``, which the
+README's cutoff table documents row by row, only ``states`` decides that a
+functional is not a state, and each stream contract has one constructor:
+Philox in ``_linalg.rng_stream``, SFC64 in ``decomp._chunk_stream``.
 """
 
 import ast
@@ -160,11 +160,15 @@ def test_small_float_literals_live_in_the_cutoff_table(path):
     assert not found, f"{path.name} has float literals below 1e-5 at lines {found}"
 
 
-def test_every_cutoff_table_entry_is_read():
+def _cutoff_entries():
     table = _cutoff_table(ast.parse((ROOT / "src" / "cstar_entropy" / "_linalg.py").read_text()))
-    entries = {target.id for node in table.body if isinstance(node, ast.Assign)
-               for target in node.targets} \
-        | {node.name for node in table.body if isinstance(node, ast.FunctionDef)}
+    return [target.id for node in table.body if isinstance(node, ast.Assign)
+            for target in node.targets] \
+        + [node.name for node in table.body if isinstance(node, ast.FunctionDef)]
+
+
+def test_every_cutoff_table_entry_is_read():
+    entries = set(_cutoff_entries())
     read = set()
     for path in SOURCES:
         tree = ast.parse(path.read_text())
@@ -173,6 +177,14 @@ def test_every_cutoff_table_entry_is_read():
                     and node.value.id == "Cutoff")
     assert len(entries) > 20
     assert not entries - read, f"cutoff table entries nothing reads: {sorted(entries - read)}"
+
+
+def test_readme_cutoff_table_names_every_entry_once():
+    # the README documents each entry of _linalg.Cutoff in one row, named in the first column
+    text = (ROOT / "README.md").read_text()
+    table = text[text.index("| Entry | Formula |"):].split("\n\n")[0].splitlines()[2:]
+    documented = [re.match(r"\s*\| `(\w+)", row).group(1) for row in table]
+    assert sorted(documented) == sorted(_cutoff_entries())
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
