@@ -34,26 +34,25 @@ print(np.round(generators[0], 2))
 # ----------------------------------------------------------------------
 # Discover the structure from the generators alone.  Products of random
 # combinations of I, S and S* are random elements of the generated algebra,
-# so no basis is built and nothing is closed under words.
+# so no basis is built and nothing is closed under words.  The generated
+# algebra is held in block form, as its structure and the change of basis W.
 # ----------------------------------------------------------------------
-blocks, w = ce.decompose_generated(generators, tol=1e-9, seed=0)
-print("\nrecovered structure:", blocks.blocks)
+sub = ce.generate_subalgebra(generators, tol=1e-9, seed=0)
+blocks = sub.structure.blocks
+print("\nrecovered structure:", blocks)
 
 # The change-of-basis unitary makes every generator block diagonal again.
 print("largest relative off-structure residual of the generators: %.2e"
-      % ce.generator_residual(generators, blocks, w))
-
-# The generated algebra in block form; its basis W (E_ab (x) I_m) W* / sqrt(m)
-# is read off W when asked for.
-sub = ce.generate_subalgebra(generators, tol=1e-9)
+      % ce.generator_residual(generators, sub))
 print("generated *-algebra dimension:", sub.dim)
 
 # Dimension laws: sum n^2 = algebra dimension, sum n*m = ambient dimension.
-print("sum n_i^2 =", sum(n * n for n, _ in blocks.blocks), "== span dim", sub.dim)
-print("sum n_i m_i =", sum(n * m for n, m in blocks.blocks), "== ambient", sub.ambient_dim)
+print("sum n_i^2 =", sum(n * n for n, _ in blocks), "== span dim", sub.dim)
+print("sum n_i m_i =", sum(n * m for n, m in blocks), "== ambient", sub.ambient_dim)
 
-# Discovery from that basis stack finds the same blocks.
-print("from the basis:", ce.block_decompose(sub.basis, tol=1e-9, seed=0)[0].blocks)
+# Its basis W (E_ab (x) I_m) W* / sqrt(m) is read off W when asked for, and
+# discovery from that basis stack finds the same blocks.
+print("from the basis:", ce.block_decompose(sub.basis, tol=1e-9, seed=0).structure.blocks)
 
 # ----------------------------------------------------------------------
 # The commutant sees the multiplicities mirrored: sum m_i^2 dimensions.  It
@@ -62,7 +61,7 @@ print("from the basis:", ce.block_decompose(sub.basis, tol=1e-9, seed=0)[0].bloc
 # ----------------------------------------------------------------------
 com = ce.commutant(sub)
 print("\ncommutant blocks:", com.structure.blocks)
-print("commutant dimension:", com.dim, "(expected", sum(m * m for _, m in blocks.blocks), ")")
+print("commutant dimension:", com.dim, "(expected", sum(m * m for _, m in blocks), ")")
 
 double = ce.commutant(com)
 print("double commutant equals the algebra:",

@@ -11,9 +11,7 @@ from .algebra import (
     SubalgebraBasis,
     block_decompose,
     commutant,
-    decompose_generated,
     embed,
-    embedded_standard_basis,
     generate_subalgebra,
     generator_residual,
     identity,
@@ -65,7 +63,6 @@ from .thermo import (
     compression_heat,
     gas_entropy,
     has_definite_value,
-    sectors_connectable,
     zeno_sequence,
     zeno_success_probability,
 )

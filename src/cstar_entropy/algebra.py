@@ -156,11 +156,6 @@ def embed(a: AlgebraElement) -> np.ndarray:
     return _assemble(a.parts, a.structure)
 
 
-def embedded_standard_basis(structure: BlockStructure) -> np.ndarray:
-    """Embedded matrix units E_ab, shape (algebra_dim, d, d), block by block, row-major."""
-    return _assemble(split_blocks(np.eye(structure.algebra_dim), structure), structure)
-
-
 def split_blocks(flat: np.ndarray, structure: BlockStructure) -> list[np.ndarray]:
     """Per-block parts (..., n_i, n_i) of standard-basis coefficients (..., algebra_dim)."""
     out, start = [], 0
@@ -239,12 +234,16 @@ class SubalgebraBasis:
         """Hilbert-Schmidt-orthonormal basis ``W (E_ab (x) I_{m_i}) W* / sqrt(m_i)``, block by
         block, row-major: a read-only (dim, d, d) stack, built on each call."""
         d = self.ambient_dim
-        parts = []
+        out = np.empty((self.dim, d, d), dtype=complex)
+        start = 0
         for sl, (n, m) in zip(self.structure.ambient_slices(), self.structure.blocks):
             cols = self.w[:, sl].reshape(d, n, m)
-            units = np.einsum("xap,ybp->abxy", cols, cols.conj()) / np.sqrt(m)
-            parts.append(units.reshape(n * n, d, d))
-        return frozen(np.concatenate(parts))
+            units = out[start:start + n * n].reshape(n, n, d, d)
+            np.einsum("xap,ybp->abxy", cols, cols.conj(), out=units)
+            units /= np.sqrt(m)
+            start += n * n
+        out.setflags(write=False)
+        return out
 
 
 def _letters(generators: Sequence[np.ndarray]) -> np.ndarray:
@@ -269,21 +268,21 @@ def _residual(mats: np.ndarray, structure: BlockStructure, w: np.ndarray) -> flo
     return float(np.max(structure_projection(w.conj().T @ mats @ w, structure)[1], initial=0.0))
 
 
-def generator_residual(generators: Sequence[np.ndarray], structure: BlockStructure,
-                       w: np.ndarray) -> float:
+def generator_residual(generators: Sequence[np.ndarray], sub: SubalgebraBasis) -> float:
     """Largest relative residual ``||W* S W - P(W* S W)||_F / ||S||_F`` over the generators S
-    and their adjoints, P the projection onto the structure (:func:`structure_projection`)."""
-    return _residual(_letters(generators), structure, w)
+    and their adjoints, P the projection onto sub's structure (:func:`structure_projection`)."""
+    return _residual(_letters(generators), sub.structure, sub.w)
 
 
-def decompose_generated(generators: Sequence[np.ndarray], tol: float = Cutoff.TOL,
-                        seed: int = 0) -> tuple[BlockStructure, np.ndarray]:
-    """Block structure of the smallest unital *-algebra A containing the generators.
+def generate_subalgebra(generators: Sequence[np.ndarray], tol: float = Cutoff.TOL,
+                        seed: int = 0) -> SubalgebraBasis:
+    """The smallest unital *-algebra A containing the generators, in block form.
 
-    Returns ``(structure, W)`` like :func:`block_decompose`, without a basis
-    of A.  A product of two random elements of span{I, S, S*} lies in A
-    (MeatAxe-style sampling: Holt & Rees, 1994), and the split draws its two
-    generic elements H (hermitized) and B that way.  The split
+    Returns the structure and W of A, like :func:`block_decompose`, without
+    a basis of A, and of dimension ``sum n_i^2``.  A product of two random
+    elements of span{I, S, S*} lies in A (MeatAxe-style sampling: Holt &
+    Rees, 1994), and the split draws its two generic elements H
+    (hermitized) and B that way; nothing is closed under words.  The split
     ``D = W ((+)_i M_{n_i} (x) I_{m_i}) W*`` is certified equal to A by:
     (i) every generator and its adjoint projects into D within
     ``Cutoff.certificate(tol)`` relative to its Frobenius norm, so A is in D;
@@ -291,14 +290,16 @@ def decompose_generated(generators: Sequence[np.ndarray], tol: float = Cutoff.TO
     graph connects, so A acts irreducibly on it, and (iii) distinct blocks
     carry disjoint H spectra, so no two are equivalent; by the density
     theorem D is then in A.  Checks (ii) and (iii) hold by construction.
-    ``tol`` is the relative eigenvalue-cluster gap.  The law
-    ``sum n_i m_i = d``, the unitarity of W and the alignment checks are
-    those of :func:`block_decompose`, with the same 8 seeded retries.
+    ``tol`` is the relative eigenvalue-cluster gap, not a rank cutoff.  The
+    law ``sum n_i m_i = d``, the unitarity of W and the alignment checks
+    are those of :func:`block_decompose`, with the same 8 seeded retries;
+    raises :class:`DecompositionError` when no attempt passes.
     """
     letters = _letters(generators)
-    return _discover(_word_sampler(letters),
-                     lambda structure, w, rng: _residual(letters, structure, w),
-                     letters.shape[-1], resolve_tol(tol, letters.shape[-1]), seed)
+    return SubalgebraBasis(*_discover(_word_sampler(letters),
+                                      lambda structure, w, rng: _residual(letters, structure, w),
+                                      letters.shape[-1], resolve_tol(tol, letters.shape[-1]),
+                                      seed))
 
 
 def _word_sampler(letters: np.ndarray) -> Callable[[np.random.Generator], np.ndarray]:
@@ -312,19 +313,6 @@ def _word_sampler(letters: np.ndarray) -> Callable[[np.random.Generator], np.nda
         return x @ y
 
     return sample
-
-
-def generate_subalgebra(generators: Sequence[np.ndarray],
-                        tol: float = Cutoff.TOL) -> SubalgebraBasis:
-    """The smallest unital *-algebra containing the generators, in block form.
-
-    Returns the ``(structure, W)`` of :func:`decompose_generated` (seed 0)
-    as a :class:`SubalgebraBasis`, of dimension ``sum n_i^2``.  Nothing is
-    closed under words: ``tol`` is discovery's relative eigenvalue-cluster
-    gap, not a rank cutoff.  Raises :class:`DecompositionError` when no
-    attempt passes the certificate.
-    """
-    return SubalgebraBasis(*decompose_generated(generators, tol))
 
 
 def commutant(sub: SubalgebraBasis) -> SubalgebraBasis:
@@ -441,13 +429,13 @@ def _discover_span(element: Callable[[np.ndarray], np.ndarray], dim: int, d: int
 
 
 def block_decompose(basis: np.ndarray, tol: float = Cutoff.TOL,
-                    seed: int = 0) -> tuple[BlockStructure, np.ndarray]:
+                    seed: int = 0) -> SubalgebraBasis:
     """Recover the block structure of a matrix *-algebra given by an orthonormal basis.
 
     ``basis`` is a (k, d, d) stack whose Gram matrix is I_k within ``Cutoff.gram(k)``; an
     empty, ragged, non-finite or non-orthonormal stack, or a span without the identity, is
-    a :class:`ValidationError`.  Returns ``(structure, W)`` with W unitary such that
-    conjugating the span by W gives ``(+)_i M_{n_i} (x) I_{m_i}``.  The eigenvalue clusters (at
+    a :class:`ValidationError`.  Returns the span as a :class:`SubalgebraBasis`, whose W
+    conjugates it to ``(+)_i M_{n_i} (x) I_{m_i}``.  The eigenvalue clusters (at
     relative gap ``tol``) of a random self-adjoint element A of the span are
     the spaces e (x) C^{m_i}, one per eigenvalue of each block of A.  A
     random element B couples two clusters iff they lie in one block: the
@@ -478,4 +466,5 @@ def block_decompose(basis: np.ndarray, tol: float = Cutoff.TOL,
     vec_id = np.eye(d, dtype=complex).reshape(-1)
     if not frob(vec_id - (rows.conj() @ vec_id) @ rows) <= Cutoff.identity_in_span(tol, np.sqrt(d)):
         raise ValidationError("subalgebra must contain the identity (unital closure)")
-    return _discover_span(lambda c: np.tensordot(c, mats, axes=1), k, d, tol, seed)
+    return SubalgebraBasis(*_discover_span(lambda c: np.tensordot(c, mats, axes=1), k, d,
+                                           tol, seed))

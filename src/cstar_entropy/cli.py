@@ -60,7 +60,7 @@ def _matrix_to_json(mat: np.ndarray) -> list:
 class _Problem:
     structure: alg.BlockStructure
     state: states.StateFunctional | None
-    transform: np.ndarray | None       # ambient change of basis from generator coordinates
+    sub: alg.SubalgebraBasis | None    # generated algebra; W changes generator to block coordinates
     generators: list[np.ndarray] | None
     unitary: np.ndarray | None
     tol: float
@@ -123,7 +123,7 @@ def _parse_problem(args, structure_only: bool = False) -> _Problem:
     algebra_form = doc.get("algebra")
     if not isinstance(algebra_form, dict) or len(algebra_form.keys() & {"blocks", "generators"}) != 1:
         raise _ParseError("algebra must contain exactly one of 'blocks' or 'generators'")
-    transform = gens = None
+    sub = gens = None
     if "blocks" in algebra_form:
         if structure_only:
             raise _ParseError("this command requires the algebra as generators")
@@ -138,14 +138,15 @@ def _parse_problem(args, structure_only: bool = False) -> _Problem:
     else:
         gens = [_complex_from_json(g, f"generator {k}", 2)
                 for k, g in enumerate(_json_list(algebra_form["generators"], "algebra generators"))]
-        structure, transform = alg.decompose_generated(gens, tol=tol, seed=seed)
+        sub = alg.generate_subalgebra(gens, tol=tol, seed=seed)
+        structure = sub.structure
 
     def to_blocks(mat: np.ndarray, what: str) -> np.ndarray:
-        if transform is None:
+        if sub is None:
             return mat
-        if mat.shape != transform.shape:
+        if mat.shape != sub.w.shape:
             raise _ParseError(f"{what}: shape {mat.shape} does not match the generators")
-        return transform.conj().T @ mat @ transform
+        return sub.w.conj().T @ mat @ sub.w
 
     state = None
     state_form = doc.get("state")
@@ -179,7 +180,7 @@ def _parse_problem(args, structure_only: bool = False) -> _Problem:
     unitary = None
     if "unitary" in doc:
         unitary = _complex_from_json(doc["unitary"], "unitary", 2)
-    return _Problem(structure=structure, state=state, transform=transform,
+    return _Problem(structure=structure, state=state, sub=sub,
                     generators=gens, unitary=unitary,
                     tol=tol, seed=seed, samples=samples)
 
@@ -206,7 +207,7 @@ def _cmd_structure(args) -> None:
     """Blocks, dimensions and the residual: the largest relative projection residual
     ``||W* S W - P(W* S W)|| / ||S||`` of the generators S and their adjoints."""
     problem = _parse_problem(args, structure_only=True)
-    residual = alg.generator_residual(problem.generators, problem.structure, problem.transform)
+    residual = alg.generator_residual(problem.generators, problem.sub)
     payload = {
         "blocks": [list(b) for b in problem.structure.blocks],
         "ambient_dim": problem.structure.ambient_dim,
@@ -220,7 +221,7 @@ def _cmd_structure(args) -> None:
         f"residual: {residual:.3e}",
     ]
     if args.show_unitary:
-        payload["unitary"] = _matrix_to_json(problem.transform)
+        payload["unitary"] = _matrix_to_json(problem.sub.w)
         lines.append(f"unitary: {payload['unitary']}")
     _emit(args, payload, lines)
 

@@ -47,10 +47,15 @@ def von_neumann(rho) -> float:
     return _entropy_of(rho.spectrum)
 
 
-def _representative_entropy(omega: StateFunctional) -> float:
-    """S_VN(rho_omega) from ``omega.spectra``: each eigenvalue w / m_i repeated m_i times."""
-    return _entropy_of(np.concatenate(
-        [np.repeat(w / m, m) for (_, m), (w, _) in zip(omega.structure.blocks, omega.spectra)]))
+def _representative_entropy(omega: StateFunctional,
+                            sectors: list[tuple[int, float, np.ndarray, np.ndarray]]) -> float:
+    """S_VN(rho_omega) over the blocks ``sectors`` (from ``active_sectors``) keeps, read off
+    ``omega.spectra``: each eigenvalue w / m_i repeated m_i times, renormalized over them."""
+    parts = []
+    for i, _, _, _ in sectors:
+        m = omega.structure.blocks[i][1]
+        parts.append(np.repeat(omega.spectra[i][0] / m, m))
+    return _entropy_of(np.concatenate(parts))
 
 
 @dataclass(frozen=True)
@@ -91,7 +96,7 @@ def state_entropy(omega: StateFunctional, tol: float | None = None) -> EntropyRe
         state_entropy=sector + mean,
         sector_entropy=sector,
         mean_block_entropy=mean,
-        vn_of_representative=_representative_entropy(omega),
+        vn_of_representative=_representative_entropy(omega, sectors),
         multiplicity_term=mult,
     )
 

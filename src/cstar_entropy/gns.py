@@ -97,22 +97,21 @@ class GnsSectors:
     multiplicity_states: tuple[np.ndarray, ...]
 
 
-def resolve_sectors(g: GnsData, tol: float | None = None, seed: int = 0) -> GnsSectors:
+def resolve_sectors(g: GnsData, seed: int = 0) -> GnsSectors:
     """Block-decompose the represented algebra and reduce the cyclic vector.
 
     The represented units of GNS block (n, r) are Hilbert-Schmidt orthogonal
     with norm sqrt(r), so discovery reads the represented algebra through
-    their combinations with coefficients scaled by 1/sqrt(r).  tol is
-    discovery's relative cluster gap, ``Cutoff.default(g.dim)`` by default.
+    their combinations with coefficients scaled by 1/sqrt(r).  Discovery's
+    relative cluster gap is ``Cutoff.default(g.dim)``.
     """
-    tol = resolve_tol(tol, g.dim)
-
     def element(c: np.ndarray) -> np.ndarray:
         return _assemble([x / np.sqrt(r) for x, (_, r) in
                           zip(split_blocks(c, g.gns_structure), g.gns_structure.blocks)],
                          g.gns_structure)
 
-    structure, w = _discover_span(element, g.gns_structure.algebra_dim, g.dim, tol, seed)
+    structure, w = _discover_span(element, g.gns_structure.algebra_dim, g.dim,
+                                  Cutoff.default(g.dim), seed)
     rotated = w.conj().T @ g.cyclic
     weights, mults = [], []
     for sl, (n, m) in zip(structure.ambient_slices(), structure.blocks):

@@ -17,7 +17,7 @@ from ._linalg import Cutoff, _is_real, check_int, resolve_tol
 from .algebra import AlgebraElement, identity
 from .entropy import _representative_entropy
 from .errors import DisconnectedSectorsError, ValidationError
-from .states import StateFunctional, active_sectors, is_pure
+from .states import StateFunctional, active_sectors
 
 
 @dataclass(frozen=True)
@@ -119,23 +119,6 @@ def gas_entropy(omega: StateFunctional, acct: GasAccount, tol: float | None = No
     if len(acct.sector_entropies) != omega.structure.num_blocks:
         raise ValidationError("one sector entropy per block required")
     tol = resolve_tol(tol, omega.structure.ambient_dim)
-    assigned = sum(w * acct.sector_entropies[i] for i, w, _, _ in active_sectors(omega, tol))
-    return _representative_entropy(omega) + float(assigned)
-
-
-def sectors_connectable(omega_a: StateFunctional, omega_b: StateFunctional,
-                        tol: float | None = None) -> bool:
-    """Whether two pure states over one algebra can be transformed into each other physically.
-
-    True iff their supporting sectors coincide; pure states of different
-    sectors are separated by a superselection rule.
-    """
-    if omega_a.structure.blocks != omega_b.structure.blocks:
-        raise ValidationError("states belong to different block structures")
-    tol = resolve_tol(tol, omega_a.structure.ambient_dim)
-    supports = []
-    for name, omega in (("first", omega_a), ("second", omega_b)):
-        if not is_pure(omega, tol):
-            raise ValidationError(f"{name} state is not pure")
-        supports.append(active_sectors(omega, tol)[0][0])
-    return supports[0] == supports[1]
+    sectors = active_sectors(omega, tol)
+    assigned = sum(w * acct.sector_entropies[i] for i, w, _, _ in sectors)
+    return _representative_entropy(omega, sectors) + float(assigned)

@@ -3,8 +3,11 @@
 import numpy as np
 
 import cstar_entropy as ce
-from cstar_entropy._linalg import haar_unitary, rng_stream
+from cstar_entropy._linalg import haar_unitary, resolve_tol, rng_stream
+from cstar_entropy.algebra import _assemble, split_blocks
 from cstar_entropy.entropy import _entropy_of
+from cstar_entropy.errors import ValidationError
+from cstar_entropy.states import active_sectors
 
 
 def random_structure(rng, max_ambient=12, max_blocks=3, multiplicities=True):
@@ -83,9 +86,14 @@ def multiplicity_free(structure):
     return ce.make_algebra([(n, 1) for n, _ in structure.blocks])
 
 
+def embedded_standard_basis(structure):
+    """Embedded matrix units E_ab, shape (algebra_dim, d, d), block by block, row-major."""
+    return _assemble(split_blocks(np.eye(structure.algebra_dim), structure), structure)
+
+
 def standard_basis(structure):
     """Matrix-unit basis of the abstract algebra, block by block, row-major: the elements
-    ``ce.embedded_standard_basis`` embeds, in its order."""
+    :func:`embedded_standard_basis` embeds, in its order."""
     out = []
     for i, (n, _) in enumerate(structure.blocks):
         for a in range(n):
@@ -108,6 +116,23 @@ def decomposition_entropy_split(dec):
     p = np.array([sum(ws) for ws in by_block.values()])
     within = sum(sum(ws) * _entropy_of(np.array(ws)) for ws in by_block.values())
     return _entropy_of(p), within
+
+
+def sectors_connectable(omega_a, omega_b, tol=None):
+    """Whether two pure states over one algebra can be transformed into each other physically.
+
+    True iff their supporting sectors coincide; pure states of different
+    sectors are separated by a superselection rule.
+    """
+    if omega_a.structure.blocks != omega_b.structure.blocks:
+        raise ValidationError("states belong to different block structures")
+    tol = resolve_tol(tol, omega_a.structure.ambient_dim)
+    supports = []
+    for name, omega in (("first", omega_a), ("second", omega_b)):
+        if not ce.is_pure(omega, tol):
+            raise ValidationError(f"{name} state is not pure")
+        supports.append(active_sectors(omega, tol)[0][0])
+    return supports[0] == supports[1]
 
 
 def closure_defect(basis):
@@ -133,7 +158,9 @@ __all__ = [
     "riesz_representative",
     "conjugated_algebra_generators",
     "multiplicity_free",
+    "embedded_standard_basis",
     "standard_basis",
+    "sectors_connectable",
     "decomposition_entropy_split",
     "closure_defect",
 ]

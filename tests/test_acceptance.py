@@ -12,6 +12,7 @@ import pytest
 import cstar_entropy as ce
 
 from helpers import (
+    embedded_standard_basis,
     haar_unitary,
     random_ambient_density,
     random_pure_state,
@@ -146,7 +147,7 @@ def test_criterion_6_structure_discovery(capsys):
         for trial in range(100):
             st = random_structure(rng, max_ambient=12)
             sub = ce.generate_subalgebra(conjugated_algebra_generators(rng, st))
-            blocks, w = ce.block_decompose(sub.basis, seed=trial)
+            blocks = ce.block_decompose(sub.basis, seed=trial).structure
             assert sorted(blocks.blocks) == sorted(st.blocks)
             assert blocks.algebra_dim == sub.dim
             assert blocks.ambient_dim == st.ambient_dim
@@ -161,7 +162,7 @@ def test_criterion_7_representative_uniqueness(capsys):
             st = random_structure(rng)
             om = random_state(rng, st)
             rep = ce.representative_density(om).matrix
-            for a, mat in zip(standard_basis(st), ce.embedded_standard_basis(st)):
+            for a, mat in zip(standard_basis(st), embedded_standard_basis(st)):
                 assert abs(np.trace(rep @ mat) - om.expect(a)) <= 1e-10
             # the representative is the Hilbert-Schmidt projection of any
             # ambient density matrix inducing the same functional
@@ -170,7 +171,7 @@ def test_criterion_7_representative_uniqueness(capsys):
             rep2 = ce.representative_density(om2).matrix
             proj, _ = ce.structure_projection(rho, st)
             assert np.allclose(rep2, proj, atol=1e-9)
-            for mat in ce.embedded_standard_basis(st):
+            for mat in embedded_standard_basis(st):
                 assert abs(np.trace((rho - rep2) @ mat)) <= 1e-10
 
 

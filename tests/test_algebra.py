@@ -224,22 +224,20 @@ class TestGenerateSubalgebra:
         with pytest.raises(ValidationError):
             ce.generate_subalgebra([np.diag([1.0, np.nan])])
 
-
-class TestDecomposeGenerated:
     def test_zero_generator_gives_the_scalars(self):
-        found, w = ce.decompose_generated([np.zeros((3, 3))])
-        assert found.blocks == ((1, 3),)
-        assert np.allclose(w.conj().T @ w, np.eye(3))
+        sub = ce.generate_subalgebra([np.zeros((3, 3))])
+        assert sub.structure.blocks == ((1, 3),)
+        assert np.allclose(sub.w.conj().T @ sub.w, np.eye(3))
 
     def test_residual_is_relative_to_each_generator(self):
         rng = rng_stream(31)
         st = ce.make_algebra([(2, 2), (1, 1)])
         gens = conjugated_algebra_generators(rng, st)
-        found, w = ce.decompose_generated(gens)
-        assert ce.generator_residual(gens, found, w) <= 1e-12
+        sub = ce.generate_subalgebra(gens)
+        assert ce.generator_residual(gens, sub) <= 1e-12
         scaled = [1e6 * gens[0], 1e-6 * gens[1]]
-        assert ce.decompose_generated(scaled)[0].blocks == found.blocks
-        assert ce.generator_residual(scaled, found, w) <= 1e-12
+        assert ce.generate_subalgebra(scaled).structure.blocks == sub.structure.blocks
+        assert ce.generator_residual(scaled, sub) <= 1e-12
 
     def test_letters_check_rejects_a_spoiled_unitary(self):
         # Rotating the discovered W by a small unitary R leaves a letters'
@@ -250,25 +248,29 @@ class TestDecomposeGenerated:
         st = ce.make_algebra([(2, 2), (1, 1)])
         d = st.ambient_dim
         gens = conjugated_algebra_generators(rng, st)
-        found, w = ce.decompose_generated(gens)
+        sub = ce.generate_subalgebra(gens)
         herm = hermitize(complex_gaussian((d, d), rng))
 
         def rotation(eps):
             vals, vecs = np.linalg.eigh(herm)
             return (vecs * np.exp(1j * eps * vals)) @ vecs.conj().T
 
+        def rotated(rot):
+            return ce.SubalgebraBasis(sub.structure, rot @ sub.w)
+
         bound = 1e-6
-        eps = 1e-4 * 2 * bound / ce.generator_residual(gens, found, rotation(1e-4) @ w)
+        eps = 1e-4 * 2 * bound / ce.generator_residual(gens, rotated(rotation(1e-4)))
         rot = rotation(eps)
-        assert ce.generator_residual(gens, found, rot @ w) == pytest.approx(2 * bound, rel=1e-3)
+        assert ce.generator_residual(gens, rotated(rot)) == pytest.approx(2 * bound, rel=1e-3)
 
         def discover(rot, seed):
             spoiled = [rot.conj().T @ g @ rot for g in gens]
             return _discover(_word_sampler(_letters(gens)),
-                             lambda structure, v, rng: ce.generator_residual(spoiled, structure, v),
+                             lambda structure, v, rng: ce.generator_residual(
+                                 spoiled, ce.SubalgebraBasis(structure, v)),
                              d, 1e-9, seed)
 
-        assert discover(np.eye(d), 0)[0].blocks == found.blocks
+        assert discover(np.eye(d), 0)[0].blocks == sub.structure.blocks
         for seed in range(100):
             with pytest.raises(DecompositionError) as err:
                 discover(rot, seed)
@@ -279,7 +281,7 @@ class TestDecomposeGenerated:
         scripted = iter([0.5, 0.3, 0.9, 0.1, 0.7, 0.2, 0.8, 0.4])
         monkeypatch.setattr(algebra, "_residual", lambda *args: next(scripted))
         with pytest.raises(DecompositionError) as err:
-            ce.decompose_generated([np.diag([1.0, 2.0, 3.0])])
+            ce.generate_subalgebra([np.diag([1.0, 2.0, 3.0])])
         assert next(scripted, None) is None
         assert err.value.residual == 0.1
 
@@ -361,32 +363,30 @@ class TestBlockDecompose:
     def test_full_m3(self):
         rng = rng_stream(21)
         g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        blocks, w = ce.block_decompose(ce.generate_subalgebra([g]).basis, seed=1)
-        assert blocks.blocks == ((3, 1),)
-        assert np.allclose(w @ w.conj().T, np.eye(3), atol=1e-9)
+        found = ce.block_decompose(ce.generate_subalgebra([g]).basis, seed=1)
+        assert found.structure.blocks == ((3, 1),)
+        assert np.allclose(found.w @ found.w.conj().T, np.eye(3), atol=1e-9)
 
     def test_conjugated_block_with_multiplicity(self):
         rng = rng_stream(22)
         st = ce.make_algebra([(2, 2)])
         sub = ce.generate_subalgebra(conjugated_algebra_generators(rng, st))
-        blocks, _ = ce.block_decompose(sub.basis, seed=2)
-        assert blocks.blocks == ((2, 2),)
+        assert ce.block_decompose(sub.basis, seed=2).structure.blocks == ((2, 2),)
 
     def test_conjugated_diagonal(self):
         rng = rng_stream(23)
         v = haar_unitary(3, rng)
         sub = ce.generate_subalgebra([v @ np.diag([1.0, 2.0, 3.0]).astype(complex) @ v.conj().T])
-        blocks, _ = ce.block_decompose(sub.basis, seed=2)
-        assert blocks.blocks == ((1, 1), (1, 1), (1, 1))
+        assert ce.block_decompose(sub.basis, seed=2).structure.blocks == ((1, 1), (1, 1), (1, 1))
 
     def test_transformed_basis_is_block_diagonal(self):
         rng = rng_stream(24)
         st = ce.make_algebra([(2, 1), (1, 2)])
         sub = ce.generate_subalgebra(conjugated_algebra_generators(rng, st))
-        blocks, w = ce.block_decompose(sub.basis, seed=4)
-        assert sorted(blocks.blocks) == sorted(st.blocks)
+        found = ce.block_decompose(sub.basis, seed=4)
+        assert sorted(found.structure.blocks) == sorted(st.blocks)
         for mat in sub.basis:
-            _, res = ce.structure_projection(w.conj().T @ mat @ w, blocks)
+            _, res = ce.structure_projection(found.w.conj().T @ mat @ found.w, found.structure)
             assert res < 1e-8
 
     def test_roundtrip_recovers_multiset(self):
@@ -394,10 +394,10 @@ class TestBlockDecompose:
         for trial in range(8):
             st = random_structure(rng, max_ambient=10)
             sub = ce.generate_subalgebra(conjugated_algebra_generators(rng, st))
-            blocks, _ = ce.block_decompose(sub.basis, seed=trial)
-            assert sorted(blocks.blocks) == sorted(st.blocks)
-            assert blocks.algebra_dim == sub.dim
-            assert blocks.ambient_dim == sub.ambient_dim
+            found = ce.block_decompose(sub.basis, seed=trial)
+            assert sorted(found.structure.blocks) == sorted(st.blocks)
+            assert found.dim == sub.dim
+            assert found.ambient_dim == sub.ambient_dim
 
     @pytest.mark.parametrize("blocks", [((2, 1), (2, 1)), ((1, 1), (1, 1), (1, 1)),
                                         ((1, 2), (1, 2)), ((2, 2), (2, 2), (1, 1))])
@@ -408,15 +408,15 @@ class TestBlockDecompose:
         st = ce.make_algebra(blocks)
         sub = ce.generate_subalgebra(conjugated_algebra_generators(rng, st))
         for seed in range(4):
-            found, w = ce.block_decompose(sub.basis, seed=seed)
-            assert found.blocks == blocks
-            residual = ce.structure_projection(w.conj().T @ sub.basis @ w, found)[1]
+            found = ce.block_decompose(sub.basis, seed=seed)
+            assert found.structure.blocks == blocks
+            residual = ce.structure_projection(found.w.conj().T @ sub.basis @ found.w,
+                                               found.structure)[1]
             assert np.max(residual) < 1e-8
 
     def test_scalars_are_one_block_with_multiplicity(self):
         sub = ce.generate_subalgebra([np.eye(4)])
-        blocks, _ = ce.block_decompose(sub.basis, seed=0)
-        assert blocks.blocks == ((1, 4),)
+        assert ce.block_decompose(sub.basis, seed=0).structure.blocks == ((1, 4),)
 
     def test_non_unital_span_rejected(self):
         # an orthonormal non-unital set is not a valid algebra basis here
@@ -457,13 +457,13 @@ class TestBlockDecompose:
         rng = rng_stream(29)
         st = ce.make_algebra([(2, 2), (1, 1)])
         sub = ce.generate_subalgebra(conjugated_algebra_generators(rng, st))
-        found, w = ce.block_decompose(sub.basis, seed=0)
+        found = ce.block_decompose(sub.basis, seed=0)
         herm = hermitize(complex_gaussian((st.ambient_dim,) * 2, rng))
 
         def stack_residual(rot):
-            spoiled = rot @ w
+            spoiled = rot @ found.w
             return np.max(ce.structure_projection(spoiled.conj().T @ sub.basis @ spoiled,
-                                                  found)[1])
+                                                  found.structure)[1])
 
         def rotation(eps):
             vals, vecs = np.linalg.eigh(herm)
@@ -481,7 +481,7 @@ class TestBlockDecompose:
             return element
 
         assert _discover_span(seen_through(np.eye(st.ambient_dim)), sub.dim, st.ambient_dim,
-                              1e-9, 0)[0].blocks == found.blocks
+                              1e-9, 0)[0].blocks == found.structure.blocks
         for seed in range(100):
             with pytest.raises(DecompositionError) as err:
                 _discover_span(seen_through(rot), sub.dim, st.ambient_dim, 1e-9, seed)
@@ -491,15 +491,15 @@ class TestBlockDecompose:
         rng = rng_stream(27)
         st = ce.make_algebra([(2, 2), (1, 1)])
         sub = ce.generate_subalgebra(conjugated_algebra_generators(rng, st))
-        b1, w1 = ce.block_decompose(sub.basis, seed=7)
-        b2, w2 = ce.block_decompose(sub.basis, seed=7)
-        assert b1.blocks == b2.blocks
-        assert np.array_equal(w1, w2)
+        first = ce.block_decompose(sub.basis, seed=7)
+        second = ce.block_decompose(sub.basis, seed=7)
+        assert first.structure.blocks == second.structure.blocks
+        assert np.array_equal(first.w, second.w)
 
 
 def _pinned_digests():
     # Two sha256 digests over one seeded loop: discovery's bits (blocks and W of
-    # seeded decompose_generated and block_decompose calls) and the sectors
+    # seeded generate_subalgebra and block_decompose calls) and the sectors
     # resolve_sectors reads off the GNS representation of a few states (its W is
     # not returned, but the weights and multiplicity states are computed from it).
     import hashlib
@@ -517,8 +517,10 @@ def _pinned_digests():
         st = ce.make_algebra(blocks)
         gens = conjugated_algebra_generators(rng, st)
         for seed in (0, 5):
-            pin(discovery, *ce.decompose_generated(gens, seed=seed))
-        pin(discovery, *ce.block_decompose(ce.generate_subalgebra(gens).basis, seed=3))
+            sub = ce.generate_subalgebra(gens, seed=seed)
+            pin(discovery, sub.structure, sub.w)
+        found = ce.block_decompose(ce.generate_subalgebra(gens).basis, seed=3)
+        pin(discovery, found.structure, found.w)
         for om in (random_state(rng, st), random_pure_state(rng, st)):
             sectors = ce.resolve_sectors(ce.gns_construct(om), seed=1)
             pin(sectors_digest, sectors.structure, sectors.weights, *sectors.multiplicity_states)

@@ -12,7 +12,8 @@ from cstar_entropy import entropy as entropy_module
 from cstar_entropy._linalg import complex_gaussian
 from cstar_entropy.cli import main
 
-from helpers import conjugated_algebra_generators, haar_unitary, random_block_density, rng_stream
+from helpers import (conjugated_algebra_generators, embedded_standard_basis, haar_unitary,
+                     random_block_density, rng_stream)
 
 
 def _mat(m):
@@ -77,7 +78,7 @@ class TestEntropyCommand:
     def test_values_on_declared_basis(self, tmp_path, capsys):
         st = ce.make_algebra([(2, 1)])
         rho = np.diag([0.25, 0.75]).astype(complex)
-        basis = list(ce.embedded_standard_basis(st))
+        basis = list(embedded_standard_basis(st))
         values = [[float(np.trace(rho @ b).real), float(np.trace(rho @ b).imag)]
                   for b in basis]
         doc = {
@@ -400,7 +401,7 @@ class TestRoutesAgreeOnWhatIsAState:
         st = ce.make_algebra([tuple(b) for b in blocks])
         doc = {"algebra": {"blocks": blocks},
                "state": {"values": [[v, 0.0] for v in values],
-                         "basis": [_mat(b) for b in ce.embedded_standard_basis(st)]}}
+                         "basis": [_mat(b) for b in embedded_standard_basis(st)]}}
         path = _write(tmp_path, doc)
         flags = ["--json"] + ([] if tol is None else ["--tol", tol])
         codes = {command: main([command, path, *flags]) for command in ("entropy", "oracle", "gns")}
@@ -428,7 +429,7 @@ class TestRejectedInputs:
 
     def test_non_self_adjoint_values_exit_4(self, tmp_path, capsys):
         st = ce.make_algebra([(2, 1)])
-        basis = [_mat(b) for b in ce.embedded_standard_basis(st)]
+        basis = [_mat(b) for b in embedded_standard_basis(st)]
         # omega(E_11), omega(E_12), omega(E_21), omega(E_22): omega(E_21) != conj omega(E_12)
         values = [[0.5, 0.0], [0.5, 0.0], [0.0, 0.0], [0.5, 0.0]]
         doc = {"algebra": {"blocks": [[2, 1]]}, "state": {"values": values, "basis": basis}}
@@ -528,7 +529,7 @@ class TestRejectedInputs:
         assert json.loads(capsys.readouterr().out)["samples"] == 40
 
 
-_UNITS = ce.embedded_standard_basis(ce.make_algebra([(2, 1), (1, 1)]))
+_UNITS = embedded_standard_basis(ce.make_algebra([(2, 1), (1, 1)]))
 _OUTSIDE = _UNITS[4] + np.eye(3)[:, [0]] @ np.eye(3)[[2]]   # E_33 + E_13
 
 

@@ -698,7 +698,7 @@ _E1, _E2 = np.eye(2)
     lambda: ce.zeno_sequence(_E1, _E2, 2.5),
     lambda: ce.resolve_sectors(_M2_GNS, seed=2.5),
     lambda: ce.gns_state_entropy(_M2_STATE, seed=True),
-    lambda: ce.decompose_generated([np.diag([1.0, 2.0])], seed="3"),
+    lambda: ce.generate_subalgebra([np.diag([1.0, 2.0])], seed="3"),
     lambda: ce.block_decompose([np.eye(2) / np.sqrt(2)], seed=2.5),
     lambda: ce.identity_decomposition_random(ce.resolve_sectors(_M2_GNS), seed=True),
     lambda: ce.identity_decomposition_random(ce.resolve_sectors(_M2_GNS), sizes={0: 2.5}),
@@ -715,7 +715,7 @@ _E1, _E2 = np.eye(2)
         "subalgebra_basis", "block_decompose", "gas_account_copies_nan", "gas_account_copies_fraction",
         "gas_account_copies_bool", "gas_account_temperature_inf", "gas_account_temperature_bool",
         "gas_account_boltzmann_inf", "zeno_sequence_k_fraction", "resolve_sectors_seed_fraction",
-        "gns_state_entropy_seed_bool", "decompose_generated_seed_str",
+        "gns_state_entropy_seed_bool", "generate_subalgebra_seed_str",
         "block_decompose_seed_fraction", "identity_decomposition_random_seed_bool",
         "identity_decomposition_random_sizes_fraction", "identity_decomposition_random_sizes_str",
         "identity_decomposition_random_sizes_bool", "identity_decomposition_random_sizes_no_block",

@@ -253,6 +253,16 @@ class TestSectorsBelowTol:
         assert found == pytest.approx(expected, abs=1e-12)
         assert np.allclose(self._by_block(dec), [*kept, 0.0], rtol=0.0, atol=1e-12)
 
+    def test_representative_entropy_reads_the_kept_sectors(self):
+        # vn_of_representative = state_entropy + multiplicity_term, and the gas entropy with
+        # zero sector entropies and no multiplicities is the state entropy, at a dropping tol too
+        om, _ = self._state()
+        report = ce.state_entropy(om, 1e-6)
+        assert report.vn_of_representative == pytest.approx(
+            report.state_entropy + report.multiplicity_term, abs=1e-12)
+        acct = ce.GasAccount(copies=1, temperature=1.0, sector_entropies=np.zeros(3))
+        assert ce.gas_entropy(om, acct, 1e-6) == pytest.approx(report.state_entropy, abs=1e-12)
+
 
 class TestRepresentativeEntropyFromBlockSpectra:
     @staticmethod

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 import cstar_entropy as ce
 from cstar_entropy.cli import main
 
-from helpers import haar_unitary, riesz_representative, rng_stream
+from helpers import embedded_standard_basis, haar_unitary, riesz_representative, rng_stream
 
 PROPERTY_SETTINGS = settings(max_examples=100, deadline=None, derandomize=True)
 DISCOVERY_SETTINGS = settings(max_examples=30, deadline=None, derandomize=True)
@@ -53,7 +53,7 @@ def structures_and_states(draw, max_n=5, max_m=3, max_blocks=4):
 def test_closed_form_matches_riesz_solve(case):
     structure, om, _ = case
     closed = ce.representative_density(om).matrix
-    riesz = riesz_representative(ce.embedded_standard_basis(structure), om.values())
+    riesz = riesz_representative(embedded_standard_basis(structure), om.values())
     assert np.max(np.abs(closed - riesz)) <= 1e-12
 
 
@@ -94,10 +94,10 @@ def test_entropy_invariant_under_conjugated_generators(case, seed):
     rng = rng_stream(seed)
     v = haar_unitary(structure.ambient_dim, rng)
     gens = [v @ ce.embed(ce.random_element(structure, rng)) @ v.conj().T for _ in range(2)]
-    found, w = ce.block_decompose(ce.generate_subalgebra(gens).basis)
-    assert sorted(found.blocks) == sorted(structure.blocks)
+    found = ce.block_decompose(ce.generate_subalgebra(gens).basis)
+    assert sorted(found.structure.blocks) == sorted(structure.blocks)
     rho = v @ ce.representative_density(om).matrix @ v.conj().T
-    rediscovered = ce.state_from_density(w.conj().T @ rho @ w, found)
+    rediscovered = ce.state_from_density(found.w.conj().T @ rho @ found.w, found.structure)
     s = ce.state_entropy(om).state_entropy
     assert abs(ce.state_entropy(rediscovered).state_entropy - s) <= 1e-10
 
@@ -110,8 +110,8 @@ def test_discovered_blocks_do_not_depend_on_the_seed(case, rotation_seed, seed):
     rng = rng_stream(rotation_seed)
     v = haar_unitary(structure.ambient_dim, rng)
     gens = [v @ ce.embed(ce.random_element(structure, rng)) @ v.conj().T for _ in range(2)]
-    found, _ = ce.block_decompose(ce.generate_subalgebra(gens).basis, seed=seed)
-    assert found.blocks == tuple(sorted(structure.blocks, key=lambda b: (-b[0], -b[1])))
+    found = ce.block_decompose(ce.generate_subalgebra(gens).basis, seed=seed)
+    assert found.structure.blocks == tuple(sorted(structure.blocks, key=lambda b: (-b[0], -b[1])))
 
 
 @DISCOVERY_SETTINGS
@@ -195,7 +195,7 @@ def problem_files(draw, mutation):
     rho = _density(rng, d, draw(st.integers(1, d)))
     # a mutation of the weights or of the declared basis needs the state form that has them
     form = _FORM_OF.get(mutation) or draw(st.sampled_from(["density", "canonical", "values"]))
-    units = ce.embedded_standard_basis(structure)
+    units = embedded_standard_basis(structure)
     if form == "density":
         state = {"density": _pairs(rho)}
     elif form == "canonical":

@@ -7,11 +7,13 @@ import cstar_entropy as ce
 from cstar_entropy.errors import NotAStateError, ValidationError
 
 from helpers import (
+    embedded_standard_basis,
     multiplicity_free,
     random_ambient_density,
     random_state,
     random_structure,
     rng_stream,
+    sectors_connectable,
     standard_basis,
 )
 
@@ -67,7 +69,7 @@ class TestRepresentativeDensity:
             st = random_structure(rng)
             om = random_state(rng, st)
             rho = ce.representative_density(om).matrix
-            for a, mat in zip(standard_basis(st), ce.embedded_standard_basis(st)):
+            for a, mat in zip(standard_basis(st), embedded_standard_basis(st)):
                 assert abs(np.trace(rho @ mat) - om.expect(a)) < 1e-10
 
     def test_hs_projection_property(self):
@@ -77,7 +79,7 @@ class TestRepresentativeDensity:
         rho = random_ambient_density(rng, 5)
         om = ce.state_from_density(rho, st)
         rep = ce.representative_density(om).matrix
-        for mat in ce.embedded_standard_basis(st):
+        for mat in embedded_standard_basis(st):
             assert abs(np.trace((rho - rep) @ mat)) < 1e-10
 
     def test_uniqueness_in_algebra_span(self):
@@ -109,7 +111,7 @@ class TestRepresentativeDensity:
 
     def test_non_self_adjoint_values_rejected(self):
         st = ce.make_algebra([(2, 1)])
-        basis = list(ce.embedded_standard_basis(st))
+        basis = list(embedded_standard_basis(st))
         with pytest.raises(NotAStateError):
             ce.state_from_values(st, basis, [0.5, 0.5, 0.0, 0.5])
 
@@ -149,7 +151,7 @@ class TestStateIsCheckedOnce:
         ce.is_pure(om)
         ce.infimum_oracle(om, samples=5)
         ce.gas_entropy(om, acct)
-        ce.sectors_connectable(pure, pure)
+        sectors_connectable(pure, pure)
         ce.gns_construct(om)
         assert calls == []
 
@@ -310,7 +312,7 @@ class TestStateFromValues:
         rng = rng_stream(13)
         st = ce.make_algebra([(2, 1), (1, 1)])
         om = random_state(rng, st)
-        basis = list(ce.embedded_standard_basis(st))
+        basis = list(embedded_standard_basis(st))
         values = [np.trace(ce.representative_density(om).matrix @ b) for b in basis]
         om2 = ce.state_from_values(st, basis, values)
         assert np.allclose(om.values(), om2.values(), atol=1e-9)
@@ -318,14 +320,14 @@ class TestStateFromValues:
     def test_missing_basis_element_rejected(self):
         # four of the five elements of C^{2x2} (+) C: omega(E11 - E22) is never given
         st = ce.make_algebra([(2, 1), (1, 1)])
-        units = ce.embedded_standard_basis(st)
+        units = embedded_standard_basis(st)
         basis = [units[0] + units[3], units[1], units[2], units[4]]
         with pytest.raises(ValidationError, match="exactly 5"):
             ce.state_from_values(st, basis, [0.6, 0.0, 0.0, 0.4])
 
     def test_dependent_basis_element_rejected(self):
         st = ce.make_algebra([(2, 1), (1, 1)])
-        units = ce.embedded_standard_basis(st)
+        units = embedded_standard_basis(st)
         basis = [units[0], units[1], units[2], units[4], units[0] + units[4]]
         with pytest.raises(ValidationError, match="linearly independent"):
             ce.state_from_values(st, basis, [0.3, 0.0, 0.0, 0.4, 0.7])
@@ -346,7 +348,7 @@ class TestStateFromValues:
 
     def test_non_positive_values_rejected(self):
         st = ce.make_algebra([(2, 1)])
-        basis = list(ce.embedded_standard_basis(st))
+        basis = list(embedded_standard_basis(st))
         values = [1.5, 0.0, 0.0, -0.5]
         with pytest.raises(NotAStateError):
             ce.state_from_values(st, basis, values)

@@ -6,7 +6,8 @@ import pytest
 import cstar_entropy as ce
 from cstar_entropy.errors import DisconnectedSectorsError, ValidationError
 
-from helpers import random_pure_state, random_state, random_structure, rng_stream
+from helpers import (random_pure_state, random_state, random_structure, rng_stream,
+                     sectors_connectable)
 
 ZENO_10 = 0.7805460697811408  # cos(pi/20)^20, direct evaluation
 STEP_10 = 0.9755282581475768  # cos(pi/20)^2
@@ -198,20 +199,20 @@ class TestSectorsConnectable:
         st = ce.make_algebra([(2, 1), (2, 1)])
         om_a = random_pure_state(rng, st, block=0)
         om_b = random_pure_state(rng, st, block=0)
-        assert ce.sectors_connectable(om_a, om_b)
+        assert sectors_connectable(om_a, om_b)
 
     def test_different_blocks(self):
         rng = rng_stream(96)
         st = ce.make_algebra([(2, 1), (2, 1)])
         om_a = random_pure_state(rng, st, block=0)
         om_b = random_pure_state(rng, st, block=1)
-        assert not ce.sectors_connectable(om_a, om_b)
+        assert not sectors_connectable(om_a, om_b)
 
     def test_state_with_itself(self):
         rng = rng_stream(97)
         st = ce.make_algebra([(3, 1), (1, 1)])
         om = random_pure_state(rng, st)
-        assert ce.sectors_connectable(om, om)
+        assert sectors_connectable(om, om)
 
     def test_mixed_state_rejected(self):
         rng = rng_stream(98)
@@ -219,11 +220,11 @@ class TestSectorsConnectable:
         om_mixed = random_state(rng, st)
         om_pure = random_pure_state(rng, st)
         with pytest.raises(ValidationError):
-            ce.sectors_connectable(om_mixed, om_pure)
+            sectors_connectable(om_mixed, om_pure)
 
     def test_states_over_different_algebras_rejected(self):
         rng = rng_stream(99)
         om_a = random_pure_state(rng, ce.make_algebra([(2, 1), (2, 1)]))
         om_b = random_pure_state(rng, ce.make_algebra([(2, 1)]))
         with pytest.raises(ValidationError, match="different block structures"):
-            ce.sectors_connectable(om_a, om_b)
+            sectors_connectable(om_a, om_b)

@@ -6,7 +6,8 @@ traced run; a rename in the package would otherwise only show up as a
 tree; the file is neither executed nor modified.  The package's runtime
 depends on numpy and the standard library alone, a function of a state
 reads the algebra off the state instead of taking it as a second argument,
-every function and class the package defines is named somewhere else,
+no public function returns a discovered algebra as a bare (structure, W)
+tuple, every function and class the package defines is named somewhere else,
 ``algebra._assemble`` is the one builder of block matrices, every
 numerical cutoff is an entry of the one table ``_linalg.Cutoff``, which the
 README's cutoff table documents row by row, only ``states`` decides that a
@@ -90,8 +91,20 @@ def test_no_public_callable_takes_both_a_state_and_a_structure():
                 re.search(r"\bBlockStructure\b", annotations):
             offenders.append(name)
     assert {"entropy.state_entropy", "states.canonical_form", "states.StateFunctional.expect",
-            "thermo.sectors_connectable"} <= scanned
+            "thermo.gas_entropy"} <= scanned
     assert not offenders, f"take both a StateFunctional and a BlockStructure: {offenders}"
+
+
+def test_no_public_function_returns_a_bare_structure_and_unitary():
+    # a discovered algebra has one public form, the SubalgebraBasis pair (structure, W)
+    scanned, offenders = set(), []
+    for name, obj in _public_callables():
+        scanned.add(name)
+        returns = str(inspect.signature(obj).return_annotation)
+        if re.search(r"tuple\[\s*BlockStructure\s*,\s*np\.ndarray\s*\]", returns):
+            offenders.append(name)
+    assert {"algebra.generate_subalgebra", "algebra.block_decompose"} <= scanned
+    assert not offenders, f"return a bare (BlockStructure, ndarray) tuple: {offenders}"
 
 
 def _names_used(tree):
