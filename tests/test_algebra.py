@@ -1,5 +1,7 @@
 """Tests for block structures, embeddings, closures, commutants and discovery."""
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -9,8 +11,8 @@ from cstar_entropy._linalg import complex_gaussian, hermitize
 from cstar_entropy.algebra import _discover, _discover_span, _letters, _word_sampler
 from cstar_entropy.errors import DecompositionError, ValidationError
 
-from helpers import (closure_defect, conjugated_algebra_generators, haar_unitary,
-                     multiplicity_free, random_pure_state, random_state, random_structure,
+from helpers import (closure_defect, conjugated_algebra_generators, embedded_standard_basis,
+                     haar_unitary, multiplicity_free, random_pure_state, random_state, random_structure,
                      rng_stream)
 
 
@@ -179,6 +181,21 @@ class TestSubalgebraBasis:
         assert np.array_equal(sub.w, w) and not sub.w.flags.writeable
         assert (sub.ambient_dim, sub.dim) == (3, 2)
 
+    @pytest.mark.parametrize("blocks", [((1, 3),), ((2, 1), (1, 2)), ((2, 3), (1, 1)),
+                                        ((3, 2), (2, 1), (1, 1))])
+    def test_basis_is_one_orthonormal_read_only_stack(self, blocks):
+        # W (E_ab (x) I_m) W* / sqrt(m), block by block, row-major, from the embedded units
+        st = ce.make_algebra(blocks)
+        w = haar_unitary(st.ambient_dim, rng_stream(17))
+        basis = ce.SubalgebraBasis(st, w).basis
+        scale = np.repeat([np.sqrt(m) for _, m in st.blocks], [n * n for n, _ in st.blocks])
+        expected = w @ embedded_standard_basis(st) @ w.conj().T / scale[:, None, None]
+        assert basis.shape == (st.algebra_dim, st.ambient_dim, st.ambient_dim)
+        assert np.max(np.abs(basis - expected)) <= 1e-14
+        gram = np.einsum("kxy,lxy->kl", basis.conj(), basis)
+        assert np.max(np.abs(gram - np.eye(st.algebra_dim))) <= 1e-13
+        assert not basis.flags.writeable
+
 
 class TestGenerateSubalgebra:
     def test_identity_generator(self):
@@ -223,6 +240,20 @@ class TestGenerateSubalgebra:
             ce.generate_subalgebra([np.eye(2), np.eye(3)])
         with pytest.raises(ValidationError):
             ce.generate_subalgebra([np.diag([1.0, np.nan])])
+
+    @pytest.mark.parametrize("seed", [0, 1, 5, 17])
+    def test_seed_moves_w_within_the_algebra(self, seed):
+        # every seed finds the same algebra: equal blocks, a residual at rounding level and
+        # the span of seed 0's basis; one seed gives the same bits twice
+        st = ce.make_algebra([(2, 2), (1, 1)])
+        gens = conjugated_algebra_generators(rng_stream(19), st)
+        sub = ce.generate_subalgebra(gens, seed=seed)
+        assert sorted(sub.structure.blocks) == sorted(st.blocks)
+        assert ce.generator_residual(gens, sub) <= 1e-12
+        ref = ce.generate_subalgebra(gens).basis.reshape(st.algebra_dim, -1)
+        rows = sub.basis.reshape(st.algebra_dim, -1)
+        assert np.max(np.abs(rows - (rows @ ref.conj().T) @ ref)) <= 1e-12
+        assert np.array_equal(ce.generate_subalgebra(gens, seed=seed).w, sub.w)
 
     def test_zero_generator_gives_the_scalars(self):
         sub = ce.generate_subalgebra([np.zeros((3, 3))])
@@ -326,6 +357,17 @@ class TestCommutant:
         double = ce.commutant(com)
         assert double.structure.blocks == sub.structure.blocks
         assert np.array_equal(double.w, sub.w)
+
+    @pytest.mark.parametrize("blocks", [((1, 3),), ((2, 1), (1, 2)), ((2, 2), (1, 1)),
+                                        ((3, 1), (1, 2), (1, 1))])
+    def test_commutant_of_a_decomposed_stack(self, blocks):
+        # block_decompose returns the SubalgebraBasis that commutant takes
+        st = ce.make_algebra(blocks)
+        sub = ce.generate_subalgebra(conjugated_algebra_generators(rng_stream(18), st))
+        com = ce.commutant(ce.block_decompose(sub.basis, seed=1))
+        assert sorted(com.structure.blocks) == sorted((m, n) for n, m in st.blocks)
+        comm = com.basis[:, None] @ sub.basis[None] - sub.basis[None] @ com.basis[:, None]
+        assert np.max(np.linalg.norm(comm, axis=(-2, -1))) <= 1e-10
 
     def test_large_algebra_is_held_in_block_form(self):
         # the (832, 80, 80) basis stack alone would take 85 MB; neither call builds it
@@ -531,6 +573,16 @@ def test_discovery_digest():
     # Recorded before the GNS representation was held in block form, which
     # leaves discovery's inputs and bits untouched.
     assert _pinned_digests()[0] == "8aa0de23bdb1d9c7fc9713fc46d9e81b9e5a3254152d4d836963ae023e4be935"
+
+
+@pytest.mark.parametrize("name, params", [
+    ("generate_subalgebra", ["generators", "tol", "seed"]),
+    ("block_decompose", ["basis", "tol", "seed"]),
+    ("resolve_sectors", ["g", "seed"]),
+])
+def test_discovery_entries_settable_parameters(name, params):
+    # resolve_sectors reads its cluster gap off Cutoff.default(g.dim) and takes no tol
+    assert list(inspect.signature(getattr(ce, name)).parameters) == params
 
 
 def test_resolve_sectors_digest():
