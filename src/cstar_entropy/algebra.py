@@ -340,42 +340,45 @@ def _split_attempt(sample: Callable[[np.random.Generator], np.ndarray], d: int, 
     # e (x) C^{m_i}, one per eigenvalue of each X_i: the runs of sorted
     # eigenvalues whose adjacent gaps are below tol times the spectral scale.
     lam, v = np.linalg.eigh(hermitize(sample(rng)))
-    starts = np.flatnonzero(
-        np.diff(lam, prepend=-np.inf) > Cutoff.spectral(tol, np.max(np.abs(lam))))
-    dims = np.diff(starts, append=d)
+    bounds = np.flatnonzero(np.concatenate(
+        ([True], lam[1:] - lam[:-1] > Cutoff.spectral(tol, np.abs(lam).max()), [True])))
+    starts, dims = bounds[:-1], np.diff(bounds)
 
     # A generic element B compresses to zero between clusters of different
     # blocks and to a nonzero multiple of a unitary between clusters of one
-    # block, so the blocks are the connected components of the coupling graph.
+    # block, so the blocks are the connected components of the coupling graph:
+    # its reflexive closure, squared until it stops growing, relates two
+    # clusters iff they lie in one block, and names each block by its first.
     b = sample(rng)
     comp = v.conj().T @ b @ v
     sq = np.add.reduceat(np.add.reduceat(np.abs(comp) ** 2, starts, axis=0), starts, axis=1)
-    coupled = np.sqrt(sq + sq.T) > Cutoff.coupling(tol, frob(b))
+    reach = (np.sqrt(sq + sq.T) > Cutoff.coupling(tol, frob(b))) | np.eye(len(starts), dtype=bool)
+    while ((grown := reach @ reach) != reach).any():
+        reach = grown
+    first_of = reach.argmax(axis=1)
+    if (dims != dims[first_of]).any():
+        raise _Retry()
 
     sectors = []
-    free = np.ones(len(starts), dtype=bool)
-    for first in range(len(starts)):
-        if not free[first]:
-            continue
-        members = np.arange(len(starts)) == first
-        while not np.array_equal(grown := members | coupled[members].any(axis=0), members):
-            members = grown
-        free &= ~members
-        m = int(dims[first])
-        if np.any(dims[members] != m):
-            raise _Retry()
+    block_of_row = first_of.repeat(dims)
+    for first in np.flatnonzero(first_of == np.arange(len(starts))):
+        m, start = int(dims[first]), starts[first]
         # Align the multiplicity spaces by the compressions R_a = Q_a* B Q_first,
-        # which must be multiples of unitaries: with R_a = U diag(s) V*, the
+        # which must be nonzero multiples of unitaries: a cluster that couples to
+        # the block's first only through others has a compression below
+        # ALIGN_SCALE, and the draw is retried.  With R_a = U diag(s) V*, the
         # defect of R_a / scale_a from a unitary has eigenvalues s^2/scale^2 - 1.
         # The polar factor U V* is unitary to rounding, so W stays unitary.
-        rows = (starts[members][:, None] + np.arange(m)).reshape(-1)
-        u, s, vh = np.linalg.svd(comp[rows, starts[first]:starts[first] + m].reshape(-1, m, m))
-        scale = np.sqrt(np.mean(s ** 2, axis=1))
-        if np.min(scale) < Cutoff.ALIGN_SCALE or np.max(np.linalg.norm(
-                (s / scale[:, None]) ** 2 - 1, axis=1)) > Cutoff.ALIGN_DEFECT:
+        rows = np.flatnonzero(block_of_row == first)
+        u, s, vh = np.linalg.svd(comp[rows, start:start + m].reshape(-1, m, m))
+        scale = np.sqrt((s * s).sum(axis=1) / m)
+        if scale.min() < Cutoff.ALIGN_SCALE:
+            raise _Retry()
+        defect = (s / scale[:, None]) ** 2 - 1
+        if np.sqrt((defect * defect).sum(axis=1).max()) > Cutoff.ALIGN_DEFECT:
             raise _Retry()
         cols = np.einsum("xam,amk->xak", v[:, rows].reshape(d, -1, m), u @ vh).reshape(d, -1)
-        sectors.append((len(s), m, lam[starts[first]], cols))
+        sectors.append((len(s), m, lam[start], cols))
 
     # Deterministic output order: big blocks first, then A's lowest eigenvalue
     # in the block (fixed for a fixed seed).
@@ -441,13 +444,15 @@ def block_decompose(basis: np.ndarray, tol: float = Cutoff.TOL,
     random element B couples two clusters iff they lie in one block: the
     Frobenius norm of its two compressions between them, taken together,
     exceeds ``Cutoff.coupling(tol, ||B||_F)``.  The connected components of that
-    graph are the blocks (n_i clusters of a common dimension m_i), and the
-    compressions of B onto each block's first cluster align its
-    multiplicity spaces.  Blocks are ordered by decreasing n, then m, then
-    A's lowest eigenvalue in the block.  The span is read only through
-    random elements.  Degenerate draws are retried a bounded number of
-    times, and the result is verified against the dimension laws, the
-    unitarity of W and the projection residuals of two fresh random elements.
+    graph, found by closing the relation, are the blocks (n_i clusters of a
+    common dimension m_i), and the compressions of B onto each block's first
+    cluster align its multiplicity spaces, so every cluster must couple to
+    that first cluster directly; a draw where one does not is retried.
+    Blocks are ordered by decreasing n, then m, then A's lowest eigenvalue
+    in the block.  The span is read only through random elements.
+    Degenerate draws are retried a bounded number of times, and the result
+    is verified against the dimension laws, the unitarity of W and the
+    projection residuals of two fresh random elements.
     """
     try:
         mats = np.asarray(basis, dtype=complex)

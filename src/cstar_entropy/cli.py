@@ -33,16 +33,41 @@ class _ParseError(Exception):
     pass
 
 
+def _numbers_from_json(obj, what: str, ndim: int) -> np.ndarray:
+    """Float array of ndim dimensions from rectangular nested lists of finite JSON numbers.
+
+    Every entry must be an int or a float: numpy would convert a numeric string
+    or a boolean.  Each level of nesting is flattened in one pass; a string or
+    an object in place of a list flattens into strings, which the type check
+    of the entries rejects.
+    """
+    shape, level = [], [obj]
+    for _ in range(ndim):
+        try:
+            lengths = set(map(len, level))
+        except TypeError:  # a number, a boolean or null in place of a list
+            lengths = set()
+        if len(lengths) != 1:
+            raise _ParseError(f"{what}: expected {ndim}-deep nested lists of equal lengths")
+        shape.append(lengths.pop())
+        level = list(itertools.chain.from_iterable(level))
+    if not (types := set(map(type, level))) <= {int, float}:
+        raise _ParseError(f"{what}: entries must be numbers, got "
+                          + ", ".join(sorted(t.__name__ for t in types - {int, float})))
+    try:
+        arr = np.array(level, dtype=float).reshape(shape)
+    except OverflowError as exc:  # an integer literal beyond the float range
+        raise _ParseError(f"{what}: {exc}") from None
+    if not np.isfinite(arr).all():
+        raise _ParseError(f"{what}: entries must be finite numbers")
+    return arr
+
+
 def _complex_from_json(obj, what: str, ndim: int) -> np.ndarray:
     """Complex array of ndim dimensions from nested [re, im] pairs, all finite."""
-    try:
-        arr = np.asarray(obj, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise _ParseError(f"{what}: not a numeric nested array: {exc}") from None
-    if arr.ndim != ndim + 1 or arr.shape[-1] != 2:
+    arr = _numbers_from_json(obj, what, ndim + 1)
+    if arr.shape[-1] != 2:
         raise _ParseError(f"{what}: expected [re, im] pairs, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise _ParseError(f"{what}: entries must be finite numbers")
     return arr[..., 0] + 1j * arr[..., 1]
 
 
@@ -162,19 +187,16 @@ def _parse_problem(args, structure_only: bool = False) -> _Problem:
             canon = state_form["canonical"]
             if not isinstance(canon, dict) or "p" not in canon or "rhos" not in canon:
                 raise _ParseError("canonical state needs 'p' and 'rhos'")
-            try:
-                p = np.asarray(canon["p"], dtype=float)
-            except (TypeError, ValueError) as exc:
-                raise _ParseError(f"canonical p: not a numeric array: {exc}") from None
+            p = _numbers_from_json(canon["p"], "canonical p", 1)
             rhos = [None if r is None else _complex_from_json(r, "block state", 2)
                     for r in _json_list(canon["rhos"], "canonical rhos")]
             state = states.StateFunctional.from_canonical(structure, p, rhos)
         else:
             vals = _complex_from_json(state_form["values"], "state values", 1)
-            basis = [to_blocks(_complex_from_json(b, f"basis element {k}", 2), f"basis element {k}")
-                     for k, b in enumerate(_json_list(state_form.get("basis", []), "state basis"))]
-            if not basis:
+            if not _json_list(state_form.get("basis", []), "state basis"):
                 raise _ParseError("state values need a declared 'basis'")
+            basis = [to_blocks(b, f"basis element {k}") for k, b in
+                     enumerate(_complex_from_json(state_form["basis"], "state basis", 3))]
             state = states.state_from_values(structure, basis, vals, tol)
 
     unitary = None

@@ -8,7 +8,8 @@ import pytest
 import cstar_entropy as ce
 from cstar_entropy import algebra
 from cstar_entropy._linalg import complex_gaussian, hermitize
-from cstar_entropy.algebra import _discover, _discover_span, _letters, _word_sampler
+from cstar_entropy.algebra import (_discover, _discover_span, _letters, _Retry, _split_attempt,
+                                   _word_sampler)
 from cstar_entropy.errors import DecompositionError, ValidationError
 
 from helpers import (closure_defect, conjugated_algebra_generators, embedded_standard_basis,
@@ -537,6 +538,37 @@ class TestBlockDecompose:
         second = ce.block_decompose(sub.basis, seed=7)
         assert first.structure.blocks == second.structure.blocks
         assert np.array_equal(first.w, second.w)
+
+
+class TestSplitGrouping:
+    """One split attempt on scripted draws over blocks (3,2),(2,1): A is the embedded
+    diagonal element diag(1, 2, 3) (+) diag(4, 5), whose eigenvalue clusters 0-2 lie in
+    the n = 3 block and 3-4 in the n = 2 block, and B an embedded element."""
+
+    STRUCTURE = ce.make_algebra([(3, 2), (2, 1)])
+
+    def _split(self, b_parts):
+        st = self.STRUCTURE
+        a = ce.AlgebraElement(st, (np.diag([1.0, 2.0, 3.0]), np.diag([4.0, 5.0])))
+        draws = iter([ce.embed(a), ce.embed(ce.AlgebraElement(st, b_parts))])
+        return _split_attempt(lambda rng: next(draws), st.ambient_dim, 1e-9, rng_stream(0))
+
+    def test_dense_coupling_gives_the_blocks(self):
+        rng = rng_stream(24)
+        b_parts = tuple(complex_gaussian((n, n), rng) for n, _ in self.STRUCTURE.blocks)
+        structure, w = self._split(b_parts)
+        assert structure.blocks == self.STRUCTURE.blocks
+        b = ce.embed(ce.AlgebraElement(self.STRUCTURE, b_parts))
+        assert ce.structure_projection(w.conj().T @ b @ w, structure)[1] <= 1e-12
+
+    def test_a_second_hop_joins_the_block_and_finds_no_alignment(self):
+        # B couples clusters 0-1 and 1-2 but not 0-2: the closure puts all three in
+        # one block, and cluster 2's compression onto cluster 0 is zero, so there is
+        # nothing to align its multiplicity space by; grouping only direct neighbours
+        # of cluster 0 would split the n = 3 block into (2,2) and (1,2) instead
+        tridiagonal = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 1.0], [0.0, 1.0, 1.0]])
+        with pytest.raises(_Retry):
+            self._split((tridiagonal, np.ones((2, 2))))
 
 
 def _pinned_digests():

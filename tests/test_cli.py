@@ -464,10 +464,30 @@ class TestRejectedInputs:
          "state": {"density": _mat(np.eye(3) / 3)}},
         {"algebra": {"generators": [_mat(np.diag([1.0, 2.0]))]},
          "state": {"values": [[1.0, 0.0], [0.0, 0.0]], "basis": [_mat(np.eye(3))] * 2}},
+        # numpy would read these entries as 0.5, 1.0 or 0.0; the file format documents numbers
+        {"algebra": {"blocks": [[2, 1]]},
+         "state": {"density": [[["0.5", 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]}},
+        {"algebra": {"blocks": [[2, 1]]},
+         "state": {"density": [[[0.5, False], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]}},
+        {"algebra": {"generators": [[[[True, 0.0], [0.0, 0.0]], [[0.0, 0.0], [2.0, 0.0]]]]},
+         "state": {"density": _mat(np.eye(2) / 2)}},
+        {"algebra": {"blocks": [[1, 1]]},
+         "state": {"values": [["1.0", 0.0]], "basis": [_mat(np.eye(1))]}},
+        {"algebra": {"blocks": [[1, 1]]},
+         "state": {"values": [[1.0, 0.0]], "basis": [[[[True, 0.0]]]]}},
+        {"algebra": {"blocks": [[1, 1]]},
+         "state": {"canonical": {"p": ["1.0"], "rhos": [_mat(np.eye(1))]}}},
+        {"algebra": {"blocks": [[1, 1]]},
+         "state": {"canonical": {"p": [True], "rhos": [_mat(np.eye(1))]}}},
+        # an integer literal that no float holds
+        {"algebra": {"blocks": [[1, 1]]}, "state": {"density": [[[10**400, 0]]]}},
     ], ids=["short_block", "seed", "tol", "nan_tol", "samples",
             "numeric_string_samples", "numeric_string_seed", "numeric_string_tol",
             "generators_not_list", "canonical_p_not_numeric", "rhos_not_list", "basis_not_list",
-            "density_shape_vs_generators", "basis_shape_vs_generators"])
+            "density_shape_vs_generators", "basis_shape_vs_generators",
+            "density_string_entry", "density_boolean_entry", "generator_boolean_entry",
+            "values_string_pair", "basis_boolean_element", "canonical_p_string",
+            "canonical_p_boolean", "density_integer_beyond_float_range"])
     def test_malformed_field_is_one_error_line(self, tmp_path, capsys, doc):
         assert main(["oracle", _write(tmp_path, doc)]) == 2
         err = capsys.readouterr().err.strip().splitlines()

@@ -153,7 +153,7 @@ def test_oracle_never_goes_below_closed_form(case, seed):
 _JUNK = st.one_of(st.none(), st.booleans(), st.integers(-3, 5), st.text(max_size=2),
                   st.lists(st.integers(0, 2), max_size=2),
                   st.dictionaries(st.text(max_size=1), st.integers(), max_size=1))
-_BAD_ENTRY = st.sampled_from([float("nan"), float("inf"), -1.0, 2.0])
+_BAD_ENTRY = st.sampled_from([float("nan"), float("inf"), -1.0, 2.0, "0.5", True, False])
 _COMMANDS = ["entropy", "oracle", "gns", "structure", "schrodinger"]
 _MUTATIONS = [
     "state_shape", "other_shape", "matrix_entry", "algebra_junk", "blocks_junk", "block_dim",
@@ -261,6 +261,15 @@ def problem_files(draw, mutation):
     return doc
 
 
+def _holds_str_or_bool(obj) -> bool:
+    """Whether a JSON value holds a string or a boolean at any depth."""
+    if isinstance(obj, dict):
+        obj = list(obj.values())
+    if isinstance(obj, list):
+        return any(map(_holds_str_or_bool, obj))
+    return isinstance(obj, (str, bool))
+
+
 # One run per mutation, so every mutation is reached: 15 x 15 = 225 examples.
 @pytest.mark.parametrize("mutation", _MUTATIONS)
 @settings(max_examples=15, deadline=None, derandomize=True)
@@ -277,6 +286,10 @@ def test_cli_fuzz_exit_codes(mutation, data):
             code = main([command, path, "--json"])
     assert code in (0, 2, 3, 4)
     if any(isinstance(v, str) for v in doc["options"].values()) or mutation == "block_dim":
+        assert code == 2
+    # a string or boolean matrix entry is an input error in every matrix the command reads
+    if mutation == "matrix_entry" and _holds_str_or_bool(
+            doc["algebra"] if command == "structure" else doc):
         assert code == 2
     if code == 0:
         json.loads(out.getvalue())

@@ -11,8 +11,9 @@ tuple, every function and class the package defines is named somewhere else,
 ``algebra._assemble`` is the one builder of block matrices, every
 numerical cutoff is an entry of the one table ``_linalg.Cutoff``, which the
 README's cutoff table documents row by row, only ``states`` decides that a
-functional is not a state, and each stream contract has one constructor:
-Philox in ``_linalg.rng_stream``, SFC64 in ``decomp._chunk_stream``.
+functional is not a state, each stream contract has one constructor:
+Philox in ``_linalg.rng_stream``, SFC64 in ``decomp._chunk_stream``, and
+the CLI turns JSON into float arrays only in its number decoder.
 """
 
 import ast
@@ -231,3 +232,26 @@ def test_one_constructor_per_stream_contract():
     assert sites == {("_linalg.py", "rng_stream", "Philox"),
                      ("decomp.py", "_chunk_stream", "SFC64"),
                      ("decomp.py", "_chunk_stream", "SeedSequence")}, sorted(sites, key=str)
+
+
+def _float_array_sites(node, owner=None):
+    """(innermost enclosing function, line) of each np.asarray or np.array call of dtype float."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        owner = node.name
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+            and node.func.attr in ("asarray", "array") and isinstance(node.func.value, ast.Name) \
+            and node.func.value.id in ("np", "numpy"):
+        dtypes = node.args[1:2] + [kw.value for kw in node.keywords if kw.arg == "dtype"]
+        if any(isinstance(t, ast.Name) and t.id == "float"
+               or isinstance(t, ast.Attribute) and t.attr == "float64" for t in dtypes):
+            yield owner, node.lineno
+    for child in ast.iter_child_nodes(node):
+        yield from _float_array_sites(child, owner)
+
+
+def test_cli_reads_json_numbers_through_its_number_decoder():
+    # numpy converts a numeric string or a boolean to a float; the decoder rejects
+    # them, so a JSON field that reached numpy another way would accept them
+    tree = ast.parse((ROOT / "src" / "cstar_entropy" / "cli.py").read_text())
+    sites = list(_float_array_sites(tree))
+    assert sites and {owner for owner, _ in sites} == {"_numbers_from_json"}, sites
