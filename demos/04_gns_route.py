@@ -42,11 +42,11 @@ print("cyclic vector reproduces the state: |<Omega|pi(A)Omega> - omega(A)| = %.2
 # ----------------------------------------------------------------------
 # Entropy through the GNS representation equals the closed form.
 # ----------------------------------------------------------------------
-report = ce.gns_state_entropy(mixed, seed=1)
+gns_entropy = ce.gns_state_entropy(mixed, seed=1)
 closed = ce.state_entropy(mixed).state_entropy
-print("\nGNS-route entropy:   ", report.state_entropy)
+print("\nGNS-route entropy:   ", gns_entropy)
 print("closed-form entropy: ", closed)
-print("difference:           %.2e" % abs(report.state_entropy - closed))
+print("difference:           %.2e" % abs(gns_entropy - closed))
 
 # ----------------------------------------------------------------------
 # Decompositions from the commutant: projections carve out sub-states,

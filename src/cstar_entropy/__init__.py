@@ -52,7 +52,6 @@ from .states import (
     DensityMatrix,
     StateFunctional,
     canonical_form,
-    convex_combine,
     is_pure,
     representative_density,
     state_from_density,

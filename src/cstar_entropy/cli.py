@@ -322,7 +322,7 @@ def _cmd_gns(args) -> None:
     g = gns.gns_construct(problem.state, problem.tol)
     irreducible = gns.is_irreducible(g)
     sectors = gns.resolve_sectors(g, seed=problem.seed)
-    via_gns = gns.sectors_entropy(sectors).state_entropy
+    via_gns = gns.sectors_entropy(sectors)
     closed = entropy.state_entropy(problem.state, problem.tol).state_entropy
     scale, unit = _unit(args)
     payload = {

@@ -16,9 +16,9 @@ import numpy as np
 
 from ._linalg import Cutoff, check_int, resolve_tol
 from .algebra import BlockStructure, make_algebra
-from .entropy import minimal_decomposition, shannon, state_entropy
+from .entropy import _probability_vector, minimal_decomposition, shannon, state_entropy
 from .errors import ValidationError
-from .states import Decomposition, DensityMatrix, StateFunctional, active_sectors
+from .states import Decomposition, DensityMatrix, StateFunctional, _decomposition, active_sectors
 
 _CHUNK = 1024  # oracle samples per stream; part of the sampling contract
 _MAX_SAMPLES = 10 ** 8  # largest oracle scan, 2-4 minutes at 1.3-2.5 us per sample at (3,2),(2,1),(1,1)
@@ -68,10 +68,8 @@ def schrodinger_decomposition(rho, u: np.ndarray) -> Decomposition:
     u = _check_unitary(u)
     lam, psi = _spectral(rho.matrix)
     weights, vectors = _mixed_vectors(lam, psi, u)
-    total = weights.sum()
-    structure = make_algebra([(rho.dim, 1)])
-    comps = tuple((float(w / total), 0, vectors[:, k]) for k, w in enumerate(weights))
-    return Decomposition(structure, comps)
+    return _decomposition(make_algebra([(rho.dim, 1)]),
+                          ((w, 0, v) for w, v in zip(weights, vectors.T)))
 
 
 def doubly_stochastic_from_unitary(u: np.ndarray) -> np.ndarray:
@@ -95,14 +93,7 @@ def majorizes(p, q) -> MajorizationVerdict:
     dominates at every prefix, within ``Cutoff.PROBABILITY``.
     """
     tol = Cutoff.PROBABILITY
-    vecs = []
-    for name, v in (("p", p), ("q", q)):
-        arr = np.asarray(v, dtype=float)
-        if arr.ndim != 1 or arr.size == 0:
-            raise ValidationError(f"{name} must be a nonempty vector")
-        if np.any(arr < -tol) or not abs(arr.sum() - 1.0) <= Cutoff.probability_sum(arr.size):
-            raise ValidationError(f"{name} is not a probability vector")
-        vecs.append(np.clip(arr, 0.0, None))
+    vecs = [np.clip(_probability_vector(v, name), 0.0, None) for name, v in (("p", p), ("q", q))]
     size = max(len(vecs[0]), len(vecs[1]))
     padded = [np.pad(v, (0, size - len(v))) for v in vecs]
     cp, cq = (np.cumsum(np.sort(v)[::-1]) for v in padded)
@@ -271,12 +262,8 @@ def _sample_isometries(seed: int, index: int, active, buffers=None) -> list[np.n
 
 def _rebuild_sample(seed: int, index: int, active, structure: BlockStructure) -> Decomposition:
     """Recompute one sample fully (with vectors) from its chunk's stream."""
-    comps = []
+    terms = []
     for (i, w_block, lam, psi), u in zip(active, _sample_isometries(seed, index, active)):
         weights, vectors = _mixed_vectors(lam, psi, u)
-        for k, w in enumerate(weights):
-            weight = w_block * float(w)
-            if weight > Cutoff.WEIGHT_FLOOR:
-                comps.append((weight, i, vectors[:, k]))
-    total = sum(w for w, _, _ in comps)
-    return Decomposition(structure, tuple((w / total, i, v) for w, i, v in comps))
+        terms += [(w_block * w, i, vec) for w, vec in zip(weights, vectors.T)]
+    return _decomposition(structure, terms)

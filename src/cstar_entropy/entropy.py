@@ -15,7 +15,7 @@ import numpy as np
 
 from ._linalg import Cutoff, resolve_tol
 from .errors import ValidationError
-from .states import Decomposition, DensityMatrix, StateFunctional, active_sectors
+from .states import Decomposition, DensityMatrix, StateFunctional, _decomposition, active_sectors
 
 
 def _entropy_of(weights: np.ndarray) -> float:
@@ -25,20 +25,26 @@ def _entropy_of(weights: np.ndarray) -> float:
     return float(0.0 - (w * np.log(w)).sum())  # one point gives 0.0 - 0.0 = +0.0, not -(0.0)
 
 
+def _probability_vector(p, name: str) -> np.ndarray:
+    """p as a float vector, checked to be one: one-dimensional and nonempty, no entry
+    below ``-Cutoff.PROBABILITY`` and a sum within ``Cutoff.probability_sum(size)`` of 1."""
+    arr = np.asarray(p, dtype=float)
+    if arr.ndim != 1 or arr.size == 0:
+        raise ValidationError(f"{name} must be one-dimensional and nonempty")
+    if np.any(arr < -Cutoff.PROBABILITY):
+        raise ValidationError(f"{name} has negative entry {arr.min()!r}")
+    if not abs(arr.sum() - 1.0) <= Cutoff.probability_sum(arr.size):
+        raise ValidationError(f"{name} sums to {arr.sum()!r}, expected 1")
+    return arr
+
+
 def shannon(p) -> float:
     """Shannon entropy of a probability vector, in nats.
 
     Entries at most ``Cutoff.PROBABILITY`` below zero count as zero and the
     vector is renormalized; anything worse is a validation error.
     """
-    arr = np.asarray(p, dtype=float)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValidationError("probability vector must be one-dimensional and nonempty")
-    if np.any(arr < -Cutoff.PROBABILITY):
-        raise ValidationError(f"negative probability {arr.min()!r}")
-    if not abs(arr.sum() - 1.0) <= Cutoff.probability_sum(arr.size):
-        raise ValidationError(f"probabilities sum to {arr.sum()!r}, expected 1")
-    return _entropy_of(arr)
+    return _entropy_of(_probability_vector(p, "probability vector"))
 
 
 def von_neumann(rho) -> float:
@@ -47,24 +53,13 @@ def von_neumann(rho) -> float:
     return _entropy_of(rho.spectrum)
 
 
-def _representative_entropy(omega: StateFunctional,
-                            sectors: list[tuple[int, float, np.ndarray, np.ndarray]]) -> float:
-    """S_VN(rho_omega) over the blocks ``sectors`` (from ``active_sectors``) keeps, read off
-    ``omega.spectra``: each eigenvalue w / m_i repeated m_i times, renormalized over them."""
-    parts = []
-    for i, _, _, _ in sectors:
-        m = omega.structure.blocks[i][1]
-        parts.append(np.repeat(omega.spectra[i][0] / m, m))
-    return _entropy_of(np.concatenate(parts))
-
-
 @dataclass(frozen=True)
 class EntropyReport:
-    """Entropy of a state together with its constituents.
+    """Entropy of a state together with its constituents, built by :func:`state_entropy` alone.
 
     state_entropy = sector_entropy + mean_block_entropy, and the von Neumann
     entropy of the representative, read off the block spectra, exceeds it by
-    the multiplicity term.
+    the multiplicity term sum_i p_i log m_i, m_i the algebra's multiplicities.
     """
 
     state_entropy: float
@@ -91,12 +86,16 @@ def state_entropy(omega: StateFunctional, tol: float | None = None) -> EntropyRe
     sectors = active_sectors(omega, tol)
     sector = _entropy_of(np.array([w for _, w, _, _ in sectors]))
     mean = sum(w * _entropy_of(lam) for _, w, lam, _ in sectors)
-    mult = sum(w * np.log(omega.structure.blocks[i][1]) for i, w, _, _ in sectors)
+    blocks = omega.structure.blocks
+    mult = sum(w * np.log(blocks[i][1]) for i, w, _, _ in sectors)
+    # the representative's spectrum over the kept blocks, renormalized by _entropy_of
+    rep = np.concatenate([np.repeat(omega.spectra[i][0] / blocks[i][1], blocks[i][1])
+                          for i, _, _, _ in sectors])
     return EntropyReport(
         state_entropy=sector + mean,
         sector_entropy=sector,
         mean_block_entropy=mean,
-        vn_of_representative=_representative_entropy(omega, sectors),
+        vn_of_representative=_entropy_of(rep),
         multiplicity_term=mult,
     )
 
@@ -109,13 +108,6 @@ def minimal_decomposition(omega: StateFunctional, tol: float | None = None) -> D
     a time.  Weights at or below ``Cutoff.WEIGHT_FLOOR`` are dropped.
     """
     tol = resolve_tol(tol, omega.structure.ambient_dim)
-    comps = []
-    for i, w, lams, vecs in active_sectors(omega, tol):
-        for lam, vec in zip(lams, vecs.T):
-            weight = w * float(lam)
-            if weight <= Cutoff.WEIGHT_FLOOR:
-                continue
-            comps.append((weight, i, vec / np.linalg.norm(vec)))
-    total = sum(w for w, _, _ in comps)
-    comps = [(w / total, i, v) for w, i, v in comps]
-    return Decomposition(omega.structure, tuple(comps))
+    return _decomposition(omega.structure, ((w * lam, i, vec / np.linalg.norm(vec))
+                                            for i, w, lams, vecs in active_sectors(omega, tol)
+                                            for lam, vec in zip(lams, vecs.T)))

@@ -19,7 +19,7 @@ from ._linalg import (Cutoff, check_int, frob, frozen, hermitize, random_isometr
                       rng_stream)
 from .algebra import (BlockStructure, _assemble, _discover_span, _swap_factors, split_blocks,
                       structure_projection)
-from .entropy import EntropyReport, _entropy_of
+from .entropy import _entropy_of
 from .errors import ValidationError
 from .states import StateFunctional
 
@@ -234,40 +234,25 @@ def identity_decomposition_weights(sectors: GnsSectors, idec: IdentityDecomposit
     return np.array(out)
 
 
-def sectors_entropy(sectors: GnsSectors) -> EntropyReport:
-    """Entropy report read off the resolved sectors of a GNS representation.
+def sectors_entropy(sectors: GnsSectors) -> float:
+    """State entropy read off the resolved sectors of a GNS representation.
 
     The sector weights are the squared norms of the cyclic vector's
     projections and the block entropies those of its reduced states on the
     multiplicity factors, which equal those on the irreducible factors.
     """
     p = sectors.weights
-    sector_entropy = _entropy_of(p)
-    mean = 0.0
-    vn = 0.0
-    mult = 0.0
-    for w, sigma, (_, m) in zip(p, sectors.multiplicity_states, sectors.structure.blocks):
-        block = _entropy_of(np.linalg.eigvalsh(sigma))
-        mean += w * block
-        vn += w * (block + np.log(m))
-        mult += w * np.log(m)
-    return EntropyReport(
-        state_entropy=sector_entropy + mean,
-        sector_entropy=sector_entropy,
-        mean_block_entropy=mean,
-        vn_of_representative=sector_entropy + vn,
-        multiplicity_term=mult,
-    )
+    return float(_entropy_of(p) + sum(w * _entropy_of(np.linalg.eigvalsh(sigma))
+                                      for w, sigma in zip(p, sectors.multiplicity_states)))
 
 
-def gns_state_entropy(omega: StateFunctional, tol: float | None = None,
-                      seed: int = 0) -> EntropyReport:
+def gns_state_entropy(omega: StateFunctional, tol: float | None = None, seed: int = 0) -> float:
     """State entropy recomputed through the GNS representation.
 
     Builds the representation at tol, resolves its sectors at discovery's
     default cluster gap (a sector cutoff is no eigenvalue gap) and reads the
-    report off them with :func:`sectors_entropy`; the result must agree with
-    the closed-form entropy.
+    entropy off them with :func:`sectors_entropy`; the result must agree with
+    ``state_entropy(omega, tol).state_entropy``.
     """
     tol = resolve_tol(tol, omega.structure.ambient_dim)
     g = gns_construct(omega, tol)

@@ -220,25 +220,22 @@ def canonical_form(rho_omega, structure: BlockStructure,
                    tol: float | None = None) -> tuple[np.ndarray, list[np.ndarray | None]]:
     """Split an in-algebra density matrix into sector weights and block states.
 
-    Returns ``(p, rhos)`` with p_i the trace carried by block i and rhos[i]
-    the normalized n_i x n_i density matrix (None when p_i is numerically
-    zero).  The input must lie in the embedded algebra.
+    Returns ``(p, rhos)`` read off :func:`active_sectors` of the state the
+    matrix induces: p_i is the renormalized weight of block i and rhos[i] =
+    V diag(lambda) V* its block state, with weight 0.0 and None for a block
+    the cutoff drops.  The input must lie in the embedded algebra.
     """
     rho_omega = rho_omega if isinstance(rho_omega, DensityMatrix) else DensityMatrix(rho_omega)
     tol = resolve_tol(tol, structure.ambient_dim)
-    proj, res = structure_projection(rho_omega.matrix, structure)
+    res = structure_projection(rho_omega.matrix, structure)[1]
     if res > Cutoff.span(tol):
         raise ValidationError(f"matrix is outside the algebra span (projection residual {res:.3e})")
     p = np.zeros(structure.num_blocks)
-    rhos: list[np.ndarray | None] = []
-    for i, x in enumerate(partial_traces(proj, structure)):
-        weight = float(np.trace(x).real)
-        if weight <= tol:
-            rhos.append(None)
-            continue
+    rhos: list[np.ndarray | None] = [None] * structure.num_blocks
+    for i, weight, lam, v in active_sectors(state_from_density(rho_omega, structure), tol):
         p[i] = weight
-        rhos.append(hermitize(x / weight))
-    return p / p.sum(), rhos
+        rhos[i] = (v * lam) @ v.conj().T
+    return p, rhos
 
 
 def is_pure(omega: StateFunctional, tol: float | None = None) -> bool:
@@ -249,27 +246,6 @@ def is_pure(omega: StateFunctional, tol: float | None = None) -> bool:
         return False
     lam = sectors[0][2]
     return bool(lam.size == 1 or lam[1] < Cutoff.aggregate(tol))
-
-
-def convex_combine(states: Sequence[StateFunctional], weights: Sequence[float]) -> StateFunctional:
-    """Value-wise mixture of states over one algebra."""
-    if not states:
-        raise ValidationError("need at least one state")
-    w = np.asarray(weights, dtype=float)
-    if w.shape != (len(states),) or np.any(w < -Cutoff.WEIGHT_FLOOR) \
-            or abs(w.sum() - 1.0) > Cutoff.PROBABILITY:
-        raise ValidationError("weights must form a probability vector matching the states")
-    structure = states[0].structure
-    for s in states[1:]:
-        if s.structure.blocks != structure.blocks:
-            raise ValidationError("states belong to different block structures")
-    values = []
-    for i, (n, _) in enumerate(structure.blocks):
-        acc = np.zeros((n, n), dtype=complex)
-        for wk, s in zip(w, states):
-            acc += wk * s.block_values[i]
-        values.append(acc)
-    return StateFunctional(structure, tuple(values))
 
 
 @dataclass(frozen=True)
@@ -322,3 +298,11 @@ class Decomposition:
     def state(self) -> StateFunctional:
         """The mixed state this decomposition prepares."""
         return state_from_density(DensityMatrix(self.density()), self.structure)
+
+
+def _decomposition(structure: BlockStructure, terms) -> Decomposition:
+    """The decomposition of (weight, block index, unit vector) terms: weights at or below
+    ``Cutoff.WEIGHT_FLOOR`` are dropped and the rest renormalized by their numpy sum."""
+    kept = [(w, i, v) for w, i, v in terms if w > Cutoff.WEIGHT_FLOOR]
+    total = np.sum([w for w, _, _ in kept])
+    return Decomposition(structure, tuple((w / total, i, v) for w, i, v in kept))

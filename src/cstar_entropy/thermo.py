@@ -15,7 +15,7 @@ import numpy as np
 
 from ._linalg import Cutoff, _is_real, check_int, resolve_tol
 from .algebra import AlgebraElement, identity
-from .entropy import _representative_entropy
+from .entropy import state_entropy
 from .errors import DisconnectedSectorsError, ValidationError
 from .states import StateFunctional, active_sectors
 
@@ -119,6 +119,5 @@ def gas_entropy(omega: StateFunctional, acct: GasAccount, tol: float | None = No
     if len(acct.sector_entropies) != omega.structure.num_blocks:
         raise ValidationError("one sector entropy per block required")
     tol = resolve_tol(tol, omega.structure.ambient_dim)
-    sectors = active_sectors(omega, tol)
-    assigned = sum(w * acct.sector_entropies[i] for i, w, _, _ in sectors)
-    return _representative_entropy(omega, sectors) + float(assigned)
+    assigned = sum(w * acct.sector_entropies[i] for i, w, _, _ in active_sectors(omega, tol))
+    return state_entropy(omega, tol).vn_of_representative + float(assigned)

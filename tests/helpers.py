@@ -3,7 +3,7 @@
 import numpy as np
 
 import cstar_entropy as ce
-from cstar_entropy._linalg import haar_unitary, resolve_tol, rng_stream
+from cstar_entropy._linalg import Cutoff, haar_unitary, resolve_tol, rng_stream
 from cstar_entropy.algebra import _assemble, split_blocks
 from cstar_entropy.entropy import _entropy_of
 from cstar_entropy.errors import ValidationError
@@ -118,6 +118,27 @@ def decomposition_entropy_split(dec):
     return _entropy_of(p), within
 
 
+def convex_combine(states, weights):
+    """Value-wise mixture of states over one algebra."""
+    if not states:
+        raise ValidationError("need at least one state")
+    w = np.asarray(weights, dtype=float)
+    if w.shape != (len(states),) or np.any(w < -Cutoff.WEIGHT_FLOOR) \
+            or abs(w.sum() - 1.0) > Cutoff.PROBABILITY:
+        raise ValidationError("weights must form a probability vector matching the states")
+    structure = states[0].structure
+    for s in states[1:]:
+        if s.structure.blocks != structure.blocks:
+            raise ValidationError("states belong to different block structures")
+    values = []
+    for i, (n, _) in enumerate(structure.blocks):
+        acc = np.zeros((n, n), dtype=complex)
+        for wk, s in zip(w, states):
+            acc += wk * s.block_values[i]
+        values.append(acc)
+    return ce.StateFunctional(structure, tuple(values))
+
+
 def sectors_connectable(omega_a, omega_b, tol=None):
     """Whether two pure states over one algebra can be transformed into each other physically.
 
@@ -160,6 +181,7 @@ __all__ = [
     "multiplicity_free",
     "embedded_standard_basis",
     "standard_basis",
+    "convex_combine",
     "sectors_connectable",
     "decomposition_entropy_split",
     "closure_defect",

@@ -12,6 +12,7 @@ import pytest
 import cstar_entropy as ce
 
 from helpers import (
+    convex_combine,
     embedded_standard_basis,
     haar_unitary,
     random_ambient_density,
@@ -101,7 +102,7 @@ def test_criterion_4_concavity_and_purity(capsys):
             s_a = ce.state_entropy(om_a).state_entropy
             s_b = ce.state_entropy(om_b).state_entropy
             lam = float(rng.choice(lambdas))
-            mix = ce.convex_combine([om_a, om_b], [lam, 1.0 - lam])
+            mix = convex_combine([om_a, om_b], [lam, 1.0 - lam])
             s_mix = ce.state_entropy(mix).state_entropy
             assert s_mix >= lam * s_a + (1.0 - lam) * s_b - 1e-9
         for trial in range(50):
@@ -136,7 +137,7 @@ def test_criterion_5_gns_suite(capsys):
                 lhs = g.cyclic.conj() @ (g.represent(coeffs) @ g.cyclic)
                 assert abs(lhs - om.expect(a)) <= 1e-9
             assert ce.is_irreducible(g) == ce.is_pure(om)
-            via_gns = ce.gns_state_entropy(om, seed=trial).state_entropy
+            via_gns = ce.gns_state_entropy(om, seed=trial)
             closed = ce.state_entropy(om).state_entropy
             assert abs(via_gns - closed) <= 1e-9
 

@@ -5,8 +5,10 @@ import pytest
 
 import cstar_entropy as ce
 from cstar_entropy.errors import ValidationError
+from cstar_entropy.states import active_sectors
 
-from helpers import multiplicity_free, random_pure_state, random_state, random_structure, rng_stream
+from helpers import (convex_combine, multiplicity_free, random_pure_state, random_state,
+                     random_structure, rng_stream)
 
 # computed by direct evaluation of -sum p log p
 H_QUARTER = 0.5623351446188083
@@ -132,7 +134,7 @@ class TestStateEntropy:
             s_a = ce.state_entropy(om_a).state_entropy
             s_b = ce.state_entropy(om_b).state_entropy
             for lam in np.linspace(0.1, 0.9, 9):
-                mix = ce.convex_combine([om_a, om_b], [lam, 1 - lam])
+                mix = convex_combine([om_a, om_b], [lam, 1 - lam])
                 s_mix = ce.state_entropy(mix).state_entropy
                 assert s_mix >= lam * s_a + (1 - lam) * s_b - 1e-9
 
@@ -252,6 +254,14 @@ class TestSectorsBelowTol:
         found, dec = ce.infimum_oracle(om, samples=2000, seed=1, tol=1e-6)
         assert found == pytest.approx(expected, abs=1e-12)
         assert np.allclose(self._by_block(dec), [*kept, 0.0], rtol=0.0, atol=1e-12)
+
+    def test_canonical_form_keeps_the_sectors_active_sectors_keeps(self):
+        om, _ = self._state()
+        p, rhos = ce.canonical_form(ce.representative_density(om), om.structure, 1e-6)
+        kept = active_sectors(om, 1e-6)
+        assert [i for i, _, _, _ in kept] == [0, 1]
+        assert p[2] == 0.0 and rhos[2] is None
+        assert np.allclose(p[:2], [w for _, w, _, _ in kept], rtol=0.0, atol=1e-15)
 
     def test_representative_entropy_reads_the_kept_sectors(self):
         # vn_of_representative = state_entropy + multiplicity_term, and the gas entropy with

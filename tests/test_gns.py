@@ -367,12 +367,12 @@ class TestGnsStateEntropy:
         rng = rng_stream(86)
         st = random_structure(rng, max_ambient=6)
         om = random_pure_state(rng, st)
-        assert ce.gns_state_entropy(om).state_entropy < 1e-9
+        assert ce.gns_state_entropy(om) < 1e-9
 
     def test_faithful_m2_hand_value(self):
         st = ce.make_algebra([(2, 1)])
         om = ce.state_from_density(np.diag([0.25, 0.75]).astype(complex), st)
-        assert ce.gns_state_entropy(om).state_entropy == pytest.approx(
+        assert ce.gns_state_entropy(om) == pytest.approx(
             0.5623351446188083, abs=1e-9)
 
     def test_matches_closed_form_on_random_states(self):
@@ -380,7 +380,7 @@ class TestGnsStateEntropy:
         for trial in range(10):
             st = random_structure(rng, max_ambient=10)
             om = random_state(rng, st)
-            via_gns = ce.gns_state_entropy(om, seed=trial).state_entropy
+            via_gns = ce.gns_state_entropy(om, seed=trial)
             closed = ce.state_entropy(om).state_entropy
             assert via_gns == pytest.approx(closed, abs=1e-9)
 
@@ -391,7 +391,7 @@ class TestGnsStateEntropy:
         st = ce.make_algebra([(16, 2), (8, 1)])
         om = random_state(rng, st)
         assert ce.gns_construct(om).dim == 320
-        via_gns = ce.gns_state_entropy(om).state_entropy
+        via_gns = ce.gns_state_entropy(om)
         assert via_gns == pytest.approx(ce.state_entropy(om).state_entropy, abs=1e-12)
 
     def test_tol_that_keeps_no_gram_eigenvalue_is_an_input_error(self):
@@ -402,12 +402,12 @@ class TestGnsStateEntropy:
             ce.gns_state_entropy(om, 1.0)
         assert not isinstance(err.value, NotAStateError)
 
-    def test_report_invariants(self):
-        rng = rng_stream(88)
-        st = ce.make_algebra([(2, 2), (1, 1)])
-        om = random_state(rng, st)
-        rep = ce.gns_state_entropy(om)
-        assert rep.state_entropy == pytest.approx(
-            rep.sector_entropy + rep.mean_block_entropy, abs=1e-9)
-        assert rep.vn_of_representative == pytest.approx(
-            rep.state_entropy + rep.multiplicity_term, abs=1e-9)
+    def test_is_the_closed_form_number_where_multiplicities_differ_from_ranks(self):
+        # block (2,1) has multiplicity 1 and GNS rank 2, block (1,3) multiplicity 3 and rank 1
+        st = ce.make_algebra([(2, 1), (1, 3)])
+        rho = np.array([[0.7, 0.2 - 0.1j], [0.2 + 0.1j, 0.3]])
+        om = ce.StateFunctional.from_canonical(st, [0.7, 0.3], [rho, np.eye(1)])
+        assert ce.gns_construct(om).gns_structure.blocks == ((2, 2), (1, 1))
+        via_gns = ce.gns_state_entropy(om)
+        assert type(via_gns) is float
+        assert via_gns == pytest.approx(ce.state_entropy(om).state_entropy, abs=1e-12)

@@ -7,6 +7,7 @@ import cstar_entropy as ce
 from cstar_entropy.errors import NotAStateError, ValidationError
 
 from helpers import (
+    convex_combine,
     embedded_standard_basis,
     multiplicity_free,
     random_ambient_density,
@@ -227,6 +228,12 @@ class TestCanonicalForm:
         with pytest.raises(ValidationError):
             ce.canonical_form(rho, st)
 
+    def test_tol_above_every_weight_is_an_input_error(self):
+        # both weights are 0.5, so tol 0.6 keeps no sector: the closed form's error, not NaN weights
+        st = ce.make_algebra([(1, 1), (1, 1)])
+        with pytest.raises(ValidationError, match="discards every sector"):
+            ce.canonical_form(np.diag([0.5, 0.5]).astype(complex), st, 0.6)
+
 
 class TestIsPure:
     def test_rank_one_on_full_block(self):
@@ -270,21 +277,21 @@ class TestConvexCombine:
         rng = rng_stream(10)
         st = random_structure(rng)
         om = random_state(rng, st)
-        out = ce.convex_combine([om], [1.0])
+        out = convex_combine([om], [1.0])
         assert np.allclose(out.values(), om.values())
 
     def test_two_sector_pure_states(self):
         st = ce.make_algebra([(1, 1), (1, 1)])
         om0 = ce.StateFunctional.from_canonical(st, [1.0, 0.0], [np.eye(1), None])
         om1 = ce.StateFunctional.from_canonical(st, [0.0, 1.0], [None, np.eye(1)])
-        mix = ce.convex_combine([om0, om1], [0.5, 0.5])
+        mix = convex_combine([om0, om1], [0.5, 0.5])
         assert np.allclose(ce.representative_density(mix).matrix, np.eye(2) / 2)
 
     def test_matches_density_mixture(self):
         st = ce.make_algebra([(2, 1)])
         om0 = ce.state_from_density(np.diag([1.0, 0.0]).astype(complex), st)
         om1 = ce.state_from_density(np.diag([0.0, 1.0]).astype(complex), st)
-        mix = ce.convex_combine([om0, om1], [1 / 3, 2 / 3])
+        mix = convex_combine([om0, om1], [1 / 3, 2 / 3])
         assert np.allclose(ce.representative_density(mix).matrix,
                            np.diag([1 / 3, 2 / 3]), atol=1e-12)
 
@@ -293,7 +300,7 @@ class TestConvexCombine:
         st = random_structure(rng)
         om_a, om_b = random_state(rng, st), random_state(rng, st)
         lam = 0.3
-        mix = ce.convex_combine([om_a, om_b], [lam, 1 - lam])
+        mix = convex_combine([om_a, om_b], [lam, 1 - lam])
         expected = lam * ce.representative_density(om_a).matrix \
             + (1 - lam) * ce.representative_density(om_b).matrix
         assert np.allclose(ce.representative_density(mix).matrix, expected, atol=1e-9)
@@ -304,7 +311,7 @@ class TestConvexCombine:
         om_a = random_state(rng, st_a)
         om_b = random_state(rng, st_b)
         with pytest.raises(ValidationError):
-            ce.convex_combine([om_a, om_b], [0.5, 0.5])
+            convex_combine([om_a, om_b], [0.5, 0.5])
 
 
 class TestStateFromValues:

@@ -12,8 +12,10 @@ tuple, every function and class the package defines is named somewhere else,
 numerical cutoff is an entry of the one table ``_linalg.Cutoff``, which the
 README's cutoff table documents row by row, only ``states`` decides that a
 functional is not a state, each stream contract has one constructor:
-Philox in ``_linalg.rng_stream``, SFC64 in ``decomp._chunk_stream``, and
-the CLI turns JSON into float arrays only in its number decoder.
+Philox in ``_linalg.rng_stream``, SFC64 in ``decomp._chunk_stream``, the
+CLI turns JSON into float arrays only in its number decoder, and each
+result type has one builder: ``entropy.state_entropy`` for
+``EntropyReport`` and ``states._decomposition`` for ``Decomposition``.
 """
 
 import ast
@@ -255,3 +257,23 @@ def test_cli_reads_json_numbers_through_its_number_decoder():
     tree = ast.parse((ROOT / "src" / "cstar_entropy" / "cli.py").read_text())
     sites = list(_float_array_sites(tree))
     assert sites and {owner for owner, _ in sites} == {"_numbers_from_json"}, sites
+
+
+def _call_sites(node, name, owner=None):
+    """(innermost enclosing function, line) of each call of a callable named name."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        owner = node.name
+    if isinstance(node, ast.Call) and name in (getattr(node.func, "id", None),
+                                               getattr(node.func, "attr", None)):
+        yield owner, node.lineno
+    for child in ast.iter_child_nodes(node):
+        yield from _call_sites(child, name, owner)
+
+
+@pytest.mark.parametrize("name,builder", [("EntropyReport", ("entropy.py", "state_entropy")),
+                                          ("Decomposition", ("states.py", "_decomposition"))])
+def test_each_result_type_has_one_builder(name, builder):
+    # a second builder would fill the fields, or drop and renormalize the weights, its own way
+    sites = {(path.name, owner) for path in SOURCES
+             for owner, _ in _call_sites(ast.parse(path.read_text()), name)}
+    assert sites == {builder}, sorted(sites, key=str)
