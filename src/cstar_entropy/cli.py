@@ -6,6 +6,12 @@ a declared basis), dispatches to the library, and prints reports either as
 text or as one JSON document.  Complex matrices are serialized as nested
 arrays of [re, im] pairs.
 
+A command on a file runs four stages in order: ``_decode`` reads and checks
+the whole file with no numerical work, so every input error in it exits 2
+first; ``_build`` discovers a generated algebra and constructs the state;
+the ``_cmd_*`` function computes one ordered list of rows (key, label,
+value, text); ``_render`` writes the rows as text lines or as one JSON object.
+
 Exit codes: 0 ok, 2 parse or input validation error, 3 numerical failure,
 4 invalid state.
 """
@@ -17,6 +23,7 @@ import functools
 import itertools
 import json
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,14 +90,16 @@ def _matrix_to_json(mat: np.ndarray) -> list:
 
 @dataclass
 class _Problem:
-    structure: alg.BlockStructure
-    state: states.StateFunctional | None
-    sub: alg.SubalgebraBasis | None    # generated algebra; W changes generator to block coordinates
-    generators: list[np.ndarray] | None
-    unitary: np.ndarray | None
+    """A problem file: decoded and checked by _decode, then sub and state filled in by _build."""
     tol: float
     seed: int
     samples: int
+    structure: alg.BlockStructure | None   # the algebra as blocks; from sub when generated
+    generators: list[np.ndarray] | None
+    make_state: Callable | None           # (structure, to_blocks) -> StateFunctional
+    unitary: np.ndarray | None
+    sub: alg.SubalgebraBasis | None = None  # generated; W takes generator to block coordinates
+    state: states.StateFunctional | None = None
 
 
 def _load_json(path: str) -> dict:
@@ -140,17 +149,21 @@ def _resolve_options(doc: dict, args) -> tuple[float, int, int]:
     return tol, seed, samples
 
 
-def _parse_problem(args, structure_only: bool = False) -> _Problem:
-    """The problem in args.file; structure_only asks for generators and reads no state."""
+def _decode(args) -> _Problem:
+    """The problem in args.file, read and checked whole with no numerical work.
+
+    ``structure`` takes the algebra as generators and reads no state;
+    ``schrodinger`` needs a unitary.
+    """
     doc = _load_json(args.file)
     tol, seed, samples = _resolve_options(doc, args)
 
     algebra_form = doc.get("algebra")
     if not isinstance(algebra_form, dict) or len(algebra_form.keys() & {"blocks", "generators"}) != 1:
         raise _ParseError("algebra must contain exactly one of 'blocks' or 'generators'")
-    sub = gens = None
+    structure = gens = None
     if "blocks" in algebra_form:
-        if structure_only:
+        if args.command == "structure":
             raise _ParseError("this command requires the algebra as generators")
         try:
             structure = alg.make_algebra([tuple(_json_int(x, "algebra blocks: a dimension")
@@ -163,26 +176,23 @@ def _parse_problem(args, structure_only: bool = False) -> _Problem:
     else:
         gens = [_complex_from_json(g, f"generator {k}", 2)
                 for k, g in enumerate(_json_list(algebra_form["generators"], "algebra generators"))]
-        sub = alg.generate_subalgebra(gens, tol=tol, seed=seed)
-        structure = sub.structure
 
-    def to_blocks(mat: np.ndarray, what: str) -> np.ndarray:
-        if sub is None:
-            return mat
-        if mat.shape != sub.w.shape:
+    def ambient(mat: np.ndarray, what: str) -> np.ndarray:
+        if gens and mat.shape != gens[0].shape:
             raise _ParseError(f"{what}: shape {mat.shape} does not match the generators")
-        return sub.w.conj().T @ mat @ sub.w
+        return mat
 
-    state = None
+    make_state = None
     state_form = doc.get("state")
-    if not structure_only:
+    if args.command != "structure":
         if not isinstance(state_form, dict) or \
                 len(state_form.keys() & {"density", "canonical", "values"}) != 1:
             raise _ParseError(
                 "state must contain exactly one of 'density', 'canonical' or 'values'")
         if "density" in state_form:
-            rho = _complex_from_json(state_form["density"], "state density", 2)
-            state = states.state_from_density(to_blocks(rho, "state density"), structure)
+            rho = ambient(_complex_from_json(state_form["density"], "state density", 2),
+                          "state density")
+            make_state = lambda st, to_blocks: states.state_from_density(to_blocks(rho), st)
         elif "canonical" in state_form:
             canon = state_form["canonical"]
             if not isinstance(canon, dict) or "p" not in canon or "rhos" not in canon:
@@ -190,21 +200,34 @@ def _parse_problem(args, structure_only: bool = False) -> _Problem:
             p = _numbers_from_json(canon["p"], "canonical p", 1)
             rhos = [None if r is None else _complex_from_json(r, "block state", 2)
                     for r in _json_list(canon["rhos"], "canonical rhos")]
-            state = states.StateFunctional.from_canonical(structure, p, rhos)
+            make_state = lambda st, _: states.StateFunctional.from_canonical(st, p, rhos)
         else:
             vals = _complex_from_json(state_form["values"], "state values", 1)
             if not _json_list(state_form.get("basis", []), "state basis"):
                 raise _ParseError("state values need a declared 'basis'")
-            basis = [to_blocks(b, f"basis element {k}") for k, b in
+            basis = [ambient(b, f"basis element {k}") for k, b in
                      enumerate(_complex_from_json(state_form["basis"], "state basis", 3))]
-            state = states.state_from_values(structure, basis, vals, tol)
+            make_state = lambda st, to_blocks: states.state_from_values(
+                st, [to_blocks(b) for b in basis], vals, tol)
 
-    unitary = None
-    if "unitary" in doc:
-        unitary = _complex_from_json(doc["unitary"], "unitary", 2)
-    return _Problem(structure=structure, state=state, sub=sub,
-                    generators=gens, unitary=unitary,
-                    tol=tol, seed=seed, samples=samples)
+    unitary = _complex_from_json(doc["unitary"], "unitary", 2) if "unitary" in doc else None
+    if unitary is None and args.command == "schrodinger":
+        raise _ParseError("this command needs a 'unitary' entry in the problem file")
+    return _Problem(tol=tol, seed=seed, samples=samples, structure=structure, generators=gens,
+                    make_state=make_state, unitary=unitary)
+
+
+def _build(problem: _Problem) -> _Problem:
+    """Discovery on the generators, then the state, its matrices taken to block coordinates."""
+    if problem.generators is not None:
+        problem.sub = alg.generate_subalgebra(problem.generators, tol=problem.tol,
+                                              seed=problem.seed)
+        problem.structure = problem.sub.structure
+    if problem.make_state is not None:
+        w = None if problem.sub is None else problem.sub.w
+        problem.state = problem.make_state(
+            problem.structure, lambda mat: mat if w is None else w.conj().T @ mat @ w)
+    return problem
 
 
 def _format_blocks(structure: alg.BlockStructure) -> str:
@@ -213,140 +236,94 @@ def _format_blocks(structure: alg.BlockStructure) -> str:
     return "[" + ", ".join(f"({n},{m})" + (f"x{k}" if k > 1 else "") for (n, m), k in runs) + "]"
 
 
-def _unit(args) -> tuple[float, str]:
-    return (_LN2, "bits") if args.bits else (1.0, "nats")
+_G, _E = "{:.9g} {}", "{:.3e} {}"   # an entropy and a gap, each followed by the unit
 
 
-def _emit(args, payload: dict, lines: list[str]) -> None:
+def _in_unit(args, *rows) -> list[tuple]:
+    """Entropy rows (key, label, nats, template) in the unit --bits picks, then the unit row."""
+    scale, unit = (_LN2, "bits") if args.bits else (1.0, "nats")
+    return [(key, label, nats / scale, template.format(nats / scale, unit))
+            for key, label, nats, template in rows] + [("unit", None, unit, None)]
+
+
+def _render(args, rows: list[tuple]) -> None:
+    """Rows (key, label, value, text) as one JSON object of key: value, or as the text lines
+    label + text of the rows that have a label."""
     if args.json:
-        print(json.dumps(payload, sort_keys=True))
+        print(json.dumps({key: value for key, _, value, _ in rows}, sort_keys=True))
     else:
-        for line in lines:
-            print(line)
+        print("\n".join(label + text for _, label, _, text in rows if label is not None))
 
 
-def _cmd_structure(args) -> None:
+def _cmd_structure(args, problem: _Problem) -> list[tuple]:
     """Blocks, dimensions and the residual: the largest relative projection residual
     ``||W* S W - P(W* S W)|| / ||S||`` of the generators S and their adjoints."""
-    problem = _parse_problem(args, structure_only=True)
+    st = problem.structure
     residual = alg.generator_residual(problem.generators, problem.sub)
-    payload = {
-        "blocks": [list(b) for b in problem.structure.blocks],
-        "ambient_dim": problem.structure.ambient_dim,
-        "algebra_dim": problem.structure.algebra_dim,
-        "residual": residual,
-    }
-    lines = [
-        f"blocks: {_format_blocks(problem.structure)}",
-        f"ambient dimension: {problem.structure.ambient_dim}",
-        f"algebra dimension: {problem.structure.algebra_dim}",
-        f"residual: {residual:.3e}",
-    ]
+    rows = [("blocks", "blocks: ", [list(b) for b in st.blocks], _format_blocks(st)),
+            ("ambient_dim", "ambient dimension: ", st.ambient_dim, str(st.ambient_dim)),
+            ("algebra_dim", "algebra dimension: ", st.algebra_dim, str(st.algebra_dim)),
+            ("residual", "residual: ", residual, f"{residual:.3e}")]
     if args.show_unitary:
-        payload["unitary"] = _matrix_to_json(problem.sub.w)
-        lines.append(f"unitary: {payload['unitary']}")
-    _emit(args, payload, lines)
+        unitary = _matrix_to_json(problem.sub.w)
+        rows.append(("unitary", "unitary: ", unitary, str(unitary)))
+    return rows
 
 
-def _cmd_entropy(args) -> None:
-    problem = _parse_problem(args)
+def _cmd_entropy(args, problem: _Problem) -> list[tuple]:
     report = entropy.state_entropy(problem.state, problem.tol)
-    scale, unit = _unit(args)
-    payload = {
-        "state_entropy": report.state_entropy / scale,
-        "sector_entropy": report.sector_entropy / scale,
-        "mean_block_entropy": report.mean_block_entropy / scale,
-        "vn_of_representative": report.vn_of_representative / scale,
-        "multiplicity_term": report.multiplicity_term / scale,
-        "unit": unit,
-    }
-    lines = [
-        f"state entropy:          {payload['state_entropy']:.9g} {unit}",
-        f"sector mixing entropy:  {payload['sector_entropy']:.9g} {unit}",
-        f"mean block entropy:     {payload['mean_block_entropy']:.9g} {unit}",
-        f"S_VN of representative: {payload['vn_of_representative']:.9g} {unit}",
-        f"multiplicity term:      {payload['multiplicity_term']:.9g} {unit}",
-    ]
-    _emit(args, payload, lines)
+    return _in_unit(
+        args,
+        ("state_entropy", "state entropy:          ", report.state_entropy, _G),
+        ("sector_entropy", "sector mixing entropy:  ", report.sector_entropy, _G),
+        ("mean_block_entropy", "mean block entropy:     ", report.mean_block_entropy, _G),
+        ("vn_of_representative", "S_VN of representative: ", report.vn_of_representative, _G),
+        ("multiplicity_term", "multiplicity term:      ", report.multiplicity_term, _G))
 
 
-def _cmd_oracle(args) -> None:
-    problem = _parse_problem(args)
+def _cmd_oracle(args, problem: _Problem) -> list[tuple]:
     found, _ = decomp.infimum_oracle(problem.state, samples=problem.samples, seed=problem.seed,
                                      tol=problem.tol)
     closed = entropy.state_entropy(problem.state, problem.tol).state_entropy
-    scale, unit = _unit(args)
-    payload = {
-        "min_entropy_found": found / scale,
-        "state_entropy": closed / scale,
-        "gap": (found - closed) / scale,
-        "samples": problem.samples,
-        "unit": unit,
-    }
-    lines = [
-        f"minimum found: {payload['min_entropy_found']:.9g} {unit} ({problem.samples} samples)",
-        f"state entropy: {payload['state_entropy']:.9g} {unit}",
-        f"gap:           {payload['gap']:.3e} {unit}",
-    ]
-    _emit(args, payload, lines)
+    return [("samples", None, problem.samples, None), *_in_unit(
+        args,
+        ("min_entropy_found", "minimum found: ", found, _G + f" ({problem.samples} samples)"),
+        ("state_entropy", "state entropy: ", closed, _G),
+        ("gap", "gap:           ", found - closed, _E))]
 
 
-def _cmd_schrodinger(args) -> None:
-    problem = _parse_problem(args)
-    if problem.unitary is None:
-        raise _ParseError("this command needs a 'unitary' entry in the problem file")
+def _cmd_schrodinger(args, problem: _Problem) -> list[tuple]:
     rho = states.representative_density(problem.state)
     dec = decomp.schrodinger_decomposition(rho, problem.unitary)
     weights = dec.weights()
     mixed = decomp.decomposition_entropy(dec)
     vn = entropy.von_neumann(rho)
-    scale, unit = _unit(args)
-    payload = {
-        "weights": [float(w) for w in weights],
-        "decomposition_entropy": mixed / scale,
-        "vn_entropy": vn / scale,
-        "excess": (mixed - vn) / scale,
-        "unit": unit,
-    }
-    lines = [
-        f"weights: {np.array2string(weights, precision=9)}",
-        f"decomposition entropy: {payload['decomposition_entropy']:.9g} {unit}",
-        f"S_VN of the state:     {payload['vn_entropy']:.9g} {unit}",
-        f"excess over S_VN:      {payload['excess']:.9g} {unit}",
-    ]
-    _emit(args, payload, lines)
+    return [("weights", "weights: ", [float(w) for w in weights],
+             np.array2string(weights, precision=9)), *_in_unit(
+        args,
+        ("decomposition_entropy", "decomposition entropy: ", mixed, _G),
+        ("vn_entropy", "S_VN of the state:     ", vn, _G),
+        ("excess", "excess over S_VN:      ", mixed - vn, _G))]
 
 
-def _cmd_gns(args) -> None:
-    problem = _parse_problem(args)
+def _cmd_gns(args, problem: _Problem) -> list[tuple]:
     g = gns.gns_construct(problem.state, problem.tol)
     irreducible = gns.is_irreducible(g)
-    sectors = gns.resolve_sectors(g, seed=problem.seed)
-    via_gns = gns.sectors_entropy(sectors)
+    via_gns = gns.sectors_entropy(gns.resolve_sectors(g, seed=problem.seed))
     closed = entropy.state_entropy(problem.state, problem.tol).state_entropy
-    scale, unit = _unit(args)
-    payload = {
-        "gns_dimension": g.dim,
-        "irreducible": bool(irreducible),
-        "gns_entropy": via_gns / scale,
-        "state_entropy": closed / scale,
-        "gap": (via_gns - closed) / scale,
-        "unit": unit,
-    }
-    lines = [
-        f"GNS dimension: {g.dim}",
-        f"irreducible:   {'yes' if irreducible else 'no'}",
-        f"GNS entropy:   {payload['gns_entropy']:.9g} {unit}",
-        f"state entropy: {payload['state_entropy']:.9g} {unit}",
-        f"gap:           {payload['gap']:.3e} {unit}",
-    ]
-    _emit(args, payload, lines)
+    return [("gns_dimension", "GNS dimension: ", g.dim, str(g.dim)),
+            ("irreducible", "irreducible:   ", bool(irreducible), "yes" if irreducible else "no"),
+            *_in_unit(args,
+                      ("gns_entropy", "GNS entropy:   ", via_gns, _G),
+                      ("state_entropy", "state entropy: ", closed, _G),
+                      ("gap", "gap:           ", via_gns - closed, _E))]
 
 
-def _cmd_zeno(args) -> None:
+def _cmd_zeno(args, _) -> list[tuple]:
     prob = thermo.zeno_success_probability(args.k)
-    payload = {"k": args.k, "success_probability": prob}
-    _emit(args, payload, [f"success probability after {args.k} steps: {prob:.9g}"])
+    return [("k", None, args.k, None),
+            ("success_probability", f"success probability after {args.k} steps: ", prob,
+             f"{prob:.9g}")]
 
 
 @functools.cache
@@ -357,45 +334,32 @@ def _build_parser() -> argparse.ArgumentParser:
         description="entropy of states over finite-dimensional operator algebras")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, with_samples: bool = False) -> None:
+    def file_command(name: str, func, text: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=text)
+        p.add_argument("file")
         p.add_argument("--tol", type=float, default=None, help="numerical tolerance (default 1e-9)")
         p.add_argument("--seed", type=int, default=None, help="random seed (default 0)")
-        if with_samples:
-            p.add_argument("--samples", type=int, default=None,
-                           help="number of random samples (default 1000)")
-        p.add_argument("--bits", action="store_true", help="report entropies in bits")
         p.add_argument("--json", action="store_true", help="machine-readable output")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("structure", help="discover the block structure of a generated algebra")
-    p.add_argument("file")
-    p.add_argument("--show-unitary", action="store_true")
-    common(p)
-    p.set_defaults(func=_cmd_structure)
-
-    p = sub.add_parser("entropy", help="entropy report for a state")
-    p.add_argument("file")
-    common(p)
-    p.set_defaults(func=_cmd_entropy)
-
-    p = sub.add_parser("oracle", help="sampled decomposition-entropy minimum vs the closed form")
-    p.add_argument("file")
-    common(p, with_samples=True)
-    p.set_defaults(func=_cmd_oracle)
-
-    p = sub.add_parser("schrodinger", help="decomposition induced by a unitary")
-    p.add_argument("file")
-    common(p)
-    p.set_defaults(func=_cmd_schrodinger)
-
-    p = sub.add_parser("gns", help="GNS representation and the entropy through it")
-    p.add_argument("file")
-    common(p)
-    p.set_defaults(func=_cmd_gns)
+    file_command("structure", _cmd_structure,
+                 "discover the block structure of a generated algebra").add_argument(
+        "--show-unitary", action="store_true")
+    for name, func, text in (
+            ("entropy", _cmd_entropy, "entropy report for a state"),
+            ("oracle", _cmd_oracle, "sampled decomposition-entropy minimum vs the closed form"),
+            ("schrodinger", _cmd_schrodinger, "decomposition induced by a unitary"),
+            ("gns", _cmd_gns, "GNS representation and the entropy through it")):
+        file_command(name, func, text).add_argument("--bits", action="store_true",
+                                                    help="report entropies in bits")
+    sub.choices["oracle"].add_argument("--samples", type=int, default=None,
+                                       help="number of random samples (default 1000)")
 
     p = sub.add_parser("zeno", help="success probability of the k-step rotation")
     p.add_argument("k", type=int)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_zeno, bits=False)
+    p.set_defaults(func=_cmd_zeno)
 
     return parser
 
@@ -403,7 +367,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        args.func(args)
+        rows = args.func(args, _build(_decode(args)) if "file" in args else None)
     except _ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -419,6 +383,7 @@ def main(argv=None) -> int:
     except ValidationError as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return 2
+    _render(args, rows)
     return 0
 
 

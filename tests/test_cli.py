@@ -382,6 +382,101 @@ class TestExitCodes:
         assert err[0].startswith(f"invalid input: tol {tol} ")
 
 
+    def test_input_error_exits_2_before_discovery(self, tmp_path, capsys):
+        # discovery fails on these generators at tol 0.5 (exit 3 above); the numeric string in
+        # the density is found first, because the whole file is checked before any numerics
+        rng = rng_stream(112)
+        v = haar_unitary(3, rng)
+        gen = v @ np.diag([1.0, 2.0, 3.0]).astype(complex) @ v.conj().T
+        density = _mat(np.eye(3) / 3)
+        density[0][0][0] = "0.5"
+        doc = {"algebra": {"generators": [_mat(gen)]}, "state": {"density": density},
+               "options": {"tol": 0.5}}
+        assert main(["entropy", _write(tmp_path, doc)]) == 2
+        captured = capsys.readouterr()
+        err = captured.err.strip().splitlines()
+        assert captured.out == "" and len(err) == 1 and err[0].startswith("error: state density")
+
+    def test_bits_is_not_an_option_of_structure(self, tmp_path, capsys):
+        # structure reports no entropy, so argparse rejects --bits there
+        doc = {"algebra": {"generators": [_mat(np.diag([1.0, 2.0]))]}}
+        with pytest.raises(SystemExit) as exc:
+            main(["structure", _write(tmp_path, doc), "--bits"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --bits" in capsys.readouterr().err
+
+
+def _canonical_doc(blocks, p, rhos, **extra):
+    return {"algebra": {"blocks": blocks},
+            "state": {"canonical": {"p": p, "rhos": [_mat(r) for r in rhos]}}, **extra}
+
+
+class TestTextOutput:
+    """The full text report of each command on one small fixed file, byte for byte."""
+
+    @pytest.mark.parametrize("doc,argv,expected", [
+        (_canonical_doc([[2, 2], [1, 1]], [0.75, 0.25], [np.eye(2) / 2, np.eye(1)]),
+         ["entropy"],
+         "state entropy:          1.08219553 nats\n"
+         "sector mixing entropy:  0.562335145 nats\n"
+         "mean block entropy:     0.519860385 nats\n"
+         "S_VN of representative: 1.60205592 nats\n"
+         "multiplicity term:      0.519860385 nats\n"),
+        (_canonical_doc([[2, 2], [1, 1]], [0.75, 0.25], [np.eye(2) / 2, np.eye(1)]),
+         ["entropy", "--bits"],
+         "state entropy:          1.56127812 bits\n"
+         "sector mixing entropy:  0.811278124 bits\n"
+         "mean block entropy:     0.75 bits\n"
+         "S_VN of representative: 2.31127812 bits\n"
+         "multiplicity term:      0.75 bits\n"),
+        (_canonical_doc([[3, 2], [2, 1], [1, 1]], [0.5, 0.3, 0.2],
+                        [np.eye(n) / n for n in (3, 2, 1)], options={"samples": 1}),
+         ["oracle"],
+         "minimum found: 1.78690331 nats (1 samples)\n"
+         "state entropy: 1.78690331 nats\n"
+         "gap:           0.000e+00 nats\n"),
+        ({"algebra": {"blocks": [[2, 1]]}, "state": {"density": _mat(np.diag([0.25, 0.75]))},
+          "unitary": _mat(np.array([[1, 1], [1, -1]]) / np.sqrt(2))},
+         ["schrodinger"],
+         "weights: [0.5 0.5]\n"
+         "decomposition entropy: 0.693147181 nats\n"
+         "S_VN of the state:     0.562335145 nats\n"
+         "excess over S_VN:      0.130812036 nats\n"),
+        (_canonical_doc([[2, 1], [1, 1]], [0.5, 0.5], [np.eye(2) / 2, np.eye(1)]),
+         ["gns"],
+         "GNS dimension: 5\n"
+         "irreducible:   no\n"
+         "GNS entropy:   1.03972077 nats\n"
+         "state entropy: 1.03972077 nats\n"
+         "gap:           0.000e+00 nats\n"),
+        ({"algebra": {"blocks": [[2, 1]]}, "state": {"density": _mat(np.diag([1.0, 0.0]))}},
+         ["gns"],
+         "GNS dimension: 2\n"
+         "irreducible:   yes\n"
+         "GNS entropy:   0 nats\n"
+         "state entropy: 0 nats\n"
+         "gap:           0.000e+00 nats\n"),
+        ({"algebra": {"generators": [_mat(np.diag([1.0, 2.0, 3.0, 3.0]))]}},
+         ["structure", "--show-unitary"],
+         "blocks: [(1,2), (1,1)x2]\n"
+         "ambient dimension: 4\n"
+         "algebra dimension: 3\n"
+         "residual: 0.000e+00\n"
+         "unitary: [[[0.0, 0.0], [0.0, 0.0], [0.8242211690983734, 0.5662680146451069], [0.0, 0.0]], "
+         "[[0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.5066458072756959, 0.8621542935982854]], "
+         "[[0.20908429418259167, 0.977897621393041], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]], "
+         "[[0.0, 0.0], [0.20908429418259167, 0.977897621393041], [0.0, 0.0], [0.0, 0.0]]]\n"),
+    ], ids=["entropy", "entropy_bits", "oracle", "schrodinger", "gns_reducible", "gns_irreducible",
+            "structure_show_unitary"])
+    def test_report(self, tmp_path, capsys, doc, argv, expected):
+        assert main([argv[0], _write(tmp_path, doc), *argv[1:]]) == 0
+        assert capsys.readouterr() == (expected, "")
+
+    def test_zeno_report(self, capsys):
+        assert main(["zeno", "10"]) == 0
+        assert capsys.readouterr() == ("success probability after 10 steps: 0.78054607\n", "")
+
+
 class TestRoutesAgreeOnWhatIsAState:
     """A functional is a state or not whatever the command and whatever --tol."""
 

@@ -13,7 +13,8 @@ numerical cutoff is an entry of the one table ``_linalg.Cutoff``, which the
 README's cutoff table documents row by row, only ``states`` decides that a
 functional is not a state, each stream contract has one constructor:
 Philox in ``_linalg.rng_stream``, SFC64 in ``decomp._chunk_stream``, the
-CLI turns JSON into float arrays only in its number decoder, and each
+CLI turns JSON into float arrays only in its number decoder, writes stdout
+only in its renderer and stderr only in ``main``'s error handlers, and each
 result type has one builder: ``entropy.state_entropy`` for
 ``EntropyReport`` and ``states._decomposition`` for ``Decomposition``.
 """
@@ -257,6 +258,31 @@ def test_cli_reads_json_numbers_through_its_number_decoder():
     tree = ast.parse((ROOT / "src" / "cstar_entropy" / "cli.py").read_text())
     sites = list(_float_array_sites(tree))
     assert sites and {owner for owner, _ in sites} == {"_numbers_from_json"}, sites
+
+
+def _stream_writes(node, owner=None, handled=False):
+    """(innermost enclosing function, stream, inside an except clause) of each print call
+    and of each other use of sys.stdout or sys.stderr."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        owner = node.name
+    handled = handled or isinstance(node, ast.ExceptHandler)
+    children = ast.iter_child_nodes(node)
+    if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "print":
+        stream = [ast.unparse(kw.value) for kw in node.keywords if kw.arg == "file"]
+        yield owner, (stream or ["sys.stdout"])[0], handled
+        children = node.args  # the file= keyword names this call's stream
+    elif isinstance(node, ast.Attribute) and ast.unparse(node) in ("sys.stdout", "sys.stderr"):
+        yield owner, ast.unparse(node), handled
+    for child in children:
+        yield from _stream_writes(child, owner, handled)
+
+
+def test_cli_writes_stdout_only_in_its_renderer():
+    # the renderer writes the text lines and the JSON object from the same rows; a second
+    # writer could print a field that one of the two forms lacks
+    tree = ast.parse((ROOT / "src" / "cstar_entropy" / "cli.py").read_text())
+    writes = set(_stream_writes(tree))
+    assert writes == {("_render", "sys.stdout", False), ("main", "sys.stderr", True)}, writes
 
 
 def _call_sites(node, name, owner=None):
