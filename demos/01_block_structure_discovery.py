@@ -11,7 +11,7 @@ change of basis.
 import numpy as np
 
 import cstar_entropy as ce
-from cstar_entropy._linalg import haar_unitary, rng_stream
+from cstar_entropy._linalg import random_isometry, rng_stream
 
 rng = rng_stream(2024)
 
@@ -25,7 +25,7 @@ print("algebra dimension:   ", hidden.algebra_dim)   # 4 + 1 = 5
 
 # Conjugate two random elements by a random unitary so nothing is visibly
 # block diagonal anymore.
-scrambler = haar_unitary(hidden.ambient_dim, rng)
+scrambler = random_isometry(hidden.ambient_dim, hidden.ambient_dim, rng)
 generators = [scrambler @ ce.embed(ce.random_element(hidden, rng)) @ scrambler.conj().T
               for _ in range(2)]
 print("\na generator, rounded (no visible structure):")

@@ -10,7 +10,7 @@ by random sampling.
 import numpy as np
 
 import cstar_entropy as ce
-from cstar_entropy._linalg import haar_unitary, rng_stream
+from cstar_entropy._linalg import random_isometry, rng_stream
 
 rng = rng_stream(42)
 
@@ -23,7 +23,7 @@ print("spectrum: [0.75, 0.25], S_VN =", ce.von_neumann(rho))
 spectral = ce.schrodinger_decomposition(rho, np.eye(2))
 print("spectral weights:", spectral.weights(), "entropy:", ce.decomposition_entropy(spectral))
 
-u = haar_unitary(2, rng)
+u = random_isometry(2, 2, rng)
 other = ce.schrodinger_decomposition(rho, u)
 print("random-mixing weights:", np.round(other.weights(), 6),
       "entropy:", ce.decomposition_entropy(other))

@@ -185,11 +185,6 @@ def phase_fixed_qr(mats: np.ndarray) -> np.ndarray:
     return q * (d / np.abs(d))[..., None, :]
 
 
-def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed unitary: the phase-fixed QR of a complex Gaussian matrix."""
-    return phase_fixed_qr(complex_gaussian((dim, dim), rng))
-
-
 def random_isometry(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
     """rows x cols matrix with orthonormal columns (rows >= cols)."""
     if rows < cols:

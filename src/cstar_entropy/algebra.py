@@ -94,6 +94,8 @@ class AlgebraElement:
             arr = np.asarray(part, dtype=complex)
             if arr.shape != (n, n):
                 raise ValidationError(f"part of shape {arr.shape} does not match block size {n}")
+            if not np.all(np.isfinite(arr)):
+                raise ValidationError("part has non-finite entries")
             parts.append(frozen(arr))
         object.__setattr__(self, "parts", tuple(parts))
 
@@ -384,8 +386,6 @@ def _split_attempt(sample: Callable[[np.random.Generator], np.ndarray], d: int, 
     # in the block (fixed for a fixed seed).
     sectors.sort(key=lambda s: (-s[0], -s[1], s[2]))
     blocks = tuple((n, m) for n, m, _, _ in sectors)
-    if sum(n * m for n, m in blocks) != d:
-        raise _Retry()
     w = np.concatenate([cols for *_, cols in sectors], axis=1)
     if frob(w.conj().T @ w - np.eye(d)) > Cutoff.identity_defect(d):
         raise _Retry()

@@ -134,13 +134,8 @@ def _resolve_options(doc: dict, args) -> tuple[float, int, int]:
     if not isinstance(options, dict):
         raise _ParseError("options must be an object")
     tol = options.get("tol", Cutoff.TOL) if args.tol is None else args.tol
-    if not _is_number(tol):
-        raise _ParseError(f"options: tol must be a number, got {tol!r}")
-    try:
-        tol = float(tol)
-    except OverflowError as exc:
-        raise _ParseError(f"options: tol must be a number: {exc}") from None
-    if not np.isfinite(tol) or tol <= 0:
+    tol = float(_numbers_from_json(tol, "tol", 0))
+    if tol <= 0:
         raise _ParseError(f"tol must be a positive finite number, got {tol!r}")
     seed = _json_int(options.get("seed", 0), "options: seed") if args.seed is None else args.seed
     samples = getattr(args, "samples", None)

@@ -206,7 +206,7 @@ def _chunk_entropies(seed: int, chunk: int, active, count: int = _CHUNK, buffers
         start += 2 * lam.size
     weights[weights <= Cutoff.WEIGHT_FLOOR] = 0.0
     weights /= weights.sum(axis=0)
-    # in place but for one array: each (sum 2 n_i, 1024) temporary adds to a one-chunk scan's peak
+    # in place, where entropy._entropy_of copies: each (sum 2 n_i, 1024) temporary adds to the peak
     logs = np.where(weights > 0.0, weights, 1.0)
     np.log(logs, out=logs)
     return -np.multiply(logs, weights, out=logs).sum(axis=0)[:count]

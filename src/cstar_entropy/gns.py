@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import (Cutoff, check_int, frob, frozen, hermitize, random_isometry, resolve_tol,
+from ._linalg import (Cutoff, frob, frozen, hermitize, random_isometry, resolve_tol,
                       rng_stream)
 from .algebra import (BlockStructure, _assemble, _discover_span, _swap_factors, split_blocks,
                       structure_projection)
@@ -191,25 +191,17 @@ class IdentityDecomposition:
         object.__setattr__(self, "items", tuple(items))
 
 
-def identity_decomposition_random(sectors: GnsSectors, seed: int = 0,
-                                  sizes: dict[int, int] | None = None) -> IdentityDecomposition:
+def identity_decomposition_random(sectors: GnsSectors, seed: int = 0) -> IdentityDecomposition:
     """Random per-block resolutions of the identity on the multiplicity factors of the sectors.
 
     Each block i of ``sectors.structure`` gets M_i terms with M_i drawn in
-    [m_i, 2 m_i] (overridable through ``sizes``), built from the rows of a
-    random isometry so the resolution is exact.  With M_i = m_i the rows
-    form an orthonormal basis and every weight is 1.
+    [m_i, 2 m_i], built from the rows of a random M_i x m_i isometry so the
+    resolution is exact.
     """
     rng = rng_stream(seed, 3)
     items = []
-    sizes = {} if sizes is None else sizes
-    for key in sizes:
-        if not 0 <= check_int(key, "sizes key") < sectors.structure.num_blocks:
-            raise ValidationError(f"sizes key {key!r} names no block of {sectors.structure.blocks}")
     for i, (_, m) in enumerate(sectors.structure.blocks):
-        count = sizes.get(i)
-        count = int(rng.integers(m, 2 * m + 1)) if count is None else check_int(count, f"sizes[{i}]", m)
-        iso = random_isometry(count, m, rng)
+        iso = random_isometry(int(rng.integers(m, 2 * m + 1)), m, rng)
         for row in iso.conj():
             t = float(np.linalg.norm(row) ** 2)
             if t <= Cutoff.WEIGHT_FLOOR:

@@ -3,7 +3,7 @@
 import numpy as np
 
 import cstar_entropy as ce
-from cstar_entropy._linalg import Cutoff, haar_unitary, resolve_tol, rng_stream
+from cstar_entropy._linalg import Cutoff, random_isometry, resolve_tol, rng_stream
 from cstar_entropy.algebra import _assemble, split_blocks
 from cstar_entropy.entropy import _entropy_of
 from cstar_entropy.errors import ValidationError
@@ -76,7 +76,7 @@ def riesz_representative(basis_mats, values):
 
 def conjugated_algebra_generators(rng, structure, count=2):
     """Generators of a unitarily rotated copy of the embedded algebra."""
-    v = haar_unitary(structure.ambient_dim, rng)
+    v = random_isometry(structure.ambient_dim, structure.ambient_dim, rng)
     return [v @ ce.embed(ce.random_element(structure, rng)) @ v.conj().T
             for _ in range(count)]
 
@@ -169,7 +169,7 @@ def closure_defect(basis):
 
 
 __all__ = [
-    "haar_unitary",
+    "random_isometry",
     "rng_stream",
     "random_structure",
     "random_block_density",

@@ -14,8 +14,8 @@ import cstar_entropy as ce
 from helpers import (
     convex_combine,
     embedded_standard_basis,
-    haar_unitary,
     random_ambient_density,
+    random_isometry,
     random_pure_state,
     random_state,
     random_structure,
@@ -79,7 +79,7 @@ def test_criterion_3_schrodinger_suite(capsys):
             lam = lam / lam.sum()
             if lam[-1] < 1e-9:  # keep the weight/B-matrix comparison exact
                 continue
-            u = haar_unitary(d, rng)
+            u = random_isometry(d, d, rng)
             dec = ce.schrodinger_decomposition(rho, u)
             assert np.linalg.norm(dec.density() - rho) <= 1e-9
             h = ce.decomposition_entropy(dec)

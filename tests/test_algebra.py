@@ -13,8 +13,8 @@ from cstar_entropy.algebra import (_discover, _discover_span, _letters, _Retry, 
 from cstar_entropy.errors import DecompositionError, ValidationError
 
 from helpers import (closure_defect, conjugated_algebra_generators, embedded_standard_basis,
-                     haar_unitary, multiplicity_free, random_pure_state, random_state, random_structure,
-                     rng_stream)
+                     multiplicity_free, random_isometry, random_pure_state, random_state,
+                     random_structure, rng_stream)
 
 
 class TestMakeAlgebra:
@@ -177,7 +177,7 @@ class TestSubalgebraBasis:
             ce.SubalgebraBasis(ce.make_algebra([(1, 2)]), w)
 
     def test_unitary_w_is_kept_read_only(self):
-        w = haar_unitary(3, rng_stream(15))
+        w = random_isometry(3, 3, rng_stream(15))
         sub = ce.SubalgebraBasis(ce.make_algebra([(1, 1), (1, 2)]), w)
         assert np.array_equal(sub.w, w) and not sub.w.flags.writeable
         assert (sub.ambient_dim, sub.dim) == (3, 2)
@@ -187,7 +187,7 @@ class TestSubalgebraBasis:
     def test_basis_is_one_orthonormal_read_only_stack(self, blocks):
         # W (E_ab (x) I_m) W* / sqrt(m), block by block, row-major, from the embedded units
         st = ce.make_algebra(blocks)
-        w = haar_unitary(st.ambient_dim, rng_stream(17))
+        w = random_isometry(st.ambient_dim, st.ambient_dim, rng_stream(17))
         basis = ce.SubalgebraBasis(st, w).basis
         scale = np.repeat([np.sqrt(m) for _, m in st.blocks], [n * n for n, _ in st.blocks])
         expected = w @ embedded_standard_basis(st) @ w.conj().T / scale[:, None, None]
@@ -418,7 +418,7 @@ class TestBlockDecompose:
 
     def test_conjugated_diagonal(self):
         rng = rng_stream(23)
-        v = haar_unitary(3, rng)
+        v = random_isometry(3, 3, rng)
         sub = ce.generate_subalgebra([v @ np.diag([1.0, 2.0, 3.0]).astype(complex) @ v.conj().T])
         assert ce.block_decompose(sub.basis, seed=2).structure.blocks == ((1, 1), (1, 1), (1, 1))
 

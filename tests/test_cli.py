@@ -12,8 +12,8 @@ from cstar_entropy import entropy as entropy_module
 from cstar_entropy._linalg import complex_gaussian
 from cstar_entropy.cli import main
 
-from helpers import (conjugated_algebra_generators, embedded_standard_basis, haar_unitary,
-                     random_block_density, rng_stream)
+from helpers import (conjugated_algebra_generators, embedded_standard_basis, random_block_density,
+                     random_isometry, rng_stream)
 
 
 def _mat(m):
@@ -93,7 +93,7 @@ class TestEntropyCommand:
 class TestStructureCommand:
     def test_discovers_conjugated_diagonal(self, tmp_path, capsys):
         rng = rng_stream(110)
-        v = haar_unitary(3, rng)
+        v = random_isometry(3, 3, rng)
         gen = v @ np.diag([1.0, 2.0, 3.0]).astype(complex) @ v.conj().T
         doc = {"algebra": {"generators": [_mat(gen)]}}
         assert main(["structure", _write(tmp_path, doc), "--json"]) == 0
@@ -109,7 +109,7 @@ class TestStructureCommand:
     def test_block_with_multiplicity(self, tmp_path, capsys):
         rng = rng_stream(111)
         st = ce.make_algebra([(2, 2)])
-        v = haar_unitary(4, rng)
+        v = random_isometry(4, 4, rng)
         gens = [v @ ce.embed(ce.random_element(st, rng)) @ v.conj().T for _ in range(2)]
         doc = {"algebra": {"generators": [_mat(g) for g in gens]}}
         assert main(["structure", _write(tmp_path, doc), "--json"]) == 0
@@ -125,7 +125,7 @@ class TestStructureCommand:
     def test_text_report_counts_runs_of_equal_blocks(self, tmp_path, capsys, blocks, text):
         rng = rng_stream(112)
         st = ce.make_algebra(blocks)
-        v = haar_unitary(st.ambient_dim, rng)
+        v = random_isometry(st.ambient_dim, st.ambient_dim, rng)
         gens = [v @ ce.embed(ce.random_element(st, rng)) @ v.conj().T for _ in range(2)]
         doc = {"algebra": {"generators": [_mat(g) for g in gens]}}
         assert main(["structure", _write(tmp_path, doc)]) == 0
@@ -336,12 +336,22 @@ class TestExitCodes:
 
     def test_numerical_failure_exit_code(self, tmp_path):
         rng = rng_stream(112)
-        v = haar_unitary(3, rng)
+        v = random_isometry(3, 3, rng)
         gen = v @ np.diag([1.0, 2.0, 3.0]).astype(complex) @ v.conj().T
         doc = {
             "algebra": {"generators": [_mat(gen)]},
             "options": {"tol": 0.5},
         }
+        assert main(["structure", _write(tmp_path, doc)]) == 3
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_one_cluster_of_a_generic_spectrum_exits_3_at_every_seed(self, tmp_path, seed):
+        # at tol 2 no eigenvalue gap exceeds tol times the spectral scale, so all three
+        # eigenvalues form one cluster; a generic element compresses onto it to no multiple
+        # of a unitary, so every attempt retries whatever the draws
+        v = random_isometry(3, 3, rng_stream(112))
+        gen = v @ np.diag([1.0, 2.0, 3.0]).astype(complex) @ v.conj().T
+        doc = {"algebra": {"generators": [_mat(gen)]}, "options": {"tol": 2.0, "seed": seed}}
         assert main(["structure", _write(tmp_path, doc)]) == 3
 
     def test_missing_file(self):
@@ -386,7 +396,7 @@ class TestExitCodes:
         # discovery fails on these generators at tol 0.5 (exit 3 above); the numeric string in
         # the density is found first, because the whole file is checked before any numerics
         rng = rng_stream(112)
-        v = haar_unitary(3, rng)
+        v = random_isometry(3, 3, rng)
         gen = v @ np.diag([1.0, 2.0, 3.0]).astype(complex) @ v.conj().T
         density = _mat(np.eye(3) / 3)
         density[0][0][0] = "0.5"
@@ -576,13 +586,16 @@ class TestRejectedInputs:
          "state": {"canonical": {"p": [True], "rhos": [_mat(np.eye(1))]}}},
         # an integer literal that no float holds
         {"algebra": {"blocks": [[1, 1]]}, "state": {"density": [[[10**400, 0]]]}},
+        _m2_density_doc(options={"tol": True}),
+        _m2_density_doc(options={"tol": 10**400}),
     ], ids=["short_block", "seed", "tol", "nan_tol", "samples",
             "numeric_string_samples", "numeric_string_seed", "numeric_string_tol",
             "generators_not_list", "canonical_p_not_numeric", "rhos_not_list", "basis_not_list",
             "density_shape_vs_generators", "basis_shape_vs_generators",
             "density_string_entry", "density_boolean_entry", "generator_boolean_entry",
             "values_string_pair", "basis_boolean_element", "canonical_p_string",
-            "canonical_p_boolean", "density_integer_beyond_float_range"])
+            "canonical_p_boolean", "density_integer_beyond_float_range", "tol_boolean",
+            "tol_integer_beyond_float_range"])
     def test_malformed_field_is_one_error_line(self, tmp_path, capsys, doc):
         assert main(["oracle", _write(tmp_path, doc)]) == 2
         err = capsys.readouterr().err.strip().splitlines()
@@ -610,6 +623,15 @@ class TestRejectedInputs:
         err = captured.err.strip().splitlines()
         assert captured.out == "" and len(err) == 1 and err[0].startswith("error:")
         assert field in err[0]
+
+    @pytest.mark.parametrize("tol", ["inf", "nan"])
+    def test_non_finite_tol_flag_is_one_error_line(self, tmp_path, capsys, tol):
+        # argparse reads both as floats; the flag is decoded as a JSON number would be
+        assert main(["oracle", _write(tmp_path, _m2_density_doc()), "--tol", tol, "--json"]) == 2
+        captured = capsys.readouterr()
+        err = captured.err.strip().splitlines()
+        assert captured.out == "" and len(err) == 1 and err[0].startswith("error:")
+        assert "tol" in err[0]
 
     @pytest.mark.parametrize("options", [
         {"samples": 2.7}, {"samples": True}, {"seed": 1.5}, {"seed": True},
@@ -669,7 +691,7 @@ class TestDeterminism:
     def test_byte_identical_json_output(self, tmp_path, capsys):
         rng = rng_stream(113)
         st = ce.make_algebra([(2, 1), (1, 1)])
-        v = haar_unitary(3, rng)
+        v = random_isometry(3, 3, rng)
         gens = [v @ ce.embed(ce.random_element(st, rng)) @ v.conj().T for _ in range(2)]
         rho = np.diag([0.2, 0.3, 0.5]).astype(complex)
         doc = {

@@ -8,8 +8,8 @@ from cstar_entropy.errors import ValidationError
 
 from helpers import (
     decomposition_entropy_split,
-    haar_unitary,
     random_ambient_density,
+    random_isometry,
     random_state,
     random_structure,
     rng_stream,
@@ -37,7 +37,7 @@ class TestSchrodingerDecomposition:
     def test_larger_unitary_than_rank(self):
         rng = rng_stream(50)
         rho = np.diag([0.6, 0.4, 0.0]).astype(complex)
-        u = haar_unitary(3, rng)
+        u = random_isometry(3, 3, rng)
         dec = ce.schrodinger_decomposition(rho, u)
         assert np.allclose(dec.density(), rho, atol=1e-10)
 
@@ -56,7 +56,7 @@ class TestSchrodingerDecomposition:
         for _ in range(50):
             d = int(rng.integers(2, 7))
             rho = random_ambient_density(rng, d)
-            dec = ce.schrodinger_decomposition(rho, haar_unitary(d, rng))
+            dec = ce.schrodinger_decomposition(rho, random_isometry(d, d, rng))
             assert ce.decomposition_entropy(dec) >= ce.von_neumann(rho) - 1e-9
 
     def test_reconstruction_on_random_inputs(self):
@@ -64,7 +64,7 @@ class TestSchrodingerDecomposition:
         for _ in range(20):
             d = int(rng.integers(2, 7))
             rho = random_ambient_density(rng, d)
-            dec = ce.schrodinger_decomposition(rho, haar_unitary(d, rng))
+            dec = ce.schrodinger_decomposition(rho, random_isometry(d, d, rng))
             assert np.linalg.norm(dec.density() - rho) < 1e-9
 
 
@@ -78,7 +78,7 @@ class TestDoublyStochastic:
 
     def test_rows_and_columns_sum_to_one(self):
         rng = rng_stream(53)
-        b = ce.doubly_stochastic_from_unitary(haar_unitary(5, rng))
+        b = ce.doubly_stochastic_from_unitary(random_isometry(5, 5, rng))
         assert np.allclose(b.sum(axis=0), 1.0, atol=1e-10)
         assert np.allclose(b.sum(axis=1), 1.0, atol=1e-10)
 
@@ -87,7 +87,7 @@ class TestDoublyStochastic:
         for _ in range(20):
             d = int(rng.integers(2, 6))
             rho = random_ambient_density(rng, d)
-            u = haar_unitary(d, rng)
+            u = random_isometry(d, d, rng)
             lam = np.sort(np.linalg.eigvalsh(rho))[::-1]
             expected = ce.doubly_stochastic_from_unitary(u) @ lam
             dec = ce.schrodinger_decomposition(rho, u)
@@ -154,7 +154,7 @@ class TestMajorizes:
             rho = random_ambient_density(rng, d)
             lam = np.clip(np.linalg.eigvalsh(rho), 0.0, None)
             lam = lam / lam.sum()
-            dec = ce.schrodinger_decomposition(rho, haar_unitary(d, rng))
+            dec = ce.schrodinger_decomposition(rho, random_isometry(d, d, rng))
             assert ce.majorizes(lam, dec.weights()).relation in ("majorizes", "equal")
 
 
@@ -522,8 +522,8 @@ def test_isometries_are_orthonormal_on_ill_conditioned_draws():
         draws = rng.standard_normal((n, 2 * n, count, 2)).view(complex)[..., 0]
         for s, cond in enumerate(np.logspace(0, 13, count)):
             r = sizes[s]
-            left = haar_unitary(r, rng)[:, :n]
-            a = left @ np.diag(np.logspace(0, -np.log10(cond), n)) @ haar_unitary(n, rng)
+            left = random_isometry(r, r, rng)[:, :n]
+            a = left @ np.diag(np.logspace(0, -np.log10(cond), n)) @ random_isometry(n, n, rng)
             draws[:, :r, s] = a.T
         z = draws.transpose(2, 1, 0).copy()  # (sample, row, column)
         q = _isometries(draws, sizes, n, np.empty((2 * n, count), dtype=complex))
@@ -701,14 +701,11 @@ _E1, _E2 = np.eye(2)
     lambda: ce.generate_subalgebra([np.diag([1.0, 2.0])], seed="3"),
     lambda: ce.block_decompose([np.eye(2) / np.sqrt(2)], seed=2.5),
     lambda: ce.identity_decomposition_random(ce.resolve_sectors(_M2_GNS), seed=True),
-    lambda: ce.identity_decomposition_random(ce.resolve_sectors(_M2_GNS), sizes={0: 2.5}),
-    lambda: ce.identity_decomposition_random(ce.resolve_sectors(_M2_GNS), sizes={0: "3"}),
-    lambda: ce.identity_decomposition_random(ce.resolve_sectors(_M2_GNS), sizes={0: True}),
-    lambda: ce.identity_decomposition_random(ce.resolve_sectors(_M2_GNS), sizes={9: 2}),
     lambda: ce.make_algebra([(2.7, 1)]),
     lambda: ce.make_algebra([("2", 1)]),
     lambda: ce.make_algebra([(True, 1)]),
     lambda: ce.make_algebra([(2, _NAN)]),
+    lambda: ce.AlgebraElement(_M2, (np.diag([_NAN, 1.0]),)),
 ], ids=["shannon", "majorizes_p", "majorizes_q", "decomposition_weight", "decomposition_vector",
         "identity_decomposition_vector", "zeno_sequence", "doubly_stochastic",
         "schrodinger_decomposition", "gas_account", "gns_commutant_functional",
@@ -717,14 +714,11 @@ _E1, _E2 = np.eye(2)
         "gas_account_boltzmann_inf", "zeno_sequence_k_fraction", "resolve_sectors_seed_fraction",
         "gns_state_entropy_seed_bool", "generate_subalgebra_seed_str",
         "block_decompose_seed_fraction", "identity_decomposition_random_seed_bool",
-        "identity_decomposition_random_sizes_fraction", "identity_decomposition_random_sizes_str",
-        "identity_decomposition_random_sizes_bool", "identity_decomposition_random_sizes_no_block",
         "block_dimension_fraction", "block_dimension_str", "block_dimension_bool",
-        "block_multiplicity_nan"])
+        "block_multiplicity_nan", "algebra_element"])
 def test_public_validators_reject_nan(call):
     # every check of the form `defect > bound` is false on NaN, so each must be written to
     # fail it; counts, seeds and block dimensions must be integers, which a NaN, a fraction,
-    # a bool or a string is not, a sizes key must name a block, and a temperature or a
-    # constant must be finite
+    # a bool or a string is not, and a temperature or a constant must be finite
     with pytest.raises(ValidationError):
         call()

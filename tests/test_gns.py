@@ -299,30 +299,6 @@ class TestCommutantFunctional:
 
 
 class TestIdentityDecomposition:
-    def test_multiplicity_one_gives_single_unit_term(self):
-        st = ce.make_algebra([(2, 1)])
-        rng = rng_stream(82)
-        om = random_state(rng, st)
-        g = ce.gns_construct(om)
-        sectors = ce.resolve_sectors(g, seed=1)
-        idec = ce.identity_decomposition_random(
-            sectors, seed=1,
-            sizes={i: m for i, (_, m) in enumerate(sectors.structure.blocks) if m == 1})
-        for t, _, v in idec.items:
-            if len(v) == 1:
-                assert t == pytest.approx(1.0, abs=1e-12)
-
-    def test_orthonormal_choice_has_unit_weights(self):
-        # with exactly m terms the isometry is unitary and every weight is 1
-        st = ce.make_algebra([(2, 1)])
-        rng = rng_stream(83)
-        om = ce.state_from_density(random_ambient_density(rng, 2), st)
-        g = ce.gns_construct(om)
-        sectors = ce.resolve_sectors(g, seed=2)
-        sizes = {i: m for i, (_, m) in enumerate(sectors.structure.blocks)}
-        idec = ce.identity_decomposition_random(sectors, seed=2, sizes=sizes)
-        assert all(abs(t - 1.0) < 1e-9 for t, _, _ in idec.items)
-
     def test_random_resolution_sums_to_identity(self):
         rng = rng_stream(84)
         st = ce.make_algebra([(2, 2), (1, 1)])

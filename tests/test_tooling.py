@@ -13,10 +13,11 @@ numerical cutoff is an entry of the one table ``_linalg.Cutoff``, which the
 README's cutoff table documents row by row, only ``states`` decides that a
 functional is not a state, each stream contract has one constructor:
 Philox in ``_linalg.rng_stream``, SFC64 in ``decomp._chunk_stream``, the
-CLI turns JSON into float arrays only in its number decoder, writes stdout
-only in its renderer and stderr only in ``main``'s error handlers, and each
-result type has one builder: ``entropy.state_entropy`` for
-``EntropyReport`` and ``states._decomposition`` for ``Decomposition``.
+CLI turns JSON into float arrays and decides that a number is finite only
+in its number decoder, writes stdout only in its renderer and stderr only
+in ``main``'s error handlers, and each result type has one builder:
+``entropy.state_entropy`` for ``EntropyReport`` and
+``states._decomposition`` for ``Decomposition``.
 """
 
 import ast
@@ -257,6 +258,14 @@ def test_cli_reads_json_numbers_through_its_number_decoder():
     # them, so a JSON field that reached numpy another way would accept them
     tree = ast.parse((ROOT / "src" / "cstar_entropy" / "cli.py").read_text())
     sites = list(_float_array_sites(tree))
+    assert sites and {owner for owner, _ in sites} == {"_numbers_from_json"}, sites
+
+
+def test_cli_decides_finiteness_in_its_number_decoder():
+    # a second finiteness check would word its own error for a non-finite number, or
+    # let through one that the decoder refuses
+    tree = ast.parse((ROOT / "src" / "cstar_entropy" / "cli.py").read_text())
+    sites = list(_call_sites(tree, "isfinite"))
     assert sites and {owner for owner, _ in sites} == {"_numbers_from_json"}, sites
 
 
