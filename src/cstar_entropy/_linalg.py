@@ -133,25 +133,16 @@ def check_int(value, name: str, minimum: int | None = None) -> int:
 
 
 def rng_stream(seed: int, *key: int) -> np.random.Generator:
-    """Counter-based generator for (seed, key...).
+    """The package's one random stream: ``Generator(SFC64(SeedSequence(seed mod 2^128, spawn_key=key)))``.
 
-    The seed selects the Philox key and the stream key parts select a
-    disjoint counter block, so streams with distinct keys never overlap and
-    draws are reproducible regardless of evaluation order: discovery and
-    the GNS identity decompositions are bit-identical under any scheduling.
-    The oracle's chunks draw from SFC64 streams of their own (stream
-    contract v3, ``decomp._chunk_stream``), as deterministic but independent
-    only with overwhelming probability.  The seed must be an integer
-    (:func:`check_int`).
+    The key names the job: (1, c) is oracle chunk c, (2, k) is discovery
+    attempt k and (3,) is the GNS identity decomposition.  A stream is a
+    function of (seed, key) alone, so results do not depend on evaluation
+    order; streams with distinct keys are independent with overwhelming
+    probability.  The seed must be an integer (:func:`check_int`).
     """
-    seed = check_int(seed, "seed")
-    if len(key) > 3:
-        raise ValueError("at most three stream key parts are supported")
-    counter = np.zeros(4, dtype=np.uint64)
-    for i, k in enumerate(reversed(key)):
-        counter[3 - i] = np.uint64(int(k) & 0xFFFF_FFFF_FFFF_FFFF)
-    bitgen = np.random.Philox(key=seed & ((1 << 128) - 1), counter=counter)
-    return np.random.Generator(bitgen)
+    seq = np.random.SeedSequence(check_int(seed, "seed") & ((1 << 128) - 1), spawn_key=key)
+    return np.random.Generator(np.random.SFC64(seq))
 
 
 def frozen(arr: np.ndarray) -> np.ndarray:

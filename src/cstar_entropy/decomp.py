@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import Cutoff, check_int, resolve_tol
+from ._linalg import Cutoff, check_int, resolve_tol, rng_stream
 from .algebra import BlockStructure, make_algebra
 from .entropy import _probability_vector, minimal_decomposition, shannon, state_entropy
 from .errors import ValidationError
@@ -121,22 +121,11 @@ def _scan_buffers(active) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         np.empty((2 * n, _CHUNK), dtype=complex)
 
 
-def _chunk_stream(seed: int, chunk: int) -> np.random.Generator:
-    """Oracle chunk c's generator (stream contract v3).
-
-    SFC64 keyed by ``SeedSequence(seed mod 2^128, spawn_key=(1, c))``; the
-    seed must be an integer (:func:`check_int`).
-    """
-    seed = check_int(seed, "seed")
-    seq = np.random.SeedSequence(seed & ((1 << 128) - 1), spawn_key=(1, chunk))
-    return np.random.Generator(np.random.SFC64(seq))
-
-
 def _chunk_draws(seed: int, chunk: int, active, out: np.ndarray) -> tuple[np.ndarray, Iterator[np.ndarray]]:
     """Sizes and complex Gaussian draws of the oracle samples in one chunk.
 
     Chunk c holds samples ``c * _CHUNK + 1 ..`` and is read from
-    ``_chunk_stream(seed, c)`` (stream contract v3): first one ``integers``
+    ``rng_stream(seed, 1, c)`` (stream contract v3): first one ``integers``
     draw of the (_CHUNK, k) sizes, r in [n_i, 2 n_i] for block i, then one
     normal draw per active block, in block order, made straight into the
     front of out, viewed as float, as the returned iterator advances, so
@@ -146,7 +135,7 @@ def _chunk_draws(seed: int, chunk: int, active, out: np.ndarray) -> tuple[np.nda
     and a size r takes its first r rows.  The whole chunk is always drawn,
     so every sample reads the same numbers whichever samples are evaluated.
     """
-    rng = _chunk_stream(seed, chunk)
+    rng = rng_stream(seed, 1, chunk)
     ns = np.array([lam.size for _, _, lam, _ in active])
     sizes = rng.integers(ns, 2 * ns + 1, size=(_CHUNK, ns.size))
     return sizes, (rng.standard_normal(out=np.ndarray((n, 2 * n, 2 * _CHUNK), buffer=out)).view(complex)
@@ -224,7 +213,7 @@ def infimum_oracle(omega: StateFunctional, samples: int = 1000, seed: int = 0,
     unitary of size r: the phase-fixed Q of the first r rows of a complex
     Gaussian, computed by Gram-Schmidt run twice, see :func:`_isometries`),
     and mix the block state accordingly.  Sample s is row (s - 1) mod 1024
-    of chunk (s - 1) // 1024, which draws from ``_chunk_stream(seed, chunk)``
+    of chunk (s - 1) // 1024, which draws from ``rng_stream(seed, 1, chunk)``
     (stream contract v3, see :func:`_chunk_draws`), so each sample's entropy
     depends on (seed, s) alone; ties resolve to the lowest sample index.
     samples and seed must be integers, not booleans, and samples is at most

@@ -29,8 +29,8 @@ class DensityMatrix:
 
     def __post_init__(self):
         mat = np.asarray(self.matrix, dtype=complex)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise ValidationError("density matrix must be square")
+        if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or not mat.size:
+            raise ValidationError("density matrix must be square and nonempty")
         if not np.all(np.isfinite(mat)):
             raise ValidationError("density matrix has non-finite entries")
         tol = Cutoff.default(mat.shape[0])

@@ -103,9 +103,9 @@ def compression_heat(weight: float, acct: GasAccount) -> float:
     ``Q = k_B w M T log w`` for a component of total weight w; zero or
     negative, since compression releases heat.
     """
-    weight = float(weight)
-    if not 0.0 < weight <= 1.0:
+    if not _is_real(weight) or not 0.0 < weight <= 1.0:
         raise ValidationError(f"weight {weight!r} outside (0, 1]")
+    weight = float(weight)
     return acct.boltzmann * weight * acct.copies * acct.temperature * float(np.log(weight))
 
 

@@ -3,11 +3,23 @@
 import numpy as np
 
 import cstar_entropy as ce
-from cstar_entropy._linalg import Cutoff, random_isometry, resolve_tol, rng_stream
+from cstar_entropy._linalg import Cutoff, random_isometry, resolve_tol
 from cstar_entropy.algebra import _assemble, split_blocks
 from cstar_entropy.entropy import _entropy_of
 from cstar_entropy.errors import ValidationError
 from cstar_entropy.states import active_sectors
+
+
+def rng_stream(seed: int, *key: int) -> np.random.Generator:
+    """The tests' input stream: Philox keyed by seed, with up to three key parts as the counter.
+
+    Test inputs come from here, not from the package's ``rng_stream``, so they
+    stay put when the package's streams change.
+    """
+    counter = np.zeros(4, dtype=np.uint64)
+    for i, k in enumerate(reversed(key)):
+        counter[3 - i] = np.uint64(int(k) & 0xFFFF_FFFF_FFFF_FFFF)
+    return np.random.Generator(np.random.Philox(key=seed & ((1 << 128) - 1), counter=counter))
 
 
 def random_structure(rng, max_ambient=12, max_blocks=3, multiplicities=True):

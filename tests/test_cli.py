@@ -334,16 +334,6 @@ class TestExitCodes:
         }
         assert main(["entropy", _write(tmp_path, doc)]) == 4
 
-    def test_numerical_failure_exit_code(self, tmp_path):
-        rng = rng_stream(112)
-        v = random_isometry(3, 3, rng)
-        gen = v @ np.diag([1.0, 2.0, 3.0]).astype(complex) @ v.conj().T
-        doc = {
-            "algebra": {"generators": [_mat(gen)]},
-            "options": {"tol": 0.5},
-        }
-        assert main(["structure", _write(tmp_path, doc)]) == 3
-
     @pytest.mark.parametrize("seed", range(8))
     def test_one_cluster_of_a_generic_spectrum_exits_3_at_every_seed(self, tmp_path, seed):
         # at tol 2 no eigenvalue gap exceeds tol times the spectral scale, so all three
@@ -472,10 +462,10 @@ class TestTextOutput:
          "ambient dimension: 4\n"
          "algebra dimension: 3\n"
          "residual: 0.000e+00\n"
-         "unitary: [[[0.0, 0.0], [0.0, 0.0], [0.8242211690983734, 0.5662680146451069], [0.0, 0.0]], "
-         "[[0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.5066458072756959, 0.8621542935982854]], "
-         "[[0.20908429418259167, 0.977897621393041], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]], "
-         "[[0.0, 0.0], [0.20908429418259167, 0.977897621393041], [0.0, 0.0], [0.0, 0.0]]]\n"),
+         "unitary: [[[0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.9970299173593475, 0.07701521856368496]], "
+         "[[0.0, 0.0], [0.0, 0.0], [0.8330294844402966, -0.5532285947536822], [0.0, 0.0]], "
+         "[[0.7013325432659556, -0.7128342470421203], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]], "
+         "[[0.0, 0.0], [0.7013325432659556, -0.7128342470421203], [0.0, 0.0], [0.0, 0.0]]]\n"),
     ], ids=["entropy", "entropy_bits", "oracle", "schrodinger", "gns_reducible", "gns_irreducible",
             "structure_show_unitary"])
     def test_report(self, tmp_path, capsys, doc, argv, expected):

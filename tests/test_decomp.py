@@ -563,16 +563,16 @@ def test_scan_calls_no_lapack_qr_and_draws_one_stream_per_chunk(monkeypatch):
             normals.append((len(streams) - 1, size, kwargs.get("out")))
             return self.rng.standard_normal(size, **kwargs)
 
-    chunk_stream = decomp._chunk_stream
+    chunk_stream = decomp.rng_stream
 
-    def counting_stream(seed, chunk):
-        rng = chunk_stream(seed, chunk)
+    def counting_stream(seed, *key):
+        rng = chunk_stream(seed, *key)
         seq = rng.bit_generator.seed_seq
         streams.append((seq.entropy, *seq.spawn_key))
         return RecordingStream(rng)
 
     monkeypatch.setattr(np.linalg, "qr", no_qr)
-    monkeypatch.setattr(decomp, "_chunk_stream", counting_stream)
+    monkeypatch.setattr(decomp, "rng_stream", counting_stream)
     st = ce.make_algebra([(3, 2), (2, 1), (1, 1)])
     om = random_state(rng_stream(69), st)
     found, _ = decomp.infimum_oracle(om, samples=3000, seed=9)
@@ -706,6 +706,9 @@ _E1, _E2 = np.eye(2)
     lambda: ce.make_algebra([(True, 1)]),
     lambda: ce.make_algebra([(2, _NAN)]),
     lambda: ce.AlgebraElement(_M2, (np.diag([_NAN, 1.0]),)),
+    lambda: ce.DensityMatrix(np.zeros((0, 0))),
+    lambda: ce.compression_heat("0.5", ce.GasAccount(copies=1, temperature=1.0, sector_entropies=[0.0])),
+    lambda: ce.compression_heat(True, ce.GasAccount(copies=1, temperature=1.0, sector_entropies=[0.0])),
 ], ids=["shannon", "majorizes_p", "majorizes_q", "decomposition_weight", "decomposition_vector",
         "identity_decomposition_vector", "zeno_sequence", "doubly_stochastic",
         "schrodinger_decomposition", "gas_account", "gns_commutant_functional",
@@ -715,7 +718,8 @@ _E1, _E2 = np.eye(2)
         "gns_state_entropy_seed_bool", "generate_subalgebra_seed_str",
         "block_decompose_seed_fraction", "identity_decomposition_random_seed_bool",
         "block_dimension_fraction", "block_dimension_str", "block_dimension_bool",
-        "block_multiplicity_nan", "algebra_element"])
+        "block_multiplicity_nan", "algebra_element", "density_matrix_empty", "compression_heat_str",
+        "compression_heat_bool"])
 def test_public_validators_reject_nan(call):
     # every check of the form `defect > bound` is false on NaN, so each must be written to
     # fail it; counts, seeds and block dimensions must be integers, which a NaN, a fraction,

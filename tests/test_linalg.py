@@ -1,5 +1,5 @@
-"""Tests for the contracts of the orthonormal extension, of the tolerance argument and of
-the cutoff table."""
+"""Tests for the contracts of the orthonormal extension, of the random stream, of the
+tolerance argument and of the cutoff table."""
 
 import inspect
 
@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 
 import cstar_entropy as ce
-from cstar_entropy._linalg import Cutoff, complex_gaussian, orthonormal_extend, rng_stream
+from cstar_entropy import _linalg
+from cstar_entropy._linalg import Cutoff, complex_gaussian, orthonormal_extend
 from cstar_entropy.errors import ValidationError
 
-from helpers import embedded_standard_basis
+from helpers import embedded_standard_basis, rng_stream
 
 
 def _orthonormal_rows(rng, k, n):
@@ -68,6 +69,21 @@ class TestOrthonormalExtend:
         assert np.array_equal(orthonormal_extend(basis, np.zeros((0, 3)), 1e-9), basis)
         empty = orthonormal_extend(np.zeros((0, 3), dtype=complex), np.zeros((0, 3)), 1e-9)
         assert empty.shape == (0, 3)
+
+
+@pytest.mark.parametrize("key", [(1, 0), (1, 3), (2, 7), (3,)])
+@pytest.mark.parametrize("seed", [-1, 0, 5, 2 ** 128 + 5])
+def test_rng_stream_is_sfc64_keyed_by_a_seed_sequence(seed, key):
+    ref = np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed % 2 ** 128, spawn_key=key)))
+    rng = _linalg.rng_stream(seed, *key)
+    assert np.array_equal(rng.standard_normal(64), ref.standard_normal(64))
+    assert np.array_equal(rng.integers(0, 10 ** 6, size=64), ref.integers(0, 10 ** 6, size=64))
+
+
+@pytest.mark.parametrize("seed", [True, 2.5], ids=["bool", "float"])
+def test_rng_stream_rejects_a_seed_that_is_not_an_integer(seed):
+    with pytest.raises(ValidationError, match="seed must be an integer"):
+        _linalg.rng_stream(seed, 1, 0)
 
 
 _ST = ce.make_algebra([(2, 1), (1, 1)])

@@ -11,9 +11,8 @@ tuple, every function and class the package defines is named somewhere else,
 ``algebra._assemble`` is the one builder of block matrices, every
 numerical cutoff is an entry of the one table ``_linalg.Cutoff``, which the
 README's cutoff table documents row by row, only ``states`` decides that a
-functional is not a state, each stream contract has one constructor:
-Philox in ``_linalg.rng_stream``, SFC64 in ``decomp._chunk_stream``, the
-CLI turns JSON into float arrays and decides that a number is finite only
+functional is not a state, ``_linalg.rng_stream`` builds every random
+stream (the oracle's chunk c is ``rng_stream(seed, 1, c)``), the CLI turns JSON into float arrays and decides that a number is finite only
 in its number decoder, writes stdout only in its renderer and stderr only
 in ``main``'s error handlers, and each result type has one builder:
 ``entropy.state_entropy`` for ``EntropyReport`` and
@@ -229,13 +228,12 @@ def _bit_generator_sites(node, owner=None):
 
 
 def test_one_constructor_per_stream_contract():
-    # rng_stream builds every Philox stream and the oracle's chunk-stream helper
-    # every SFC64 one, so a seed reaches each contract through one checked path
+    # rng_stream builds every stream, so a seed reaches the one contract through
+    # one checked path
     sites = {(path.name, *site) for path in SOURCES
              for site in _bit_generator_sites(ast.parse(path.read_text()))}
-    assert sites == {("_linalg.py", "rng_stream", "Philox"),
-                     ("decomp.py", "_chunk_stream", "SFC64"),
-                     ("decomp.py", "_chunk_stream", "SeedSequence")}, sorted(sites, key=str)
+    assert sites == {("_linalg.py", "rng_stream", "SFC64"),
+                     ("_linalg.py", "rng_stream", "SeedSequence")}, sorted(sites, key=str)
 
 
 def _float_array_sites(node, owner=None):
