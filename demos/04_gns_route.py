@@ -3,8 +3,8 @@
 The state itself defines an inner product on the algebra; quotienting by its
 null space produces a representation whose cyclic vector reproduces every
 expectation value.  Irreducibility of that representation detects purity,
-and reducing the cyclic vector over the discovered blocks recomputes the
-state entropy by a second route.
+and reducing the cyclic vector over the representation's blocks recomputes
+the state entropy by a second route.
 """
 
 import numpy as np
@@ -42,7 +42,7 @@ print("cyclic vector reproduces the state: |<Omega|pi(A)Omega> - omega(A)| = %.2
 # ----------------------------------------------------------------------
 # Entropy through the GNS representation equals the closed form.
 # ----------------------------------------------------------------------
-gns_entropy = ce.gns_state_entropy(mixed, seed=1)
+gns_entropy = ce.gns_state_entropy(mixed)
 closed = ce.state_entropy(mixed).state_entropy
 print("\nGNS-route entropy:   ", gns_entropy)
 print("closed-form entropy: ", closed)
@@ -56,7 +56,7 @@ print("difference:           %.2e" % abs(gns_entropy - closed))
 lam, sub_state = ce.gns_commutant_functional(g, np.eye(g.dim))
 print("\nT = identity gives back the state with weight", lam)
 
-sectors = ce.resolve_sectors(g, seed=1)
+sectors = ce.resolve_sectors(g)
 print("GNS block structure:", sectors.structure.blocks)
 print("sector weights of Omega:", np.round(sectors.weights, 6))
 

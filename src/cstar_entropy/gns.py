@@ -4,9 +4,11 @@ The state defines an inner product ``<A, B> = omega(A* B)`` on the algebra;
 quotienting out its null space gives a Hilbert space on which the algebra
 acts by left multiplication, with the class of the identity as cyclic
 vector.  In GNS coordinates block i acts as ``C_i (x) I_{r_i}``, r_i the
-rank of omega_i, so the representation is held in block form.  Decomposing
-it into blocks and reducing the cyclic vector onto the multiplicity factors
-reproduces the state entropy by a second, independent route.
+rank of omega_i, so the representation is held in block form and its
+blocks are the sectors of the represented algebra.  Reducing the cyclic
+vector onto their multiplicity factors reproduces the state entropy by a
+second route, which reads the block values through an SVD where the
+closed form reads them through an ``eigh``.
 """
 
 from __future__ import annotations
@@ -17,8 +19,7 @@ import numpy as np
 
 from ._linalg import (Cutoff, frob, frozen, hermitize, random_isometry, resolve_tol,
                       rng_stream)
-from .algebra import (BlockStructure, _assemble, _discover_span, _swap_factors, split_blocks,
-                      structure_projection)
+from .algebra import BlockStructure, _assemble, _swap_factors, split_blocks, structure_projection
 from .entropy import _entropy_of
 from .errors import ValidationError
 from .states import StateFunctional
@@ -54,26 +55,30 @@ class GnsData:
 
 
 def gns_construct(omega: StateFunctional, tol: float | None = None) -> GnsData:
-    """Build the GNS representation from the block spectra the state carries.
+    """Build the GNS representation from the state's raw block values.
 
     Unit products give <E_ab, E_cd> = delta_ac omega_i(E_bd), so block i of
-    the Gram matrix is I_n (x) omega_i.  An eigenpair (mu_k, w_k) of omega_i
-    kept above the rank cutoff gives the GNS vectors e_a (x) w_k / sqrt(mu_k),
-    on which C acts as C (x) I_r and the identity has coordinates
-    conj(w[a, k]) sqrt(mu_k).  As omega_i = X_i^T, conj(w) is v of
-    ``omega.spectra``, read in ascending order.  A tol that keeps no
+    the Gram matrix is I_n (x) omega_i, and omega_i = X_i^T with X_i the
+    transposed block values.  Each X_i is read through one SVD.  A singular
+    triplet (s_k, u_k, v_k) with s_k above ``Cutoff.spectral(tol, scale)``,
+    scale the largest singular value over all blocks, and Re <v_k, u_k> > 0
+    is an eigenpair (s_k, u_k) of X_i; a triplet whose vectors point
+    opposite ways is a negative eigenvalue, which a state has only at
+    rounding level, and is dropped.  Each kept pair gives the GNS vectors
+    e_a (x) conj(u_k) / sqrt(s_k), on which C acts as C (x) I_r and the
+    identity has coordinates u[a, k] sqrt(s_k).  A tol that keeps no
     eigenvalue is a :class:`ValidationError`.
     """
     tol = resolve_tol(tol, omega.structure.ambient_dim)
-    scale = max(float(lam[0]) for lam, _ in omega.spectra)
+    svds = [np.linalg.svd(hermitize(x.T)) for x in omega.block_values]
+    scale = max(float(s[0]) for _, s, _ in svds)
     blocks, active, cyclic = [], [], []
-    for i, ((n, _), (lam, v)) in enumerate(zip(omega.structure.blocks, omega.spectra)):
-        mu, v = lam[::-1], v[:, ::-1]
-        keep = mu > Cutoff.spectral(tol, scale)
+    for i, ((n, _), (u, s, vh)) in enumerate(zip(omega.structure.blocks, svds)):
+        keep = (s > Cutoff.spectral(tol, scale)) & (np.einsum("ki,ik->k", vh, u).real > 0)
         if keep.any():
             blocks.append((n, int(keep.sum())))
             active.append(i)
-            cyclic.append((v[:, keep] * np.sqrt(mu[keep])).reshape(-1))
+            cyclic.append((u[:, keep] * np.sqrt(s[keep])).reshape(-1))
     if not active:
         raise ValidationError(f"tol {tol!r} keeps no eigenvalue of the state inner product "
                               f"(cutoff tol * {scale!r})")
@@ -97,30 +102,23 @@ class GnsSectors:
     multiplicity_states: tuple[np.ndarray, ...]
 
 
-def resolve_sectors(g: GnsData, seed: int = 0) -> GnsSectors:
-    """Block-decompose the represented algebra and reduce the cyclic vector.
+def resolve_sectors(g: GnsData) -> GnsSectors:
+    """Reduce the cyclic vector onto the sectors of the represented algebra.
 
-    The represented units of GNS block (n, r) are Hilbert-Schmidt orthogonal
-    with norm sqrt(r), so discovery reads the represented algebra through
-    their combinations with coefficients scaled by 1/sqrt(r).  Discovery's
-    relative cluster gap is ``Cutoff.default(g.dim)``.
+    The represented algebra is (+)_j C_j (x) I_r over the GNS blocks (n, r),
+    so its sectors are those blocks.  Block j weighs ||Omega_j||^2 and its
+    multiplicity state is psi^T conj(psi), psi the block's part Omega_j of
+    the cyclic vector read as an n x r matrix and divided by the weight's
+    square root.
     """
-    def element(c: np.ndarray) -> np.ndarray:
-        return _assemble([x / np.sqrt(r) for x, (_, r) in
-                          zip(split_blocks(c, g.gns_structure), g.gns_structure.blocks)],
-                         g.gns_structure)
-
-    structure, w = _discover_span(element, g.gns_structure.algebra_dim, g.dim,
-                                  Cutoff.default(g.dim), seed)
-    rotated = w.conj().T @ g.cyclic
     weights, mults = [], []
-    for sl, (n, m) in zip(structure.ambient_slices(), structure.blocks):
-        part = rotated[sl]
+    for sl, (n, r) in zip(g.gns_structure.ambient_slices(), g.gns_structure.blocks):
+        part = g.cyclic[sl]
         p = float(np.linalg.norm(part) ** 2)
         weights.append(p)
-        psi = part.reshape(n, m) / np.sqrt(p)
+        psi = part.reshape(n, r) / np.sqrt(p)
         mults.append(psi.T @ psi.conj())
-    return GnsSectors(structure=structure, weights=np.array(weights),
+    return GnsSectors(structure=g.gns_structure, weights=np.array(weights),
                       multiplicity_states=tuple(mults))
 
 
@@ -238,17 +236,14 @@ def sectors_entropy(sectors: GnsSectors) -> float:
                                       for w, sigma in zip(p, sectors.multiplicity_states)))
 
 
-def gns_state_entropy(omega: StateFunctional, tol: float | None = None, seed: int = 0) -> float:
+def gns_state_entropy(omega: StateFunctional, tol: float | None = None) -> float:
     """State entropy recomputed through the GNS representation.
 
-    Builds the representation at tol, resolves its sectors at discovery's
-    default cluster gap (a sector cutoff is no eigenvalue gap) and reads the
-    entropy off them with :func:`sectors_entropy`; the result must agree with
+    Builds the representation at tol and reads the entropy off its sectors
+    with :func:`sectors_entropy`; the result must agree with
     ``state_entropy(omega, tol).state_entropy``.
     """
-    tol = resolve_tol(tol, omega.structure.ambient_dim)
-    g = gns_construct(omega, tol)
-    return sectors_entropy(resolve_sectors(g, seed=seed))
+    return sectors_entropy(resolve_sectors(gns_construct(omega, tol)))
 
 
 def is_irreducible(g: GnsData) -> bool:

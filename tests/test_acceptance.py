@@ -137,7 +137,7 @@ def test_criterion_5_gns_suite(capsys):
                 lhs = g.cyclic.conj() @ (g.represent(coeffs) @ g.cyclic)
                 assert abs(lhs - om.expect(a)) <= 1e-9
             assert ce.is_irreducible(g) == ce.is_pure(om)
-            via_gns = ce.gns_state_entropy(om, seed=trial)
+            via_gns = ce.gns_state_entropy(om)
             closed = ce.state_entropy(om).state_entropy
             assert abs(via_gns - closed) <= 1e-9
 

@@ -7,10 +7,11 @@ import pytest
 
 import cstar_entropy as ce
 from cstar_entropy import algebra
-from cstar_entropy._linalg import complex_gaussian, hermitize
+from cstar_entropy._linalg import Cutoff, complex_gaussian, hermitize
 from cstar_entropy.algebra import (_discover, _discover_span, _letters, _Retry, _split_attempt,
                                    _word_sampler)
 from cstar_entropy.errors import DecompositionError, ValidationError
+from cstar_entropy.states import active_sectors
 
 from helpers import (closure_defect, conjugated_algebra_generators, embedded_standard_basis,
                      multiplicity_free, random_isometry, random_pure_state, random_state,
@@ -571,19 +572,17 @@ class TestSplitGrouping:
             self._split((tridiagonal, np.ones((2, 2))))
 
 
-def _pinned_digests():
-    # Two sha256 digests over one seeded loop: discovery's bits (blocks and W of
-    # seeded generate_subalgebra and block_decompose calls) and the sectors
-    # resolve_sectors reads off the GNS representation of a few states (its W is
-    # not returned, but the weights and multiplicity states are computed from it).
+def _pinned_loop():
+    # One seeded loop: a sha256 digest of discovery's bits (blocks and W of seeded
+    # generate_subalgebra and block_decompose calls), and the two states drawn per
+    # structure, whose GNS sectors test_resolve_sectors_reads_the_gns_blocks checks.
     import hashlib
 
-    discovery, sectors_digest = hashlib.sha256(), hashlib.sha256()
+    discovery, states = hashlib.sha256(), []
 
-    def pin(h, structure, *arrays):
-        h.update(repr(structure.blocks).encode())
-        for a in arrays:
-            h.update(np.ascontiguousarray(a).tobytes())
+    def pin(structure, w):
+        discovery.update(repr(structure.blocks).encode())
+        discovery.update(np.ascontiguousarray(w).tobytes())
 
     rng = rng_stream(2024)
     for blocks in (((2, 2), (1, 1)), ((3, 1), (2, 2)), ((3, 2), (2, 2), (1, 2)), ((4, 1), (1, 3)),
@@ -592,35 +591,37 @@ def _pinned_digests():
         gens = conjugated_algebra_generators(rng, st)
         for seed in (0, 5):
             sub = ce.generate_subalgebra(gens, seed=seed)
-            pin(discovery, sub.structure, sub.w)
+            pin(sub.structure, sub.w)
         found = ce.block_decompose(ce.generate_subalgebra(gens).basis, seed=3)
-        pin(discovery, found.structure, found.w)
-        for om in (random_state(rng, st), random_pure_state(rng, st)):
-            sectors = ce.resolve_sectors(ce.gns_construct(om), seed=1)
-            pin(sectors_digest, sectors.structure, sectors.weights, *sectors.multiplicity_states)
-    return discovery.hexdigest(), sectors_digest.hexdigest()
+        pin(found.structure, found.w)
+        states += [random_state(rng, st), random_pure_state(rng, st)]
+    return discovery.hexdigest(), states
 
 
 def test_discovery_digest():
     # Re-recorded when discovery's attempt streams rng_stream(seed, 2, k) moved
     # from Philox counter blocks to SFC64 keyed by SeedSequence: every draw is
     # new, so W is another basis of the same blocks, which did not move.
-    assert _pinned_digests()[0] == "74122f413ddf90d9ea02e2bde7e4ee4ed81bd2b7da504d26003925b76aa17877"
+    assert _pinned_loop()[0] == "74122f413ddf90d9ea02e2bde7e4ee4ed81bd2b7da504d26003925b76aa17877"
 
 
 @pytest.mark.parametrize("name, params", [
     ("generate_subalgebra", ["generators", "tol", "seed"]),
     ("block_decompose", ["basis", "tol", "seed"]),
-    ("resolve_sectors", ["g", "seed"]),
 ])
 def test_discovery_entries_settable_parameters(name, params):
-    # resolve_sectors reads its cluster gap off Cutoff.default(g.dim) and takes no tol
     assert list(inspect.signature(getattr(ce, name)).parameters) == params
 
 
-def test_resolve_sectors_digest():
-    # Re-recorded when discovery's attempt streams moved from Philox to SFC64
-    # keyed by SeedSequence: over this loop the blocks stayed the same, one
-    # state's four (1,1) sectors came out in another order, and the sorted
-    # weights moved by at most 6.7e-16.
-    assert _pinned_digests()[1] == "cb9b54f4c558785d94b08fa0bade06a919b4503bff8ab85220de25441127044e"
+def test_resolve_sectors_reads_the_gns_blocks():
+    # the multiplicity states are defined only up to a unitary, so their spectra are compared
+    for om in _pinned_loop()[1]:
+        g = ce.gns_construct(om)
+        sectors = ce.resolve_sectors(g)
+        assert sectors.structure == g.gns_structure
+        closed = {i: (p, lam) for i, p, lam, _ in active_sectors(om, Cutoff.TOL)}
+        assert sorted(closed) == list(g.active)
+        for i, p, sigma, (_, r) in zip(g.active, sectors.weights, sectors.multiplicity_states,
+                                       g.gns_structure.blocks):
+            assert abs(p - closed[i][0]) <= 1e-12
+            assert np.allclose(np.linalg.eigvalsh(sigma), closed[i][1][:r][::-1], rtol=0, atol=1e-12)

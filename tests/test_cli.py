@@ -448,7 +448,7 @@ class TestTextOutput:
          "irreducible:   no\n"
          "GNS entropy:   1.03972077 nats\n"
          "state entropy: 1.03972077 nats\n"
-         "gap:           0.000e+00 nats\n"),
+         "gap:           2.220e-16 nats\n"),
         ({"algebra": {"blocks": [[2, 1]]}, "state": {"density": _mat(np.diag([1.0, 0.0]))}},
          ["gns"],
          "GNS dimension: 2\n"

@@ -696,8 +696,6 @@ _E1, _E2 = np.eye(2)
     lambda: ce.GasAccount(copies=1, temperature=True, sector_entropies=[0.0]),
     lambda: ce.GasAccount(copies=1, temperature=1.0, sector_entropies=[0.0], boltzmann=np.inf),
     lambda: ce.zeno_sequence(_E1, _E2, 2.5),
-    lambda: ce.resolve_sectors(_M2_GNS, seed=2.5),
-    lambda: ce.gns_state_entropy(_M2_STATE, seed=True),
     lambda: ce.generate_subalgebra([np.diag([1.0, 2.0])], seed="3"),
     lambda: ce.block_decompose([np.eye(2) / np.sqrt(2)], seed=2.5),
     lambda: ce.identity_decomposition_random(ce.resolve_sectors(_M2_GNS), seed=True),
@@ -714,8 +712,7 @@ _E1, _E2 = np.eye(2)
         "schrodinger_decomposition", "gas_account", "gns_commutant_functional",
         "subalgebra_basis", "block_decompose", "gas_account_copies_nan", "gas_account_copies_fraction",
         "gas_account_copies_bool", "gas_account_temperature_inf", "gas_account_temperature_bool",
-        "gas_account_boltzmann_inf", "zeno_sequence_k_fraction", "resolve_sectors_seed_fraction",
-        "gns_state_entropy_seed_bool", "generate_subalgebra_seed_str",
+        "gas_account_boltzmann_inf", "zeno_sequence_k_fraction", "generate_subalgebra_seed_str",
         "block_decompose_seed_fraction", "identity_decomposition_random_seed_bool",
         "block_dimension_fraction", "block_dimension_str", "block_dimension_bool",
         "block_multiplicity_nan", "algebra_element", "density_matrix_empty", "compression_heat_str",

@@ -304,7 +304,7 @@ class TestIdentityDecomposition:
         st = ce.make_algebra([(2, 2), (1, 1)])
         om = random_state(rng, st)
         g = ce.gns_construct(om)
-        sectors = ce.resolve_sectors(g, seed=3)
+        sectors = ce.resolve_sectors(g)
         idec = ce.identity_decomposition_random(sectors, seed=3)
         # constructor already validates the resolution; check grouping by block
         for i, (_, m) in enumerate(sectors.structure.blocks):
@@ -317,7 +317,7 @@ class TestIdentityDecomposition:
         st = ce.make_algebra([(2, 2), (1, 2)])
         om = random_state(rng, st)
         g = ce.gns_construct(om)
-        sectors = ce.resolve_sectors(g, seed=4)
+        sectors = ce.resolve_sectors(g)
         s = ce.state_entropy(om).state_entropy
         for trial in range(5):
             idec = ce.identity_decomposition_random(sectors, seed=trial)
@@ -353,10 +353,10 @@ class TestGnsStateEntropy:
 
     def test_matches_closed_form_on_random_states(self):
         rng = rng_stream(87)
-        for trial in range(10):
+        for _ in range(10):
             st = random_structure(rng, max_ambient=10)
             om = random_state(rng, st)
-            via_gns = ce.gns_state_entropy(om, seed=trial)
+            via_gns = ce.gns_state_entropy(om)
             closed = ce.state_entropy(om).state_entropy
             assert via_gns == pytest.approx(closed, abs=1e-9)
 
@@ -387,3 +387,23 @@ class TestGnsStateEntropy:
         via_gns = ce.gns_state_entropy(om)
         assert type(via_gns) is float
         assert via_gns == pytest.approx(ce.state_entropy(om).state_entropy, abs=1e-12)
+
+    def test_a_rounding_level_negative_eigenvalue_gives_no_gns_vector(self):
+        # X_0 = diag(0.6 + 5e-9, -5e-9) is within StateFunctional's eigenvalue tolerance; an
+        # SVD without the sign test would keep the -5e-9 and give block 0 rank 2
+        st = ce.make_algebra([(2, 1), (1, 1)])
+        om = ce.StateFunctional(st, (np.diag([0.6 + 5e-9, -5e-9]), np.array([[0.4]])))
+        assert ce.gns_construct(om).dim == 3
+        assert abs(ce.gns_state_entropy(om) - ce.state_entropy(om).state_entropy) <= 1e-12
+
+    def test_catches_a_planted_fault_in_the_closed_forms_spectra(self):
+        # the closed form reads omega.spectra and the GNS route the raw block values, so
+        # squaring each block's eigenvalues, renormalized over all blocks, moves one route only
+        rng = rng_stream(93)
+        st = ce.make_algebra([(3, 2), (2, 1), (1, 1)])
+        for _ in range(30):
+            om = random_state(rng, st)
+            squared = [(w ** 2, v) for w, v in om.spectra]
+            total = sum(w.sum() for w, _ in squared)
+            object.__setattr__(om, "spectra", tuple((w / total, v) for w, v in squared))
+            assert abs(ce.gns_state_entropy(om) - ce.state_entropy(om).state_entropy) > 1e-3

@@ -16,7 +16,9 @@ stream (the oracle's chunk c is ``rng_stream(seed, 1, c)``), the CLI turns JSON 
 in its number decoder, writes stdout only in its renderer and stderr only
 in ``main``'s error handlers, and each result type has one builder:
 ``entropy.state_entropy`` for ``EntropyReport`` and
-``states._decomposition`` for ``Decomposition``.
+``states._decomposition`` for ``Decomposition``.  The GNS route neither
+reads ``StateFunctional.spectra``, the closed form's one ``eigh``, nor
+imports discovery.
 """
 
 import ast
@@ -310,3 +312,13 @@ def test_each_result_type_has_one_builder(name, builder):
     sites = {(path.name, owner) for path in SOURCES
              for owner, _ in _call_sites(ast.parse(path.read_text()), name)}
     assert sites == {builder}, sorted(sites, key=str)
+
+
+def test_gns_route_reads_neither_the_closed_form_spectra_nor_discovery():
+    # the route cross-checks the closed form, so it reads the raw block values, and its
+    # sectors are the blocks gns_construct builds, so it rediscovers nothing
+    tree = ast.parse((ROOT / "src" / "cstar_entropy" / "gns.py").read_text())
+    assert [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "spectra"] == []
+    assert [alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+            for alias in node.names if alias.name.startswith("_discover")] == []
