@@ -136,10 +136,11 @@ def rng_stream(seed: int, *key: int) -> np.random.Generator:
     """The package's one random stream: ``Generator(SFC64(SeedSequence(seed mod 2^128, spawn_key=key)))``.
 
     The key names the job: (1, c) is oracle chunk c, (2, k) is discovery
-    attempt k and (3,) is the GNS identity decomposition.  A stream is a
-    function of (seed, key) alone, so results do not depend on evaluation
-    order; streams with distinct keys are independent with overwhelming
-    probability.  The seed must be an integer (:func:`check_int`).
+    attempt k, (3,) is the GNS identity decomposition and (4,) is the three
+    combinations of a basis stack that ``block_decompose`` draws.  A stream
+    is a function of (seed, key) alone, so results do not depend on
+    evaluation order; streams with distinct keys are independent with
+    overwhelming probability.  The seed must be an integer (:func:`check_int`).
     """
     seq = np.random.SeedSequence(check_int(seed, "seed") & ((1 << 128) - 1), spawn_key=key)
     return np.random.Generator(np.random.SFC64(seq))

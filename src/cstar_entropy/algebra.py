@@ -7,12 +7,13 @@ abstractly, embeds them as concrete matrices, and recovers the block
 structure (and the change-of-basis unitary W) of a numerically given matrix
 *-algebra from the eigenspaces of one generic element, grouped by how a
 second one couples them (Murota, Kanno, Kojima & Kojima, 2010), without
-computing the center.  The algebra is read only through random elements: an
-algebra given by an orthonormal basis draws them as random combinations of
-the basis, one given by generators S as products of two random elements of
-span{I, S, S*}, with no basis and no closure under words.  A generated
-algebra is held in block form, as its structure and W, and its commutant is
-read off the same W with the two tensor factors swapped.
+computing the center.  The algebra is read only through random elements:
+one given by generators S draws them as products of two random elements of
+span{I, S, S*}, with no basis and no closure under words, and one given by an
+orthonormal basis is split as the algebra that one random combination of the
+basis generates.  A generated algebra is held in block form, as its structure
+and W, and its commutant is read off the same W with the two tensor factors
+swapped.
 """
 
 from __future__ import annotations
@@ -280,41 +281,46 @@ def generate_subalgebra(generators: Sequence[np.ndarray], tol: float = Cutoff.TO
                         seed: int = 0) -> SubalgebraBasis:
     """The smallest unital *-algebra A containing the generators, in block form.
 
-    Returns the structure and W of A, like :func:`block_decompose`, without
-    a basis of A, and of dimension ``sum n_i^2``.  A product of two random
-    elements of span{I, S, S*} lies in A (MeatAxe-style sampling: Holt &
-    Rees, 1994), and the split draws its two generic elements H
-    (hermitized) and B that way; nothing is closed under words.  The split
-    ``D = W ((+)_i M_{n_i} (x) I_{m_i}) W*`` is certified equal to A by:
-    (i) every generator and its adjoint projects into D within
-    ``Cutoff.certificate(tol)`` relative to its Frobenius norm, so A is in D;
-    (ii) in each block, H has n_i eigenvalue clusters that B's coupling
-    graph connects, so A acts irreducibly on it, and (iii) distinct blocks
-    carry disjoint H spectra, so no two are equivalent; by the density
-    theorem D is then in A.  Checks (ii) and (iii) hold by construction.
-    ``tol`` is the relative eigenvalue-cluster gap, not a rank cutoff.  The
-    law ``sum n_i m_i = d``, the unitarity of W and the alignment checks
-    are those of :func:`block_decompose`, with the same 8 seeded retries;
-    raises :class:`DecompositionError` when no attempt passes.
+    Returns the structure and W of A, without a basis of A, and of dimension
+    ``sum n_i^2``.  A product of two random elements of span{I, S, S*} lies
+    in A (MeatAxe-style sampling: Holt & Rees, 1994), and the split draws
+    its two generic elements H (hermitized) and B that way; nothing is
+    closed under words.  The split ``D = W ((+)_i M_{n_i} (x) I_{m_i}) W*``
+    is certified equal to A by: (i) every generator and its adjoint
+    projects into D within ``Cutoff.certificate(tol)`` relative to its
+    Frobenius norm, so A is in D; (ii) in each block, H has n_i eigenvalue
+    clusters that B's coupling graph connects, so A acts irreducibly on it,
+    and (iii) distinct blocks carry disjoint H spectra, so no two are
+    equivalent; by the density theorem D is then in A.  Checks (ii) and
+    (iii) hold by construction, as do the law ``sum n_i m_i = d``, the
+    unitarity of W and the alignment of the multiplicity spaces.  ``tol``
+    is the relative eigenvalue-cluster gap, not a rank cutoff.  A
+    degenerate draw or a failed certificate is retried: up to 8 attempts
+    run, attempt k on ``rng_stream(seed, 2, k)``, and when none passes a
+    :class:`DecompositionError` carries the smallest residual checked.
     """
     letters = _letters(generators)
-    return SubalgebraBasis(*_discover(_word_sampler(letters),
-                                      lambda structure, w, rng: _residual(letters, structure, w),
-                                      letters.shape[-1], resolve_tol(tol, letters.shape[-1]),
-                                      seed))
-
-
-def _word_sampler(letters: np.ndarray) -> Callable[[np.random.Generator], np.ndarray]:
-    """Random elements of the algebra the letters generate: products of two
-    random complex combinations of I / sqrt(d) and the letters."""
     d = letters.shape[-1]
+    tol = resolve_tol(tol, d)
     span = np.concatenate([np.eye(d, dtype=complex)[None] / np.sqrt(d), letters])
 
     def sample(rng: np.random.Generator) -> np.ndarray:
+        # a product of two random complex combinations of I / sqrt(d) and the letters
         x, y = np.tensordot(complex_gaussian((2, len(span)), rng), span, axes=1)
         return x @ y
 
-    return sample
+    residuals = []
+    for attempt in range(8):
+        try:
+            structure, w = _split_attempt(sample, d, tol, rng_stream(seed, 2, attempt))
+        except _Retry:
+            continue
+        residual = _residual(letters, structure, w)
+        if residual <= Cutoff.certificate(tol):
+            return SubalgebraBasis(structure, w)
+        residuals.append(residual)
+    raise DecompositionError("block decomposition failed verification after retries",
+                             residual=min(residuals, default=None))
 
 
 def commutant(sub: SubalgebraBasis) -> SubalgebraBasis:
@@ -392,67 +398,22 @@ def _split_attempt(sample: Callable[[np.random.Generator], np.ndarray], d: int, 
     return BlockStructure(blocks), w
 
 
-def _discover(sample: Callable[[np.random.Generator], np.ndarray],
-              check: Callable[[BlockStructure, np.ndarray, np.random.Generator], float],
-              d: int, tol: float, seed: int) -> tuple[BlockStructure, np.ndarray]:
-    """Split an algebra on C^d by the random elements ``sample(rng)`` draws from it.
-
-    ``check(structure, W, rng)`` returns the residual the split must keep
-    within ``Cutoff.certificate(tol)``, or raises :class:`_Retry`.  Up to 8
-    attempts run, attempt k on ``rng_stream(seed, 2, k)``, and the error
-    carries the smallest residual checked.
-    """
-    residuals = []
-    for attempt in range(8):
-        rng = rng_stream(seed, 2, attempt)
-        try:
-            structure, w = _split_attempt(sample, d, tol, rng)
-            residual = check(structure, w, rng)
-        except _Retry:
-            continue
-        if residual <= Cutoff.certificate(tol):
-            return structure, w
-        residuals.append(residual)
-    raise DecompositionError("block decomposition failed verification after retries",
-                             residual=min(residuals, default=None))
-
-
-def _discover_span(element: Callable[[np.ndarray], np.ndarray], dim: int, d: int, tol: float,
-                   seed: int) -> tuple[BlockStructure, np.ndarray]:
-    """:func:`block_decompose` of the span of an orthonormal basis B_1..B_dim of d x d
-    matrices, read only through ``element(c) = sum_k c_k B_k`` (leading axes of c stacked)."""
-    def check(structure: BlockStructure, w: np.ndarray, rng: np.random.Generator) -> float:
-        if structure.algebra_dim != dim:
-            raise _Retry()
-        # With unit-variance coefficients the expected squared residual of a fresh
-        # element is the sum of the basis elements' squared residuals.
-        return _residual(element(complex_gaussian((2, dim), rng) / np.sqrt(2)), structure, w)
-
-    return _discover(lambda rng: element(complex_gaussian(dim, rng)), check, d, tol, seed)
-
-
 def block_decompose(basis: np.ndarray, tol: float = Cutoff.TOL,
                     seed: int = 0) -> SubalgebraBasis:
     """Recover the block structure of a matrix *-algebra given by an orthonormal basis.
 
     ``basis`` is a (k, d, d) stack whose Gram matrix is I_k within ``Cutoff.gram(k)``; an
     empty, ragged, non-finite or non-orthonormal stack, or a span without the identity, is
-    a :class:`ValidationError`.  Returns the span as a :class:`SubalgebraBasis`, whose W
-    conjugates it to ``(+)_i M_{n_i} (x) I_{m_i}``.  The eigenvalue clusters (at
-    relative gap ``tol``) of a random self-adjoint element A of the span are
-    the spaces e (x) C^{m_i}, one per eigenvalue of each block of A.  A
-    random element B couples two clusters iff they lie in one block: the
-    Frobenius norm of its two compressions between them, taken together,
-    exceeds ``Cutoff.coupling(tol, ||B||_F)``.  The connected components of that
-    graph, found by closing the relation, are the blocks (n_i clusters of a
-    common dimension m_i), and the compressions of B onto each block's first
-    cluster align its multiplicity spaces, so every cluster must couple to
-    that first cluster directly; a draw where one does not is retried.
-    Blocks are ordered by decreasing n, then m, then A's lowest eigenvalue
-    in the block.  The span is read only through random elements.
-    Degenerate draws are retried a bounded number of times, and the result
-    is verified against the dimension laws, the unitarity of W and the
-    projection residuals of two fresh random elements.
+    a :class:`ValidationError`.  Returns the span A as a :class:`SubalgebraBasis`, whose W
+    conjugates it to ``(+)_i M_{n_i} (x) I_{m_i}``.  One generic element x of a
+    finite-dimensional C*-algebra generates it (Davidson, 1996), so A is split by
+    :func:`generate_subalgebra` of x, a random combination of the basis, into the
+    algebra D that x generates, which lies in A if A is closed.  D is certified equal
+    to A by the dimension law ``dim D = k`` and the projection residuals of two fresh
+    random elements of A, each at most ``Cutoff.certificate(tol)``, so A is in D; a
+    span that fails either raises :class:`DecompositionError`.  The three elements
+    are drawn from ``rng_stream(seed, 4)``, and the split from the streams of
+    :func:`generate_subalgebra` with the same seed.
     """
     try:
         mats = np.asarray(basis, dtype=complex)
@@ -471,5 +432,13 @@ def block_decompose(basis: np.ndarray, tol: float = Cutoff.TOL,
     vec_id = np.eye(d, dtype=complex).reshape(-1)
     if not frob(vec_id - (rows.conj() @ vec_id) @ rows) <= Cutoff.identity_in_span(tol, np.sqrt(d)):
         raise ValidationError("subalgebra must contain the identity (unital closure)")
-    return SubalgebraBasis(*_discover_span(lambda c: np.tensordot(c, mats, axes=1), k, d,
-                                           tol, seed))
+    x, *fresh = np.tensordot(complex_gaussian((3, k), rng_stream(seed, 4)), mats, axes=1)
+    sub = generate_subalgebra([x], tol, seed)
+    # With unit-variance coefficients the expected squared residual of a fresh
+    # element is the sum of the basis elements' squared residuals.
+    residual = _residual(np.stack(fresh) / np.sqrt(2), sub.structure, sub.w)
+    if sub.dim != k or residual > Cutoff.certificate(tol):
+        raise DecompositionError(f"the span of {k} basis matrices is not closed: one element of "
+                                 f"it generates blocks {sub.structure.blocks} of dimension "
+                                 f"{sub.dim}", residual=residual)
+    return sub

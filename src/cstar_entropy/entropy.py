@@ -19,8 +19,8 @@ from .states import Decomposition, DensityMatrix, StateFunctional, _decompositio
 
 
 def _entropy_of(weights: np.ndarray) -> float:
-    """-sum w log w over the positive weights, renormalized to sum 1 (0 log 0 = 0)."""
-    w = weights[weights > 0.0]
+    """-sum w log w over the weights above ``Cutoff.WEIGHT_FLOOR``, renormalized to sum 1."""
+    w = weights[weights > Cutoff.WEIGHT_FLOOR]
     w = w / w.sum()
     return float(0.0 - (w * np.log(w)).sum())  # one point gives 0.0 - 0.0 = +0.0, not -(0.0)
 

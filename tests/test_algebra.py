@@ -8,8 +8,7 @@ import pytest
 import cstar_entropy as ce
 from cstar_entropy import algebra
 from cstar_entropy._linalg import Cutoff, complex_gaussian, hermitize
-from cstar_entropy.algebra import (_discover, _discover_span, _letters, _Retry, _split_attempt,
-                                   _word_sampler)
+from cstar_entropy.algebra import _Retry, _split_attempt
 from cstar_entropy.errors import DecompositionError, ValidationError
 from cstar_entropy.states import active_sectors
 
@@ -272,11 +271,11 @@ class TestGenerateSubalgebra:
         assert ce.generate_subalgebra(scaled).structure.blocks == sub.structure.blocks
         assert ce.generator_residual(scaled, sub) <= 1e-12
 
-    def test_letters_check_rejects_a_spoiled_unitary(self):
+    def test_letters_check_rejects_a_spoiled_unitary(self, monkeypatch):
         # Rotating the discovered W by a small unitary R leaves a letters'
         # residual max_S ||W* R* S R W - proj|| / ||S|| of twice the bound.
-        # Handing the check R* S R in place of each generator S checks R W in
-        # place of W, and every seed must reject it, while R = I passes.
+        # A split that returns R W in place of W must be rejected by every
+        # seed, while R = I passes.
         rng = rng_stream(30)
         st = ce.make_algebra([(2, 2), (1, 1)])
         d = st.ambient_dim
@@ -296,17 +295,20 @@ class TestGenerateSubalgebra:
         rot = rotation(eps)
         assert ce.generator_residual(gens, rotated(rot)) == pytest.approx(2 * bound, rel=1e-3)
 
-        def discover(rot, seed):
-            spoiled = [rot.conj().T @ g @ rot for g in gens]
-            return _discover(_word_sampler(_letters(gens)),
-                             lambda structure, v, rng: ce.generator_residual(
-                                 spoiled, ce.SubalgebraBasis(structure, v)),
-                             d, 1e-9, seed)
+        real_split = algebra._split_attempt
 
-        assert discover(np.eye(d), 0)[0].blocks == sub.structure.blocks
+        def spoil(rot):
+            def split(*args):
+                structure, w = real_split(*args)
+                return structure, rot @ w
+            monkeypatch.setattr(algebra, "_split_attempt", split)
+
+        spoil(np.eye(d))
+        assert ce.generate_subalgebra(gens, seed=0).structure.blocks == sub.structure.blocks
+        spoil(rot)
         for seed in range(100):
             with pytest.raises(DecompositionError) as err:
-                discover(rot, seed)
+                ce.generate_subalgebra(gens, seed=seed)
             assert err.value.residual > bound
 
     def test_error_carries_the_smallest_residual(self, monkeypatch):
@@ -475,14 +477,36 @@ class TestBlockDecompose:
         with pytest.raises(ValidationError):
             ce.block_decompose(unit)
 
-    def test_unital_span_that_is_not_closed_is_rejected(self):
-        # span{I, E_12} is not *-closed: the blocks discovery finds, (2, 1) and (1, 1),
-        # span 5 dimensions, not 2
+    def test_unital_span_that_is_not_closed_is_rejected(self, monkeypatch):
+        # span{I, E_12} is not *-closed: the algebra one element of it generates,
+        # blocks (2, 1) and (1, 1), spans 5 dimensions, not 2, and one split finds it
         basis = np.zeros((2, 3, 3), dtype=complex)
         basis[0] = np.eye(3) / np.sqrt(3)
         basis[1, 0, 1] = 1.0
-        with pytest.raises(DecompositionError):
+        calls, real_split = [], algebra._split_attempt
+
+        def split(*args):
+            calls.append(args)
+            return real_split(*args)
+
+        monkeypatch.setattr(algebra, "_split_attempt", split)
+        with pytest.raises(DecompositionError, match=r"generates blocks \(\(2, 1\), \(1, 1\)\) "
+                                                     r"of dimension 5"):
             ce.block_decompose(basis)
+        assert len(calls) == 1
+
+    def test_the_generic_element_is_the_first_of_the_key_4_draw(self):
+        # stream contract: block_decompose splits x, the first of three combinations of
+        # the basis drawn from rng_stream(seed, 4), with generate_subalgebra's own streams
+        st = ce.make_algebra([(2, 2), (1, 1)])
+        basis = ce.generate_subalgebra(conjugated_algebra_generators(rng_stream(32), st)).basis
+        for seed in (0, 9):
+            seq = np.random.SeedSequence(seed, spawn_key=(4,))
+            draw, shape = np.random.Generator(np.random.SFC64(seq)), (3, len(basis))
+            coeffs = draw.standard_normal(shape) + 1j * draw.standard_normal(shape)
+            x = np.tensordot(coeffs, basis, axes=1)[0]
+            assert np.array_equal(ce.block_decompose(basis, seed=seed).w,
+                                  ce.generate_subalgebra([x], seed=seed).w)
 
     def test_absurd_tolerance_fails(self):
         # a huge tolerance merges every eigenvalue cluster into one, so no
@@ -493,11 +517,11 @@ class TestBlockDecompose:
         with pytest.raises(DecompositionError):
             ce.block_decompose(sub.basis, tol=100.0, seed=0)
 
-    def test_random_element_verification_rejects_a_spoiled_unitary(self):
+    def test_random_element_verification_rejects_a_spoiled_unitary(self, monkeypatch):
         # Rotating the discovered W by a small unitary R leaves a whole-stack
-        # residual max_k ||W* R* B_k R W - proj|| of twice the bound.  Handing
-        # the verification R* X R in place of each fresh X checks R W in place
-        # of W, and every seed must reject it, while R = I passes.
+        # residual max_k ||W* R* B_k R W - proj|| of twice the bound.  A split
+        # of the generic element that returns R W in place of W must be
+        # rejected by the fresh elements of every seed, while R = I passes.
         rng = rng_stream(29)
         st = ce.make_algebra([(2, 2), (1, 1)])
         sub = ce.generate_subalgebra(conjugated_algebra_generators(rng, st))
@@ -518,17 +542,20 @@ class TestBlockDecompose:
         rot = rotation(eps)
         assert stack_residual(rot) == pytest.approx(2 * bound, rel=1e-3)
 
-        def seen_through(rot):
-            def element(coeffs):
-                x = np.tensordot(coeffs, sub.basis, axes=1)
-                return x if coeffs.ndim == 1 else rot.conj().T @ x @ rot
-            return element
+        real_generate = algebra.generate_subalgebra
 
-        assert _discover_span(seen_through(np.eye(st.ambient_dim)), sub.dim, st.ambient_dim,
-                              1e-9, 0)[0].blocks == found.structure.blocks
+        def spoil(rot):
+            def generate(*args):
+                found = real_generate(*args)
+                return ce.SubalgebraBasis(found.structure, rot @ found.w)
+            monkeypatch.setattr(algebra, "generate_subalgebra", generate)
+
+        spoil(np.eye(st.ambient_dim))
+        assert ce.block_decompose(sub.basis, seed=0).structure.blocks == found.structure.blocks
+        spoil(rot)
         for seed in range(100):
             with pytest.raises(DecompositionError) as err:
-                _discover_span(seen_through(rot), sub.dim, st.ambient_dim, 1e-9, seed)
+                ce.block_decompose(sub.basis, seed=seed)
             assert err.value.residual > bound
 
     def test_deterministic_given_seed(self):
@@ -573,16 +600,17 @@ class TestSplitGrouping:
 
 
 def _pinned_loop():
-    # One seeded loop: a sha256 digest of discovery's bits (blocks and W of seeded
-    # generate_subalgebra and block_decompose calls), and the two states drawn per
-    # structure, whose GNS sectors test_resolve_sectors_reads_the_gns_blocks checks.
+    # One seeded loop: sha256 digests of discovery's bits (blocks and W), one of seeded
+    # generate_subalgebra calls and one of seeded block_decompose calls, and the two
+    # states drawn per structure, whose GNS sectors
+    # test_resolve_sectors_reads_the_gns_blocks checks.
     import hashlib
 
-    discovery, states = hashlib.sha256(), []
+    generated, decomposed, states = hashlib.sha256(), hashlib.sha256(), []
 
-    def pin(structure, w):
-        discovery.update(repr(structure.blocks).encode())
-        discovery.update(np.ascontiguousarray(w).tobytes())
+    def pin(digest, sub):
+        digest.update(repr(sub.structure.blocks).encode())
+        digest.update(np.ascontiguousarray(sub.w).tobytes())
 
     rng = rng_stream(2024)
     for blocks in (((2, 2), (1, 1)), ((3, 1), (2, 2)), ((3, 2), (2, 2), (1, 2)), ((4, 1), (1, 3)),
@@ -590,19 +618,23 @@ def _pinned_loop():
         st = ce.make_algebra(blocks)
         gens = conjugated_algebra_generators(rng, st)
         for seed in (0, 5):
-            sub = ce.generate_subalgebra(gens, seed=seed)
-            pin(sub.structure, sub.w)
-        found = ce.block_decompose(ce.generate_subalgebra(gens).basis, seed=3)
-        pin(found.structure, found.w)
+            pin(generated, ce.generate_subalgebra(gens, seed=seed))
+        pin(decomposed, ce.block_decompose(ce.generate_subalgebra(gens).basis, seed=3))
         states += [random_state(rng, st), random_pure_state(rng, st)]
-    return discovery.hexdigest(), states
+    return generated.hexdigest(), decomposed.hexdigest(), states
 
 
-def test_discovery_digest():
-    # Re-recorded when discovery's attempt streams rng_stream(seed, 2, k) moved
-    # from Philox counter blocks to SFC64 keyed by SeedSequence: every draw is
-    # new, so W is another basis of the same blocks, which did not move.
-    assert _pinned_loop()[0] == "74122f413ddf90d9ea02e2bde7e4ee4ed81bd2b7da504d26003925b76aa17877"
+def test_generate_subalgebra_digest():
+    # Recorded when discovery's attempt streams rng_stream(seed, 2, k) moved
+    # from Philox counter blocks to SFC64 keyed by SeedSequence; kept when the
+    # split loop of block_decompose and generate_subalgebra became one.
+    assert _pinned_loop()[0] == "907dea8b45ff5e1160f6d2da333d1d05e1b8567312042dbefb694bf9b0825ba4"
+
+
+def test_block_decompose_digest():
+    # Re-recorded when block_decompose came to split the algebra one element of
+    # its span generates: W is another basis of the same blocks, which did not move.
+    assert _pinned_loop()[1] == "4a7585564eb8657d0fabc119572971dde114d29852235023c4408dc73c7b8b8c"
 
 
 @pytest.mark.parametrize("name, params", [
@@ -615,7 +647,7 @@ def test_discovery_entries_settable_parameters(name, params):
 
 def test_resolve_sectors_reads_the_gns_blocks():
     # the multiplicity states are defined only up to a unitary, so their spectra are compared
-    for om in _pinned_loop()[1]:
+    for om in _pinned_loop()[2]:
         g = ce.gns_construct(om)
         sectors = ce.resolve_sectors(g)
         assert sectors.structure == g.gns_structure

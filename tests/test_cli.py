@@ -504,6 +504,21 @@ class TestRoutesAgreeOnWhatIsAState:
         assert codes == dict.fromkeys(("entropy", "oracle", "gns"), code)
 
 
+def test_a_pure_state_reads_zero_on_every_route(tmp_path, capsys):
+    # the block spectrum of |psi><psi| keeps a rounding eigenvalue, which read
+    # 2.08e-15 nats until the closed form dropped it at Cutoff.WEIGHT_FLOOR
+    psi = np.array([0.8, 0.6j])
+    path = _write(tmp_path, {"algebra": {"blocks": [[2, 1]]},
+                             "state": {"density": _mat(np.outer(psi, psi.conj()))}})
+    for command, fields in (("entropy", ("state_entropy", "mean_block_entropy",
+                                         "vn_of_representative")),
+                            ("oracle", ("state_entropy", "min_entropy_found", "gap")),
+                            ("gns", ("state_entropy", "gns_entropy", "gap"))):
+        assert main([command, path, "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert [payload[f] for f in fields] == [0.0] * 3, command
+
+
 def _m2_density_doc(**extra):
     doc = {"algebra": {"blocks": [[2, 1]]}, "state": {"density": _mat(np.eye(2) / 2)}}
     doc.update(extra)

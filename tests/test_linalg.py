@@ -71,7 +71,7 @@ class TestOrthonormalExtend:
         assert empty.shape == (0, 3)
 
 
-@pytest.mark.parametrize("key", [(1, 0), (1, 3), (2, 7), (3,)])
+@pytest.mark.parametrize("key", [(1, 0), (1, 3), (2, 7), (3,), (4,)])
 @pytest.mark.parametrize("seed", [-1, 0, 5, 2 ** 128 + 5])
 def test_rng_stream_is_sfc64_keyed_by_a_seed_sequence(seed, key):
     ref = np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed % 2 ** 128, spawn_key=key)))

@@ -18,7 +18,8 @@ in ``main``'s error handlers, and each result type has one builder:
 ``entropy.state_entropy`` for ``EntropyReport`` and
 ``states._decomposition`` for ``Decomposition``.  The GNS route neither
 reads ``StateFunctional.spectra``, the closed form's one ``eigh``, nor
-imports discovery.
+imports discovery, and discovery has one split loop, in
+``algebra.generate_subalgebra``, which ``block_decompose`` calls.
 """
 
 import ast
@@ -322,3 +323,14 @@ def test_gns_route_reads_neither_the_closed_form_spectra_nor_discovery():
             if isinstance(node, ast.Attribute) and node.attr == "spectra"] == []
     assert [alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
             for alias in node.names if alias.name.startswith("_discover")] == []
+
+
+def test_discovery_has_one_split_loop():
+    # a basis stack is split through the algebra one element of its span generates,
+    # so the seeded attempts and their certificate live in generate_subalgebra alone
+    tree = ast.parse((ROOT / "src" / "cstar_entropy" / "algebra.py").read_text())
+    assert {owner for owner, _ in _call_sites(tree, "_split_attempt")} == {"generate_subalgebra"}
+    assert "block_decompose" in {owner for owner, _ in _call_sites(tree, "generate_subalgebra")}
+    assert [node.name for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and node.name.startswith("_discover")] == []
