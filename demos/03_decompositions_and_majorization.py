@@ -49,10 +49,13 @@ om = ce.StateFunctional.from_canonical(
 closed = ce.state_entropy(om).state_entropy
 print("\nclosed-form state entropy:", closed)
 
-found, best = ce.infimum_oracle(om, samples=20_000, seed=0)
-print("minimum over 20000 sampled decompositions:", found)
-print("gap:", found - closed)
-print("argmin has", len(best.components), "components and reconstructs the state:",
+report = ce.infimum_oracle(om, samples=20_000, seed=0)
+print("minimum over 20000 sampled decompositions:", report.min_entropy_found)
+print("gap:", report.min_entropy_found - closed)
+# the report names the winning sample; its decomposition is rebuilt on demand
+best = ce.oracle_decomposition(om, report.best_index, seed=0)
+print("argmin is sample", report.best_index, "with", len(best.components),
+      "components and reconstructs the state:",
       np.allclose(best.density(), ce.representative_density(om).matrix))
 
 # A deliberately wasteful preparation of the same state is strictly worse.

@@ -21,10 +21,12 @@ from .algebra import (
 )
 from .decomp import (
     MajorizationVerdict,
+    OracleReport,
     decomposition_entropy,
     doubly_stochastic_from_unitary,
     infimum_oracle,
     majorizes,
+    oracle_decomposition,
     schrodinger_decomposition,
 )
 from .entropy import EntropyReport, minimal_decomposition, shannon, state_entropy, von_neumann

@@ -277,9 +277,9 @@ def _cmd_entropy(args, problem: _Problem) -> list[tuple]:
 
 
 def _cmd_oracle(args, problem: _Problem) -> list[tuple]:
-    found, _ = decomp.infimum_oracle(problem.state, samples=problem.samples, seed=problem.seed,
-                                     tol=problem.tol)
-    closed = entropy.state_entropy(problem.state, problem.tol).state_entropy
+    report = decomp.infimum_oracle(problem.state, samples=problem.samples, seed=problem.seed,
+                                   tol=problem.tol)
+    found, closed = report.min_entropy_found, report.state_entropy
     return [("samples", None, problem.samples, None), *_in_unit(
         args,
         ("min_entropy_found", "minimum found: ", found, _G + f" ({problem.samples} samples)"),

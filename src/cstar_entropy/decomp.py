@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._linalg import Cutoff, check_int, resolve_tol, rng_stream
-from .algebra import BlockStructure, make_algebra
+from .algebra import make_algebra
 from .entropy import _probability_vector, minimal_decomposition, shannon, state_entropy
 from .errors import ValidationError
 from .states import Decomposition, DensityMatrix, StateFunctional, _decomposition, active_sectors
@@ -201,8 +201,23 @@ def _chunk_entropies(seed: int, chunk: int, active, count: int = _CHUNK, buffers
     return -np.multiply(logs, weights, out=logs).sum(axis=0)[:count]
 
 
+@dataclass(frozen=True)
+class OracleReport:
+    """What one oracle scan found, built by :func:`infimum_oracle` alone.
+
+    min_entropy_found is the lowest decomposition entropy over samples
+    0..samples, state_entropy the closed form that sample 0 carries, and
+    best_index the lowest sample that attains the minimum; 0 means the
+    minimal decomposition.  :func:`oracle_decomposition` rebuilds a sample.
+    """
+
+    min_entropy_found: float
+    state_entropy: float
+    best_index: int
+
+
 def infimum_oracle(omega: StateFunctional, samples: int = 1000, seed: int = 0,
-                   tol: float | None = None) -> tuple[float, Decomposition]:
+                   tol: float | None = None) -> OracleReport:
     """Randomized search for the lowest-entropy decomposition of a state.
 
     Sample 0 is the minimal decomposition and carries the closed form's own
@@ -217,14 +232,16 @@ def infimum_oracle(omega: StateFunctional, samples: int = 1000, seed: int = 0,
     (stream contract v3, see :func:`_chunk_draws`), so each sample's entropy
     depends on (seed, s) alone; ties resolve to the lowest sample index.
     samples and seed must be integers, not booleans, and samples is at most
-    ``_MAX_SAMPLES``.
+    ``_MAX_SAMPLES``.  The report names the winning sample and builds no
+    decomposition; ``oracle_decomposition(omega, report.best_index, seed,
+    tol)`` rebuilds it on demand.
     """
     samples = check_int(samples, "samples", 1)
     if samples > _MAX_SAMPLES:
         raise ValidationError(f"samples must be at most {_MAX_SAMPLES}, got {samples!r}")
     tol = resolve_tol(tol, omega.structure.ambient_dim)
-    best_entropy = state_entropy(omega, tol).state_entropy
-    best_index = 0
+    closed = state_entropy(omega, tol).state_entropy
+    best_entropy, best_index = closed, 0
     active = active_sectors(omega, tol)
     buffers = _scan_buffers(active)
 
@@ -235,9 +252,32 @@ def infimum_oracle(omega: StateFunctional, samples: int = 1000, seed: int = 0,
         if h[j] < best_entropy:
             best_entropy, best_index = float(h[j]), chunk * _CHUNK + j + 1
 
-    if best_index == 0:
-        return best_entropy, minimal_decomposition(omega, tol)
-    return best_entropy, _rebuild_sample(seed, best_index, active, omega.structure)
+    return OracleReport(best_entropy, closed, best_index)
+
+
+def oracle_decomposition(omega: StateFunctional, index: int, seed: int = 0,
+                         tol: float | None = None) -> Decomposition:
+    """Sample index of ``infimum_oracle(omega, seed=seed, tol=tol)`` as a decomposition.
+
+    Index 0 is :func:`minimal_decomposition`.  An index s >= 1 is recomputed
+    with its vectors from the chunk stream it was drawn from, with the
+    isometries the scan used (see :func:`_sample_isometries`).  index and
+    seed must be integers, not booleans, and index is at most
+    ``_MAX_SAMPLES``.
+    """
+    index = check_int(index, "index", 0)
+    if index > _MAX_SAMPLES:
+        raise ValidationError(f"index must be at most {_MAX_SAMPLES}, got {index!r}")
+    seed = check_int(seed, "seed")
+    tol = resolve_tol(tol, omega.structure.ambient_dim)
+    if index == 0:
+        return minimal_decomposition(omega, tol)
+    active = active_sectors(omega, tol)
+    terms = []
+    for (i, w_block, lam, psi), u in zip(active, _sample_isometries(seed, index, active)):
+        weights, vectors = _mixed_vectors(lam, psi, u)
+        terms += [(w_block * w, i, vec) for w, vec in zip(weights, vectors.T)]
+    return _decomposition(omega.structure, terms)
 
 
 def _sample_isometries(seed: int, index: int, active, buffers=None) -> list[np.ndarray]:
@@ -247,12 +287,3 @@ def _sample_isometries(seed: int, index: int, active, buffers=None) -> list[np.n
     sizes, draws = _chunk_draws(seed, chunk, active, q_buffer)
     return [_isometries(q, rs, q.shape[0], work)[:, :r, row].T.copy()
             for q, rs, r in zip(draws, sizes.T, sizes[row])]
-
-
-def _rebuild_sample(seed: int, index: int, active, structure: BlockStructure) -> Decomposition:
-    """Recompute one sample fully (with vectors) from its chunk's stream."""
-    terms = []
-    for (i, w_block, lam, psi), u in zip(active, _sample_isometries(seed, index, active)):
-        weights, vectors = _mixed_vectors(lam, psi, u)
-        terms += [(w_block * w, i, vec) for w, vec in zip(weights, vectors.T)]
-    return _decomposition(structure, terms)

@@ -245,6 +245,38 @@ class TestOracleCommand:
         assert main(["oracle", path]) == 0
         assert "(12 samples)" in capsys.readouterr().out
 
+    def test_closed_form_is_computed_once_and_no_decomposition_is_built(self, tmp_path, capsys,
+                                                                      monkeypatch):
+        # the oracle's report carries the closed form its scan starts from, so the
+        # command neither recomputes it nor builds a decomposition it would discard
+        from cstar_entropy import decomp, states
+
+        st = ce.make_algebra([(3, 2), (2, 1), (1, 1)])
+        p, rhos = [0.5, 0.3, 0.2], [np.diag([0.5, 0.3, 0.2]), np.diag([0.6, 0.4]), np.eye(1)]
+        path = _write(tmp_path, _canonical_doc([[3, 2], [2, 1], [1, 1]], p, rhos,
+                                               options={"samples": 1500, "seed": 3}))
+        calls = []
+
+        def counted(name, fn):
+            def call(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return call
+
+        for name, modules in (("state_entropy", (entropy_module, decomp)),
+                              ("minimal_decomposition", (entropy_module, decomp)),
+                              ("_decomposition", (states, entropy_module, decomp))):
+            wrapper = counted(name, getattr(modules[0], name))
+            for module in modules:
+                monkeypatch.setattr(module, name, wrapper)
+        assert main(["oracle", path, "--json"]) == 0
+        assert calls == ["state_entropy"]
+        payload = json.loads(capsys.readouterr().out)
+        report = ce.infimum_oracle(ce.StateFunctional.from_canonical(st, p, rhos), samples=1500, seed=3)
+        assert (payload["min_entropy_found"], payload["state_entropy"], payload["gap"]) == \
+            (report.min_entropy_found, report.state_entropy,
+             report.min_entropy_found - report.state_entropy)
+
 
 class TestSchrodingerCommand:
     def test_hadamard_mixing(self, tmp_path, capsys):

@@ -195,14 +195,14 @@ class TestInfimumOracle:
         st = ce.make_algebra([(2, 1)])
         psi = np.array([0.8, 0.6j], dtype=complex)
         om = ce.StateFunctional.from_canonical(st, [1.0], [np.outer(psi, psi.conj())])
-        found, dec = ce.infimum_oracle(om, samples=50, seed=1)
-        assert found == pytest.approx(0.0, abs=1e-12)
-        assert len(dec.components) == 1
+        report = ce.infimum_oracle(om, samples=50, seed=1)
+        assert report.min_entropy_found == pytest.approx(0.0, abs=1e-12)
+        assert len(ce.oracle_decomposition(om, report.best_index, seed=1).components) == 1
 
     def test_full_block_matches_von_neumann(self):
         st = ce.make_algebra([(2, 1)])
         om = ce.state_from_density(np.diag([0.25, 0.75]).astype(complex), st)
-        found, _ = ce.infimum_oracle(om, samples=1000, seed=2)
+        found = ce.infimum_oracle(om, samples=1000, seed=2).min_entropy_found
         assert found == pytest.approx(0.5623351446188083, abs=1e-9)
 
     def test_sample_zero_attains_minimum_and_no_sample_beats_it(self):
@@ -210,25 +210,29 @@ class TestInfimumOracle:
         st = ce.make_algebra([(2, 1), (1, 1)])
         om = random_state(rng, st)
         s = ce.state_entropy(om).state_entropy
-        found, dec = ce.infimum_oracle(om, samples=500, seed=3)
-        assert found == pytest.approx(s, abs=1e-9)
+        report = ce.infimum_oracle(om, samples=500, seed=3)
+        assert report.min_entropy_found == pytest.approx(s, abs=1e-9)
+        dec = ce.oracle_decomposition(om, report.best_index, seed=3)
         assert np.allclose(dec.density(), ce.representative_density(om).matrix, atol=1e-9)
 
     def test_one_sample_leaves_a_gap_of_exactly_zero(self):
         # sample 0 carries the closed form's own value, so where no sample beats
-        # it the gap is 0.0, never a rounding-level negative
+        # it the gap is 0.0, never a rounding-level negative; the report's closed
+        # form is state_entropy's, bit for bit
         st = ce.make_algebra([(3, 2), (2, 1), (1, 1)])
         mixed = ce.StateFunctional.from_canonical(st, [0.5, 0.3, 0.2], [np.eye(n) / n for n in (3, 2, 1)])
         for om, seed in [(mixed, 0), (mixed, 1), *((om, seed) for _, om, seed in _acceptance_states())]:
-            found, _ = ce.infimum_oracle(om, samples=1, seed=seed)
-            assert found - ce.state_entropy(om).state_entropy == 0.0, seed
+            report = ce.infimum_oracle(om, samples=1, seed=seed)
+            assert report.state_entropy == ce.state_entropy(om).state_entropy, seed
+            assert report.min_entropy_found - report.state_entropy == 0.0, seed
+            assert report.best_index == 0, seed
 
     def test_samples_reconstruct_the_state(self):
         # the argmin decomposition must prepare the original representative
         rng = rng_stream(61)
         st = ce.make_algebra([(2, 2), (1, 1)])
         om = random_state(rng, st)
-        _, dec = ce.infimum_oracle(om, samples=100, seed=4)
+        dec = ce.oracle_decomposition(om, ce.infimum_oracle(om, samples=100, seed=4).best_index, seed=4)
         assert np.allclose(dec.density(), ce.representative_density(om).matrix, atol=1e-9)
 
     def test_deterministic_across_runs(self):
@@ -236,9 +240,9 @@ class TestInfimumOracle:
         st = random_structure(rng)
         om = random_state(rng, st)
         a = ce.infimum_oracle(om, samples=200, seed=5)
-        b = ce.infimum_oracle(om, samples=200, seed=5)
-        assert a[0] == b[0]
-        assert np.array_equal(a[1].weights(), b[1].weights())
+        assert ce.infimum_oracle(om, samples=200, seed=5) == a
+        assert np.array_equal(ce.oracle_decomposition(om, a.best_index, seed=5).weights(),
+                              ce.oracle_decomposition(om, a.best_index, seed=5).weights())
 
     def test_invalid_samples_rejected(self):
         rng = rng_stream(63)
@@ -272,9 +276,11 @@ class TestInfimumOracle:
         rng = rng_stream(63)
         st = ce.make_algebra([(2, 1), (1, 2)])
         om = random_state(rng, st)
-        a = ce.infimum_oracle(om, samples=np.int64(1500), seed=np.uint32(7))
-        b = ce.infimum_oracle(om, samples=1500, seed=7)
-        assert a[0] == b[0] and np.array_equal(a[1].weights(), b[1].weights())
+        assert ce.infimum_oracle(om, samples=np.int64(1500), seed=np.uint32(7)) == \
+            ce.infimum_oracle(om, samples=1500, seed=7)
+        a = ce.oracle_decomposition(om, np.int64(1500), seed=np.uint32(7))
+        b = ce.oracle_decomposition(om, 1500, seed=7)
+        assert np.array_equal(a.weights(), b.weights())
 
     def test_seeds_reach_the_chunk_streams_modulo_2_128(self):
         # as rng_stream does, the chunk streams take any integer seed modulo
@@ -290,9 +296,9 @@ class TestInfimumOracle:
         assert _chunk_entropies(2 ** 128 - 1, 1, active).tobytes() == minus_one
         five = _chunk_entropies(5, 1, active).tobytes()
         assert _chunk_entropies(2 ** 128 + 5, 1, active).tobytes() == five != minus_one
-        a = ce.infimum_oracle(om, samples=1500, seed=-1)
-        b = ce.infimum_oracle(om, samples=1500, seed=-1)
-        assert a[0] == b[0] and np.array_equal(a[1].weights(), b[1].weights())
+        assert ce.infimum_oracle(om, samples=1500, seed=-1) == ce.infimum_oracle(om, samples=1500, seed=-1)
+        assert np.array_equal(ce.oracle_decomposition(om, 1500, seed=-1).weights(),
+                              ce.oracle_decomposition(om, 1500, seed=2 ** 128 - 1).weights())
 
     def test_every_sample_reconstructs_the_state(self):
         # white-box: rebuild each sampled decomposition and check it prepares
@@ -300,18 +306,17 @@ class TestInfimumOracle:
         # of the first chunk boundary, 1024 and 2048 are the last rows of
         # their chunks, and the rank-deficient state's blocks have rank below
         # n_i, so the rebuild reads more columns than the scan
-        from cstar_entropy.decomp import _rebuild_sample, _sample_isometries
+        from cstar_entropy.decomp import _sample_isometries
         from cstar_entropy.states import active_sectors
 
         rng = rng_stream(64)
         st = ce.make_algebra([(2, 1), (2, 2)])
         deficient = ce.make_algebra([(3, 1), (4, 2)])
-        for st, om in ((st, random_state(rng, st)),
-                       (deficient, _rank_deficient_state(rng, deficient, (1, 2)))):
+        for om in (random_state(rng, st), _rank_deficient_state(rng, deficient, (1, 2))):
             rho = ce.representative_density(om)
             active = active_sectors(om, 1e-9)
             for index in [*range(1, 21), 1024, 1025, 2048]:
-                dec = _rebuild_sample(seed=11, index=index, active=active, structure=st)
+                dec = ce.oracle_decomposition(om, index, seed=11, tol=1e-9)
                 assert np.linalg.norm(dec.density() - rho.matrix) < 1e-9
                 assert ce.decomposition_entropy(dec) >= ce.state_entropy(om).state_entropy - 1e-9
                 for (_, _, lam, _), u in zip(active, _sample_isometries(11, index, active)):
@@ -322,7 +327,7 @@ class TestInfimumOracle:
     def test_scan_and_rebuild_use_the_same_matrices(self):
         # the batched scan's per-sample entropies against the fully rebuilt
         # decompositions, on indices that cross two chunk boundaries
-        from cstar_entropy.decomp import _CHUNK, _chunk_entropies, _rebuild_sample
+        from cstar_entropy.decomp import _CHUNK, _chunk_entropies
         from cstar_entropy.states import active_sectors
 
         rng = rng_stream(65)
@@ -332,7 +337,8 @@ class TestInfimumOracle:
         chunks = {c: _chunk_entropies(12, c, active) for c in range(3)}
         indices = [*range(1020, 1031), 2048, 2049]
         scanned = [chunks[(s - 1) // _CHUNK][(s - 1) % _CHUNK] for s in indices]
-        rebuilt = [ce.decomposition_entropy(_rebuild_sample(12, s, active, st)) for s in indices]
+        rebuilt = [ce.decomposition_entropy(ce.oracle_decomposition(om, s, seed=12, tol=1e-9))
+                   for s in indices]
         assert np.allclose(scanned, rebuilt, rtol=0.0, atol=1e-12)
 
     def test_sample_entropy_depends_on_seed_and_index_alone(self):
@@ -355,7 +361,7 @@ class TestInfimumOracle:
 
     def test_ties_resolve_to_the_lowest_index_across_chunks(self, monkeypatch):
         # white-box: scan entropies that tie at chosen indices, and the index
-        # handed to the rebuild
+        # the report names
         from cstar_entropy import decomp
 
         def scan_tied_at(tied, value):
@@ -371,16 +377,50 @@ class TestInfimumOracle:
         st = ce.make_algebra([(2, 1)])
         psi = np.array([0.8, 0.6j], dtype=complex)
         om = ce.StateFunctional.from_canonical(st, [1.0], [np.outer(psi, psi.conj())])
-        monkeypatch.setattr(decomp, "_rebuild_sample", lambda seed, index, active, structure: index)
         for tied, lowest in (((2049, 1025, 1024), 1024), ((2049, 1025), 1025), ((2980, 2049), 2049)):
             monkeypatch.setattr(decomp, "_chunk_entropies", scan_tied_at(tied, -1.0))
-            assert decomp.infimum_oracle(om, samples=3000, seed=0) == (-1.0, lowest)
+            report = decomp.infimum_oracle(om, samples=3000, seed=0)
+            assert (report.min_entropy_found, report.best_index) == (-1.0, lowest)
         # sample 0 carries the closed form's value (2.1e-15 for this pure state, as
         # eigh leaves a 5.6e-17 eigenvalue), so a sample that only ties it loses
         closed = ce.state_entropy(om).state_entropy
         monkeypatch.setattr(decomp, "_chunk_entropies", scan_tied_at((5, 1025), closed))
-        found, dec = decomp.infimum_oracle(om, samples=3000, seed=0)
-        assert found == closed and len(dec.components) == 1
+        assert decomp.infimum_oracle(om, samples=3000, seed=0) == decomp.OracleReport(closed, closed, 0)
+
+
+class TestOracleDecomposition:
+    def test_index_zero_is_the_minimal_decomposition_byte_for_byte(self):
+        rng = rng_stream(73)
+        for blocks in ([(2, 1), (1, 1)], [(3, 2), (2, 1), (1, 1)]):
+            om = random_state(rng, ce.make_algebra(blocks))
+            for tol in (None, 1e-9):
+                dec = ce.oracle_decomposition(om, 0, seed=3, tol=tol)
+                ref = ce.minimal_decomposition(om, tol)
+                assert dec.weights().tobytes() == ref.weights().tobytes()
+                assert [(i, v.tobytes()) for _, i, v in dec.components] == \
+                    [(i, v.tobytes()) for _, i, v in ref.components]
+
+    @pytest.mark.parametrize("bad", [
+        {"index": True}, {"index": 1.0}, {"index": np.float64(2.0)}, {"index": "1"}, {"index": None},
+        {"index": -1}, {"seed": True}, {"seed": 1.5}, {"seed": "1"}, {"seed": None},
+    ], ids=["index_bool", "index_float", "index_numpy_float", "index_str", "index_none",
+            "index_negative", "seed_bool", "seed_fraction", "seed_str", "seed_none"])
+    def test_non_integer_or_negative_index_and_seed_rejected(self, bad):
+        # index 0 reads no stream, so a bad seed must be caught before the branch
+        st = ce.make_algebra([(2, 1)])
+        om = ce.state_from_density(np.diag([0.25, 0.75]).astype(complex), st)
+        with pytest.raises(ValidationError):
+            ce.oracle_decomposition(om, **{"index": 0, "seed": 0, **bad})
+
+    def test_index_bound_is_the_scan_bound(self):
+        from cstar_entropy.decomp import _MAX_SAMPLES
+
+        st = ce.make_algebra([(2, 1), (1, 2)])
+        om = random_state(rng_stream(74), st)
+        dec = ce.oracle_decomposition(om, np.int64(_MAX_SAMPLES), seed=1)
+        assert np.allclose(dec.density(), ce.representative_density(om).matrix, atol=1e-9)
+        with pytest.raises(ValidationError, match="index must be at most 100000000"):
+            ce.oracle_decomposition(om, _MAX_SAMPLES + 1, seed=1)
 
 
 def _acceptance_states():
@@ -405,9 +445,9 @@ def test_acceptance_states_oracle_digest():
 
     h = hashlib.sha256()
     for st, om, seed in _acceptance_states():
-        found, dec = ce.infimum_oracle(om, samples=3000, seed=seed)
-        h.update(found.hex().encode())
-        h.update(dec.weights().tobytes())
+        report = ce.infimum_oracle(om, samples=3000, seed=seed)
+        h.update(report.min_entropy_found.hex().encode())
+        h.update(ce.oracle_decomposition(om, report.best_index, seed=seed).weights().tobytes())
     assert h.hexdigest() == "1a0c52379eb067128b4af6f4e1516f089c03622e853f13a04eec3570016fb7e4"
 
 
@@ -541,8 +581,8 @@ def test_isometries_are_orthonormal_on_ill_conditioned_draws():
 
 def test_scan_calls_no_lapack_qr_and_draws_one_stream_per_chunk(monkeypatch):
     # pins the scan's shape without timing it: no QR factorisation from numpy,
-    # and exactly one stream per 1024-sample chunk (sample 0 wins here, so no
-    # rebuild draws its chunk again)
+    # and exactly one stream per 1024-sample chunk (the oracle rebuilds no
+    # sample, so no chunk is drawn twice)
     from cstar_entropy import decomp
 
     def no_qr(*args, **kwargs):
@@ -575,7 +615,7 @@ def test_scan_calls_no_lapack_qr_and_draws_one_stream_per_chunk(monkeypatch):
     monkeypatch.setattr(decomp, "rng_stream", counting_stream)
     st = ce.make_algebra([(3, 2), (2, 1), (1, 1)])
     om = random_state(rng_stream(69), st)
-    found, _ = decomp.infimum_oracle(om, samples=3000, seed=9)
+    found = decomp.infimum_oracle(om, samples=3000, seed=9).min_entropy_found
     assert streams == [(9, 1, 0), (9, 1, 1), (9, 1, 2)]
     assert found == pytest.approx(ce.state_entropy(om).state_entropy, abs=1e-12)
     # one normal draw per block per chunk, each into a buffer made once for the scan
@@ -643,12 +683,11 @@ def test_oracle_is_reentrant_across_threads(monkeypatch):
 
     def run(om):
         local.entropies = []
-        found, dec = ce.infimum_oracle(om, samples=3000, seed=5)
-        return found.hex(), dec.weights().tobytes(), local.entropies
+        return ce.infimum_oracle(om, samples=3000, seed=5), local.entropies
 
     monkeypatch.setattr(decomp, "_chunk_entropies", recording_scan)
     serial = [run(om) for om in states]
-    assert [len(entropies) for _, _, entropies in serial] == [3, 3]
+    assert [len(entropies) for _, entropies in serial] == [3, 3]
     start = threading.Barrier(2, timeout=30)
 
     def run_together(om):

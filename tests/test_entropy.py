@@ -239,8 +239,9 @@ class TestSectorsBelowTol:
         assert ce.state_entropy(om, 1e-9).state_entropy == pytest.approx(expected, abs=1e-12)
         assert np.allclose(self._by_block(ce.minimal_decomposition(om, 1e-9)), self.P,
                            rtol=0.0, atol=1e-12)
-        found, dec = ce.infimum_oracle(om, samples=2000, seed=1, tol=1e-9)
-        assert found == pytest.approx(expected, abs=1e-12)
+        report = ce.infimum_oracle(om, samples=2000, seed=1, tol=1e-9)
+        assert report.min_entropy_found == pytest.approx(expected, abs=1e-12)
+        dec = ce.oracle_decomposition(om, report.best_index, seed=1, tol=1e-9)
         assert np.allclose(self._by_block(dec), self.P, rtol=0.0, atol=1e-12)
         assert ce.gns_construct(om, 1e-9).active == (0, 1, 2)
 
@@ -251,8 +252,9 @@ class TestSectorsBelowTol:
         assert ce.state_entropy(om, 1e-6).state_entropy == pytest.approx(expected, abs=1e-12)
         assert np.allclose(self._by_block(ce.minimal_decomposition(om, 1e-6)), [*kept, 0.0],
                            rtol=0.0, atol=1e-12)
-        found, dec = ce.infimum_oracle(om, samples=2000, seed=1, tol=1e-6)
-        assert found == pytest.approx(expected, abs=1e-12)
+        report = ce.infimum_oracle(om, samples=2000, seed=1, tol=1e-6)
+        assert report.min_entropy_found == pytest.approx(expected, abs=1e-12)
+        dec = ce.oracle_decomposition(om, report.best_index, seed=1, tol=1e-6)
         assert np.allclose(self._by_block(dec), [*kept, 0.0], rtol=0.0, atol=1e-12)
 
     def test_canonical_form_keeps_the_sectors_active_sectors_keeps(self):

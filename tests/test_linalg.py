@@ -101,6 +101,7 @@ _TOL_CALLS = {
     "state_entropy": lambda tol: ce.state_entropy(_OM, tol),
     "minimal_decomposition": lambda tol: ce.minimal_decomposition(_OM, tol),
     "infimum_oracle": lambda tol: ce.infimum_oracle(_OM, samples=1, tol=tol),
+    "oracle_decomposition": lambda tol: ce.oracle_decomposition(_OM, 1, tol=tol),
     "gns_construct": lambda tol: ce.gns_construct(_OM, tol),
     "gns_commutant_functional": lambda tol: ce.gns_commutant_functional(_G, np.eye(_G.dim), tol),
     "gns_state_entropy": lambda tol: ce.gns_state_entropy(_OM, tol),

@@ -142,9 +142,10 @@ def test_gns_structure_is_weighted_blocks_with_rank_multiplicities(case):
 def test_oracle_never_goes_below_closed_form(case, seed):
     structure, om, _ = case
     s = ce.state_entropy(om).state_entropy
-    found, dec = ce.infimum_oracle(om, samples=200, seed=seed)
+    report = ce.infimum_oracle(om, samples=200, seed=seed)
     # sample 0 is the minimal decomposition, so the minimum also never exceeds S
-    assert s - 1e-10 <= found <= s + 1e-10
+    assert s - 1e-10 <= report.min_entropy_found <= s + 1e-10
+    dec = ce.oracle_decomposition(om, report.best_index, seed=seed)
     assert np.allclose(dec.state().values(), om.values(), atol=1e-9)
 
 

@@ -15,8 +15,10 @@ functional is not a state, ``_linalg.rng_stream`` builds every random
 stream (the oracle's chunk c is ``rng_stream(seed, 1, c)``), the CLI turns JSON into float arrays and decides that a number is finite only
 in its number decoder, writes stdout only in its renderer and stderr only
 in ``main``'s error handlers, and each result type has one builder:
-``entropy.state_entropy`` for ``EntropyReport`` and
-``states._decomposition`` for ``Decomposition``.  The GNS route neither
+``entropy.state_entropy`` for ``EntropyReport``, ``decomp.infimum_oracle``
+for ``OracleReport`` and ``states._decomposition`` for ``Decomposition``.
+The ``oracle`` command reads both of its entropies off one oracle report,
+and the oracle scan rebuilds no decomposition.  The GNS route neither
 reads ``StateFunctional.spectra``, the closed form's one ``eigh``, nor
 imports discovery, and discovery has one split loop, in
 ``algebra.generate_subalgebra``, which ``block_decompose`` calls.
@@ -307,12 +309,27 @@ def _call_sites(node, name, owner=None):
 
 
 @pytest.mark.parametrize("name,builder", [("EntropyReport", ("entropy.py", "state_entropy")),
+                                          ("OracleReport", ("decomp.py", "infimum_oracle")),
                                           ("Decomposition", ("states.py", "_decomposition"))])
 def test_each_result_type_has_one_builder(name, builder):
     # a second builder would fill the fields, or drop and renormalize the weights, its own way
     sites = {(path.name, owner) for path in SOURCES
              for owner, _ in _call_sites(ast.parse(path.read_text()), name)}
     assert sites == {builder}, sorted(sites, key=str)
+
+
+def test_oracle_command_makes_one_scan_and_builds_nothing_it_discards():
+    # the report carries the closed form the scan starts from and the winning index, so
+    # the command recomputes neither, and a sample's decomposition is rebuilt on demand only
+    def calls(module, owner, name):
+        tree = ast.parse((ROOT / "src" / "cstar_entropy" / module).read_text())
+        return [line for found, line in _call_sites(tree, name) if found == owner]
+
+    assert len(calls("cli.py", "_cmd_oracle", "infimum_oracle")) == 1
+    assert calls("cli.py", "_cmd_oracle", "state_entropy") == []
+    assert calls("cli.py", "_cmd_oracle", "minimal_decomposition") == []
+    for name in ("minimal_decomposition", "_rebuild_sample", "_sample_isometries"):
+        assert calls("decomp.py", "infimum_oracle", name) == [], name
 
 
 def test_gns_route_reads_neither_the_closed_form_spectra_nor_discovery():
