@@ -29,7 +29,14 @@ from .decomp import (
     oracle_decomposition,
     schrodinger_decomposition,
 )
-from .entropy import EntropyReport, minimal_decomposition, shannon, state_entropy, von_neumann
+from .entropy import (
+    EntropyReport,
+    closed_form_entropy,
+    minimal_decomposition,
+    shannon,
+    state_entropy,
+    von_neumann,
+)
 from .errors import (
     DecompositionError,
     DisconnectedSectorsError,

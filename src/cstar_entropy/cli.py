@@ -305,7 +305,7 @@ def _cmd_gns(args, problem: _Problem) -> list[tuple]:
     g = gns.gns_construct(problem.state, problem.tol)
     irreducible = gns.is_irreducible(g)
     via_gns = gns.sectors_entropy(gns.resolve_sectors(g))
-    closed = entropy.state_entropy(problem.state, problem.tol).state_entropy
+    closed = entropy.closed_form_entropy(problem.state, problem.tol)
     return [("gns_dimension", "GNS dimension: ", g.dim, str(g.dim)),
             ("irreducible", "irreducible:   ", bool(irreducible), "yes" if irreducible else "no"),
             *_in_unit(args,

@@ -16,7 +16,7 @@ import numpy as np
 
 from ._linalg import Cutoff, check_int, resolve_tol, rng_stream
 from .algebra import make_algebra
-from .entropy import _probability_vector, minimal_decomposition, shannon, state_entropy
+from .entropy import _probability_vector, closed_form_entropy, minimal_decomposition, shannon
 from .errors import ValidationError
 from .states import Decomposition, DensityMatrix, StateFunctional, _decomposition, active_sectors
 
@@ -206,7 +206,8 @@ class OracleReport:
     """What one oracle scan found, built by :func:`infimum_oracle` alone.
 
     min_entropy_found is the lowest decomposition entropy over samples
-    0..samples, state_entropy the closed form that sample 0 carries, and
+    0..samples, state_entropy the closed form that sample 0 carries
+    (:func:`~cstar_entropy.entropy.closed_form_entropy`), and
     best_index the lowest sample that attains the minimum; 0 means the
     minimal decomposition.  :func:`oracle_decomposition` rebuilds a sample.
     """
@@ -221,7 +222,7 @@ def infimum_oracle(omega: StateFunctional, samples: int = 1000, seed: int = 0,
     """Randomized search for the lowest-entropy decomposition of a state.
 
     Sample 0 is the minimal decomposition and carries the closed form's own
-    value, ``state_entropy(omega, tol).state_entropy``, so the reported
+    value, ``closed_form_entropy(omega, tol)``, so the reported
     minimum never exceeds it and falls below it only where a sample does.
     Samples 1..samples each draw, per active block, a decomposition size r
     in [n_i, 2 n_i] and an r x n_i isometry (the first n_i columns of a Haar
@@ -240,7 +241,7 @@ def infimum_oracle(omega: StateFunctional, samples: int = 1000, seed: int = 0,
     if samples > _MAX_SAMPLES:
         raise ValidationError(f"samples must be at most {_MAX_SAMPLES}, got {samples!r}")
     tol = resolve_tol(tol, omega.structure.ambient_dim)
-    closed = state_entropy(omega, tol).state_entropy
+    closed = closed_form_entropy(omega, tol)
     best_entropy, best_index = closed, 0
     active = active_sectors(omega, tol)
     buffers = _scan_buffers(active)

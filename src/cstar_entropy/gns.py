@@ -72,11 +72,12 @@ def gns_construct(omega: StateFunctional, tol: float | None = None) -> GnsData:
     tol = resolve_tol(tol, omega.structure.ambient_dim)
     svds = [np.linalg.svd(hermitize(x.T)) for x in omega.block_values]
     scale = max(float(s[0]) for _, s, _ in svds)
+    cutoff = Cutoff.spectral(tol, scale)
     blocks, active, cyclic = [], [], []
     for i, ((n, _), (u, s, vh)) in enumerate(zip(omega.structure.blocks, svds)):
-        keep = (s > Cutoff.spectral(tol, scale)) & (np.einsum("ki,ik->k", vh, u).real > 0)
-        if keep.any():
-            blocks.append((n, int(keep.sum())))
+        keep = (s > cutoff) & (np.einsum("ki,ik->k", vh, u).real > 0)
+        if rank := int(keep.sum()):
+            blocks.append((n, rank))
             active.append(i)
             cyclic.append((u[:, keep] * np.sqrt(s[keep])).reshape(-1))
     if not active:
@@ -241,7 +242,7 @@ def gns_state_entropy(omega: StateFunctional, tol: float | None = None) -> float
 
     Builds the representation at tol and reads the entropy off its sectors
     with :func:`sectors_entropy`; the result must agree with
-    ``state_entropy(omega, tol).state_entropy``.
+    :func:`~cstar_entropy.entropy.closed_form_entropy` at tol.
     """
     return sectors_entropy(resolve_sectors(gns_construct(omega, tol)))
 

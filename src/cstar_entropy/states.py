@@ -28,10 +28,10 @@ class DensityMatrix:
     spectrum: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        mat = np.asarray(self.matrix, dtype=complex)
+        mat = frozen(self.matrix)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or not mat.size:
             raise ValidationError("density matrix must be square and nonempty")
-        if not np.all(np.isfinite(mat)):
+        if not np.isfinite(mat).all():
             raise ValidationError("density matrix has non-finite entries")
         tol = Cutoff.default(mat.shape[0])
         if frob(mat - mat.conj().T) > Cutoff.defect(tol, frob(mat)):
@@ -39,11 +39,11 @@ class DensityMatrix:
         eigs = np.linalg.eigvalsh(hermitize(mat))
         if eigs[0] < -Cutoff.eigenvalue(tol):
             raise ValidationError(f"density matrix has negative eigenvalue {eigs[0]:.3e}")
-        tr = float(np.trace(mat).real)
+        tr = float(mat.trace().real)
         if abs(tr - 1.0) > Cutoff.eigenvalue(tol):
             raise ValidationError(f"density matrix has trace {tr!r}, expected 1")
         eigs.setflags(write=False)
-        object.__setattr__(self, "matrix", frozen(mat))
+        object.__setattr__(self, "matrix", mat)
         object.__setattr__(self, "spectrum", eigs)
 
     @property
@@ -74,17 +74,17 @@ class StateFunctional:
         values = []
         unit = 0.0
         for (n, _), v in zip(self.structure.blocks, self.block_values):
-            arr = np.asarray(v, dtype=complex)
+            arr = frozen(v)
             if arr.shape != (n, n):
                 raise ValidationError("value matrix shape does not match block size")
-            if not np.all(np.isfinite(arr)):
+            if not np.isfinite(arr).all():
                 raise ValidationError("value matrix has non-finite entries")
             asym = frob(arr - arr.conj().T)
             if asym > Cutoff.selfadjoint(tol, frob(arr)):
                 raise NotAStateError(
                     f"functional is not self-adjoint: omega(A*) != conj omega(A) (defect {asym:.3e})")
-            unit += np.trace(arr)
-            values.append(frozen(arr))
+            unit += arr.trace()
+            values.append(arr)
         if abs(unit - 1.0) > Cutoff.aggregate(tol):
             raise NotAStateError(f"functional is not normalized: value {unit!r} on the identity")
         spectra = [np.linalg.eigh(hermitize(v.T)) for v in values]
@@ -92,7 +92,8 @@ class StateFunctional:
         if lowest < -Cutoff.eigenvalue(tol):
             raise NotAStateError(
                 f"functional is not positive: representative has eigenvalue {lowest:.3e}")
-        clipped = [np.clip(w[::-1], 0.0, None) for w, _ in spectra]
+        # the scalar second: a -0.0 eigenvalue comes out +0.0, as from np.clip
+        clipped = [np.maximum(w[::-1], 0.0) for w, _ in spectra]
         total = sum(w.sum() for w in clipped)
         spectra = tuple((w / total, v[:, ::-1]) for w, (_, v) in zip(clipped, spectra))
         for w, v in spectra:
@@ -175,10 +176,10 @@ def active_sectors(omega: StateFunctional,
     weights renormalized over those blocks.  A tol that keeps no block is a
     :class:`ValidationError`.
     """
-    kept = [(i, float(w.sum()), w, v) for i, (w, v) in enumerate(omega.spectra) if w.sum() > tol]
+    sums = [float(w.sum()) for w, _ in omega.spectra]
+    kept = [(i, s, w, v) for i, (s, (w, v)) in enumerate(zip(sums, omega.spectra)) if s > tol]
     if not kept:
-        largest = max(float(w.sum()) for w, _ in omega.spectra)
-        raise ValidationError(f"tol {tol!r} discards every sector (largest weight {largest!r})")
+        raise ValidationError(f"tol {tol!r} discards every sector (largest weight {max(sums)!r})")
     total = sum(weight for _, weight, _, _ in kept)
     return [(i, weight / total, w / weight, v) for i, weight, w, v in kept]
 

@@ -199,6 +199,31 @@ def test_structure_at_ambient_dimension_80(tmp_path, capsys):
     assert wall < 2.0
 
 
+def _count_state_path_calls(monkeypatch) -> list[str]:
+    """Wrap the closed form, the entropy report and the decomposition builders under every
+    name the package imports them by; each call appends the function's name to the list."""
+    from cstar_entropy import decomp, states
+
+    calls = []
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return call
+
+    for name, modules in (("closed_form_entropy", (entropy_module, decomp)),
+                          ("state_entropy", (entropy_module, decomp)),
+                          ("minimal_decomposition", (entropy_module, decomp)),
+                          ("_decomposition", (states, entropy_module, decomp))):
+        wrapper = counted(name, getattr(modules[0], name))
+        for module in modules:
+            # raising=False: a module that does not import the name gains a counted one,
+            # so a later import of it is counted too
+            monkeypatch.setattr(module, name, wrapper, raising=False)
+    return calls
+
+
 class TestOracleCommand:
     def test_gap_zero_for_pure_state(self, tmp_path, capsys):
         doc = {
@@ -248,29 +273,14 @@ class TestOracleCommand:
     def test_closed_form_is_computed_once_and_no_decomposition_is_built(self, tmp_path, capsys,
                                                                       monkeypatch):
         # the oracle's report carries the closed form its scan starts from, so the
-        # command neither recomputes it nor builds a decomposition it would discard
-        from cstar_entropy import decomp, states
-
+        # command neither recomputes it nor builds a report or a decomposition it would discard
         st = ce.make_algebra([(3, 2), (2, 1), (1, 1)])
         p, rhos = [0.5, 0.3, 0.2], [np.diag([0.5, 0.3, 0.2]), np.diag([0.6, 0.4]), np.eye(1)]
         path = _write(tmp_path, _canonical_doc([[3, 2], [2, 1], [1, 1]], p, rhos,
                                                options={"samples": 1500, "seed": 3}))
-        calls = []
-
-        def counted(name, fn):
-            def call(*args, **kwargs):
-                calls.append(name)
-                return fn(*args, **kwargs)
-            return call
-
-        for name, modules in (("state_entropy", (entropy_module, decomp)),
-                              ("minimal_decomposition", (entropy_module, decomp)),
-                              ("_decomposition", (states, entropy_module, decomp))):
-            wrapper = counted(name, getattr(modules[0], name))
-            for module in modules:
-                monkeypatch.setattr(module, name, wrapper)
+        calls = _count_state_path_calls(monkeypatch)
         assert main(["oracle", path, "--json"]) == 0
-        assert calls == ["state_entropy"]
+        assert calls == ["closed_form_entropy"]
         payload = json.loads(capsys.readouterr().out)
         report = ce.infimum_oracle(ce.StateFunctional.from_canonical(st, p, rhos), samples=1500, seed=3)
         assert (payload["min_entropy_found"], payload["state_entropy"], payload["gap"]) == \
@@ -315,6 +325,20 @@ class TestGnsCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["gns_dimension"] == 2
         assert payload["irreducible"] is True
+
+    def test_closed_form_is_computed_once_and_no_report_is_built(self, tmp_path, capsys,
+                                                                 monkeypatch):
+        # the command prints one entropy of the closed form, so it builds no EntropyReport
+        st = ce.make_algebra([(3, 2), (2, 1), (1, 1)])
+        p, rhos = [0.5, 0.3, 0.2], [np.diag([0.5, 0.3, 0.2]), np.diag([0.6, 0.4]), np.eye(1)]
+        path = _write(tmp_path, _canonical_doc([[3, 2], [2, 1], [1, 1]], p, rhos))
+        calls = _count_state_path_calls(monkeypatch)
+        assert main(["gns", path, "--json"]) == 0
+        assert calls == ["closed_form_entropy"]
+        payload = json.loads(capsys.readouterr().out)
+        om = ce.StateFunctional.from_canonical(st, p, rhos)
+        assert payload["state_entropy"] == ce.state_entropy(om).state_entropy
+        assert payload["gap"] == payload["gns_entropy"] - payload["state_entropy"]
 
     @pytest.mark.parametrize("seed", [5, 6, 9])
     def test_coarse_tol_leaves_discovery_at_its_own_gap(self, tmp_path, capsys, seed):

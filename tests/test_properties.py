@@ -77,6 +77,21 @@ def test_entropy_bounds(case):
 
 
 @PROPERTY_SETTINGS
+@given(structures_and_states(), st.sampled_from([None, 1e-9, 1e-3, 0.2]))
+def test_closed_form_entropy_is_the_reports_value(case, tol):
+    _, om, _ = case
+    assert ce.closed_form_entropy(om, tol) == ce.state_entropy(om, tol).state_entropy
+    # a tol at the largest sector weight keeps no sector, and both say so alike
+    largest = max(float(w.sum()) for w, _ in om.spectra)
+    errors = []
+    for fn in (ce.closed_form_entropy, ce.state_entropy):
+        with pytest.raises(ce.ValidationError) as exc:
+            fn(om, largest)
+        errors.append(str(exc.value))
+    assert errors[0] == errors[1]
+
+
+@PROPERTY_SETTINGS
 @given(structures_and_states(), st.data())
 def test_entropy_invariant_under_block_permutation(case, data):
     structure, om, _ = case

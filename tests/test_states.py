@@ -167,6 +167,31 @@ class TestStateIsCheckedOnce:
             with pytest.raises(ValueError):
                 arr[0] = 1.0
 
+    def test_clipped_weights_carry_no_negative_zero(self, monkeypatch):
+        # eigh may return a zero eigenvalue as -0.0; the clip must give +0.0, as np.clip does
+        eigh = np.linalg.eigh
+        lowest = {2: -0.0, 3: -1e-14}
+        patched = []
+
+        def signed(mat):
+            w, v = eigh(mat)
+            w = w.copy()
+            w[0] = lowest.get(w.size, w[0])
+            patched.append(w)
+            return w, v
+
+        monkeypatch.setattr(np.linalg, "eigh", signed)
+        st = ce.make_algebra([(2, 1), (3, 2), (1, 1)])
+        om = ce.StateFunctional(st, (np.diag([0.3, 0.0]).astype(complex),
+                                     np.diag([0.3, 0.2, 0.0]).astype(complex),
+                                     np.full((1, 1), 0.2, dtype=complex)))
+        clipped = [np.clip(w[::-1], 0.0, None) for w in patched]
+        total = sum(w.sum() for w in clipped)
+        assert len(patched) == 3 and np.signbit(patched[0][0]) and patched[1][0] < 0
+        for (w, _), expected in zip(om.spectra, clipped):
+            assert not np.signbit(w).any()
+            assert np.array_equal(w, expected / total)
+
 
 class TestDensityMatrix:
     def test_keeps_the_ascending_spectrum_of_its_validation(self):

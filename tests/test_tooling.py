@@ -18,9 +18,11 @@ in ``main``'s error handlers, and each result type has one builder:
 ``entropy.state_entropy`` for ``EntropyReport``, ``decomp.infimum_oracle``
 for ``OracleReport`` and ``states._decomposition`` for ``Decomposition``.
 The ``oracle`` command reads both of its entropies off one oracle report,
-and the oracle scan rebuilds no decomposition.  The GNS route neither
-reads ``StateFunctional.spectra``, the closed form's one ``eigh``, nor
-imports discovery, and discovery has one split loop, in
+and the oracle scan rebuilds no decomposition.  The oracle's sample 0 and
+the ``gns`` command each read the closed form through one
+``entropy.closed_form_entropy`` call and build no ``EntropyReport``.  The
+GNS route neither reads ``StateFunctional.spectra``, the closed form's one
+``eigh``, nor imports discovery, and discovery has one split loop, in
 ``algebra.generate_subalgebra``, which ``block_decompose`` calls.
 """
 
@@ -330,6 +332,10 @@ def test_oracle_command_makes_one_scan_and_builds_nothing_it_discards():
     assert calls("cli.py", "_cmd_oracle", "minimal_decomposition") == []
     for name in ("minimal_decomposition", "_rebuild_sample", "_sample_isometries"):
         assert calls("decomp.py", "infimum_oracle", name) == [], name
+    # sample 0's value and the gns command's closed form are one number each, not a report
+    for module, owner in (("decomp.py", "infimum_oracle"), ("cli.py", "_cmd_gns")):
+        assert len(calls(module, owner, "closed_form_entropy")) == 1, owner
+        assert calls(module, owner, "state_entropy") == [], owner
 
 
 def test_gns_route_reads_neither_the_closed_form_spectra_nor_discovery():
