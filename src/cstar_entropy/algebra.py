@@ -250,7 +250,8 @@ class SubalgebraBasis:
 
 
 def _letters(generators: Sequence[np.ndarray]) -> np.ndarray:
-    """The letters S/||S||_F and S*/||S||_F of the nonzero generators S, one (k, d, d) stack."""
+    """The letters S/||S||_F of the nonzero generators S, one (k, d, d) stack; their
+    adjoints are not listed, since an adjoint's residual is the letter's own."""
     if not len(generators):
         raise ValidationError("generator set must be nonempty")
     mats = [np.asarray(g, dtype=complex) for g in generators]
@@ -262,18 +263,22 @@ def _letters(generators: Sequence[np.ndarray]) -> np.ndarray:
     if not np.all(np.isfinite(letters)):
         raise ValidationError("generators must have finite entries")
     norms = np.linalg.norm(letters, axis=(1, 2))
-    letters = letters[norms > 0] / norms[norms > 0, None, None]
-    return np.concatenate([letters, letters.conj().transpose(0, 2, 1)])
+    return letters[norms > 0] / norms[norms > 0, None, None]
 
 
 def _residual(mats: np.ndarray, structure: BlockStructure, w: np.ndarray) -> float:
-    """Largest Frobenius residual of W* X W against the structure, over a stack of X."""
+    """Largest Frobenius residual of W* X W against the structure, over a stack of X.
+
+    The projection P onto the structure is Hilbert-Schmidt orthogonal onto a
+    *-closed algebra, so P(Y*) = P(Y)* and X* has the same residual as X.
+    """
     return float(np.max(structure_projection(w.conj().T @ mats @ w, structure)[1], initial=0.0))
 
 
 def generator_residual(generators: Sequence[np.ndarray], sub: SubalgebraBasis) -> float:
-    """Largest relative residual ``||W* S W - P(W* S W)||_F / ||S||_F`` over the generators S
-    and their adjoints, P the projection onto sub's structure (:func:`structure_projection`)."""
+    """Largest relative residual ``||W* S W - P(W* S W)||_F / ||S||_F`` over the generators S,
+    P the projection onto sub's structure (:func:`structure_projection`).  An adjoint S* has
+    the same residual as S, so the maximum also covers the adjoints."""
     return _residual(_letters(generators), sub.structure, sub.w)
 
 
@@ -286,38 +291,41 @@ def generate_subalgebra(generators: Sequence[np.ndarray], tol: float = Cutoff.TO
     in A (MeatAxe-style sampling: Holt & Rees, 1994), and the split draws
     its two generic elements H (hermitized) and B that way; nothing is
     closed under words.  The split ``D = W ((+)_i M_{n_i} (x) I_{m_i}) W*``
-    is certified equal to A by: (i) every generator and its adjoint
-    projects into D within ``Cutoff.certificate(tol)`` relative to its
-    Frobenius norm, so A is in D; (ii) in each block, H has n_i eigenvalue
-    clusters that B's coupling graph connects, so A acts irreducibly on it,
-    and (iii) distinct blocks carry disjoint H spectra, so no two are
-    equivalent; by the density theorem D is then in A.  Checks (ii) and
-    (iii) hold by construction, as do the law ``sum n_i m_i = d``, the
-    unitarity of W and the alignment of the multiplicity spaces.  ``tol``
-    is the relative eigenvalue-cluster gap, not a rank cutoff.  A
-    degenerate draw or a failed certificate is retried: up to 8 attempts
-    run, attempt k on ``rng_stream(seed, 2, k)``, and when none passes a
-    :class:`DecompositionError` carries the smallest residual checked.
+    is certified equal to A by: (i) every generator projects into D within
+    ``Cutoff.certificate(tol)`` relative to its Frobenius norm, and so does
+    its adjoint, whose residual is the same as D is *-closed, so A is in
+    D; (ii) in each block, H has n_i eigenvalue clusters that B's coupling
+    graph connects, so A acts irreducibly on it, and (iii) distinct blocks
+    carry disjoint H spectra, so no two are equivalent; by the density
+    theorem D is then in A.  Checks (ii) and (iii) hold by construction,
+    as do the law ``sum n_i m_i = d``, the unitarity of W and the alignment
+    of the multiplicity spaces.  ``tol`` is the relative eigenvalue-cluster
+    gap, not a rank cutoff.  A degenerate draw or a failed certificate is
+    retried: up to 8 attempts run, attempt k on ``rng_stream(seed, 2, k)``,
+    and when none passes a :class:`DecompositionError` carries the smallest
+    residual checked.
     """
     letters = _letters(generators)
     d = letters.shape[-1]
     tol = resolve_tol(tol, d)
-    span = np.concatenate([np.eye(d, dtype=complex)[None] / np.sqrt(d), letters])
+    # the span I / sqrt(d), the letters and their adjoints, flattened to (k, d^2) rows
+    span = np.concatenate([np.eye(d, dtype=complex)[None] / np.sqrt(d), letters,
+                           letters.conj().transpose(0, 2, 1)]).reshape(-1, d * d)
 
     def sample(rng: np.random.Generator) -> np.ndarray:
-        # a product of two random complex combinations of I / sqrt(d) and the letters
-        x, y = np.tensordot(complex_gaussian((2, len(span)), rng), span, axes=1)
+        # a product of two random complex combinations of the span
+        x, y = (complex_gaussian((2, len(span)), rng) @ span).reshape(2, d, d)
         return x @ y
 
     residuals = []
     for attempt in range(8):
         try:
-            structure, w = _split_attempt(sample, d, tol, rng_stream(seed, 2, attempt))
+            sub = _split_attempt(sample, d, tol, rng_stream(seed, 2, attempt))
         except _Retry:
             continue
-        residual = _residual(letters, structure, w)
+        residual = _residual(letters, sub.structure, sub.w)
         if residual <= Cutoff.certificate(tol):
-            return SubalgebraBasis(structure, w)
+            return sub
         residuals.append(residual)
     raise DecompositionError("block decomposition failed verification after retries",
                              residual=min(residuals, default=None))
@@ -342,7 +350,7 @@ class _Retry(Exception):
 
 
 def _split_attempt(sample: Callable[[np.random.Generator], np.ndarray], d: int, tol: float,
-                   rng: np.random.Generator) -> tuple[BlockStructure, np.ndarray]:
+                   rng: np.random.Generator) -> SubalgebraBasis:
     # A generic self-adjoint element is (+)_i X_i (x) I_{m_i} with simple,
     # mutually distinct spectra, so its eigenvalue clusters are the spaces
     # e (x) C^{m_i}, one per eigenvalue of each X_i: the runs of sorted
@@ -393,9 +401,10 @@ def _split_attempt(sample: Callable[[np.random.Generator], np.ndarray], d: int, 
     sectors.sort(key=lambda s: (-s[0], -s[1], s[2]))
     blocks = tuple((n, m) for n, m, _, _ in sectors)
     w = np.concatenate([cols for *_, cols in sectors], axis=1)
-    if frob(w.conj().T @ w - np.eye(d)) > Cutoff.identity_defect(d):
-        raise _Retry()
-    return BlockStructure(blocks), w
+    try:  # SubalgebraBasis checks W*W against Cutoff.identity_defect(d)
+        return SubalgebraBasis(BlockStructure(blocks), w)
+    except ValidationError:
+        raise _Retry() from None
 
 
 def block_decompose(basis: np.ndarray, tol: float = Cutoff.TOL,

@@ -252,7 +252,7 @@ def _render(args, rows: list[tuple]) -> None:
 
 def _cmd_structure(args, problem: _Problem) -> list[tuple]:
     """Blocks, dimensions and the residual: the largest relative projection residual
-    ``||W* S W - P(W* S W)|| / ||S||`` of the generators S and their adjoints."""
+    ``||W* S W - P(W* S W)|| / ||S||`` of the generators S, which an adjoint shares."""
     st = problem.structure
     residual = alg.generator_residual(problem.generators, problem.sub)
     rows = [("blocks", "blocks: ", [list(b) for b in st.blocks], _format_blocks(st)),

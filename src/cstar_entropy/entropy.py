@@ -32,9 +32,9 @@ def _probability_vector(p, name: str) -> np.ndarray:
     if arr.ndim != 1 or arr.size == 0:
         raise ValidationError(f"{name} must be one-dimensional and nonempty")
     if np.any(arr < -Cutoff.PROBABILITY):
-        raise ValidationError(f"{name} has negative entry {arr.min()!r}")
+        raise ValidationError(f"{name} has negative entry {float(arr.min())!r}")
     if not abs(arr.sum() - 1.0) <= Cutoff.probability_sum(arr.size):
-        raise ValidationError(f"{name} sums to {arr.sum()!r}, expected 1")
+        raise ValidationError(f"{name} sums to {float(arr.sum())!r}, expected 1")
     return arr
 
 

@@ -86,7 +86,8 @@ class StateFunctional:
             unit += arr.trace()
             values.append(arr)
         if abs(unit - 1.0) > Cutoff.aggregate(tol):
-            raise NotAStateError(f"functional is not normalized: value {unit!r} on the identity")
+            raise NotAStateError(
+                f"functional is not normalized: value {complex(unit)!r} on the identity")
         spectra = [np.linalg.eigh(hermitize(v.T)) for v in values]
         lowest = min(w[0] / m for (w, _), (_, m) in zip(spectra, self.structure.blocks))
         if lowest < -Cutoff.eigenvalue(tol):
@@ -117,7 +118,8 @@ class StateFunctional:
                        rhos: Sequence[np.ndarray | None]) -> "StateFunctional":
         """Build from sector weights and per-block density matrices.
 
-        Blocks with zero weight take a None placeholder.
+        A block whose weight is at most ``Cutoff.WEIGHT_FLOOR`` may take a None
+        placeholder; a None for a block of larger weight is a ValidationError.
         """
         p = np.asarray(p, dtype=float)
         if p.shape != (structure.num_blocks,) or len(rhos) != structure.num_blocks:
@@ -127,7 +129,9 @@ class StateFunctional:
         if np.any(p < -Cutoff.WEIGHT_FLOOR) or abs(p.sum() - 1.0) > Cutoff.PROBABILITY:
             raise NotAStateError("sector weights must form a probability vector")
         values = []
-        for (n, _), w, rho in zip(structure.blocks, p, rhos):
+        for i, ((n, _), w, rho) in enumerate(zip(structure.blocks, p, rhos)):
+            if rho is None and w > Cutoff.WEIGHT_FLOOR:
+                raise ValidationError(f"block {i} has weight {float(w)!r} but no block state")
             if w <= 0 or rho is None:
                 values.append(np.zeros((n, n)))
                 continue

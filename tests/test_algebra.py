@@ -299,8 +299,8 @@ class TestGenerateSubalgebra:
 
         def spoil(rot):
             def split(*args):
-                structure, w = real_split(*args)
-                return structure, rot @ w
+                sub = real_split(*args)
+                return ce.SubalgebraBasis(sub.structure, rot @ sub.w)
             monkeypatch.setattr(algebra, "_split_attempt", split)
 
         spoil(np.eye(d))
@@ -310,6 +310,48 @@ class TestGenerateSubalgebra:
             with pytest.raises(DecompositionError) as err:
                 ce.generate_subalgebra(gens, seed=seed)
             assert err.value.residual > bound
+
+    def test_certificate_projects_one_letter_per_nonzero_generator(self, monkeypatch):
+        # an adjoint's residual is its generator's, so the certificate and
+        # generator_residual project the nonzero generators, not them and their adjoints
+        st = ce.make_algebra([(2, 2), (1, 1)])
+        gens = conjugated_algebra_generators(rng_stream(33), st, count=3)
+        gens.insert(1, np.zeros((st.ambient_dim,) * 2))
+        sizes, real_residual = [], algebra._residual
+
+        def residual(mats, *args):
+            sizes.append(len(mats))
+            return real_residual(mats, *args)
+
+        monkeypatch.setattr(algebra, "_residual", residual)
+        sub = ce.generate_subalgebra(gens)
+        assert sizes == [3]
+        ce.generator_residual(gens, sub)
+        assert sizes == [3, 3]
+
+    @pytest.mark.parametrize("blocks", [((2, 2), (1, 1)), ((3, 1), (1, 2)),
+                                        ((2, 1), (1, 1), (1, 1))])
+    def test_residual_is_the_maximum_over_generators_and_adjoints(self, blocks):
+        # P(X*) = P(X)* for the projection onto a *-closed algebra, so the maximum over
+        # the generators equals the one over them and their adjoints, for generators in
+        # the algebra, near it, or in no small algebra at all
+        rng = rng_stream(34)
+        st = ce.make_algebra(blocks)
+        d = st.ambient_dim
+        inside = conjugated_algebra_generators(rng, st)
+        sub = ce.generate_subalgebra(inside)
+
+        def over_adjoints(gens):
+            letters = np.stack([g / np.linalg.norm(g) for g in gens])
+            both = np.concatenate([letters, letters.conj().transpose(0, 2, 1)])
+            return float(np.max(ce.structure_projection(sub.w.conj().T @ both @ sub.w,
+                                                        sub.structure)[1]))
+
+        for gens in (inside,
+                     [g + 1e-7 * complex_gaussian((d, d), rng) for g in inside],
+                     [complex_gaussian((d, d), rng) for _ in range(3)],
+                     [inside[0], np.triu(complex_gaussian((d, d), rng))]):
+            assert abs(ce.generator_residual(gens, sub) - over_adjoints(gens)) <= 1e-15
 
     def test_error_carries_the_smallest_residual(self, monkeypatch):
         # every one of the 8 attempts splits, and each is checked against the next scripted residual
@@ -584,7 +626,8 @@ class TestSplitGrouping:
     def test_dense_coupling_gives_the_blocks(self):
         rng = rng_stream(24)
         b_parts = tuple(complex_gaussian((n, n), rng) for n, _ in self.STRUCTURE.blocks)
-        structure, w = self._split(b_parts)
+        sub = self._split(b_parts)
+        structure, w = sub.structure, sub.w
         assert structure.blocks == self.STRUCTURE.blocks
         b = ce.embed(ce.AlgebraElement(self.STRUCTURE, b_parts))
         assert ce.structure_projection(w.conj().T @ b @ w, structure)[1] <= 1e-12

@@ -602,6 +602,21 @@ class TestRejectedInputs:
         assert main(["entropy", _write(tmp_path, doc), "--json"]) == 4
         assert "self-adjoint" in capsys.readouterr().err
 
+    def test_positive_weight_without_a_block_state_exits_2(self, tmp_path, capsys):
+        # the weights sum to 1, so the missing block state is an input error, not a non-state
+        doc = {"algebra": {"blocks": [[2, 1], [1, 1]]},
+               "state": {"canonical": {"p": [0.5, 0.5], "rhos": [_mat(np.eye(2) / 2), None]}}}
+        assert main(["entropy", _write(tmp_path, doc), "--json"]) == 2
+        assert capsys.readouterr().err == \
+            "invalid input: block 1 has weight 0.5 but no block state\n"
+
+    def test_unnormalized_state_prints_a_plain_number(self, tmp_path, capsys):
+        doc = {"algebra": {"blocks": [[1, 1]]},
+               "state": {"canonical": {"p": [1.0], "rhos": [_mat(np.eye(1) / 2)]}}}
+        assert main(["entropy", _write(tmp_path, doc), "--json"]) == 4
+        assert capsys.readouterr().err == \
+            "not a state: functional is not normalized: value (0.5+0j) on the identity\n"
+
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_non_finite_density_exits_2(self, tmp_path, capsys, bad):
         doc = _m2_density_doc()

@@ -36,6 +36,14 @@ class TestShannon:
         with pytest.raises(ValidationError):
             ce.shannon([1.5, -0.5])
 
+    @pytest.mark.parametrize("p, message", [
+        ([0.5, 0.6], "probability vector sums to 1.1, expected 1"),
+        ([1.2, -0.2], "probability vector has negative entry -0.2")])
+    def test_rejection_prints_a_plain_number(self, p, message):
+        with pytest.raises(ValidationError) as err:
+            ce.shannon(p)
+        assert str(err.value) == message
+
     def test_schur_concavity_spot_check(self):
         # p majorizes q implies H(p) <= H(q)
         rng = rng_stream(31)

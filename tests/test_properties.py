@@ -20,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cstar_entropy as ce
+from cstar_entropy._linalg import Cutoff
 from cstar_entropy.cli import main
 
 from helpers import embedded_standard_basis, random_isometry, riesz_representative, rng_stream
@@ -174,9 +175,9 @@ _COMMANDS = ["entropy", "oracle", "gns", "structure", "schrodinger"]
 _MUTATIONS = [
     "state_shape", "other_shape", "matrix_entry", "algebra_junk", "blocks_junk", "block_dim",
     "generator_junk", "state_junk", "p_junk", "drop_basis", "dependent_basis", "outside_basis",
-    "unitary_junk", "option_junk", "none"]
-_FORM_OF = {"p_junk": "canonical", "drop_basis": "values", "dependent_basis": "values",
-            "outside_basis": "values"}
+    "unitary_junk", "option_junk", "missing_block_state", "none"]
+_FORM_OF = {"p_junk": "canonical", "missing_block_state": "canonical", "drop_basis": "values",
+            "dependent_basis": "values", "outside_basis": "values"}
 
 
 def _pairs(mat):
@@ -259,6 +260,10 @@ def problem_files(draw, mutation):
     elif mutation == "p_junk":
         state["canonical"]["p"] = draw(st.one_of(_JUNK, st.lists(st.floats(-1.0, 2.0),
                                                                  max_size=4)))
+    elif mutation == "missing_block_state":
+        canon = state["canonical"]
+        weighted = [k for k, w in enumerate(canon["p"]) if w > Cutoff.WEIGHT_FLOOR]
+        canon["rhos"][draw(st.sampled_from(weighted))] = None
     elif mutation in ("drop_basis", "dependent_basis", "outside_basis"):
         k = draw(st.integers(0, len(state["basis"]) - 1))
         if mutation == "drop_basis":
@@ -286,7 +291,7 @@ def _holds_str_or_bool(obj) -> bool:
     return isinstance(obj, (str, bool))
 
 
-# One run per mutation, so every mutation is reached: 15 x 15 = 225 examples.
+# One run per mutation, so every mutation is reached: 16 x 15 = 240 examples.
 @pytest.mark.parametrize("mutation", _MUTATIONS)
 @settings(max_examples=15, deadline=None, derandomize=True)
 @given(data=st.data())
@@ -303,6 +308,9 @@ def test_cli_fuzz_exit_codes(mutation, data):
     assert code in (0, 2, 3, 4)
     if any(isinstance(v, str) for v in doc["options"].values()) or mutation == "block_dim":
         assert code == 2
+    # a sector of positive weight without a block state is an input error wherever the state is read
+    if mutation == "missing_block_state" and command != "structure":
+        assert code == 2
     # a string or boolean matrix entry is an input error in every matrix the command reads
     if mutation == "matrix_entry" and _holds_str_or_bool(
             doc["algebra"] if command == "structure" else doc):
@@ -316,3 +324,5 @@ def test_cli_fuzz_exit_codes(mutation, data):
         assert len(lines) == 1, lines
         assert lines[0].startswith(("error:", "invalid input:", "numerical failure:",
                                     "not a state:"))
+        # numbers print as Python numbers, not numpy-2 scalar reprs
+        assert not re.search(r"np\.(float64|complex128|int64)\(", lines[0]), lines[0]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import cstar_entropy as ce
+from cstar_entropy._linalg import Cutoff
 from cstar_entropy.errors import NotAStateError, ValidationError
 
 from helpers import (
@@ -104,6 +105,26 @@ class TestRepresentativeDensity:
         st = ce.make_algebra([(2, 1)])
         with pytest.raises(NotAStateError):
             ce.StateFunctional(st, (np.eye(2, dtype=complex),))
+
+    def test_unnormalized_functional_prints_a_plain_number(self):
+        st = ce.make_algebra([(1, 1)])
+        with pytest.raises(NotAStateError) as err:
+            ce.StateFunctional(st, (np.array([[0.5]]),))
+        assert str(err.value) == "functional is not normalized: value (0.5+0j) on the identity"
+
+    def test_positive_weight_without_a_block_state_is_rejected(self):
+        # a None block state is a placeholder for a sector of zero weight only;
+        # for a sector of weight 0.5 it is an input error, not an unnormalized state
+        st = ce.make_algebra([(2, 1), (1, 1)])
+        with pytest.raises(ValidationError) as err:
+            ce.StateFunctional.from_canonical(st, [0.5, 0.5], [np.eye(2) / 2, None])
+        assert str(err.value) == "block 1 has weight 0.5 but no block state"
+
+    @pytest.mark.parametrize("weight", [0.0, Cutoff.WEIGHT_FLOOR])
+    def test_weight_at_the_floor_keeps_its_placeholder(self, weight):
+        st = ce.make_algebra([(2, 1), (1, 1)])
+        om = ce.StateFunctional.from_canonical(st, [1.0 - weight, weight], [np.eye(2) / 2, None])
+        assert np.array_equal(om.block_values[1], np.zeros((1, 1)))
 
     def test_non_self_adjoint_functional_rejected(self):
         st = ce.make_algebra([(2, 1)])

@@ -23,7 +23,8 @@ the ``gns`` command each read the closed form through one
 ``entropy.closed_form_entropy`` call and build no ``EntropyReport``.  The
 GNS route neither reads ``StateFunctional.spectra``, the closed form's one
 ``eigh``, nor imports discovery, and discovery has one split loop, in
-``algebra.generate_subalgebra``, which ``block_decompose`` calls.
+``algebra.generate_subalgebra``, which ``block_decompose`` calls.  W's
+unitarity bound is read in ``algebra`` only by ``SubalgebraBasis``.
 """
 
 import ast
@@ -310,6 +311,17 @@ def _call_sites(node, name, owner=None):
         yield from _call_sites(child, name, owner)
 
 
+def _attribute_reads(node, base, attr, scope=()):
+    """Qualified name ("Class.method") of the scope of each read of base.attr."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        scope = scope + (node.name,)
+    if isinstance(node, ast.Attribute) and node.attr == attr \
+            and isinstance(node.value, ast.Name) and node.value.id == base:
+        yield ".".join(scope)
+    for child in ast.iter_child_nodes(node):
+        yield from _attribute_reads(child, base, attr, scope)
+
+
 @pytest.mark.parametrize("name,builder", [("EntropyReport", ("entropy.py", "state_entropy")),
                                           ("OracleReport", ("decomp.py", "infimum_oracle")),
                                           ("Decomposition", ("states.py", "_decomposition"))])
@@ -346,6 +358,14 @@ def test_gns_route_reads_neither_the_closed_form_spectra_nor_discovery():
             if isinstance(node, ast.Attribute) and node.attr == "spectra"] == []
     assert [alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
             for alias in node.names if alias.name.startswith("_discover")] == []
+
+
+def test_discovery_checks_the_unitarity_of_w_once():
+    # a split attempt hands W to SubalgebraBasis, whose check it turns into a retry,
+    # so W*W - I is formed once per attempt, in the one place that bounds it
+    tree = ast.parse((ROOT / "src" / "cstar_entropy" / "algebra.py").read_text())
+    assert list(_attribute_reads(tree, "Cutoff", "identity_defect")) == \
+        ["SubalgebraBasis.__post_init__"]
 
 
 def test_discovery_has_one_split_loop():
