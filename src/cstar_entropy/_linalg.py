@@ -17,7 +17,7 @@ class Cutoff:
     """
 
     TOL = 1e-9  # the default tolerance up to dimension 64
-    WEIGHT_FLOOR = 1e-12  # a weight at or below it is dropped; one above its negative counts as 0
+    WEIGHT_FLOOR = 1e-12  # a weight at or below it is dropped; a canonical None takes |p_i| <= it
     PROBABILITY = 1e-9  # a probability vector's sum may miss 1, and a weight exceed 1, by this
     UNIT_NORM = 1e-8  # a decomposition's unit vectors and weight sum may miss 1 by this
     ALIGN_SCALE = 1e-8  # discovery retries on a compression between clusters below this scale
@@ -88,8 +88,7 @@ class Cutoff:
 
     @staticmethod
     def aggregate(tol):
-        """A state's normalization, a pure block's second eigenvalue and an observable's
-        self-adjointness (has_definite_value)."""
+        """A state's normalization and an observable's self-adjointness (has_definite_value)."""
         return tol * 100
 
     @staticmethod
@@ -107,28 +106,36 @@ def _is_real(x) -> bool:
     return not isinstance(x, bool) and isinstance(x, (int, float, np.integer, np.floating))
 
 
+def shown(value):
+    """value as an error message prints it: a numpy scalar as the Python number it holds."""
+    return value.item() if isinstance(value, np.generic) else value
+
+
+def check_positive(value, name: str) -> float:
+    """value as a float; it must be a positive finite real number."""
+    if not _is_real(value) or not 0 < value < np.inf:
+        raise ValidationError(f"{name} must be a positive finite number, got {shown(value)!r}")
+    return float(value)
+
+
 def resolve_tol(tol, dim: int) -> float:
-    """``Cutoff.default(dim)`` for None, else tol, which must be a positive finite real number."""
-    if tol is None:
-        return Cutoff.default(dim)
-    if not _is_real(tol) or not 0 < tol < np.inf:
-        raise ValidationError(f"tol must be a positive finite number, got {tol!r}")
-    return tol
+    """``Cutoff.default(dim)`` for None, else ``check_positive(tol, "tol")``."""
+    return Cutoff.default(dim) if tol is None else check_positive(tol, "tol")
 
 
 def check_tol(tol) -> float:
     """tol as a float; it must be a finite real number >= 0, where 0 asks for an exact check."""
     if not _is_real(tol) or not 0 <= tol < np.inf:
-        raise ValidationError(f"tol must be a nonnegative finite number, got {tol!r}")
+        raise ValidationError(f"tol must be a nonnegative finite number, got {shown(tol)!r}")
     return float(tol)
 
 
 def check_int(value, name: str, minimum: int | None = None) -> int:
     """value as an int; it must be an integer, not a bool, float or string, and at least minimum."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValidationError(f"{name} must be an integer, got {value!r}")
+        raise ValidationError(f"{name} must be an integer, got {shown(value)!r}")
     if minimum is not None and value < minimum:
-        raise ValidationError(f"{name} must be at least {minimum}, got {value!r}")
+        raise ValidationError(f"{name} must be at least {minimum}, got {shown(value)!r}")
     return int(value)
 
 
@@ -146,9 +153,9 @@ def rng_stream(seed: int, *key: int) -> np.random.Generator:
     return np.random.Generator(np.random.SFC64(seq))
 
 
-def frozen(arr: np.ndarray) -> np.ndarray:
-    """Read-only complex copy, for the immutable value types."""
-    out = np.array(arr, dtype=complex, copy=True)
+def frozen(arr: np.ndarray, dtype=complex) -> np.ndarray:
+    """Read-only copy, complex by default, for the immutable value types."""
+    out = np.array(arr, dtype=dtype, copy=True)
     out.setflags(write=False)
     return out
 

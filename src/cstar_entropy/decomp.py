@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import Cutoff, check_int, resolve_tol, rng_stream
+from ._linalg import Cutoff, check_int, frozen, resolve_tol, rng_stream
 from .algebra import make_algebra
-from .entropy import _probability_vector, closed_form_entropy, minimal_decomposition, shannon
+from .entropy import _entropy_of, _probability_vector, closed_form_entropy, minimal_decomposition
 from .errors import ValidationError
 from .states import Decomposition, DensityMatrix, StateFunctional, _decomposition, active_sectors
 
@@ -105,12 +105,12 @@ def majorizes(p, q) -> MajorizationVerdict:
         relation = "majorized"
     else:
         relation = "incomparable"
-    return MajorizationVerdict(relation, (cp, cq))
+    return MajorizationVerdict(relation, (frozen(cp, float), frozen(cq, float)))
 
 
 def decomposition_entropy(dec: Decomposition) -> float:
-    """Shannon entropy of the weight vector of a decomposition."""
-    return shannon(dec.weights())
+    """Shannon entropy of a decomposition's weights, which its constructor checked."""
+    return _entropy_of(dec.weights())
 
 
 def _scan_buffers(active) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

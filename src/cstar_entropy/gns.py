@@ -119,8 +119,8 @@ def resolve_sectors(g: GnsData) -> GnsSectors:
         weights.append(p)
         psi = part.reshape(n, r) / np.sqrt(p)
         mults.append(psi.T @ psi.conj())
-    return GnsSectors(structure=g.gns_structure, weights=np.array(weights),
-                      multiplicity_states=tuple(mults))
+    return GnsSectors(structure=g.gns_structure, weights=frozen(weights, float),
+                      multiplicity_states=tuple(map(frozen, mults)))
 
 
 def gns_commutant_functional(g: GnsData, t: np.ndarray,

@@ -118,24 +118,20 @@ class StateFunctional:
                        rhos: Sequence[np.ndarray | None]) -> "StateFunctional":
         """Build from sector weights and per-block density matrices.
 
-        A block whose weight is at most ``Cutoff.WEIGHT_FLOOR`` may take a None
-        placeholder; a None for a block of larger weight is a ValidationError.
+        Block i takes the values ``p_i rho_i^T`` and the constructor decides the
+        state.  A None block state stands for a weight within ``Cutoff.WEIGHT_FLOOR``
+        of zero; a None for a larger |p_i|, or a mis-shaped block state, is a ValidationError.
         """
         p = np.asarray(p, dtype=float)
         if p.shape != (structure.num_blocks,) or len(rhos) != structure.num_blocks:
             raise ValidationError("weights and block states must match the block count")
         if not np.all(np.isfinite(p)):
             raise ValidationError("sector weights must be finite")
-        if np.any(p < -Cutoff.WEIGHT_FLOOR) or abs(p.sum() - 1.0) > Cutoff.PROBABILITY:
-            raise NotAStateError("sector weights must form a probability vector")
         values = []
         for i, ((n, _), w, rho) in enumerate(zip(structure.blocks, p, rhos)):
-            if rho is None and w > Cutoff.WEIGHT_FLOOR:
+            if rho is None and abs(w) > Cutoff.WEIGHT_FLOOR:
                 raise ValidationError(f"block {i} has weight {float(w)!r} but no block state")
-            if w <= 0 or rho is None:
-                values.append(np.zeros((n, n)))
-                continue
-            rho = np.asarray(rho, dtype=complex)
+            rho = np.zeros((n, n)) if rho is None else np.asarray(rho, dtype=complex)
             if rho.shape != (n, n):
                 raise ValidationError("block state shape does not match block size")
             # value on the (a, b) unit is w * rho[b, a]
@@ -244,13 +240,11 @@ def canonical_form(rho_omega, structure: BlockStructure,
 
 
 def is_pure(omega: StateFunctional, tol: float | None = None) -> bool:
-    """True iff exactly one sector carries weight and its block state has rank one."""
+    """True iff one sector carries weight and its block state has rank one at the GNS cutoff."""
     tol = resolve_tol(tol, omega.structure.ambient_dim)
     sectors = active_sectors(omega, tol)
-    if len(sectors) != 1:
-        return False
     lam = sectors[0][2]
-    return bool(lam.size == 1 or lam[1] < Cutoff.aggregate(tol))
+    return bool(len(sectors) == 1 and (lam.size == 1 or lam[1] <= Cutoff.spectral(tol, lam[0])))
 
 
 @dataclass(frozen=True)
@@ -301,8 +295,8 @@ class Decomposition:
         return _assemble(parts, self.structure)
 
     def state(self) -> StateFunctional:
-        """The mixed state this decomposition prepares."""
-        return state_from_density(DensityMatrix(self.density()), self.structure)
+        """The mixed state this decomposition prepares, which the state rule alone decides."""
+        return StateFunctional(self.structure, _values_from_ambient(self.density(), self.structure))
 
 
 def _decomposition(structure: BlockStructure, terms) -> Decomposition:

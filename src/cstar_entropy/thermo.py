@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import Cutoff, _is_real, check_int, resolve_tol
+from ._linalg import Cutoff, _is_real, check_int, check_positive, resolve_tol, shown
 from .algebra import AlgebraElement, identity
 from .entropy import state_entropy
 from .errors import DisconnectedSectorsError, ValidationError
@@ -37,9 +37,7 @@ class GasAccount:
     def __post_init__(self):
         object.__setattr__(self, "copies", check_int(self.copies, "copies", 1))
         for name in ("temperature", "boltzmann"):
-            value = getattr(self, name)
-            if not _is_real(value) or not 0 < value < np.inf:
-                raise ValidationError(f"{name} must be a positive finite number, got {value!r}")
+            object.__setattr__(self, name, check_positive(getattr(self, name), name))
         s = np.array(self.sector_entropies, dtype=float)
         if s.ndim != 1 or not np.all(np.isfinite(s)):
             raise ValidationError("sector entropies must be a vector of finite numbers")
@@ -104,7 +102,7 @@ def compression_heat(weight: float, acct: GasAccount) -> float:
     negative, since compression releases heat.
     """
     if not _is_real(weight) or not 0.0 < weight <= 1.0:
-        raise ValidationError(f"weight {weight!r} outside (0, 1]")
+        raise ValidationError(f"weight {shown(weight)!r} outside (0, 1]")
     weight = float(weight)
     return acct.boltzmann * weight * acct.copies * acct.temperature * float(np.log(weight))
 

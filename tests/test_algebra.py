@@ -117,6 +117,17 @@ class TestEmbed:
         with pytest.raises(ValidationError):
             ce.AlgebraElement(st, (np.eye(3),))
 
+    def test_part_count_mismatch_rejected(self):
+        with pytest.raises(ValidationError, match="one part per block required"):
+            ce.AlgebraElement(ce.make_algebra([(2, 1), (1, 1)]), (np.eye(2),))
+
+    def test_elements_of_different_algebras_do_not_combine(self):
+        a = ce.identity(ce.make_algebra([(2, 1)]))
+        b = ce.identity(ce.make_algebra([(1, 1), (1, 1)]))
+        for combine in (lambda: a + b, lambda: a - b, lambda: a @ b):
+            with pytest.raises(ValidationError, match="different block structures"):
+                combine()
+
     def test_star_homomorphism_on_random_elements(self):
         rng = rng_stream(5)
         st = random_structure(rng)

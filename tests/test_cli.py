@@ -534,30 +534,41 @@ class TestTextOutput:
 
 
 class TestRoutesAgreeOnWhatIsAState:
-    """A functional is a state or not whatever the command and whatever --tol."""
+    """A functional is a state or not whatever the command, whatever --tol, and whether it is
+    written as values or in canonical form; the density form adds its own precondition."""
 
     @pytest.mark.parametrize("tol", [None, "1e-6", "1e-12"], ids=["default", "1e-6", "1e-12"])
-    @pytest.mark.parametrize("blocks,values,code", [
-        ([[1, 4], [1, 1]], [-3e-8, 1 + 3e-8], 0),  # representative eigenvalue -7.5e-9
-        ([[1, 1], [1, 1]], [-3e-8, 1 + 3e-8], 4),
-        ([[1, 4], [1, 1]], [-5e-8, 1 + 5e-8], 4),
-        ([[1, 1], [1, 1]], [-5e-8, 1 + 5e-8], 4),
-        ([[1, 4], [1, 1]], [-5e-9, 1 + 5e-9], 0),
-        ([[1, 1], [1, 1]], [-5e-9, 1 + 5e-9], 0),
-        ([[1, 4], [1, 1]], [0.5, 0.5 + 5e-10], 0),  # normalization off by +5e-10
-        ([[1, 1], [1, 1]], [0.5, 0.5 + 5e-10], 0),
+    @pytest.mark.parametrize("blocks,values,code,density_code", [
+        ([[1, 4], [1, 1]], [-3e-8, 1 + 3e-8], 0, 0),  # representative eigenvalue -7.5e-9
+        ([[1, 1], [1, 1]], [-3e-8, 1 + 3e-8], 4, 2),
+        ([[1, 4], [1, 1]], [-5e-8, 1 + 5e-8], 4, 2),
+        ([[1, 1], [1, 1]], [-5e-8, 1 + 5e-8], 4, 2),
+        ([[1, 4], [1, 1]], [-5e-9, 1 + 5e-9], 0, 0),
+        ([[1, 1], [1, 1]], [-5e-9, 1 + 5e-9], 0, 0),
+        ([[1, 4], [1, 1]], [0.5, 0.5 + 5e-10], 0, 0),  # normalization off by +5e-10
+        ([[1, 1], [1, 1]], [0.5, 0.5 + 5e-10], 0, 0),
+        ([[1, 1], [1, 1]], [0.5, 0.5 + 5e-8], 0, 2),  # within the state's 1e-7, not the trace's 1e-8
+        ([[1, 1], [1, 1]], [0.5, 0.5 + 5e-7], 4, 2),
     ], ids=["-3e-8_on_(1,4)", "-3e-8_on_(1,1)", "-5e-8_on_(1,4)", "-5e-8_on_(1,1)",
-            "-5e-9_on_(1,4)", "-5e-9_on_(1,1)", "unit+5e-10_on_(1,4)", "unit+5e-10_on_(1,1)"])
-    def test_entropy_oracle_and_gns_exit_alike(self, tmp_path, capsys, blocks, values, code, tol):
+            "-5e-9_on_(1,4)", "-5e-9_on_(1,1)", "unit+5e-10_on_(1,4)", "unit+5e-10_on_(1,1)",
+            "unit+5e-8_on_(1,1)", "unit+5e-7_on_(1,1)"])
+    def test_entropy_oracle_and_gns_exit_alike(self, tmp_path, capsys, blocks, values, code,
+                                               density_code, tol):
+        # the density form checks its matrix as a DensityMatrix first (README, exit codes),
+        # so it exits 2 on some functionals the state rule accepts or calls non-states
         st = ce.make_algebra([tuple(b) for b in blocks])
-        doc = {"algebra": {"blocks": blocks},
-               "state": {"values": [[v, 0.0] for v in values],
-                         "basis": [_mat(b) for b in embedded_standard_basis(st)]}}
-        path = _write(tmp_path, doc)
+        units = embedded_standard_basis(st)
+        forms = {"values": {"values": [[v, 0.0] for v in values], "basis": [_mat(b) for b in units]},
+                 "canonical": {"canonical": {"p": values, "rhos": [_mat(np.eye(1))] * 2}},
+                 "density": {"density": _mat(sum(v / m * b for v, b, (_, m)
+                                                 in zip(values, units, st.blocks)))}}
         flags = ["--json"] + ([] if tol is None else ["--tol", tol])
-        codes = {command: main([command, path, *flags]) for command in ("entropy", "oracle", "gns")}
+        codes = {(form, command): main([command, _write(tmp_path, {"algebra": {"blocks": blocks},
+                                                                   "state": state}), *flags])
+                 for form, state in forms.items() for command in ("entropy", "oracle", "gns")}
         capsys.readouterr()
-        assert codes == dict.fromkeys(("entropy", "oracle", "gns"), code)
+        assert codes == {(form, command): density_code if form == "density" else code
+                         for form, command in codes}
 
 
 def test_a_pure_state_reads_zero_on_every_route(tmp_path, capsys):
@@ -664,6 +675,11 @@ class TestRejectedInputs:
         {"algebra": {"blocks": [[1, 1]]}, "state": {"density": [[[10**400, 0]]]}},
         _m2_density_doc(options={"tol": True}),
         _m2_density_doc(options={"tol": 10**400}),
+        {"algebra": {"blocks": [[1, 1]]}, "state": {"density": [[[1.0, 0.0, 0.0]]]}},
+        [_m2_density_doc()],
+        _m2_density_doc(options=[1e-9]),
+        _m2_density_doc(options={"tol": 0.0}),
+        {"algebra": {"blocks": [[1, 1]]}, "state": {"canonical": {"p": [1.0]}}},
     ], ids=["short_block", "seed", "tol", "nan_tol", "samples",
             "numeric_string_samples", "numeric_string_seed", "numeric_string_tol",
             "generators_not_list", "canonical_p_not_numeric", "rhos_not_list", "basis_not_list",
@@ -671,7 +687,8 @@ class TestRejectedInputs:
             "density_string_entry", "density_boolean_entry", "generator_boolean_entry",
             "values_string_pair", "basis_boolean_element", "canonical_p_string",
             "canonical_p_boolean", "density_integer_beyond_float_range", "tol_boolean",
-            "tol_integer_beyond_float_range"])
+            "tol_integer_beyond_float_range", "density_triple_not_pair", "top_level_not_object",
+            "options_not_object", "tol_zero", "canonical_without_rhos"])
     def test_malformed_field_is_one_error_line(self, tmp_path, capsys, doc):
         assert main(["oracle", _write(tmp_path, doc)]) == 2
         err = capsys.readouterr().err.strip().splitlines()

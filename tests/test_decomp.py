@@ -97,6 +97,10 @@ class TestDoublyStochastic:
         with pytest.raises(ValidationError):
             ce.doubly_stochastic_from_unitary(np.ones((2, 2)))
 
+    def test_non_square_rejected(self):
+        with pytest.raises(ValidationError, match="unitary must be a square matrix"):
+            ce.doubly_stochastic_from_unitary(np.eye(3)[:2])
+
 
 class TestMajorizes:
     def test_deterministic_majorizes_everything(self):
@@ -135,6 +139,11 @@ class TestMajorizes:
     def test_non_probability_rejected(self):
         with pytest.raises(ValidationError):
             ce.majorizes([0.5, 0.2], [0.5, 0.5])
+
+    def test_partial_sums_are_read_only(self):
+        for sums in ce.majorizes([0.7, 0.3], [0.5, 0.5]).partial_sums:
+            with pytest.raises(ValueError):
+                sums[0] = 5.0
 
     def test_antisymmetric_up_to_sorted_equality(self):
         rng = rng_stream(57)
@@ -180,6 +189,14 @@ class TestDecompositionEntropy:
         dec = ce.minimal_decomposition(om)
         assert ce.decomposition_entropy(dec) == pytest.approx(
             ce.state_entropy(om).state_entropy, abs=1e-9)
+
+    def test_is_shannon_of_the_weights_bit_for_bit(self):
+        # the constructor checked the weights, so the reader runs shannon's arithmetic alone
+        rng = rng_stream(60)
+        for trial in range(20):
+            om = random_state(rng, random_structure(rng))
+            for dec in (ce.minimal_decomposition(om), ce.oracle_decomposition(om, trial + 1)):
+                assert ce.decomposition_entropy(dec) == ce.shannon(dec.weights())
 
     def test_split_adds_up(self):
         rng = rng_stream(59)

@@ -38,7 +38,9 @@ class TestShannon:
 
     @pytest.mark.parametrize("p, message", [
         ([0.5, 0.6], "probability vector sums to 1.1, expected 1"),
-        ([1.2, -0.2], "probability vector has negative entry -0.2")])
+        ([1.2, -0.2], "probability vector has negative entry -0.2"),
+        ([], "probability vector must be one-dimensional and nonempty"),
+        ([[0.5, 0.5]], "probability vector must be one-dimensional and nonempty")])
     def test_rejection_prints_a_plain_number(self, p, message):
         with pytest.raises(ValidationError) as err:
             ce.shannon(p)

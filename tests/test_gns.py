@@ -9,6 +9,7 @@ from cstar_entropy.errors import NotAStateError, ValidationError
 
 from helpers import (
     random_ambient_density,
+    random_isometry,
     random_pure_state,
     random_state,
     random_structure,
@@ -120,6 +121,15 @@ class TestStackedArrays:
         self._assert_read_only_stack(com.basis, com.dim, st.ambient_dim)
         assert not sub.w.flags.writeable and not com.w.flags.writeable
 
+    def test_sectors_are_read_only(self):
+        om = random_state(rng_stream(94), ce.make_algebra([(2, 2), (1, 1)]))
+        sectors = ce.resolve_sectors(ce.gns_construct(om))
+        before = ce.sectors_entropy(sectors)
+        for arr in (sectors.weights, *sectors.multiplicity_states):
+            with pytest.raises(ValueError):
+                arr[0] = 5.0
+        assert ce.sectors_entropy(sectors) == before
+
     @pytest.mark.parametrize("rank", [1, 2])
     def test_unit_norms_read_off_the_blocks(self, rank):
         # a zero-weight block is left out of the GNS blocks and represents as
@@ -162,6 +172,26 @@ class TestIrreducibility:
             om = random_pure_state(rng, st) if trial % 2 else random_state(rng, st)
             g = ce.gns_construct(om)
             assert ce.is_irreducible(g) == ce.is_pure(om)
+
+    def test_purity_and_irreducibility_share_one_rank_rule(self):
+        # single-sector states whose block state has a second eigenvalue log-uniform in
+        # [1e-12, 1e-5], across the GNS cutoff tol * lambda_1 = 1e-9 * lambda_1
+        rng = rng_stream(93)
+        for _ in range(300):
+            st = ce.make_algebra([(int(rng.integers(1, 5)), int(rng.integers(1, 3)))
+                                  for _ in range(int(rng.integers(1, 4)))])
+            i = int(rng.integers(st.num_blocks))
+            n = st.blocks[i][0]
+            lam = np.zeros(n)
+            lam[0] = 1.0
+            if n > 1:
+                lam[1] = 10.0 ** rng.uniform(-12, -5)
+                lam[0] -= lam[1]
+            v = random_isometry(n, n, rng)
+            p = np.eye(st.num_blocks)[i]
+            rhos = [(v * lam) @ v.conj().T if j == i else None for j in range(st.num_blocks)]
+            om = ce.StateFunctional.from_canonical(st, p, rhos)
+            assert ce.is_pure(om) == ce.is_irreducible(ce.gns_construct(om)), (st.blocks, lam)
 
 
 class TestCommutantFunctional:
@@ -288,6 +318,16 @@ class TestCommutantFunctional:
         with pytest.raises(ValidationError):
             ce.gns_commutant_functional(g, 2.0 * np.eye(g.dim))
 
+    def test_operator_of_the_wrong_shape_rejected(self):
+        g = ce.gns_construct(random_state(rng_stream(83), ce.make_algebra([(2, 1)])))
+        with pytest.raises(ValidationError, match="operator shape does not match"):
+            ce.gns_commutant_functional(g, np.eye(g.dim + 1))
+
+    def test_operator_that_annihilates_the_cyclic_vector_rejected(self):
+        g = ce.gns_construct(random_state(rng_stream(84), ce.make_algebra([(2, 1)])))
+        with pytest.raises(ValidationError, match="annihilates the cyclic vector"):
+            ce.gns_commutant_functional(g, np.zeros((g.dim, g.dim)))
+
     def test_nan_operator_fails_its_own_check(self):
         # not later, inside StateFunctional, after a RuntimeWarning
         st = ce.make_algebra([(2, 1)])
@@ -324,6 +364,14 @@ class TestIdentityDecomposition:
             lam = ce.identity_decomposition_weights(sectors, idec)
             assert lam.sum() == pytest.approx(1.0, abs=1e-9)
             assert ce.shannon(lam) >= s - 1e-9
+
+    @pytest.mark.parametrize("items, message", [
+        (((1.5, 0, np.eye(1)[0]),), "weight 1.5 outside"),
+        (((0.5, 0, np.eye(2)[0]), (1.0, 0, np.eye(2)[1])), "block 0 terms do not resolve"),
+    ], ids=["weight_above_one", "not_the_identity"])
+    def test_malformed_items_rejected(self, items, message):
+        with pytest.raises(ValidationError, match=message):
+            ce.IdentityDecomposition(items)
 
     @pytest.mark.parametrize("block,length", [(2, 1), (-3, 1), (1, 2)],
                              ids=["block_past_the_end", "negative_block", "wrong_length"])

@@ -142,6 +142,34 @@ def test_zero_tol_is_an_exact_check(name):
     _EXACT_TOL_CALLS[name](0.0)
 
 
+_HALVES = ce.StateFunctional.from_canonical(ce.make_algebra([(1, 1), (1, 1)]), [0.5, 0.5],
+                                           [np.eye(1), np.eye(1)])
+_ACCOUNT = ce.GasAccount(1, 1.0, np.zeros(2))
+
+
+@pytest.mark.parametrize("call, shown", [
+    (lambda: ce.state_entropy(_HALVES, np.float64(0.9)), "tol 0.9 discards every sector"),
+    (lambda: ce.generate_subalgebra(_GENS, tol=np.float32(-1)), "got -1.0"),
+    (lambda: ce.identity(_ST).is_selfadjoint(np.float64(-1)), "got -1.0"),
+    (lambda: ce.infimum_oracle(_OM, samples=np.int64(0)), "samples must be at least 1, got 0"),
+    (lambda: ce.oracle_decomposition(_OM, np.int64(-1)), "index must be at least 0, got -1"),
+    (lambda: ce.zeno_sequence(np.eye(2)[0], np.eye(2)[1], np.int64(0)), "got 0"),
+    (lambda: ce.GasAccount(1, np.float64(-1.0), np.zeros(2)), "temperature must be a positive "
+     "finite number, got -1.0"),
+    (lambda: ce.compression_heat(np.float64(2.0), _ACCOUNT), "weight 2.0 outside (0, 1]"),
+], ids=["state_entropy", "resolve_tol", "check_tol", "infimum_oracle", "oracle_decomposition",
+        "zeno_sequence", "gas_account", "compression_heat"])
+def test_messages_print_numpy_scalars_as_python_numbers(call, shown):
+    with pytest.raises(ValidationError) as err:
+        call()
+    assert shown in str(err.value) and "np." not in str(err.value)
+
+
+def test_random_isometry_needs_at_least_as_many_rows_as_columns():
+    with pytest.raises(ValueError, match="rows >= cols"):
+        _linalg.random_isometry(2, 3, rng_stream(1))
+
+
 # Each entry of the cutoff table next to the inline expression it replaced, kept here as the
 # reference.  Where the replaced expression read a tol parameter that is gone, its default
 # stands in: 1e-8 for the unitary checks, 1e-9 for shannon, majorizes and zeno_sequence.

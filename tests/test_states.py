@@ -101,6 +101,19 @@ class TestRepresentativeDensity:
         with pytest.raises(NotAStateError, match="not positive"):
             ce.StateFunctional(st, values)
 
+    @pytest.mark.parametrize("values, message", [
+        ((), "one value matrix per block required"),
+        ((np.eye(3) / 3,), "value matrix shape does not match block size"),
+    ], ids=["count", "shape"])
+    def test_malformed_values_rejected(self, values, message):
+        with pytest.raises(ValidationError, match=message):
+            ce.StateFunctional(ce.make_algebra([(2, 1)]), values)
+
+    def test_expect_rejects_an_element_of_another_algebra(self):
+        om = ce.StateFunctional.from_canonical(ce.make_algebra([(2, 1)]), [1.0], [np.eye(2) / 2])
+        with pytest.raises(ValidationError, match="different block structure"):
+            om.expect(ce.identity(ce.make_algebra([(1, 1), (1, 1)])))
+
     def test_unnormalized_functional_rejected(self):
         st = ce.make_algebra([(2, 1)])
         with pytest.raises(NotAStateError):
@@ -120,7 +133,38 @@ class TestRepresentativeDensity:
             ce.StateFunctional.from_canonical(st, [0.5, 0.5], [np.eye(2) / 2, None])
         assert str(err.value) == "block 1 has weight 0.5 but no block state"
 
-    @pytest.mark.parametrize("weight", [0.0, Cutoff.WEIGHT_FLOOR])
+    def test_negative_weight_without_a_block_state_is_rejected(self):
+        # None stands for weight zero; for -1e-3 the built functional would not be the declared one
+        st = ce.make_algebra([(2, 1), (1, 1)])
+        with pytest.raises(ValidationError) as err:
+            ce.StateFunctional.from_canonical(st, [1.001, -1e-3], [np.eye(2) / 2, None])
+        assert str(err.value) == "block 1 has weight -0.001 but no block state"
+
+    def test_mis_shaped_block_state_is_rejected_at_weight_zero(self):
+        st = ce.make_algebra([(1, 1), (2, 1)])
+        with pytest.raises(ValidationError, match="block state shape does not match block size"):
+            ce.StateFunctional.from_canonical(st, [1.0, 0.0], [np.eye(1), np.ones((3, 1))])
+
+    @pytest.mark.parametrize("p, rhos, message", [
+        ([1.001, -1e-3], [np.eye(2) / 2, np.eye(1)],
+         "functional is not positive: representative has eigenvalue -1.000e-03"),
+        ([0.5, 0.4], [np.eye(2) / 2, np.eye(1)],
+         "functional is not normalized: value (0.9+0j) on the identity"),
+    ], ids=["negative_weight", "unnormalized"])
+    def test_canonical_weights_meet_the_constructors_rules(self, p, rhos, message):
+        # the canonical form has no rule of its own: the weights become values, which
+        # StateFunctional decides as it decides any others
+        with pytest.raises(NotAStateError) as err:
+            ce.StateFunctional.from_canonical(ce.make_algebra([(2, 1), (1, 1)]), p, rhos)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("p", [[-3e-8, 1 + 3e-8], [0.5, 0.5 + 5e-8]], ids=["-3e-8", "unit+5e-8"])
+    def test_canonical_weights_within_the_state_rule_are_accepted(self, p):
+        st = ce.make_algebra([(1, 4), (1, 1)])
+        om = ce.StateFunctional.from_canonical(st, p, [np.eye(1), np.eye(1)])
+        assert np.array_equal(om.values(), np.asarray(p, dtype=complex))
+
+    @pytest.mark.parametrize("weight", [0.0, Cutoff.WEIGHT_FLOOR, -Cutoff.WEIGHT_FLOOR])
     def test_weight_at_the_floor_keeps_its_placeholder(self, weight):
         st = ce.make_algebra([(2, 1), (1, 1)])
         om = ce.StateFunctional.from_canonical(st, [1.0 - weight, weight], [np.eye(2) / 2, None])
@@ -215,6 +259,16 @@ class TestStateIsCheckedOnce:
 
 
 class TestDensityMatrix:
+    @pytest.mark.parametrize("mat, message", [
+        (np.array([[0.5, 0.5], [0.0, 0.5]]), "density matrix is not Hermitian"),
+        (np.diag([1.5, -0.5]), "density matrix has negative eigenvalue -5.000e-01"),
+        (np.diag([0.5, 0.4]), "density matrix has trace 0.9, expected 1"),
+    ], ids=["not_hermitian", "negative_eigenvalue", "trace"])
+    def test_rejects_what_is_not_a_density_matrix(self, mat, message):
+        with pytest.raises(ValidationError) as err:
+            ce.DensityMatrix(mat)
+        assert str(err.value) == message
+
     def test_keeps_the_ascending_spectrum_of_its_validation(self):
         rng = rng_stream(36)
         rho = ce.DensityMatrix(random_ambient_density(rng, 5))
@@ -425,3 +479,21 @@ class TestDecompositionContainer:
         st = ce.make_algebra([(2, 1)])
         with pytest.raises(ValidationError):
             ce.Decomposition(st, ((1.0, 0, np.array([1.0, 1.0])),))
+
+    @pytest.mark.parametrize("components, message", [
+        (((1.0, 1, np.array([1.0, 0.0])),), "block index 1 out of range"),
+        (((1.0, 0, np.array([1.0, 0.0, 0.0])),), "component vector does not match its block"),
+        ((), "a decomposition needs at least one component"),
+    ], ids=["block_index", "vector_shape", "empty"])
+    def test_rejects_malformed_components(self, components, message):
+        with pytest.raises(ValidationError, match=message):
+            ce.Decomposition(ce.make_algebra([(2, 1)]), components)
+
+    def test_readers_trust_the_constructors_margin(self):
+        # weights sum to 1 + 9e-9 and vectors have norm 1 + 9e-9, both within Cutoff.UNIT_NORM;
+        # the density's trace 1 + 2.7e-8 is within the state rule's normalization cutoff
+        st = ce.make_algebra([(2, 1)])
+        w, s = 0.5 + 4.5e-9, 1 + 9e-9
+        dec = ce.Decomposition(st, ((w, 0, np.array([s, 0.0])), (w, 0, np.array([0.0, s]))))
+        assert np.allclose(dec.state().values(), [0.5, 0.0, 0.0, 0.5], atol=1e-7)
+        assert ce.decomposition_entropy(dec) == pytest.approx(np.log(2), abs=1e-15)

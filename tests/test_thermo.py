@@ -102,6 +102,10 @@ class TestZenoSequence:
         with pytest.raises(ValidationError):
             ce.zeno_sequence(v, v, k=3)
 
+    def test_vectors_of_different_lengths_rejected(self):
+        with pytest.raises(ValidationError, match="one-dimensional and of equal length"):
+            ce.zeno_sequence(np.eye(2)[0], np.eye(3)[1], k=3)
+
 
 class TestZenoSuccessProbability:
     def test_single_step_is_zero(self):

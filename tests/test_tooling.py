@@ -223,6 +223,25 @@ def test_only_states_raises_not_a_state(path):
         f"{path.name} raises NotAStateError at lines {found}"
 
 
+def _raise_sites(node, name: str, owner=()):
+    """Qualified name of the class and function around each raise of the exception name."""
+    if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+        owner = (*owner, node.name)
+    if isinstance(node, ast.Raise) and node.exc is not None \
+            and name in {n.id for n in ast.walk(node.exc) if isinstance(n, ast.Name)}:
+        yield ".".join(owner)
+    for child in ast.iter_child_nodes(node):
+        yield from _raise_sites(child, name, owner)
+
+
+def test_only_the_state_constructor_raises_not_a_state():
+    # statehood is decided once, when a StateFunctional is built, whatever form the state
+    # was written in; a raise anywhere else would be a second rule with its own cutoff
+    sites = {(path.name, site) for path in SOURCES
+             for site in _raise_sites(ast.parse(path.read_text()), "NotAStateError")}
+    assert sites == {("states.py", "StateFunctional.__post_init__")}, sorted(sites)
+
+
 def _bit_generator_sites(node, owner=None):
     """(innermost enclosing function, name) of each Philox, SFC64 or SeedSequence a syntax tree names."""
     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
