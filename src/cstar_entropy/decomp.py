@@ -9,6 +9,7 @@ to certify numerically that none beats the closed-form entropy.
 
 from __future__ import annotations
 
+import threading
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -21,7 +22,7 @@ from .errors import ValidationError
 from .states import Decomposition, DensityMatrix, StateFunctional, _decomposition, active_sectors
 
 _CHUNK = 1024  # oracle samples per stream; part of the sampling contract
-_MAX_SAMPLES = 10 ** 8  # largest oracle scan, 2-4 minutes at 1.3-2.5 us per sample at (3,2),(2,1),(1,1)
+_MAX_SAMPLES = 10 ** 8  # largest oracle scan: 2.5-4 min at (3,2),(2,1),(1,1), 1.5-2.5 us/sample on 2-1 cores
 
 
 def _check_unitary(u: np.ndarray) -> np.ndarray:
@@ -113,11 +114,17 @@ def decomposition_entropy(dec: Decomposition) -> float:
     return _entropy_of(dec.weights())
 
 
-def _scan_buffers(active) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """A scan's weights, flat Q buffer and work row, sized for its largest block; made once per call."""
+def _scan_buffers(active, chunks: int = 1) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A scan's weights, draw sets and work row, made once per call.
+
+    A one-chunk scan or a rebuild gets one draw set, sized for the largest
+    block; a longer scan gets two that each hold a whole chunk's draws, one
+    filled by :func:`infimum_oracle`'s helper thread while the sweep reads the other.
+    """
     ns = [lam.size for _, _, lam, _ in active]
     n = max(ns)
-    return np.empty((2 * sum(ns), _CHUNK)), np.empty(2 * n * n * _CHUNK, dtype=complex), \
+    sets = (1, 2 * n * n * _CHUNK) if chunks == 1 else (2, 2 * sum(m * m for m in ns) * _CHUNK)
+    return np.empty((2 * sum(ns), _CHUNK)), np.empty(sets, dtype=complex), \
         np.empty((2 * n, _CHUNK), dtype=complex)
 
 
@@ -127,9 +134,10 @@ def _chunk_draws(seed: int, chunk: int, active, out: np.ndarray) -> tuple[np.nda
     Chunk c holds samples ``c * _CHUNK + 1 ..`` and is read from
     ``rng_stream(seed, 1, c)`` (stream contract v3): first one ``integers``
     draw of the (_CHUNK, k) sizes, r in [n_i, 2 n_i] for block i, then one
-    normal draw per active block, in block order, made straight into the
-    front of out, viewed as float, as the returned iterator advances, so
-    each draw lives until the next.  A block's draw is the complex
+    normal draw per active block, in block order, made straight into out,
+    viewed as float, as the returned iterator advances: each at the front of
+    out, living until the next, or each after the one before where out holds
+    them all (a multi-chunk scan's draw set).  A block's draw is the complex
     (n_i, 2 n_i, _CHUNK) array q whose real and imaginary parts come in
     turn; sample s's complex Gaussian has entry (a, j) at ``q[j, a, s]``,
     and a size r takes its first r rows.  The whole chunk is always drawn,
@@ -138,8 +146,10 @@ def _chunk_draws(seed: int, chunk: int, active, out: np.ndarray) -> tuple[np.nda
     rng = rng_stream(seed, 1, chunk)
     ns = np.array([lam.size for _, _, lam, _ in active])
     sizes = rng.integers(ns, 2 * ns + 1, size=(_CHUNK, ns.size))
-    return sizes, (rng.standard_normal(out=np.ndarray((n, 2 * n, 2 * _CHUNK), buffer=out)).view(complex)
-                   for n in ns)
+    nbytes = 2 * ns * ns * _CHUNK * out.itemsize
+    starts = np.cumsum(nbytes) - nbytes if nbytes.sum() <= out.nbytes else 0 * ns
+    return sizes, (rng.standard_normal(out=np.ndarray((n, 2 * n, 2 * _CHUNK), buffer=out, offset=start))
+                   .view(complex) for n, start in zip(ns, starts))
 
 
 def _isometries(q: np.ndarray, sizes: np.ndarray, cols: int, work: np.ndarray) -> np.ndarray:
@@ -171,7 +181,8 @@ def _isometries(q: np.ndarray, sizes: np.ndarray, cols: int, work: np.ndarray) -
     return q
 
 
-def _chunk_entropies(seed: int, chunk: int, active, count: int = _CHUNK, buffers=None) -> np.ndarray:
+def _chunk_entropies(seed: int, chunk: int, active, count: int = _CHUNK, buffers=None,
+                     drawn=None) -> np.ndarray:
     """Decomposition entropies of the first count samples of a chunk.
 
     Each block's draws go through one :func:`_isometries` call over their
@@ -180,10 +191,11 @@ def _chunk_entropies(seed: int, chunk: int, active, count: int = _CHUNK, buffers
     array, and each column's entropy drops the entries at or below
     ``Cutoff.WEIGHT_FLOOR``.  The whole chunk is always computed alike, so
     each entropy is a function of (seed, sample index) alone.  Every entry
-    of buffers (fresh ones when None) is written before it is read.
+    of buffers (fresh ones when None) is written before it is read.  drawn,
+    when given, is the chunk's :func:`_chunk_draws`, made ahead into buffers.
     """
     weights, q_buffer, work = buffers or _scan_buffers(active)
-    sizes, draws = _chunk_draws(seed, chunk, active, q_buffer)
+    sizes, draws = drawn or _chunk_draws(seed, chunk, active, q_buffer)
     weights.fill(0.0)
     start = 0
     for (_, w_block, lam, _), q, block_sizes in zip(active, draws, sizes.T):
@@ -232,10 +244,14 @@ def infimum_oracle(omega: StateFunctional, samples: int = 1000, seed: int = 0,
     of chunk (s - 1) // 1024, which draws from ``rng_stream(seed, 1, chunk)``
     (stream contract v3, see :func:`_chunk_draws`), so each sample's entropy
     depends on (seed, s) alone; ties resolve to the lowest sample index.
-    samples and seed must be integers, not booleans, and samples is at most
-    ``_MAX_SAMPLES``.  The report names the winning sample and builds no
-    decomposition; ``oracle_decomposition(omega, report.best_index, seed,
-    tol)`` rebuilds it on demand.
+    A scan of two or more chunks starts one helper thread that makes chunk
+    c + 1's normal draws while the calling thread sweeps chunk c; the scan
+    raises what the helper raises, joins it before it returns or raises,
+    and gives the results of a sequential scan.  samples and seed must be
+    integers, not booleans, and samples is at most ``_MAX_SAMPLES``.  The
+    report names the winning sample and builds no decomposition;
+    ``oracle_decomposition(omega, report.best_index, seed, tol)`` rebuilds
+    it on demand.
     """
     samples = check_int(samples, "samples", 1)
     if samples > _MAX_SAMPLES:
@@ -244,14 +260,49 @@ def infimum_oracle(omega: StateFunctional, samples: int = 1000, seed: int = 0,
     closed = closed_form_entropy(omega, tol)
     best_entropy, best_index = closed, 0
     active = active_sectors(omega, tol)
-    buffers = _scan_buffers(active)
+    chunks = (samples + _CHUNK - 1) // _CHUNK
+    weights, sets, work = _scan_buffers(active, chunks)
+    drawn = [None, None]
+    if chunks > 1:
+        # the sweep opens chunk c + 1's stream and draws its sizes before it sweeps
+        # chunk c, and the helper makes the normal draws into sets[(c + 1) % 2]
+        todo, done, stop = threading.Semaphore(0), threading.Semaphore(0), threading.Event()
 
-    for chunk in range((samples + _CHUNK - 1) // _CHUNK):
-        h = _chunk_entropies(seed, chunk, active, min(_CHUNK, samples - chunk * _CHUNK), buffers)
-        j = int(np.argmin(h))
-        # argmin is the first minimum and the comparison strict, so ties keep the lowest index
-        if h[j] < best_entropy:
-            best_entropy, best_index = float(h[j]), chunk * _CHUNK + j + 1
+        def draw_ahead():
+            try:
+                for chunk in range(1, chunks):
+                    todo.acquire()
+                    if stop.is_set():
+                        return
+                    sizes, blocks = drawn[chunk % 2]
+                    drawn[chunk % 2] = sizes, list(blocks)
+                    done.release()
+            except BaseException as exc:  # raised again by the sweep
+                drawn[chunk % 2] = exc
+                done.release()
+
+        helper = threading.Thread(target=draw_ahead, name="oracle-draws")
+        helper.start()
+    try:
+        for chunk in range(chunks):
+            if chunk + 1 < chunks:
+                drawn[(chunk + 1) % 2] = _chunk_draws(seed, chunk + 1, active, sets[(chunk + 1) % 2])
+                todo.release()
+            if chunk:
+                done.acquire()
+                if isinstance(drawn[chunk % 2], BaseException):
+                    raise drawn[chunk % 2]
+            h = _chunk_entropies(seed, chunk, active, min(_CHUNK, samples - chunk * _CHUNK),
+                                 (weights, sets[chunk % 2], work), drawn[chunk % 2])
+            j = int(np.argmin(h))
+            # argmin is the first minimum and the comparison strict, so ties keep the lowest index
+            if h[j] < best_entropy:
+                best_entropy, best_index = float(h[j]), chunk * _CHUNK + j + 1
+    finally:
+        if chunks > 1:
+            stop.set()
+            todo.release()
+            helper.join()
 
     return OracleReport(best_entropy, closed, best_index)
 

@@ -1,8 +1,11 @@
 """Shared generators for randomized tests."""
 
+import threading
+
 import numpy as np
 
 import cstar_entropy as ce
+from cstar_entropy import decomp
 from cstar_entropy._linalg import Cutoff, random_isometry, resolve_tol
 from cstar_entropy.algebra import _assemble, split_blocks
 from cstar_entropy.entropy import _entropy_of
@@ -180,6 +183,37 @@ def closure_defect(basis):
     return worst
 
 
+class _ThreadRecordingStream:
+    """A chunk stream that logs the thread that opens it and each thread that draws normals from it."""
+
+    def __init__(self, rng, chunk, log, fail_normals):
+        self.rng, self.chunk, self.log, self.fail_normals = rng, chunk, log, fail_normals
+        log.append(("open", chunk, threading.get_ident()))
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+    def standard_normal(self, size=None, **kwargs):
+        self.log.append(("normal", self.chunk, threading.get_ident()))
+        if self.chunk in self.fail_normals:
+            raise MemoryError()
+        return self.rng.standard_normal(size, **kwargs)
+
+
+def log_chunk_streams(monkeypatch, fail_open=(), fail_normals=()):
+    """Patch the oracle's chunk streams to log their threads; a chunk in fail_open
+    raises MemoryError when its stream opens, one in fail_normals at its first normal draw."""
+    log, chunk_stream = [], decomp.rng_stream
+
+    def stream(seed, *key):
+        if key[-1] in fail_open:
+            raise MemoryError()
+        return _ThreadRecordingStream(chunk_stream(seed, *key), key[-1], log, fail_normals)
+
+    monkeypatch.setattr(decomp, "rng_stream", stream)
+    return log
+
+
 __all__ = [
     "random_isometry",
     "rng_stream",
@@ -197,4 +231,5 @@ __all__ = [
     "sectors_connectable",
     "decomposition_entropy_split",
     "closure_defect",
+    "log_chunk_streams",
 ]

@@ -12,8 +12,8 @@ from cstar_entropy import entropy as entropy_module
 from cstar_entropy._linalg import complex_gaussian
 from cstar_entropy.cli import main
 
-from helpers import (conjugated_algebra_generators, embedded_standard_basis, random_block_density,
-                     random_isometry, rng_stream)
+from helpers import (conjugated_algebra_generators, embedded_standard_basis, log_chunk_streams,
+                     random_block_density, random_isometry, rng_stream)
 
 
 def _mat(m):
@@ -420,6 +420,15 @@ class TestExitCodes:
 
         monkeypatch.setattr(entropy_module, "state_entropy", exhausted)
         assert main(["entropy", diag_quarter_problem, "--json"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "numerical failure: out of memory\n"
+
+    @pytest.mark.parametrize("where", ["fail_open", "fail_normals"])
+    def test_out_of_memory_in_an_oracle_chunk_is_a_numerical_failure(self, diag_quarter_problem, capsys,
+                                                                      monkeypatch, where):
+        # chunk 2's stream opens on the scanning thread, its normals are drawn on the helper thread
+        log_chunk_streams(monkeypatch, **{where: (2,)})
+        assert main(["oracle", diag_quarter_problem, "--samples", "3000"]) == 3
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err == "numerical failure: out of memory\n"
 

@@ -1,5 +1,8 @@
 """Tests for Schrödinger decompositions, majorization, the infimum oracle and NaN rejection."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -8,6 +11,7 @@ from cstar_entropy.errors import ValidationError
 
 from helpers import (
     decomposition_entropy_split,
+    log_chunk_streams,
     random_ambient_density,
     random_isometry,
     random_state,
@@ -382,7 +386,7 @@ class TestInfimumOracle:
         from cstar_entropy import decomp
 
         def scan_tied_at(tied, value):
-            def scan(seed, chunk, active, count=decomp._CHUNK, buffers=None):
+            def scan(seed, chunk, active, count=decomp._CHUNK, buffers=None, drawn=None):
                 h = np.full(count, np.inf)
                 for s in tied:
                     c, row = divmod(s - 1, decomp._CHUNK)
@@ -599,7 +603,8 @@ def test_isometries_are_orthonormal_on_ill_conditioned_draws():
 def test_scan_calls_no_lapack_qr_and_draws_one_stream_per_chunk(monkeypatch):
     # pins the scan's shape without timing it: no QR factorisation from numpy,
     # and exactly one stream per 1024-sample chunk (the oracle rebuilds no
-    # sample, so no chunk is drawn twice)
+    # sample, so no chunk is drawn twice); the sweep opens chunk c + 1's stream
+    # before it sweeps chunk c, so streams do not open in chunk order
     from cstar_entropy import decomp
 
     def no_qr(*args, **kwargs):
@@ -610,14 +615,14 @@ def test_scan_calls_no_lapack_qr_and_draws_one_stream_per_chunk(monkeypatch):
     class RecordingStream:
         """A stream that records the chunk, size and out array of each normal draw."""
 
-        def __init__(self, rng):
-            self.rng = rng
+        def __init__(self, rng, chunk):
+            self.rng, self.chunk = rng, chunk
 
         def __getattr__(self, name):
             return getattr(self.rng, name)
 
         def standard_normal(self, size=None, **kwargs):
-            normals.append((len(streams) - 1, size, kwargs.get("out")))
+            normals.append((self.chunk, size, kwargs.get("out")))
             return self.rng.standard_normal(size, **kwargs)
 
     chunk_stream = decomp.rng_stream
@@ -626,22 +631,23 @@ def test_scan_calls_no_lapack_qr_and_draws_one_stream_per_chunk(monkeypatch):
         rng = chunk_stream(seed, *key)
         seq = rng.bit_generator.seed_seq
         streams.append((seq.entropy, *seq.spawn_key))
-        return RecordingStream(rng)
+        return RecordingStream(rng, key[-1])
 
     monkeypatch.setattr(np.linalg, "qr", no_qr)
     monkeypatch.setattr(decomp, "rng_stream", counting_stream)
     st = ce.make_algebra([(3, 2), (2, 1), (1, 1)])
     om = random_state(rng_stream(69), st)
-    found = decomp.infimum_oracle(om, samples=3000, seed=9).min_entropy_found
-    assert streams == [(9, 1, 0), (9, 1, 1), (9, 1, 2)]
+    found = decomp.infimum_oracle(om, samples=5000, seed=9).min_entropy_found
+    assert sorted(streams) == [(9, 1, c) for c in range(5)]
     assert found == pytest.approx(ce.state_entropy(om).state_entropy, abs=1e-12)
-    # one normal draw per block per chunk, each into a buffer made once for the scan
-    assert [chunk for chunk, _, _ in normals] == [0, 0, 0, 1, 1, 1, 2, 2, 2]
+    # one normal draw per block per chunk, each into one of two buffer sets made once
+    # for the scan: chunk c reuses chunk c - 2's set and shares nothing with chunk c - 1's
+    assert sorted(chunk for chunk, _, _ in normals) == [c for c in range(5) for _ in range(3)]
     assert all(size is None and out is not None for _, size, out in normals)
-    first = [out for chunk, _, out in normals if chunk == 0]
-    for chunk in (1, 2):
-        later = [out for c, _, out in normals if c == chunk]
-        assert all(np.shares_memory(a, b) for a, b in zip(first, later, strict=True))
+    outs = [[out for c, _, out in normals if c == chunk] for chunk in range(5)]
+    for chunk in range(2, 5):
+        assert all(np.shares_memory(a, b) for a, b in zip(outs[chunk], outs[chunk - 2], strict=True))
+        assert not any(np.shares_memory(a, b) for a in outs[chunk] for b in outs[chunk - 1])
 
 
 def test_scan_buffers_carry_nothing_between_chunks():
@@ -720,6 +726,149 @@ def test_oracle_is_reentrant_across_threads(monkeypatch):
                 assert [f.result(timeout=60) for f in futures] == serial
     finally:
         sys.setswitchinterval(interval)
+
+
+def _record_chunk_rows(monkeypatch):
+    """Patch the scan's per-chunk seam to record each chunk's entropies as bytes, in call order."""
+    from cstar_entropy import decomp
+
+    rows, scan = [], decomp._chunk_entropies
+
+    def recording_scan(*args):
+        h = scan(*args)
+        rows.append(h.tobytes())
+        return h
+
+    monkeypatch.setattr(decomp, "_chunk_entropies", recording_scan)
+    return rows
+
+
+def _draw_ahead_states():
+    """Two structures, a rank-deficient state and a state whose blocks all have n = 1."""
+    rng = rng_stream(75)
+    yield random_state(rng, ce.make_algebra([(3, 2), (2, 1), (1, 1)]))
+    yield random_state(rng, ce.make_algebra([(4, 1), (1, 3)]))
+    yield _rank_deficient_state(rng, ce.make_algebra([(3, 1), (2, 2)]), (1, 2))
+    yield random_state(rng, ce.make_algebra([(1, 1), (1, 2)]))
+
+
+@pytest.mark.parametrize("samples", [1, 1024, 1025, 2048, 3000, 10_000])
+def test_scan_that_draws_ahead_is_the_sequential_fold(monkeypatch, samples):
+    # each chunk's entropies, computed from draws the helper thread made ahead,
+    # are the bytes of the chunk computed alone, and the report is their fold in
+    # chunk order with the strict comparison, so ties keep the lowest index
+    from cstar_entropy import decomp
+    from cstar_entropy.decomp import _CHUNK, _chunk_entropies
+    from cstar_entropy.entropy import closed_form_entropy
+    from cstar_entropy.states import active_sectors
+
+    rows = _record_chunk_rows(monkeypatch)
+    for om in _draw_ahead_states():
+        active = active_sectors(om, 1e-9)
+        for seed in (0, 7919, 2 ** 128 + 5):
+            rows.clear()
+            report = decomp.infimum_oracle(om, samples=samples, seed=seed, tol=1e-9)
+            alone = [_chunk_entropies(seed, c, active, min(_CHUNK, samples - c * _CHUNK))
+                     for c in range(len(rows))]
+            assert rows == [h.tobytes() for h in alone]
+            assert sum(h.size for h in alone) == samples
+            closed = closed_form_entropy(om, 1e-9)
+            best_entropy, best_index = closed, 0
+            for c, h in enumerate(alone):
+                j = int(np.argmin(h))
+                if h[j] < best_entropy:
+                    best_entropy, best_index = float(h[j]), c * _CHUNK + j + 1
+            assert report == decomp.OracleReport(best_entropy, closed, best_index)
+
+
+def test_helper_thread_makes_the_normal_draws_of_later_chunks(monkeypatch):
+    # the sweep opens every stream and draws every size; a scan of two or more
+    # chunks starts one helper thread, which makes the normal draws of chunks >= 1,
+    # and a one-chunk scan starts none
+    from cstar_entropy import decomp
+
+    started = []
+
+    class CountingThread(threading.Thread):
+        def start(self):
+            started.append(self.name)
+            super().start()
+
+    monkeypatch.setattr(decomp.threading, "Thread", CountingThread)
+    log = log_chunk_streams(monkeypatch)
+    om = random_state(rng_stream(76), ce.make_algebra([(3, 2), (2, 1), (1, 1)]))
+    sweep = threading.get_ident()
+    for samples, chunks, threads in ((1000, 1, 0), (1024, 1, 0), (1025, 2, 1), (3000, 3, 1)):
+        log.clear()
+        started.clear()
+        decomp.infimum_oracle(om, samples=samples, seed=3)
+        assert len(started) == threads
+        assert sorted(chunk for event, chunk, _ in log if event == "open") == list(range(chunks))
+        assert {thread for event, _, thread in log if event == "open"} == {sweep}
+        normals = [(chunk, thread) for event, chunk, thread in log if event == "normal"]
+        assert sorted(chunk for chunk, _ in normals) == [c for c in range(chunks) for _ in range(3)]
+        assert all((thread == sweep) == (chunk == 0) for chunk, thread in normals)
+
+
+def test_no_thread_outlives_the_scan(monkeypatch):
+    # on return, when the helper raises and when the sweep raises, the helper is joined
+    from cstar_entropy import decomp
+
+    om = random_state(rng_stream(77), ce.make_algebra([(3, 2), (2, 1), (1, 1)]))
+    before = threading.enumerate()
+    decomp.infimum_oracle(om, samples=3000, seed=4)
+    assert threading.enumerate() == before
+    with monkeypatch.context() as patch:
+        log_chunk_streams(patch, fail_normals=(2,))
+        with pytest.raises(MemoryError):
+            decomp.infimum_oracle(om, samples=3000, seed=4)
+    assert threading.enumerate() == before
+    scan = decomp._chunk_entropies
+
+    def sweep_fails_at_chunk_one(seed, chunk, *args):
+        if chunk == 1:
+            raise MemoryError()
+        return scan(seed, chunk, *args)
+
+    monkeypatch.setattr(decomp, "_chunk_entropies", sweep_fails_at_chunk_one)
+    with pytest.raises(MemoryError):
+        decomp.infimum_oracle(om, samples=5000, seed=4)
+    assert threading.enumerate() == before
+
+
+@pytest.mark.parametrize("where", ["fail_open", "fail_normals"])
+def test_failure_of_a_chunk_draw_raises_from_the_scan(monkeypatch, where):
+    # chunk 2's stream opens on the sweep and its normals are drawn on the helper;
+    # either failure leaves the scan as the same MemoryError
+    from cstar_entropy import decomp
+
+    om = random_state(rng_stream(78), ce.make_algebra([(3, 2), (2, 1), (1, 1)]))
+    log = log_chunk_streams(monkeypatch, **{where: (2,)})
+    with pytest.raises(MemoryError):
+        decomp.infimum_oracle(om, samples=3000, seed=5)
+    sweep = threading.get_ident()
+    expected = [] if where == "fail_open" else [("open", True), ("normal", False)]
+    assert [(event, thread == sweep) for event, chunk, thread in log if chunk == 2] == expected
+
+
+def test_scan_that_draws_ahead_gives_the_same_bytes_under_fast_thread_switching(monkeypatch):
+    # one 5000-sample scan, run 20 times with the interpreter switching threads
+    # every 10 us, gives the same report and the same chunk entropies every time
+    from cstar_entropy import decomp
+
+    rows = _record_chunk_rows(monkeypatch)
+    om = random_state(rng_stream(79), ce.make_algebra([(3, 2), (2, 1), (1, 1)]))
+    first = decomp.infimum_oracle(om, samples=5000, seed=6), list(rows)
+    assert len(first[1]) == 5
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for _ in range(20):
+            rows.clear()
+            assert (decomp.infimum_oracle(om, samples=5000, seed=6), rows) == first
+    finally:
+        sys.setswitchinterval(interval)
+
 
 _NAN = float("nan")
 _M2 = ce.make_algebra([(2, 1)])

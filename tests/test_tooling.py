@@ -1,4 +1,4 @@
-"""Repository tooling guards, checked by reading syntax trees and the README only.
+"""Repository tooling guards, checked by reading syntax trees and the README, and one fresh import.
 
 ``perfbench/spans.py`` wraps each ``module.function`` in ``TRACED`` for a
 traced run; a rename in the package would otherwise only show up as a
@@ -24,14 +24,19 @@ the ``gns`` command each read the closed form through one
 GNS route neither reads ``StateFunctional.spectra``, the closed form's one
 ``eigh``, nor imports discovery, and discovery has one split loop, in
 ``algebra.generate_subalgebra``, which ``block_decompose`` calls.  W's
-unitarity bound is read in ``algebra`` only by ``SubalgebraBasis``.
+unitarity bound is read in ``algebra`` only by ``SubalgebraBasis``.  The
+oracle scan is the one place that starts a thread, and importing the CLI,
+checked in a fresh interpreter, loads neither ``concurrent.futures`` nor
+``queue``.
 """
 
 import ast
 import importlib
 import inspect
+import os
 import pathlib
 import re
+import subprocess
 import sys
 
 import pytest
@@ -396,3 +401,21 @@ def test_discovery_has_one_split_loop():
     assert [node.name for node in ast.walk(tree)
             if isinstance(node, (ast.FunctionDef, ast.ClassDef))
             and node.name.startswith("_discover")] == []
+
+
+def test_only_the_oracle_scan_starts_a_thread():
+    # the scan's draw-ahead helper is the package's one thread, made in infimum_oracle
+    sites = [(path.name, owner) for path in SOURCES
+             for owner, _ in _call_sites(ast.parse(path.read_text()), "Thread")]
+    assert sites == [("decomp.py", "infimum_oracle")]
+
+
+def test_importing_the_cli_loads_no_thread_pool_or_queue():
+    # the scan's helper uses threading, which numpy loads already; a one-shot CLI
+    # call would pay the import of concurrent.futures or queue every time
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    code = "import sys, cstar_entropy.cli; print(sorted({'concurrent.futures', 'queue'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
